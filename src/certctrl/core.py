@@ -33,7 +33,6 @@ __all__ = [
     "modulus_step",
     "located_distance",
     "snap_dyadic",
-    "snap_dyadic_fraction",
     "parallel_map",
     "DEFAULT_MESH_BUDGET",
     "SNAP_BITS",
@@ -86,14 +85,20 @@ def _inflate(value: float, raw_radius: float) -> float:
     return raw_radius * _RADIUS_SAFETY + math.ulp(abs(value))
 
 
-def snap_dyadic(x: float) -> float:
-    """Round to the dyadic lattice 2^-SNAP_BITS (exact in binary64 at desk
-    scale), so node equality is exactly decidable."""
-    return round(x * _SNAP_SCALE) / _SNAP_SCALE
+def snap_dyadic(x) -> np.ndarray:
+    """Round every entry of x to the dyadic lattice 2^-SNAP_BITS (exact in
+    binary64 at desk scale), so node equality is exactly decidable.
 
-
-def snap_dyadic_fraction(x: float) -> Fraction:
-    return Fraction(round(x * _SNAP_SCALE), 1 << SNAP_BITS)
+    Bit-identical to the scalar ``round(x * 2**SNAP_BITS) / 2**SNAP_BITS``:
+    ``np.rint`` rounds half to even like ``round``, and adding ``0.0`` turns
+    the ``-0.0`` that ``rint`` gives small negatives into ``round``'s ``0.0``.
+    Raises ArgumentError on NaN, or where x * 2**SNAP_BITS overflows.
+    """
+    with np.errstate(over="ignore"):  # reported below as ArgumentError
+        out = np.rint(np.asarray(x, dtype=float) * _SNAP_SCALE) / _SNAP_SCALE + 0.0
+    if not np.all(np.isfinite(out)):
+        raise ArgumentError("cannot snap a non-finite coordinate to the dyadic lattice")
+    return out
 
 
 @dataclass(frozen=True)
@@ -408,7 +413,7 @@ def build_mesh(box: Hypercube, eps: float, budget: int = DEFAULT_MESH_BUDGET) ->
         raise ArgumentError("mesh resolution must be positive")
     n = box.dim
     if 0.5 * box.diameter <= eps:
-        pts = np.array([[snap_dyadic(c) for c in box.center]])
+        pts = snap_dyadic(box.center)[None, :]
         return FiniteMesh(pts, eps, box)
     # shave a hair off eps so dyadic snapping cannot break the cover
     h_max = 2.0 * eps * (1.0 - 2.0 ** -20) / math.sqrt(n)
@@ -419,11 +424,7 @@ def build_mesh(box: Hypercube, eps: float, budget: int = DEFAULT_MESH_BUDGET) ->
             f"mesh at resolution {eps} needs {count} nodes "
             f"((k+1)^n with k={k}, n={n}) but the budget is {budget}"
         )
-    axes = []
-    lo = box.lo
-    for d in range(n):
-        coords = lo[d] + box.side * np.arange(k + 1) / k
-        axes.append(np.array([snap_dyadic(c) for c in coords]))
+    axes = snap_dyadic(box.lo[:, None] + box.side * np.arange(k + 1) / k)
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
     return FiniteMesh(pts, eps, box)
@@ -454,7 +455,7 @@ class LocatedSet:
             keep = np.linalg.norm(cube.points - center[None, :], axis=1) <= radius
             pts = cube.points[keep]
             if pts.shape[0] == 0:
-                pts = np.array([[snap_dyadic(c) for c in center]])
+                pts = snap_dyadic(center)[None, :]
             return FiniteMesh(pts, eps, None)
 
         return cls(gen, f"ball(r={radius})")

@@ -28,7 +28,6 @@ from .core import (
     Modulus,
     ResourceBudgetError,
     build_mesh,
-    snap_dyadic,
 )
 
 __all__ = [

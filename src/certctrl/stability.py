@@ -30,8 +30,10 @@ from .core import (
     Certificate,
     CertifiedReal,
     ContractError,
+    DomainExitError,
     Hypercube,
     Modulus,
+    ResourceBudgetError,
     build_mesh,
 )
 from .trajectories import ControlledDynamics, RegularRHS, picard_solve
@@ -456,7 +458,10 @@ def _simulate_closed_loop(
 ):
     """Run the SH loop from x0; certified success means entering the
     target ball with reserve while V decreases each interval by more than
-    the reserve plus solver slack.  Returns (ok, min margin, samples)."""
+    the reserve plus solver slack.  Returns (ok, min margin, samples).
+
+    Leaving the state box, or a Picard step that exceeds its budget or
+    contract, fails this eta; any other error is a fault and propagates."""
     dyn = problem.dynamics
     r = problem.target_radius
     reserve = eta * eps
@@ -475,7 +480,7 @@ def _simulate_closed_loop(
         )
         try:
             sol = picard_solve(rhs, x, eta, eps_loc)
-        except Exception:
+        except (DomainExitError, ResourceBudgetError, ContractError):
             return False, -math.inf, samples
         x_new = sol.endpoint
         v0 = float(problem.V(x[None, :])[0])

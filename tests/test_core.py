@@ -142,8 +142,65 @@ def test_modulus_mu_generic_is_monotone_nondecreasing_in_eps():
 
 
 # ---------------------------------------------------------------------------
+# Dyadic snapping: the array snap must equal the scalar round() reference
+# bit for bit, signed zeros included.
+# ---------------------------------------------------------------------------
+
+def _snap_ref(x: float) -> float:
+    return round(x * 2.0 ** 44) / 2.0 ** 44
+
+
+_TIES = (np.arange(-2000, 2000) + 0.5) / 2.0 ** 44
+
+
+@pytest.mark.parametrize(
+    "xs",
+    [
+        np.random.default_rng(5).normal(scale=10.0, size=20_000),
+        _TIES,  # exact halves: round() goes to even
+        np.array([-1e-15, -2.0 ** -46, -0.4 * 2.0 ** -44, -0.0, 1e-15]),
+        np.concatenate([  # |x| >= 512: x * 2**44 is beyond 2**53
+            [512.0, -513.3, 1e6 / 3.0, -(2.0 ** 30) / 7.0],
+            np.random.default_rng(6).uniform(-1e6, 1e6, size=2000),
+        ]),
+    ],
+    ids=["random", "ties", "tiny", "large"],
+)
+def test_snap_dyadic_matches_scalar_round(xs):
+    ref = np.array([_snap_ref(x) for x in xs.tolist()])
+    assert snap_dyadic(xs).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, 1e300, np.array([0.5, math.nan])])
+def test_snap_dyadic_rejects_non_finite(bad):
+    with pytest.raises(ArgumentError):
+        snap_dyadic(bad)
+
+
+# ---------------------------------------------------------------------------
 # Meshes
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "center, side, eps",
+    [
+        ([1.0 / 3.0], 0.7, 0.01),
+        ([0.1, -2.0 / 7.0], 1.3, 0.05),
+        ([math.pi, -math.e, 1e-3 / 3.0], 0.9, 0.2),
+    ],
+)
+def test_build_mesh_matches_scalar_snap_loop(center, side, eps):
+    box = Hypercube(np.array(center), side)
+    mesh = build_mesh(box, eps)
+    k = round(len(mesh) ** (1.0 / box.dim)) - 1
+    axes = [
+        np.array([_snap_ref(c) for c in box.lo[d] + box.side * np.arange(k + 1) / k])
+        for d in range(box.dim)
+    ]
+    grids = np.meshgrid(*axes, indexing="ij")
+    ref = np.stack([g.ravel() for g in grids], axis=1)
+    assert mesh.points.tobytes() == ref.tobytes()
+
 
 def test_build_mesh_1d_endpoints_and_midpoint():
     # H_1(0) in R^1 is [-0.5, 0.5]; eps = 0.5 is covered by 3 nodes or fewer
@@ -168,7 +225,7 @@ def test_build_mesh_single_node_when_eps_huge():
     box = Hypercube(np.array([0.25, -0.5]), 1.0)
     mesh = build_mesh(box, box.diameter / 2.0 + 0.01)
     assert len(mesh) == 1
-    assert np.allclose(mesh.points[0], [snap_dyadic(0.25), snap_dyadic(-0.5)])
+    assert mesh.points.tobytes() == np.array([[_snap_ref(0.25), _snap_ref(-0.5)]]).tobytes()
 
 
 def test_build_mesh_nodes_are_dyadic_and_distinct():

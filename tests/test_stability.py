@@ -364,6 +364,35 @@ def test_find_sampling_time_certified_loop_enters_ball():
         assert min(np.linalg.norm(s) for s in samples) <= 0.1 + 1e-6
 
 
+def test_find_sampling_time_propagates_dynamics_faults():
+    # clf_feedback evaluates f one state at a time, the Picard step on a
+    # whole grid: a dynamics that breaks on the grid is a bug, not a failed eta
+    def one_state_only(xs, u):
+        if xs.shape[0] != 1:
+            raise TypeError("dynamics written for a single state row")
+        return np.broadcast_to(u, xs.shape).copy()
+
+    dyn = ControlledDynamics(
+        f=one_state_only,
+        state_box=Hypercube(np.array([0.0]), 4.0),
+        lip_x=1.0,  # an overestimate for the integrator; gives a multi-node grid
+        lip_u=1.0,
+        sup_bound=1.0,
+    )
+    prob = CLFProblem(
+        dynamics=dyn,
+        control_box=Hypercube(np.array([0.0]), 2.0),
+        V=lambda xs: xs[:, 0] ** 2,
+        grad_V=lambda x: 2.0 * x,
+        v_lipschitz=4.0,
+        target_radius=0.1,
+        overshoot_radius=1.0,
+    )
+    kappa = lambda x: clf_feedback(prob, x, 0.01)[0]
+    with pytest.raises(TypeError, match="single state row"):
+        find_sampling_time(prob, kappa, 1.0, 0.01, mesh_eps=0.1, resolution=1e-2)
+
+
 def test_checks_require_moduli():
     data = LyapunovData(
         V=lambda xs, t: xs[:, 0] ** 2,
