@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .core import (
     ArgumentError,
-    Certificate,
     CertifiedReal,
     ContractError,
     DomainExitError,
@@ -29,7 +28,6 @@ from .core import (
 __all__ = [
     "__version__",
     "ArgumentError",
-    "Certificate",
     "CertifiedReal",
     "ContractError",
     "DomainExitError",

@@ -92,15 +92,15 @@ def _task_evt_min(config, seed, workers, out):
         gap = float(grid[1, 0] - grid[0, 0])
         rad = (pclass.lipschitz + target.lipschitz_on(1.0)) * gap / 2.0 + 1e-12
 
-        def ev(policy):
-            return CertifiedReal(float(np.abs(policy(grid)[:, 0] - tvals).max()), rad)
+        def ev(V):
+            return np.abs(V[:, :, 0] - tvals).max(axis=1), rad
 
-        J = evt.Functional(ev, Modulus.lipschitz(1.0), name="sup_distance")
+        J = evt.Functional(ev, Modulus.lipschitz(1.0), grid, name="sup_distance")
     elif spec["kind"] == "mean":
-        def ev(policy):
-            return CertifiedReal(float(policy(grid)[:, 0].mean()), 1e-9)
+        def ev(V):
+            return V[:, :, 0].mean(axis=1), 1e-9
 
-        J = evt.Functional(ev, Modulus.lipschitz(1.0), name="mean")
+        J = evt.Functional(ev, Modulus.lipschitz(1.0), grid, name="mean")
     else:
         raise ArgumentError(f"unknown functional kind {spec['kind']!r}: sup_distance, mean")
     eps = float(config["eps"])
@@ -423,8 +423,9 @@ def _task_audit(config, seed, workers, out):
     pclass = evt.PolicyClass(Hypercube(np.array([0.5]), 1.0), 1, 1.0, 1.0)
     grid = np.linspace(0, 1, 201).reshape(-1, 1)
     J = evt.Functional(
-        lambda p: CertifiedReal(float(np.abs(p(grid)).max()), 2.5e-3),
+        lambda V: (np.abs(V).max(axis=(1, 2)), 2.5e-3),
         Modulus.lipschitz(1.0),
+        grid,
         name="sup",
     )
     _, cert = evt.epsilon_minimize(J, pclass, 1.3)

@@ -11,7 +11,7 @@ construction and all operations are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -28,7 +28,6 @@ __all__ = [
     "Hypercube",
     "FiniteMesh",
     "LocatedSet",
-    "Certificate",
     "build_mesh",
     "modulus_step",
     "located_distance",
@@ -318,8 +317,8 @@ class Hypercube:
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.atleast_1d(np.asarray(self.center, dtype=float)))
-        if self.side <= 0:
-            raise ArgumentError("hypercube side must be positive")
+        if not (math.isfinite(self.side) and self.side > 0):
+            raise ArgumentError(f"hypercube side must be positive and finite, got {self.side}")
         if self.center.ndim != 1 or self.center.size < 1:
             raise ArgumentError("hypercube center must be a 1-D point")
 
@@ -471,22 +470,6 @@ def located_distance(A: LocatedSet, x, eps: float) -> CertifiedReal:
     mesh = A.mesh(eps)
     _, d = mesh.nearest(x)
     return CertifiedReal(d, _inflate(d, eps))
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """Uniform output wrapper shared by the checking operations."""
-
-    verdict: str  # "certified" | "counterexample" | "undecided"
-    tolerances: dict = field(default_factory=dict)
-    mesh_resolution: Optional[float] = None
-    witness: object = None
-    counterexample: object = None
-    details: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.verdict not in ("certified", "counterexample", "undecided"):
-            raise ArgumentError(f"unknown verdict {self.verdict!r}")
 
 
 def parallel_map(fn, items, workers: int = 1):

@@ -7,14 +7,21 @@ Lipschitz-compatible assignments, and extending each assignment to the
 whole domain by a per-coordinate lower McShane extension.  Minimizing a
 uniformly continuous functional over that finite net yields a certified
 epsilon-optimizer.
+
+The net is one (members, nodes, m) value tensor (PolicyNet).  A
+Functional is evaluated on a fixed grid: epsilon_minimize streams blocks
+of members' grid values through `Functional.evaluate`, and only the
+minimizer is built as a PiecewisePolicy.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -33,10 +40,12 @@ from .core import (
 __all__ = [
     "PolicyClass",
     "PiecewisePolicy",
+    "PolicyNet",
     "Functional",
     "lipschitz_extend",
     "enumerate_policy_net",
     "epsilon_minimize",
+    "net_values_on_grid",
     "mollify",
     "MollifiedPolicy",
     "policy_to_text",
@@ -163,19 +172,49 @@ class PiecewisePolicy:
 
 @dataclass(frozen=True)
 class Functional:
-    """Uniformly continuous cost functional on a policy class.
+    """Uniformly continuous cost functional on a policy class, evaluated
+    on a fixed grid of the domain.
 
-    evaluator returns a CertifiedReal; modulus bounds |J[k] - J[k']| in
-    terms of the sup-norm distance of the policies.  batch_evaluator, when
-    given, maps a stacked array of policy values on a shared grid to
-    (values, radius) and is only a fast path - it must agree with
-    evaluator.
+    evaluate maps a (c, G, m) block - the values of c net members at the G
+    points of `grid` - to ``(values, radius)``: the c values J[k] and one
+    radius with |J[k] - value| <= radius for every member of the block.
+    modulus bounds |J[k] - J[k']| in terms of the sup-norm distance of the
+    policies.
     """
 
-    evaluator: Callable[[PiecewisePolicy], CertifiedReal]
+    evaluate: Callable[[np.ndarray], tuple]
     modulus: Modulus
+    grid: np.ndarray
     name: str = ""
-    batch_evaluator: Optional[Callable] = None
+
+
+@dataclass(frozen=True)
+class PolicyNet(Sequence):
+    """A finite policy net as one value tensor: member k takes the values
+    values[k] on the shared node mesh.
+
+    The net is a read-only sequence of PiecewisePolicy; a member is built
+    only when it is accessed, with its enumeration index as `index`.  A
+    slice gives a list of members.
+    """
+
+    nodes: FiniteMesh
+    values: np.ndarray  # (M, N, m)
+    coordinate_lipschitz: float
+    bound: float
+
+    def __len__(self) -> int:
+        return self.values.shape[0]
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        k = operator.index(k)
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError(f"net member {k} out of range for {len(self)} members")
+        return PiecewisePolicy(self.nodes, self.values[k], self.coordinate_lipschitz, self.bound, index=k)
 
 
 def _value_mesh(pclass: PolicyClass, spacing: float, budget: int) -> np.ndarray:
@@ -195,13 +234,17 @@ def enumerate_policy_net(
     pclass: PolicyClass,
     eps: float,
     budget: int = DEFAULT_NET_BUDGET,
-) -> list[PiecewisePolicy]:
+) -> PolicyNet:
     """Finite eps-net of the policy class in sup-norm.
 
     The budget is split three ways: node gaps, extension variation and
     value snapping each consume about a third of eps.  Raises
     ResourceBudgetError with the count formula when the assignment count
     |K0|^N would exceed the budget.
+
+    Members are the Lipschitz-compatible assignments of value-mesh points
+    to the domain nodes, in lexicographic order of their value indices
+    (the order of a depth-first enumeration).
     """
     if eps <= 0:
         raise ArgumentError("net resolution must be positive")
@@ -210,27 +253,21 @@ def enumerate_policy_net(
     m = pclass.output_dim
     Lc = pclass.coordinate_lipschitz
 
-    def member(nodes_mesh, vals, idx):
-        return PiecewisePolicy(nodes_mesh, vals, Lc, K, index=idx)
-
+    # single-node members are constants, so Lipschitz constant 0
     center_mesh = FiniteMesh(
         pclass.domain.center.reshape(1, -1), pclass.domain.diameter / 2.0, pclass.domain
     )
 
-    def constant(vals, idx):
-        # single-node members are constants, so Lipschitz constant 0
-        return PiecewisePolicy(center_mesh, vals, 0.0, K, index=idx)
-
     if K == 0.0 or eps >= 2.0 * K:
         # any member is eps-optimal for any functional; the zero policy
         # suffices (certificate radius K)
-        return [constant(np.zeros((1, m)), 0)]
+        return PolicyNet(center_mesh, np.zeros((1, 1, m)), 0.0, K)
 
     value_spacing = eps / 3.0
     values = _value_mesh(pclass, value_spacing, budget)
 
     if L == 0.0:
-        return [constant(values[i : i + 1], i) for i in range(values.shape[0])]
+        return PolicyNet(center_mesh, values[:, None, :], 0.0, K)
 
     L_eff = L + pclass.extension_vector_lipschitz
     # 3.05 instead of 3: keeps the adjacent-node value window strictly
@@ -252,35 +289,60 @@ def enumerate_policy_net(
     # pairwise distances once; compatibility slack absorbs two value snaps
     D = np.linalg.norm(nodes.points[:, None, :] - nodes.points[None, :, :], axis=2)
     slack = eps / 3.0 + 1e-12
+    # gap[a, b] = max_j |K0[a, j] - K0[b, j]|, the left side of every
+    # compatibility test
+    gap = np.abs(values[:, None, :] - values[None, :, :]).max(axis=2)
 
-    out: list[PiecewisePolicy] = []
-    assignment = np.empty((N, m))
-
-    def feasible(i, vi):
-        if i == 0:
-            return True
-        gaps = np.abs(vi[None, :] - assignment[:i]).max(axis=1)
-        return bool(np.all(gaps <= Lc * D[i, :i] + slack))
-
-    def rec(i):
-        if i == N:
-            if len(out) >= budget:
-                raise ResourceBudgetError(
-                    f"policy net exceeds the member budget {budget} "
-                    f"(|K0|^N = {n_vals}^{N} before filtering). "
-                    "Coarsen eps or raise the budget."
-                )
-            out.append(member(nodes, assignment.copy(), len(out)))
-            return
-        for v in values:
-            if feasible(i, v):
-                assignment[i] = v
-                rec(i + 1)
-
-    rec(0)
-    if not out:
+    # rows: the compatible assignments to nodes 0..i-1, as value indices in
+    # lexicographic order.  Each level extends every row by every
+    # compatible value; np.nonzero lists (row, value) pairs row-major, so
+    # the order stays lexicographic.
+    rows = np.empty((1, 0), dtype=np.intp)
+    for i in range(N):
+        ok = np.ones((rows.shape[0], n_vals), dtype=bool)
+        for j in range(i):
+            ok &= gap[rows[:, j]] <= Lc * D[i, j] + slack
+        parent, v = np.nonzero(ok)
+        rows = np.column_stack([rows[parent], v])
+        # The budget is checked on partial counts.  On a 1-D mesh the count
+        # never falls from one level to the next (repeating the previous
+        # value always extends a row, as D[i, j] >= D[i-1, j] on sorted
+        # nodes), so this refuses exactly the nets whose member count
+        # exceeds the budget; on higher-dimensional meshes it may also
+        # refuse a net whose final count would fit.
+        if rows.shape[0] > budget:
+            raise ResourceBudgetError(
+                f"policy net exceeds the member budget {budget} "
+                f"(|K0|^N = {n_vals}^{N} before filtering). "
+                "Coarsen eps or raise the budget."
+            )
+    if rows.shape[0] == 0:
         raise ContractError("net enumeration produced no members; inconsistent meshes")
-    return out
+    return PolicyNet(nodes, values[rows], Lc, K)
+
+
+# members per evaluation block: a (256, G, m) block of extended values
+# stays small enough to be cache-friendly at the grid sizes in use
+_CHUNK = 256
+
+
+def _grid_blocks(net: PolicyNet, grid):
+    """Yield (start, block): the clamped lower McShane extensions of
+    members start .. start + c - 1 on `grid`, shape (c, G, m).
+
+    Same arithmetic as PiecewisePolicy.__call__ (the max over nodes is
+    exact in any order), with the grid-to-node distances computed once.
+    """
+    grid = np.asarray(grid, dtype=float).reshape(-1, net.nodes.dim)
+    dist = np.linalg.norm(grid[:, None, :] - net.nodes.points[None, :, :], axis=2)
+    drop = net.coordinate_lipschitz * dist  # (G, N)
+    for s in range(0, len(net), _CHUNK):
+        v = net.values[s : s + _CHUNK]  # (c, N, m)
+        block = v[:, None, 0, :] - drop[None, :, 0, None]
+        for i in range(1, v.shape[1]):
+            np.maximum(block, v[:, None, i, :] - drop[None, :, i, None], out=block)
+        np.clip(block, -net.bound, net.bound, out=block)
+        yield s, block
 
 
 def epsilon_minimize(
@@ -288,14 +350,15 @@ def epsilon_minimize(
     pclass: PolicyClass,
     eps: float,
     budget: int = DEFAULT_NET_BUDGET,
-    net: Optional[list] = None,
+    net: Optional[PolicyNet] = None,
 ) -> tuple[PiecewisePolicy, CertifiedReal]:
     """Certified eps-minimization: J[k*] - eps <= inf over the class.
 
-    Enumerates a delta-net with delta = modulus_step(mu_J, eps/2) and picks
-    a member of minimal certified value (ties by lowest enumeration
-    index).  The returned certificate radius covers both the evaluator
-    radius and the eps/2 net slack, so `value - radius <= inf` holds.
+    Enumerates a delta-net with delta = modulus_step(mu_J, eps/2),
+    evaluates it block by block through J.evaluate on J.grid and picks a
+    member of minimal value (ties by lowest enumeration index).  The
+    returned certificate radius covers both the evaluator radius and the
+    eps/2 net slack, so `value - radius <= inf` holds.
 
     A caller may pass a prebuilt `net` (from enumerate_policy_net at the
     same delta) to amortize enumeration across functionals.
@@ -305,44 +368,32 @@ def epsilon_minimize(
     delta = J.modulus.step(eps / 2.0)
     if net is None:
         net = enumerate_policy_net(pclass, delta, budget)
-    values = _evaluate_net(J, net)
-    best = 0
-    for i in range(1, len(values)):
-        if values[i].value < values[best].value:
-            best = i
-    v = values[best]
-    if v.radius > eps / 4.0:
+    values = np.empty(len(net))
+    radius = 0.0
+    for s, block in _grid_blocks(net, J.grid):
+        vals, r = J.evaluate(block)
+        if not (math.isfinite(r) and r >= 0.0):
+            raise ArgumentError(f"functional radius {r} must be finite and >= 0")
+        values[s : s + len(block)] = vals
+        radius = max(radius, float(r))
+    if not np.isfinite(values).all():
+        raise ArgumentError("functional values must be finite")
+    best = int(np.argmin(values))  # first minimum: lowest enumeration index
+    if radius > eps / 4.0:
         raise ContractError(
-            f"functional evaluator radius {v.radius} exceeds eps/4 = {eps / 4.0}; "
+            f"functional evaluator radius {radius} exceeds eps/4 = {eps / 4.0}; "
             "tighten the evaluator to keep the certificate sound"
         )
-    cert = CertifiedReal(v.value, v.radius + eps / 2.0)
+    cert = CertifiedReal(float(values[best]), radius + eps / 2.0)
     return net[best], cert
 
 
-def _evaluate_net(J: Functional, net: list[PiecewisePolicy]) -> list[CertifiedReal]:
-    if J.batch_evaluator is None:
-        return [J.evaluator(p) for p in net]
-    return J.batch_evaluator(net)
-
-
-def net_values_on_grid(net: list[PiecewisePolicy], grid: np.ndarray, chunk: int = 2000) -> np.ndarray:
-    """(members, grid, m) array of extended values; members must share a
-    node mesh (as enumerate_policy_net guarantees)."""
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    ref = net[0]
-    if any(p.nodes is not ref.nodes for p in net):
-        return np.stack([np.atleast_2d(p(grid)) for p in net])
-    D = np.linalg.norm(grid[:, None, :] - ref.nodes.points[None, :, :], axis=2)  # (G, N)
-    vals = np.stack([p.values for p in net])  # (M, N, m)
-    M = vals.shape[0]
-    out = np.empty((M, grid.shape[0], vals.shape[2]))
-    for s in range(0, M, chunk):
-        v = vals[s : s + chunk]
-        # (Mc, G, N, m) reduced over N
-        t = v[:, None, :, :] - ref.coordinate_lipschitz * D[None, :, :, None]
-        out[s : s + chunk] = t.max(axis=2)
-    np.clip(out, -ref.bound, ref.bound, out=out)
+def net_values_on_grid(net: PolicyNet, grid: np.ndarray) -> np.ndarray:
+    """(members, G, m) array of the members' extended values on `grid`."""
+    grid = np.asarray(grid, dtype=float).reshape(-1, net.nodes.dim)
+    out = np.empty((len(net), grid.shape[0], net.values.shape[2]))
+    for s, block in _grid_blocks(net, grid):
+        out[s : s + len(block)] = block
     return out
 
 

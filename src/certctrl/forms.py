@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ArgumentError, ContractError, Hypercube, Modulus
+from .core import ArgumentError, Hypercube, Modulus
 from .stability import Comparator
 
 __all__ = [

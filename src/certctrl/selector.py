@@ -26,7 +26,7 @@ needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -359,19 +359,6 @@ class RegularSVF:
             return math.inf
         return min(max(0.0, lo - y, y - hi) for lo, hi in ivs)
 
-    def validate_sampled(self, rng: np.random.Generator, per_block: int = 64):
-        """alpha <= beta and values inside the declared range, sampled."""
-        lo, hi = float(self.value_range[0]), float(self.value_range[1])
-        for b, chunks in zip(self.domain_blocks, self.chunks_per_block):
-            xs = b.sample(rng, per_block)
-            for ch in chunks:
-                for x in xs:
-                    a, bb = float(ch.alpha(x)), float(ch.beta(x))
-                    if a > bb + 1e-9:
-                        raise ContractError("chunk with alpha > beta")
-                    if a < lo - 1e-9 or bb > hi + 1e-9:
-                        raise ContractError("chunk escapes the declared value range")
-
 
 @dataclass(frozen=True)
 class SimpleSVF:
@@ -527,7 +514,6 @@ def _run_stages(fhat: SimpleSVF, n_stages: int, snapshot=None):
         (b, Fraction(1, 2), tuple(_clip_unit(iv) for iv in vals)) for b, vals in fhat.pieces
     ]
     margin_shift = STRICTNESS_MARGIN_SHIFT
-    history = []
     for k in range(1, n_stages + 1):
         mesh = _stage_mesh(k)
         t_c = Fraction(1, 1 << k) - Fraction(1, 1 << (k + margin_shift))
@@ -566,10 +552,9 @@ def _run_stages(fhat: SimpleSVF, n_stages: int, snapshot=None):
                 "certified exception set; simple approximation or moduli unsound"
             )
         pieces = new_pieces
-        history.append(list(pieces))
         if snapshot is not None:
             snapshot(k, pieces)
-    return pieces, history
+    return pieces
 
 
 def extract_selector(F: RegularSVF, eps: float, domain_eps=None) -> Selector:
@@ -583,7 +568,7 @@ def extract_selector(F: RegularSVF, eps: float, domain_eps=None) -> Selector:
         eps_scaled = 1.0
     fhat, domain = simple_approx(Fr, eps_scaled / 2.0)
     n_stages = max(1, math.ceil(math.log2(2.0 / eps_scaled)))
-    pieces, _ = _run_stages(fhat, n_stages)
+    pieces = _run_stages(fhat, n_stages)
     out = tuple((b, lo + r * scale) for b, r, _ in pieces)
     return Selector(out, eps, domain, stage=n_stages)
 

@@ -27,7 +27,6 @@ import numpy as np
 
 from .core import (
     ArgumentError,
-    Certificate,
     CertifiedReal,
     ContractError,
     DomainExitError,
@@ -315,16 +314,6 @@ class StabilityCertificate:
     checks: dict
     witness: object = None
     counterexample: object = None
-
-    def as_certificate(self) -> Certificate:
-        return Certificate(
-            verdict=self.verdict,
-            tolerances=self.tolerances,
-            mesh_resolution=self.mesh_eps,
-            witness=self.witness,
-            counterexample=self.counterexample,
-            details={k: v.verdict for k, v in self.checks.items()},
-        )
 
 
 def certify(

@@ -18,7 +18,7 @@ validity domain's exception generator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -33,7 +33,7 @@ from .core import (
     Modulus,
     ResourceBudgetError,
 )
-from .selector import Block, GeneralizedBlock, RepresentableDomain, _facet_exception_generator
+from .selector import Block, RepresentableDomain, _facet_exception_generator
 
 __all__ = [
     "TimeBlockRHS",
@@ -93,12 +93,6 @@ class RegularRHS:
     @property
     def max_lip(self) -> float:
         return max(b.lip_x for b in self.blocks)
-
-    def block_at(self, t: float) -> TimeBlockRHS:
-        for b in self.blocks:
-            if float(b.t_lo) <= t <= float(b.t_hi):
-                return b
-        raise ArgumentError(f"time {t} outside the horizon")
 
     @classmethod
     def single(

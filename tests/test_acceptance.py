@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from certctrl.cli import main
-from certctrl.core import CertifiedReal, Hypercube, Modulus
+from certctrl.core import Hypercube, Modulus
 from certctrl import danskin as dk
 from certctrl import eigen as eig
 from certctrl import evt
@@ -72,13 +72,10 @@ def test_acceptance_1_evt_guarantee():
             true_inf = 0.0
             ev_values = lambda M, g=target: ((M - g[None, :]) ** 2).mean(axis=1) / 4.0
 
-        def evaluator(policy, ev=ev_values):
-            return CertifiedReal(float(ev(policy(GRID)[:, 0][None, :])[0]), rad)
+        def evaluate(block, ev=ev_values):
+            return ev(block[:, :, 0]), rad
 
-        def batch(members, ev=ev_values, M=V):
-            return [CertifiedReal(float(v), rad) for v in ev(M)]
-
-        J = evt.Functional(evaluator, Modulus.lipschitz(1.0), batch_evaluator=batch)
+        J = evt.Functional(evaluate, Modulus.lipschitz(1.0), GRID)
         policy, cert = evt.epsilon_minimize(J, pclass, eps, net=net)
         # certified-value comparison: J[k*] - eps <= inf, exactly
         if not cert.value + rad - eps <= true_inf + 1e-12:

@@ -108,6 +108,34 @@ def test_evt_min_subcommand(tmp_path):
     assert (out / "policy.txt").exists()
 
 
+@pytest.mark.parametrize(
+    "functional,eps,expected",
+    [
+        (
+            {"kind": "sup_distance", "target": {"form": "polynomial", "coeffs": [0.1, 0.3, -0.1]}},
+            1.2,
+            {"value": 0.10602840909093493, "radius": 0.601875000001, "member_index": 21414},
+        ),
+        (
+            {"kind": "sup_distance", "target": {"form": "polynomial", "coeffs": [-0.2, 0.4, 0.1]}},
+            1.05,
+            {"value": 0.08305583333331434, "radius": 0.527000000001, "member_index": 36656},
+        ),
+        ({"kind": "mean"}, 1.3, {"value": -1.0, "radius": 0.650000001, "member_index": 0}),
+    ],
+)
+def test_evt_min_numeric_fields_pinned(tmp_path, functional, eps, expected):
+    # recorded from the member-by-member enumerator and evaluator
+    config = {
+        "policy_class": {"domain": [0, 1], "lipschitz": 1.0, "bound": 1.0},
+        "functional": functional,
+        "eps": eps,
+    }
+    code, record, _ = _run_cli(tmp_path, "evt-min", config)
+    assert code == EXIT_OK
+    assert record["numeric"] == {**expected, "eps": eps}
+
+
 def test_danskin_subcommand_writes_audit(tmp_path):
     config = {
         "objective": "bilinear",

@@ -243,6 +243,13 @@ def test_build_mesh_budget_error_names_count():
     assert "nodes" in str(ei.value) and "1000" in str(ei.value)
 
 
+@pytest.mark.parametrize("side", [0.0, -1.0, math.nan, math.inf])
+def test_hypercube_rejects_bad_side(side):
+    with pytest.raises(ArgumentError) as ei:
+        Hypercube(np.zeros(1), side)
+    assert "side" in str(ei.value)
+
+
 def test_build_mesh_rejects_nonpositive_eps():
     with pytest.raises(ArgumentError):
         build_mesh(Hypercube(np.zeros(1), 1.0), 0.0)

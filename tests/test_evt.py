@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from certctrl.core import ArgumentError, Hypercube, Modulus, ResourceBudgetError, CertifiedReal
+from certctrl.core import ArgumentError, Hypercube, Modulus, ResourceBudgetError
 from certctrl.evt import (
     Functional,
     PolicyClass,
@@ -23,13 +23,11 @@ def _sup_dist_functional(target):
     """J[k] = sup_x |k(x) - target(x)| on a fine grid, with certified radius."""
     tvals = target(GRID[:, 0])
 
-    def ev(policy):
-        vals = policy(GRID)[:, 0]
-        v = float(np.abs(vals - tvals).max())
+    def ev(V):
         # grid gap 1/400; both functions 1-Lipschitz
-        return CertifiedReal(v, 2.0 * (1.0 / 400.0) / 2.0 + 1e-12)
+        return np.abs(V[:, :, 0] - tvals).max(axis=1), 2.0 * (1.0 / 400.0) / 2.0 + 1e-12
 
-    return Functional(ev, Modulus.lipschitz(1.0), name="sup-dist")
+    return Functional(ev, Modulus.lipschitz(1.0), GRID, name="sup-dist")
 
 
 def _random_lipschitz(rng, L=1.0, K=1.0, n_knots=12):
@@ -155,6 +153,167 @@ def test_net_budget_error_names_counts():
     assert "|K0|^N" in msg and "budget" in msg
 
 
+def _reference_net(pclass, eps):
+    """Node points and (members, N, m) values of the depth-first recursive
+    enumeration, one node at a time: the reference the array enumeration
+    must reproduce bit for bit, order included."""
+    from certctrl.core import build_mesh
+    from certctrl.evt import DEFAULT_NET_BUDGET, _value_mesh
+
+    values = _value_mesh(pclass, eps / 3.0, DEFAULT_NET_BUDGET)
+    L_eff = pclass.lipschitz + pclass.extension_vector_lipschitz
+    nodes = build_mesh(pclass.domain, eps / (3.05 * L_eff), DEFAULT_NET_BUDGET)
+    N, Lc = len(nodes), pclass.coordinate_lipschitz
+    D = np.linalg.norm(nodes.points[:, None, :] - nodes.points[None, :, :], axis=2)
+    slack = eps / 3.0 + 1e-12
+    out, assignment = [], np.empty((N, pclass.output_dim))
+
+    def feasible(i, vi):
+        gaps = np.abs(vi[None, :] - assignment[:i]).max(axis=1)
+        return bool(np.all(gaps <= Lc * D[i, :i] + slack))
+
+    def rec(i):
+        if i == N:
+            out.append(assignment.copy())
+            return
+        for v in values:
+            if feasible(i, v):
+                assignment[i] = v
+                rec(i + 1)
+
+    rec(0)
+    return nodes.points, np.array(out)
+
+
+@pytest.mark.parametrize(
+    "pclass,eps",
+    [
+        (PolicyClass(UNIT, 1, 1.0, 1.0), 0.615),
+        (PolicyClass(UNIT, 1, 1.0, 1.0), 0.74),
+        (PolicyClass(UNIT, 1, 1.0, 1.0), 1.0),
+        (PolicyClass(UNIT, 1, 0.5, 1.0), 1.0),
+        (PolicyClass(UNIT, 1, 2.0, 0.5), 0.99),
+        (PolicyClass(UNIT, 2, 1.0, 1.0), 1.4),
+        (PolicyClass(UNIT, 2, 1.0, 1.0, per_coordinate_budget=True), 1.6),
+        (PolicyClass(Hypercube(np.zeros(2), 0.5), 1, 1.0, 1.0), 1.9),
+    ],
+    ids=["L1K1-0.615", "L1K1-0.74", "L1K1-1.0", "L0.5K1", "L2K0.5", "m2", "m2-per-coordinate", "2d-domain"],
+)
+def test_net_matches_recursive_enumeration(pclass, eps):
+    net = enumerate_policy_net(pclass, eps)
+    points, values = _reference_net(pclass, eps)
+    assert len(net) == values.shape[0] > 1
+    assert net.values.shape == values.shape
+    assert net.values.tobytes() == values.tobytes()
+    assert net.nodes.points.tobytes() == points.tobytes()
+    assert net.coordinate_lipschitz == pclass.coordinate_lipschitz and net.bound == pclass.bound
+
+
+@pytest.mark.parametrize(
+    "pclass,eps,n_members",
+    [
+        (PolicyClass(UNIT, 2, 0.0, 1.0), 0.9, None),  # L = 0: one constant per value-mesh point
+        (PolicyClass(UNIT, 1, 1.0, 0.0), 0.5, 1),  # K = 0
+        (PolicyClass(UNIT, 2, 1.0, 1.0), 2.0, 1),  # eps >= 2K
+    ],
+)
+def test_net_degenerate_branches_are_constants_on_the_center(pclass, eps, n_members):
+    from certctrl.evt import _value_mesh
+
+    net = enumerate_policy_net(pclass, eps)
+    assert net.nodes.points.tolist() == [pclass.domain.center.tolist()]
+    assert net.coordinate_lipschitz == 0.0
+    if n_members is None:
+        expected = _value_mesh(pclass, eps / 3.0, 2_000_000)[:, None, :]
+    else:
+        expected = np.zeros((1, 1, pclass.output_dim))
+    assert net.values.tobytes() == expected.tobytes() and net.values.shape == expected.shape
+    assert [p.index for p in net] == list(range(len(net)))
+
+
+def test_net_member_budget_is_exact():
+    # 17,329 members at eps = 0.615: the member budget refuses one less
+    pclass = PolicyClass(UNIT, 1, 1.0, 1.0)
+    assert len(enumerate_policy_net(pclass, 0.615, budget=17_329)) == 17_329
+    with pytest.raises(ResourceBudgetError) as ei:
+        enumerate_policy_net(pclass, 0.615, budget=17_328)
+    msg = str(ei.value)
+    assert "|K0|^N" in msg and "17328" in msg
+
+
+def test_net_sequence_indexing():
+    pclass = PolicyClass(UNIT, 1, 1.0, 1.0)
+    net = enumerate_policy_net(pclass, 1.0)
+    n = len(net)
+    last = net[-1]
+    assert last.index == n - 1 and np.array_equal(last.values, net.values[n - 1])
+    assert net[-n].index == 0
+    assert net[np.int64(3)].index == 3
+    assert [p.index for p in net[2:9:3]] == [2, 5, 8]
+    assert [p.index for p in net[::-1]][:2] == [n - 1, n - 2]
+    for bad in (n, -n - 1):
+        with pytest.raises(IndexError):
+            net[bad]
+    members = list(net)
+    assert len(members) == n and [p.index for p in members] == list(range(n))
+    p = net[n // 2]
+    assert p.nodes is net.nodes and p.coordinate_lipschitz == 1.0 and p.bound == 1.0
+
+
+@pytest.mark.parametrize(
+    "pclass,eps,grid",
+    [
+        (PolicyClass(UNIT, 1, 1.0, 1.0), 0.74, GRID),
+        (PolicyClass(UNIT, 2, 1.0, 1.0), 1.4, np.linspace(-0.25, 1.25, 37).reshape(-1, 1)),
+        (
+            PolicyClass(Hypercube(np.zeros(2), 0.5), 1, 1.0, 1.0),
+            1.9,
+            np.random.default_rng(3).uniform(-0.5, 0.5, (29, 2)),
+        ),
+    ],
+)
+def test_net_values_on_grid_match_members(pclass, eps, grid):
+    from certctrl.evt import net_values_on_grid
+
+    net = enumerate_policy_net(pclass, eps)
+    V = net_values_on_grid(net, grid)
+    members = net[:: max(1, len(net) // 300)] + [net[-1]]
+    for p in members:
+        assert V[p.index].tobytes() == p(grid).tobytes()
+
+
+_TARGET = 0.3 * np.sin(3.0 * GRID[:, 0])
+_BRUTE_FUNCTIONALS = {
+    "sup-dist": (
+        lambda V: np.abs(V[:, :, 0] - _TARGET).max(axis=1),
+        lambda p: float(np.abs(p(GRID)[:, 0] - _TARGET).max()),
+    ),
+    "mean": (lambda V: V[:, :, 0].mean(axis=1), lambda p: float(p(GRID)[:, 0].mean())),
+    # |k(1/2)| takes few distinct values on the net: ties go to the lowest index
+    "midpoint": (lambda V: np.abs(V[:, 200, 0]), lambda p: abs(float(p(GRID)[200, 0]))),
+    "quad": (
+        lambda V: np.mean((V[:, :, 0] - GRID[:, 0]) ** 2, axis=1) / 4.0,
+        lambda p: float(np.mean((p(GRID)[:, 0] - GRID[:, 0]) ** 2)) / 4.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BRUTE_FUNCTIONALS))
+def test_minimize_matches_per_member_brute_force(kind):
+    block_values, member_value = _BRUTE_FUNCTIONALS[kind]
+    pclass = PolicyClass(UNIT, 1, 1.0, 1.0)
+    eps = 1.3
+    J = Functional(lambda V: (block_values(V), 1e-3), Modulus.lipschitz(1.0), GRID, name=kind)
+    policy, cert = epsilon_minimize(J, pclass, eps)
+    net = enumerate_policy_net(pclass, eps / 2.0)
+    vals = [member_value(p) for p in net]
+    best = min(range(len(vals)), key=lambda i: (vals[i], i))
+    assert policy.index == best
+    assert cert.value == vals[best]
+    assert cert.radius == 1e-3 + eps / 2.0
+    assert np.array_equal(policy.values, net.values[best])
+
+
 # ---------------------------------------------------------------------------
 # epsilon_minimize
 # ---------------------------------------------------------------------------
@@ -186,18 +345,16 @@ def test_minimize_quadratic_tracking_objective():
     pclass = PolicyClass(UNIT, 1, 1.0, 1.0)
     tvals = GRID[:, 0]
 
-    def ev(policy):
-        vals = policy(GRID)[:, 0]
-        v = float(np.mean((vals - tvals) ** 2)) / 4.0
-        return CertifiedReal(v, (1.0 / 400.0) / 2.0 + 1e-12)
+    def ev(V):
+        return np.mean((V[:, :, 0] - tvals) ** 2, axis=1) / 4.0, (1.0 / 400.0) / 2.0 + 1e-12
 
-    J = Functional(ev, Modulus.lipschitz(1.0), name="quad")
+    J = Functional(ev, Modulus.lipschitz(1.0), GRID, name="quad")
     eps = 1.2
     policy, cert = epsilon_minimize(J, pclass, eps)
     assert cert.value - cert.radius <= 0.0 + 1e-12
     # DERIVED oracle: brute-force over the same net confirms net-minimality
     net = enumerate_policy_net(pclass, J.modulus.step(eps / 2.0))
-    vals = [ev(p).value for p in net]
+    vals = [float(np.mean((p(GRID)[:, 0] - tvals) ** 2)) / 4.0 for p in net]
     assert cert.value == pytest.approx(min(vals))
     assert vals.index(min(vals)) == policy.index
 
@@ -205,7 +362,7 @@ def test_minimize_quadratic_tracking_objective():
 def test_minimize_constant_functional_returns_any_member():
     pclass = PolicyClass(UNIT, 1, 1.0, 1.0)
     c = 3.25
-    J = Functional(lambda p: CertifiedReal(c, 1e-12), Modulus.lipschitz(1e-9), name="const")
+    J = Functional(lambda V: (np.full(len(V), c), 1e-12), Modulus.lipschitz(1e-9), GRID, name="const")
     policy, cert = epsilon_minimize(J, pclass, 0.5)
     assert abs(cert.value - c) <= 0.5
 
@@ -323,11 +480,10 @@ def test_smooth_epsilon_optimizer_pipeline():
     pclass = PolicyClass(UNIT, 1, 1.0, 1.0, smooth_order=2)
     target = 0.3 * np.sin(3.0 * GRID[:, 0])
 
-    def ev(policy):
-        vals = policy(GRID)[:, 0]
-        return CertifiedReal(float(np.abs(vals - target).max()), 3e-3)
+    def ev(V):
+        return np.abs(V[:, :, 0] - target).max(axis=1), 3e-3
 
-    J = Functional(ev, Modulus.lipschitz(1.0), name="sup-dist")
+    J = Functional(ev, Modulus.lipschitz(1.0), GRID, name="sup-dist")
     eps = 1.8
     eps_net, eps_width = 1.3, eps - 1.3
     policy, cert = epsilon_minimize(J, pclass, eps_net)
@@ -337,7 +493,7 @@ def test_smooth_epsilon_optimizer_pipeline():
     # inf = 0 (the target is admissible); the smooth member still honors
     # J[smooth] - eps <= inf
     assert v_smooth - eps <= 0.0 + 1e-9
-    assert v_smooth <= ev(policy).value + 1.0 * width + 1e-9
+    assert v_smooth <= float(np.abs(policy(GRID)[:, 0] - target).max()) + 1.0 * width + 1e-9
 
 
 @pytest.mark.parametrize("L,K,eps", [(0.5, 1.0, 1.0), (2.0, 0.5, 1.2)])
