@@ -287,7 +287,7 @@ def _shh_problem(config) -> stab.CLFProblem:
         raise ArgumentError("shh dynamics registry: integrator")
     state_box = _interval(config.get("state_box", [-2, 2]))
     dyn = traj.ControlledDynamics(
-        f=lambda xs, u: np.broadcast_to(u, xs.shape).copy(),
+        f=lambda xs, us: us.copy(),
         state_box=state_box,
         lip_x=0.0,
         lip_u=1.0,
@@ -300,7 +300,7 @@ def _shh_problem(config) -> stab.CLFProblem:
         dynamics=dyn,
         control_box=_interval(config["control_box"]),
         V=lambda xs, f=vform: f(xs[:, 0]),
-        grad_V=lambda x, f=vform: np.atleast_1d(f.derivative(x[0])),
+        grad_V=lambda xs, f=vform: f.derivative(xs[:, :1]),
         v_lipschitz=vform.lipschitz_on(R),
         target_radius=float(config["target_radius"]),
         overshoot_radius=float(config["overshoot_radius"]),

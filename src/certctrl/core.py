@@ -29,6 +29,7 @@ __all__ = [
     "FiniteMesh",
     "LocatedSet",
     "build_mesh",
+    "mesh_divisions",
     "modulus_step",
     "located_distance",
     "snap_dyadic",
@@ -400,6 +401,18 @@ class FiniteMesh:
         return float(self.min_distance(xs).max())
 
 
+def mesh_divisions(box: Hypercube, eps: float) -> int:
+    """Divisions k per axis of build_mesh(box, eps), 0 for the single
+    center node; the nodes depend on box and k only."""
+    if eps <= 0:
+        raise ArgumentError("mesh resolution must be positive")
+    if 0.5 * box.diameter <= eps:
+        return 0
+    # shave a hair off eps so dyadic snapping cannot break the cover
+    h_max = 2.0 * eps * (1.0 - 2.0 ** -20) / math.sqrt(box.dim)
+    return max(1, math.ceil(box.side / h_max))
+
+
 def build_mesh(box: Hypercube, eps: float, budget: int = DEFAULT_MESH_BUDGET) -> FiniteMesh:
     """Uniform dyadic grid covering `box` at resolution eps.
 
@@ -408,15 +421,11 @@ def build_mesh(box: Hypercube, eps: float, budget: int = DEFAULT_MESH_BUDGET) ->
     exactly decidable.  A single node (the center) suffices once eps
     reaches half the box diameter.
     """
-    if eps <= 0:
-        raise ArgumentError("mesh resolution must be positive")
     n = box.dim
-    if 0.5 * box.diameter <= eps:
+    k = mesh_divisions(box, eps)
+    if k == 0:
         pts = snap_dyadic(box.center)[None, :]
         return FiniteMesh(pts, eps, box)
-    # shave a hair off eps so dyadic snapping cannot break the cover
-    h_max = 2.0 * eps * (1.0 - 2.0 ** -20) / math.sqrt(n)
-    k = max(1, math.ceil(box.side / h_max))
     count = (k + 1) ** n
     if count > budget:
         raise ResourceBudgetError(

@@ -34,8 +34,9 @@ from .core import (
     Modulus,
     ResourceBudgetError,
     build_mesh,
+    mesh_divisions,
 )
-from .trajectories import ControlledDynamics, RegularRHS, picard_solve
+from .trajectories import ControlledDynamics, RegularRHS, picard_plan, picard_rows
 
 __all__ = [
     "Comparator",
@@ -137,7 +138,7 @@ def _origin_excluded_nodes(box: Hypercube, mesh_eps: float):
     return pts[keep], norms[keep]
 
 
-def _covered_radius(norms: np.ndarray, margins: np.ndarray, slack: float, box: Hypercube):
+def _covered_radius(norms: np.ndarray, margins: np.ndarray, slack: float):
     """Smallest annulus radius from which every node margin dominates the
     inter-node slack; None when even the outermost nodes fail."""
     order = np.argsort(norms)[::-1]
@@ -167,7 +168,7 @@ def _two_sided_verdict(
             float(margins[bad]),
             details={"hint": "margin within evaluation radius; refine the mesh"},
         )
-    rho = _covered_radius(norms, margins, slack, box)
+    rho = _covered_radius(norms, margins, slack)
     inscribed = box.side / 2.0
     if rho is None or rho > inner_fraction * inscribed:
         return CheckResult(
@@ -374,7 +375,7 @@ class CLFProblem:
     dynamics: ControlledDynamics
     control_box: Hypercube
     V: Callable[[np.ndarray], np.ndarray]  # (B, n) -> (B,)
-    grad_V: Callable[[np.ndarray], np.ndarray]  # (n,) -> (n,)
+    grad_V: Callable[[np.ndarray], np.ndarray]  # (B, n) -> (B, n)
     v_lipschitz: float
     target_radius: float  # r
     overshoot_radius: float  # R
@@ -388,31 +389,82 @@ class CLFProblem:
             raise ArgumentError("R must fit inside the state box")
 
 
-def clf_feedback(problem: CLFProblem, x, eps: float) -> tuple[np.ndarray, CertifiedReal]:
+# (state, control node) pairs per dynamics evaluation in clf_feedback; bounds
+# the memory a batch of fine control meshes takes
+_FEEDBACK_PAIRS = 1 << 13
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] @ b[i] for every row: a stacked matmul runs the same BLAS dot
+    per row, so each value equals the one-row product bit for bit."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _row_norms(xs: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of every row, bit for bit (it is sqrt(x @ x))."""
+    return np.sqrt(_rowdot(xs, xs))
+
+
+def clf_feedback(problem: CLFProblem, x, eps: float):
     """eps-minimize u -> <grad V(x), f(x, u)> over the control box mesh.
 
-    Returns the lowest-index mesh node whose certified value reaches the
+    x is one state (n,) or a batch of states (B, n).  For each state the
+    result is the lowest-index mesh node whose certified value reaches the
     certified minimum within eps (any such node is a legitimate
     eps-optimizer; the deterministic tie-break makes runs reproducible and
     realizes the worst-case freedom an approximate optimizer has).
+    Returns (u (p,), CertifiedReal) for one state and (U (B, p), list of
+    B CertifiedReal) for a batch.
+
+    The mesh resolution depends on |grad V(x)|; states whose meshes have
+    the same divisions share one mesh, and dynamics.f runs once over the
+    (state, mesh node) pairs of as many states as fit in _FEEDBACK_PAIRS
+    pairs.
     """
     if eps <= 0:
         raise ArgumentError("eps must be positive")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    g = np.asarray(problem.grad_V(x), dtype=float)
-    lip_g = float(np.linalg.norm(g)) * problem.dynamics.lip_u
-    if lip_g == 0.0:
-        mesh = build_mesh(problem.control_box, problem.control_box.diameter)
-    else:
-        mesh = build_mesh(problem.control_box, (eps / 2.0) / lip_g)
-    vals = np.empty(len(mesh))
-    for j in range(len(mesh)):
-        f = problem.dynamics.f(x[None, :], mesh.points[j])
-        vals[j] = float(g @ f[0])
-    r_g = 1e-12 * (1.0 + float(np.abs(vals).max()))
-    cut = vals.min() + eps / 2.0 - 2.0 * r_g
-    idx = int(np.argmax(vals <= cut))
-    return mesh.points[idx], CertifiedReal(float(vals[idx]), eps / 2.0 + 2.0 * r_g)
+    x = np.asarray(x, dtype=float)
+    xs = x.reshape(1, -1) if x.ndim <= 1 else x
+    g = np.asarray(problem.grad_V(xs), dtype=float).reshape(xs.shape)
+    lip_g = _row_norms(g) * problem.dynamics.lip_u
+    box = problem.control_box
+    with np.errstate(divide="ignore"):
+        res = np.where(lip_g == 0.0, box.diameter, (eps / 2.0) / lip_g).tolist()
+    ks = [mesh_divisions(box, r) for r in res]
+    sizes = [(k + 1) ** box.dim for k in ks]
+    B = xs.shape[0]
+    us = np.empty((B, box.dim))
+    vals_at = np.empty(B)
+    radii = np.empty(B)
+    lo = 0
+    while lo < B:
+        hi, pairs = lo + 1, sizes[lo]
+        while hi < B and pairs + sizes[hi] <= _FEEDBACK_PAIRS:
+            pairs += sizes[hi]
+            hi += 1
+        meshes = {}
+        for i in range(lo, hi):
+            if ks[i] not in meshes:
+                meshes[ks[i]] = build_mesh(box, res[i]).points
+        nodes = np.concatenate([meshes[k] for k in ks[lo:hi]])
+        cnt = np.array([len(meshes[k]) for k in ks[lo:hi]])
+        f = problem.dynamics.f(np.repeat(xs[lo:hi], cnt, axis=0), nodes)
+        vals = _rowdot(np.repeat(g[lo:hi], cnt, axis=0), np.asarray(f, dtype=float))
+        starts = np.concatenate(([0], np.cumsum(cnt)[:-1]))
+        r_g = 1e-12 * (1.0 + np.maximum.reduceat(np.abs(vals), starts))
+        cut = np.minimum.reduceat(vals, starts) + eps / 2.0 - 2.0 * r_g
+        # first node at or below the cut; the first node when none is
+        hit = np.where(vals <= np.repeat(cut, cnt), np.arange(vals.size), vals.size)
+        first = np.minimum.reduceat(hit, starts)
+        idx = np.where(first < vals.size, first, starts)
+        us[lo:hi] = nodes[idx]
+        vals_at[lo:hi] = vals[idx]
+        radii[lo:hi] = eps / 2.0 + 2.0 * r_g
+        lo = hi
+    certs = [CertifiedReal(float(v), float(r)) for v, r in zip(vals_at, radii)]
+    if x.ndim <= 1:
+        return us[0], certs[0]
+    return us, certs
 
 
 @dataclass(frozen=True)
@@ -445,46 +497,99 @@ def _simulate_closed_loop(
     eps_loc: float,
     max_steps: int,
 ):
-    """Run the SH loop from x0; certified success means entering the
-    target ball with reserve while V decreases each interval by more than
-    the reserve plus solver slack.  Returns (ok, min margin, samples).
+    """Run the SH loop from every row of x0 (B, n) in lockstep; a 1-D x0
+    is one node.  A node succeeds by entering the target ball with reserve
+    while V decreases each interval by more than the reserve plus solver
+    slack.  Returns (ok, margin, samples): on success the worst node
+    margin; otherwise the margin of the lowest-index failing node, -inf
+    when it left the state box, its Picard step exceeded the budget or
+    contract, or it ran out of steps.  That is the answer of running the
+    nodes one by one and stopping at the first failure.  samples lists the
+    states after each interval of the nodes that completed it (1-D states
+    for a 1-D x0).
 
-    Leaving the state box, or a Picard step that exceeds its budget or
-    contract, fails this eta; any other error is a fault and propagates."""
+    One kappa call (kappa maps (b, n) states to (b, p) controls) and one
+    batched Picard step per interval serve all running nodes; a node
+    above the lowest failure so far is dropped.  Any error other than the
+    DomainExitError, ResourceBudgetError and ContractError of a Picard step
+    is a fault and propagates."""
     dyn = problem.dynamics
-    r = problem.target_radius
+    box = dyn.state_box
+    one = np.ndim(x0) == 1
+    xs = np.atleast_2d(np.asarray(x0, dtype=float))
+    n = xs.shape[1]
     reserve = eta * eps
-    entry_cut = r - reserve - 2.0 * eps_loc
+    entry_cut = problem.target_radius - reserve - 2.0 * eps_loc
+    samples = [xs.copy()]
     if entry_cut <= 0:
-        return False, -math.inf, [x0]
-    x = np.asarray(x0, dtype=float).copy()
-    samples = [x.copy()]
-    margin = math.inf
-    for _ in range(max_steps):
-        if np.linalg.norm(x) <= entry_cut:
-            return True, margin, samples
-        u = np.atleast_1d(np.asarray(kappa(x), dtype=float))
-        rhs = RegularRHS.single(
-            lambda xs, ts, u=u: dyn.f(xs, u), eta, dyn.state_box, dyn.lip_x, dyn.sup_bound
+        return False, -math.inf, [xs[0]] if one else samples
+    try:
+        # the plan reads only the Lipschitz and sup data; each node's held
+        # control enters through the field of its Picard step
+        plan = picard_plan(
+            RegularRHS.single(dyn.f, eta, box, dyn.lip_x, dyn.sup_bound), eta, eps_loc
         )
-        try:
-            sol = picard_solve(rhs, x, eta, eps_loc)
-        except (DomainExitError, ResourceBudgetError, ContractError):
-            return False, -math.inf, samples
-        x_new = sol.endpoint
-        v0 = float(problem.V(x[None, :])[0])
-        v1 = float(problem.V(x_new[None, :])[0])
-        slack = problem.v_lipschitz * sol.error_bound.value + 2.0 * problem.v_radius
-        entered = np.linalg.norm(x_new) <= entry_cut
-        dec = v0 - v1
-        if not entered:
+    except ResourceBudgetError:
+        plan = None  # every Picard step of this eta exceeds its budget
+    node = np.arange(xs.shape[0])  # node index of each running row
+    margins = np.full(xs.shape[0], math.inf)
+    failed, fail_margin = xs.shape[0], None  # lowest failing node so far
+    for _ in range(max_steps):
+        running = ~(_row_norms(xs) <= entry_cut)
+        xs, node = xs[running], node[running]
+        if not node.size:
+            break
+        us = np.asarray(kappa(xs), dtype=float).reshape(node.size, -1)
+        stepped = np.all(xs >= box.lo, axis=1) & np.all(xs <= box.hi, axis=1)
+        x_new = xs.copy()
+        err = np.zeros(node.size)
+        if plan is None:
+            stepped[:] = False
+        elif stepped.any():
+            rows = np.flatnonzero(stepped)
+            held = us[rows]
+            sol = picard_rows(
+                plan, xs[rows],
+                field=lambda blk, s, ts, k: np.reshape(
+                    dyn.f(s.reshape(-1, n), np.repeat(held[k], s.shape[1], axis=0)), s.shape
+                ),
+            )
+            stepped[rows] = [f is None for f in sol.failures]
+            x_new[rows] = sol.endpoints
+            err[rows] = sol.error_bound
+        fails = ~stepped
+        step_margin = np.full(node.size, -math.inf)
+        if stepped.any():
+            v0 = np.asarray(problem.V(xs[stepped]), dtype=float)
+            v1 = np.asarray(problem.V(x_new[stepped]), dtype=float)
+            slack = problem.v_lipschitz * err[stepped] + 2.0 * problem.v_radius
+            entered = _row_norms(x_new[stepped]) <= entry_cut
+            dec = v0 - v1
             need = reserve + slack
-            if dec < need:
-                return False, dec - need, samples + [x_new.copy()]
-            margin = min(margin, dec - need)
-        x = x_new
-        samples.append(x.copy())
-    return False, -math.inf, samples
+            short = ~entered & (dec < need)
+            rows = np.flatnonzero(stepped)
+            fails[rows[short]] = True
+            step_margin[rows[short]] = (dec - need)[short]
+            on = ~entered & ~short
+            m, at = (dec - need)[on], node[rows[on]]
+            margins[at] = np.where(m < margins[at], m, margins[at])
+            samples.append(x_new[stepped])
+        if fails.any():  # the running nodes all lie below the lowest failure so far
+            first = int(np.argmax(fails))
+            failed, fail_margin = int(node[first]), float(step_margin[first])
+        keep = ~fails & (node < failed)
+        xs, node = x_new[keep], node[keep]
+    else:
+        if node.size:  # still outside the ball after max_steps intervals
+            failed, fail_margin = int(node[0]), -math.inf
+    if one:
+        samples = [s[0] for s in samples]
+    if fail_margin is not None:
+        return False, fail_margin, samples
+    worst = math.inf
+    for m in margins:  # node order, as the one-by-one loop
+        worst = min(worst, float(m))
+    return True, worst, samples
 
 
 def find_sampling_time(
@@ -499,10 +604,12 @@ def find_sampling_time(
     """Largest mesh-certified sampling time by empirical bisection.
 
     kappa is the (eps-tolerance) feedback, typically built from
-    clf_feedback; eps enters the certificates as the per-unit-time reserve
-    the observed decrease must dominate.  On failure the diagnosis
-    distinguishes an inadequate CLF (no certified decay direction at some
-    node even with a fine optimizer) from a too-large optimizer tolerance.
+    clf_feedback, mapping (B, n) states to (B, p) controls; all annulus
+    nodes run in lockstep (see _simulate_closed_loop).  eps enters the
+    certificates as the per-unit-time reserve the observed decrease must
+    dominate.  On failure the diagnosis distinguishes an inadequate CLF
+    (no certified decay direction at some node even with a fine optimizer)
+    from a too-large optimizer tolerance.
     """
     if eta_max <= 0:
         raise ArgumentError("eta_max must be positive")
@@ -513,18 +620,11 @@ def find_sampling_time(
         raise ArgumentError("annulus mesh empty; refine mesh_eps")
 
     def certified(eta: float):
-        worst = math.inf
         max_steps = max(20, math.ceil(6.0 * problem.overshoot_radius / eta))
         # solver tolerance well under the eta*eps reserve it must not mask
         el = eps_loc if eps_loc is not None else max(1e-12, eta * eps / 100.0)
-        for x0 in nodes:
-            ok, margin, _ = _simulate_closed_loop(
-                problem, kappa, x0, eta, eps, el, max_steps
-            )
-            if not ok:
-                return False, margin
-            worst = min(worst, margin)
-        return True, worst
+        ok, margin, _ = _simulate_closed_loop(problem, kappa, nodes, eta, eps, el, max_steps)
+        return ok, margin
 
     # geometric probe downward for a certifiable eta
     eta_lo, margin_lo = None, None
@@ -562,8 +662,7 @@ def _diagnose(problem: CLFProblem, nodes: np.ndarray, eps: float) -> str:
     """
     fine = min(eps, 1e-3)
     worst_rate = -math.inf
-    for x0 in nodes:
-        _, val = clf_feedback(problem, x0, fine)
+    for val in clf_feedback(problem, nodes, fine)[1]:
         worst_rate = max(worst_rate, val.value + val.radius)
     if worst_rate >= 0:
         return (

@@ -41,6 +41,10 @@ __all__ = [
     "ExtendedSolution",
     "SampleHoldPolicy",
     "ControlledDynamics",
+    "PicardPlan",
+    "PicardRows",
+    "picard_plan",
+    "picard_rows",
     "picard_solve",
     "dependence_modulus",
     "sample_hold_trajectory",
@@ -170,26 +174,44 @@ def _window_plan(rhs: RegularRHS) -> list:
     return windows
 
 
-def picard_solve(
-    rhs: RegularRHS,
-    x0,
-    T: float,
-    eps: float,
-    grid_budget: int = DEFAULT_GRID_BUDGET,
-    max_picard: int = 80,
-) -> ExtendedSolution:
-    """Certified solve of x' = f(x, t), x(0) = x0 up to time T.
+@dataclass(frozen=True)
+class PicardWindow:
+    """One contraction window of a plan: its grid, quadrature nodes and
+    the certified quadrature defect."""
+
+    block: TimeBlockRHS
+    t: np.ndarray  # (m,) grid
+    mid_t: np.ndarray  # (m - 1,) midpoints
+    hw: float  # grid step
+    contraction: float
+    defect: float
+    growth: float  # Grönwall factor exp(L_x span)
+
+
+@dataclass(frozen=True)
+class PicardPlan:
+    """Windows and grid of a certified solve on [0, T] at tolerance eps.
+    Nothing in it depends on the initial state, so one plan serves every
+    solve with the same block data, horizon and tolerance."""
+
+    windows: tuple  # tuple[PicardWindow], positive spans only
+    state_box: Hypercube
+    tail_budget: float  # Picard tail a window may leave unconverged
+    stop_tail: float  # tail at which a row stops iterating
+
+
+def picard_plan(
+    rhs: RegularRHS, T: float, eps: float, grid_budget: int = DEFAULT_GRID_BUDGET
+) -> PicardPlan:
+    """Window plan and grid step of picard_solve; reads only the blocks'
+    Lipschitz, sup and time-modulus data, never their f.
 
     The grid step is chosen a priori so the accumulated quadrature defect,
     amplified by the Grönwall factor, stays below eps/2; Picard tails are
     bounded by the contraction certificate and consume the other half.
-    Raises DomainExitError the moment an iterate leaves the state box.
     """
     if eps <= 0:
         raise ArgumentError("eps must be positive")
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if not rhs.state_box.contains(x0):
-        raise DomainExitError("initial state outside the state box", exit_time=0.0, state=x0)
     T = float(T)
     if not (0 < T <= float(rhs.t_end) + 1e-12):
         raise ArgumentError("horizon must lie within the block partition")
@@ -225,12 +247,7 @@ def picard_solve(
             f"budget is {grid_budget}"
         )
 
-    grids = []
-    vals = []
-    errs = []
-    err = 0.0  # certified sup error at the current window start
-    x_start = x0.copy()
-    tail_budget = eps / 2.0 / max(1, len(windows))
+    planned = []
     for a, b, blk in windows:
         span = float(b - a)
         if span <= 0:
@@ -238,70 +255,174 @@ def picard_solve(
         m = max(2, math.ceil(span / h) + 1)
         t = np.linspace(float(a), float(b), m)
         hw = t[1] - t[0]
-        x = np.repeat(x_start[None, :], m, axis=0)
-        contraction = min(0.5, blk.lip_x * span)
-        tail = math.inf
-        for it in range(max_picard):
-            mid_t = 0.5 * (t[1:] + t[:-1])
-            mid_x = 0.5 * (x[1:] + x[:-1])
-            f = blk.f(mid_x, mid_t)
-            inc = np.vstack([np.zeros((1, x0.size)), np.cumsum(f * hw, axis=0)])
-            x_new = x_start[None, :] + inc
-            gap = float(np.linalg.norm(x_new - x, axis=1).max())
-            x = x_new
-            if contraction == 0.0:
-                tail = 0.0
-                break
-            tail = gap * contraction / (1.0 - contraction)
-            if tail <= tail_budget / growth_T:
-                break
-        else:
-            if tail > tail_budget:
-                raise ContractError(
-                    "Picard iteration failed to contract; Lipschitz data unsound"
-                )
-        # hard domain check, no extrapolation
-        margin = 1e-12 * (1.0 + rhs.state_box.side)
-        ok = np.all(x >= rhs.state_box.lo[None, :] - margin, axis=1) & np.all(
-            x <= rhs.state_box.hi[None, :] + margin, axis=1
-        )
-        if not np.all(ok):
-            bad = int(np.argmin(ok))
-            t_exit = float(t[bad])
-            if bad > 0:
-                # interpolate the crossing along the polygon segment
-                fracs = [1.0]
-                for d in range(x0.size):
-                    for bound, sgn in ((rhs.state_box.hi[d], 1.0), (rhs.state_box.lo[d], -1.0)):
-                        a0 = sgn * (x[bad - 1][d] - bound)
-                        a1 = sgn * (x[bad][d] - bound)
-                        if a0 < 0.0 <= a1 and a1 > a0:
-                            fracs.append(-a0 / (a1 - a0))
-                t_exit = float(t[bad - 1] + min(fracs) * (t[bad] - t[bad - 1]))
-            raise DomainExitError(
-                f"trajectory left the state box at t={t_exit:.6g}",
-                exit_time=t_exit,
-                state=x[bad],
-            )
-        # window defect: quadrature + Picard tail, then Grönwall transport
         defect = span * (blk.lip_x * blk.sup_bound * hw / 2.0 + blk.t_modulus.forward_bound(hw / 2.0))
-        err = err * math.exp(blk.lip_x * span) + (defect + tail) * math.exp(blk.lip_x * span)
-        grids.append(t if not grids else t[1:])
-        vals.append(x if not vals else x[1:])
-        errs.append(np.full(t.size if len(grids) == 1 else t.size - 1, err))
-        x_start = x[-1].copy()
+        planned.append(PicardWindow(
+            blk, t, 0.5 * (t[1:] + t[:-1]), hw,
+            min(0.5, blk.lip_x * span), defect, math.exp(blk.lip_x * span),
+        ))
+    tail_budget = eps / 2.0 / max(1, len(windows))
+    return PicardPlan(tuple(planned), rhs.state_box, tail_budget, tail_budget / growth_T)
 
-    grid = np.concatenate(grids)
-    values = np.vstack(vals)
-    profile = np.concatenate(errs)
-    internal = [b.t_lo for b in rhs.blocks[1:] if float(b.t_lo) < T]
+
+@dataclass(frozen=True)
+class PicardRows:
+    """Result of picard_rows for B initial states.
+
+    values[j] and errors[j] hold, for the rows still running after window
+    j, their (b_j, m_j, n) grid values and (b_j,) certified sup error at
+    the window end.  endpoints and error_bound are (B, n) and (B,); they
+    are meaningful only for rows whose failures entry is None.
+    """
+
+    values: list
+    errors: list
+    endpoints: np.ndarray
+    error_bound: np.ndarray
+    failures: list  # per row: None, or the error a one-row solve raises
+
+
+def _block_field(block, xs, ts, rows):
+    """Every row follows the block's own f(states, times)."""
+    b, k, n = xs.shape
+    f = block.f(xs.reshape(b * k, n), ts if b == 1 else np.tile(ts, b))
+    return np.reshape(f, xs.shape)
+
+
+def _exit_error(box: Hypercube, t: np.ndarray, x: np.ndarray, ok: np.ndarray) -> DomainExitError:
+    """The error for a row whose grid values x leave the box first at the
+    first False of ok."""
+    bad = int(np.argmin(ok))
+    t_exit = float(t[bad])
+    if bad > 0:
+        # interpolate the crossing along the polygon segment
+        fracs = [1.0]
+        for d in range(x.shape[1]):
+            for bound, sgn in ((box.hi[d], 1.0), (box.lo[d], -1.0)):
+                a0 = sgn * (x[bad - 1][d] - bound)
+                a1 = sgn * (x[bad][d] - bound)
+                if a0 < 0.0 <= a1 and a1 > a0:
+                    fracs.append(-a0 / (a1 - a0))
+        t_exit = float(t[bad - 1] + min(fracs) * (t[bad] - t[bad - 1]))
+    return DomainExitError(
+        f"trajectory left the state box at t={t_exit:.6g}", exit_time=t_exit, state=x[bad]
+    )
+
+
+def picard_rows(
+    plan: PicardPlan,
+    x0s: np.ndarray,
+    field: Optional[Callable] = None,
+    max_picard: int = 80,
+) -> PicardRows:
+    """Run a plan's windows from every row of x0s (B, n) at once.
+
+    field(block, states (b, k, n), times (k,), rows (b,)) -> (b, k, n) is
+    the right-hand side at the quadrature nodes of rows `rows` (indices
+    into x0s); by default every row follows the block's own f.  Each row
+    stops iterating at its own tolerance and carries its own tail and
+    error bound, so its numbers are those of a one-row solve.  A row whose
+    iterate fails to contract or leaves the state box stops there, with
+    the ContractError or DomainExitError a one-row solve would raise.
+    """
+    field = field if field is not None else _block_field
+    box = plan.state_box
+    x0s = np.asarray(x0s, dtype=float)
+    B, n = x0s.shape
+    failures = [None] * B
+    live = np.arange(B)  # rows still running
+    x_start = x0s.copy()
+    err = np.zeros(B)  # certified sup error at the current window start
+    margin = 1e-12 * (1.0 + box.side)
+    lo, hi = box.lo[None, None, :] - margin, box.hi[None, None, :] + margin
+    values, errors = [], []
+    for w in plan.windows:
+        if not live.size:
+            break
+        starts = x_start[live][:, None, :]
+        x = np.repeat(starts, w.t.size, axis=1)
+        tail = np.full(live.size, math.inf)
+        # iterate the rows (positions in x) that have not met the stop tail
+        cur, pos, cur_starts = x, np.arange(live.size), starts
+        for _ in range(max_picard):
+            mid_x = 0.5 * (cur[:, 1:] + cur[:, :-1])
+            f = field(w.block, mid_x, w.mid_t, live[pos])
+            inc = np.concatenate([np.zeros((pos.size, 1, n)), np.cumsum(f * w.hw, axis=1)], axis=1)
+            x_new = cur_starts + inc
+            gap = np.linalg.norm(x_new - cur, axis=2).max(axis=1)
+            cur = x_new
+            if w.contraction == 0.0:
+                tail[pos] = 0.0
+                done = np.ones(pos.size, dtype=bool)
+            else:
+                tail[pos] = gap * w.contraction / (1.0 - w.contraction)
+                done = tail[pos] <= plan.stop_tail
+            if done.all() and pos.size == live.size:  # all stop together: no copy
+                x = cur
+                pos = pos[:0]
+                break
+            if done.any():
+                x[pos[done]] = cur[done]
+                cur, pos, cur_starts = cur[~done], pos[~done], cur_starts[~done]
+                if not pos.size:
+                    break
+        if pos.size:  # out of iterations: kept only if the tail is within budget
+            x[pos] = cur
+        ok_rows = ~(tail > plan.tail_budget)
+        for p in np.flatnonzero(~ok_rows):
+            failures[live[p]] = ContractError(
+                "Picard iteration failed to contract; Lipschitz data unsound"
+            )
+        # hard domain check, no extrapolation
+        inside = np.all(x >= lo, axis=2) & np.all(x <= hi, axis=2)
+        for p in np.flatnonzero(ok_rows & ~inside.all(axis=1)):
+            failures[live[p]] = _exit_error(box, w.t, x[p], inside[p])
+            ok_rows[p] = False
+        # window defect: quadrature + Picard tail, then Grönwall transport
+        rows = live[ok_rows]
+        err[rows] = err[rows] * w.growth + (w.defect + tail[ok_rows]) * w.growth
+        x = x if ok_rows.all() else x[ok_rows]
+        live = rows
+        x_start[live] = x[:, -1]
+        values.append(x)
+        errors.append(err[live])
+    return PicardRows(values, errors, x_start, err, failures)
+
+
+def picard_solve(
+    rhs: RegularRHS,
+    x0,
+    T: float,
+    eps: float,
+    grid_budget: int = DEFAULT_GRID_BUDGET,
+    max_picard: int = 80,
+) -> ExtendedSolution:
+    """Certified solve of x' = f(x, t), x(0) = x0 up to time T (see
+    picard_plan for the grid and tolerance split).
+
+    Raises DomainExitError the moment an iterate leaves the state box.
+    """
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if not rhs.state_box.contains(x0):
+        raise DomainExitError("initial state outside the state box", exit_time=0.0, state=x0)
+    plan = picard_plan(rhs, T, eps, grid_budget)
+    res = picard_rows(plan, x0[None, :], max_picard=max_picard)
+    if res.failures[0] is not None:
+        raise res.failures[0]
+
+    grid = np.concatenate([w.t[1:] if j else w.t for j, w in enumerate(plan.windows)])
+    values = np.vstack([v[0, 1:] if j else v[0] for j, v in enumerate(res.values)])
+    profile = np.concatenate([
+        np.full(w.t.size - 1 if j else w.t.size, e[0])
+        for j, (w, e) in enumerate(zip(plan.windows, res.errors))
+    ])
+    T = float(T)
     time_blocks = tuple(
         Block.interval(a, min(b.t_hi, Fraction(T).limit_denominator(10 ** 12)))
         for a, b in [(blk.t_lo, blk) for blk in rhs.blocks]
         if float(a) < T
     )
     validity = RepresentableDomain(time_blocks, _facet_exception_generator(time_blocks))
-    return ExtendedSolution(grid, values, CertifiedReal(err, 0.0), validity,
+    return ExtendedSolution(grid, values, CertifiedReal(float(res.error_bound[0]), 0.0), validity,
                             error_profile=profile)
 
 
@@ -332,9 +453,10 @@ class SampleHoldPolicy:
 
 @dataclass(frozen=True)
 class ControlledDynamics:
-    """x' = f(x, u) with Lipschitz data in both arguments."""
+    """x' = f(x, u) with Lipschitz data in both arguments; f pairs row i
+    of the states with row i of the controls."""
 
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray]  # (states (m,n), control (p,)) -> (m,n)
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray]  # (states (m,n), controls (m,p)) -> (m,n)
     state_box: Hypercube
     lip_x: float
     lip_u: float
@@ -386,7 +508,7 @@ def sample_hold_trajectory(
             break
         u = np.atleast_1d(np.asarray(sh.policy(x), dtype=float))
         rhs = RegularRHS.single(
-            lambda xs, ts, u=u: dyn.f(xs, u),
+            lambda xs, ts, u=u: dyn.f(xs, np.repeat(u[None, :], xs.shape[0], axis=0)),
             span,
             dyn.state_box,
             dyn.lip_x,

@@ -241,3 +241,60 @@ def test_shh_failure_exit_one_with_diagnosis(tmp_path):
     assert code == 1
     assert record["verdict"] == "failure"
     assert record["payload"]["diagnosis"].startswith("optimizer_tolerance")
+
+
+SHH_INTEGRATOR = {
+    "dynamics": "integrator",
+    "control_box": [-1, 1],
+    "state_box": [-2, 2],
+    "target_radius": 0.1,
+    "overshoot_radius": 1.0,
+    "eta_max": 1.0,
+}
+
+
+@pytest.mark.parametrize(
+    "config,expected,sweep",
+    [
+        (
+            {"optimizer_eps": 0.05},
+            {"eta": 0.216796875, "margin": 0.09374771117964062},
+            None,
+        ),
+        (
+            {
+                "control_box": [-0.8, 0.6],
+                "target_radius": 0.15,
+                "overshoot_radius": 0.9,
+                "optimizer_eps": 0.03,
+                "mesh_eps": 0.05,
+                "sweep": [0.01, 0.04, 0.12],
+            },
+            {"eta": 0.392578125, "margin": 0.11187023764963212},
+            [
+                "0.01,0.5078125,0.00013363486643062222",
+                "0.04,0.390625,0.10823139391248167",
+                "0.12,0.302734375,0.05113497282129805",
+            ],
+        ),
+        ({"optimizer_eps": 2.2}, {"eta": -1.0, "margin": -1.0}, None),
+    ],
+)
+def test_shh_numeric_fields_pinned(tmp_path, config, expected, sweep):
+    # recorded from the sampling-time search that ran the annulus nodes one
+    # by one with one clf_feedback and one picard_solve per interval
+    config = {**SHH_INTEGRATOR, **config}
+    code, record, out = _run_cli(tmp_path, "shh", config)
+    assert record["numeric"] == {**expected, "optimizer_eps": config["optimizer_eps"]}
+    if expected["eta"] > 0:
+        assert code == EXIT_OK
+    else:
+        assert code == 1
+        assert record["payload"]["diagnosis"] == (
+            "optimizer_tolerance: decay exists (worst certified rate -0.545) but the "
+            "optimizer tolerance eps=2.2 consumes the decrease reserve"
+        )
+    if sweep is None:
+        assert not (out / "sweep.csv").exists()
+    else:
+        assert (out / "sweep.csv").read_text().splitlines() == ["optimizer_eps,eta,margin", *sweep]

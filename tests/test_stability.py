@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from certctrl.core import ArgumentError, ContractError, Hypercube, Modulus
+import certctrl.stability as stability
+from certctrl.core import (
+    ArgumentError,
+    ContractError,
+    DomainExitError,
+    Hypercube,
+    Modulus,
+    ResourceBudgetError,
+    build_mesh,
+)
 from certctrl.stability import (
     CLFProblem,
     Comparator,
@@ -15,6 +24,8 @@ from certctrl.stability import (
     check_sandwich,
     clf_feedback,
     find_sampling_time,
+    _annulus_nodes,
+    _simulate_closed_loop,
 )
 from certctrl.trajectories import ControlledDynamics, RegularRHS, picard_solve
 
@@ -282,7 +293,7 @@ def test_clf_feedback_at_origin_returns_lowest_index():
 def test_clf_feedback_control_affine_example():
     # x' = x + u x^2, V = x^2 at x = 0.5, U = [-4, 0]: minimize 2x(x + u x^2)
     dyn = ControlledDynamics(
-        f=lambda xs, u: xs + u[0] * xs ** 2,
+        f=lambda xs, us: xs + us[:, :1] * xs ** 2,
         state_box=Hypercube(np.array([0.0]), 4.0),
         lip_x=1.0,
         lip_u=1.0,
@@ -354,8 +365,6 @@ def test_find_sampling_time_certified_loop_enters_ball():
     kappa = lambda x: clf_feedback(prob, x, eps)[0]
     res = find_sampling_time(prob, kappa, 1.0, eps, mesh_eps=0.1, resolution=1e-3)
     assert res.ok
-    from certctrl.stability import _annulus_nodes, _simulate_closed_loop
-
     for x0 in _annulus_nodes(prob, 0.1):
         ok, _, samples = _simulate_closed_loop(
             prob, kappa, x0, res.eta, eps, 1e-9, max_steps=200
@@ -365,12 +374,13 @@ def test_find_sampling_time_certified_loop_enters_ball():
 
 
 def test_find_sampling_time_propagates_dynamics_faults():
-    # clf_feedback evaluates f one state at a time, the Picard step on a
-    # whole grid: a dynamics that breaks on the grid is a bug, not a failed eta
-    def one_state_only(xs, u):
+    # clf_feedback evaluates f on all (state, control node) rows at once and
+    # the Picard step on whole grids: a dynamics that breaks on more than one
+    # row is a bug, not a failed eta
+    def one_state_only(xs, us):
         if xs.shape[0] != 1:
             raise TypeError("dynamics written for a single state row")
-        return np.broadcast_to(u, xs.shape).copy()
+        return us.copy()
 
     dyn = ControlledDynamics(
         f=one_state_only,
@@ -409,3 +419,309 @@ def test_checks_require_moduli():
         check_sandwich(data, BOX, 0.01, [0.0])
     with pytest.raises(ContractError):
         check_decay(data, BOX, 0.01, [0.0])
+
+
+# ---------------------------------------------------------------------------
+# batched clf_feedback against the per-control-node loop
+# ---------------------------------------------------------------------------
+
+def _feedback_one_by_one(problem, x, eps):
+    """clf_feedback for one state, one dynamics call per control node."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    g = np.asarray(problem.grad_V(x[None, :]), dtype=float)[0]
+    lip_g = float(np.linalg.norm(g)) * problem.dynamics.lip_u
+    if lip_g == 0.0:
+        mesh = build_mesh(problem.control_box, problem.control_box.diameter)
+    else:
+        mesh = build_mesh(problem.control_box, (eps / 2.0) / lip_g)
+    vals = np.empty(len(mesh))
+    for j in range(len(mesh)):
+        f = problem.dynamics.f(x[None, :], mesh.points[j][None, :])
+        vals[j] = float(g @ f[0])
+    r_g = 1e-12 * (1.0 + float(np.abs(vals).max()))
+    cut = vals.min() + eps / 2.0 - 2.0 * r_g
+    idx = int(np.argmax(vals <= cut))
+    return mesh.points[idx], vals[idx], eps / 2.0 + 2.0 * r_g
+
+
+def planar_problem():
+    # x1' = x2 + u1 x1, x2' = -x1 + u2 + 0.3 u1 x2 on [-1, 1]^2, V = x1^2 + 2 x2^2
+    def f(xs, us):
+        return np.stack(
+            [xs[:, 1] + us[:, 0] * xs[:, 0], -xs[:, 0] + us[:, 1] + 0.3 * us[:, 0] * xs[:, 1]],
+            axis=1,
+        )
+
+    dyn = ControlledDynamics(
+        f=f, state_box=Hypercube(np.zeros(2), 2.0), lip_x=2.0, lip_u=1.5, sup_bound=4.0
+    )
+    return CLFProblem(
+        dynamics=dyn,
+        control_box=Hypercube(np.array([0.0, 0.25]), 1.5),
+        V=lambda xs: xs[:, 0] ** 2 + 2.0 * xs[:, 1] ** 2,
+        grad_V=lambda xs: np.stack([2.0 * xs[:, 0], 4.0 * xs[:, 1]], axis=1),
+        v_lipschitz=6.0,
+        target_radius=0.1,
+        overshoot_radius=1.0,
+    )
+
+
+def test_clf_feedback_batch_matches_per_node_loop(monkeypatch):
+    prob = planar_problem()
+    rng = np.random.default_rng(17)
+    xs = np.vstack([
+        rng.uniform(-1.0, 1.0, size=(9, 2)),
+        [[0.0, 0.0]],  # grad V = 0: the single-node mesh
+        [[0.6, 0.0]],  # value 2 x1^2 u1 ignores u2: a tie along u2
+        [[-0.6, 0.0]],  # the same mesh as the row above
+    ])
+    eps = 0.2
+    ref = [_feedback_one_by_one(prob, x, eps) for x in xs]
+    assert len(build_mesh(prob.control_box, prob.control_box.diameter)) == 1
+    u_tie, v_tie, _ = ref[10]
+    mesh = build_mesh(prob.control_box, (eps / 2.0) / (1.2 * 1.5)).points
+    ties = np.flatnonzero(mesh[:, 0] == u_tie[0])
+    assert ties.size > 1 and mesh[ties[0], 1] == u_tie[1]  # lowest index of the tie
+    for pairs in (stability._FEEDBACK_PAIRS, 7, 1):  # one block, several, one row each
+        monkeypatch.setattr(stability, "_FEEDBACK_PAIRS", pairs)
+        us, certs = clf_feedback(prob, xs, eps)
+        assert us.shape == (len(xs), 2) and len(certs) == len(xs)
+        for (u, value, radius), ub, cert in zip(ref, us, certs):
+            assert ub.tobytes() == u.tobytes()
+            assert (cert.value, cert.radius) == (value, radius)
+    for x, (u, value, radius) in zip(xs, ref):
+        u1, cert = clf_feedback(prob, x, eps)
+        assert u1.tobytes() == u.tobytes()
+        assert (cert.value, cert.radius) == (value, radius)
+
+
+# ---------------------------------------------------------------------------
+# lockstep closed loop against the node-by-node reference
+# ---------------------------------------------------------------------------
+
+def _one_node(problem, kappa, x0, eta, eps, eps_loc, max_steps):
+    """The closed loop of one node with one picard_solve per interval;
+    returns (ok, margin, steps taken)."""
+    dyn = problem.dynamics
+    reserve = eta * eps
+    entry_cut = problem.target_radius - reserve - 2.0 * eps_loc
+    if entry_cut <= 0:
+        return False, -math.inf, 0
+    x = np.asarray(x0, dtype=float).copy()
+    margin = math.inf
+    for step in range(max_steps):
+        if np.linalg.norm(x) <= entry_cut:
+            return True, margin, step
+        u = np.atleast_1d(np.asarray(kappa(x), dtype=float))
+        rhs = RegularRHS.single(
+            lambda xs, ts, u=u: dyn.f(xs, np.repeat(u[None, :], xs.shape[0], axis=0)),
+            eta, dyn.state_box, dyn.lip_x, dyn.sup_bound,
+        )
+        try:
+            sol = picard_solve(rhs, x, eta, eps_loc)
+        except (DomainExitError, ResourceBudgetError, ContractError):
+            return False, -math.inf, step
+        x_new = sol.endpoint
+        v0 = float(problem.V(x[None, :])[0])
+        v1 = float(problem.V(x_new[None, :])[0])
+        slack = problem.v_lipschitz * sol.error_bound.value + 2.0 * problem.v_radius
+        entered = np.linalg.norm(x_new) <= entry_cut
+        dec = v0 - v1
+        if not entered:
+            need = reserve + slack
+            if dec < need:
+                return False, dec - need, step
+            margin = min(margin, dec - need)
+        x = x_new
+    return False, -math.inf, max_steps
+
+
+def _nodes_one_by_one(problem, kappa, nodes, eta, eps, eps_loc, max_steps):
+    worst = math.inf
+    for x0 in nodes:
+        ok, margin, _ = _one_node(problem, kappa, x0, eta, eps, eps_loc, max_steps)
+        if not ok:
+            return False, margin
+        worst = min(worst, margin)
+    return True, worst
+
+
+def _sampling_time_one_by_one(problem, kappa, eta_max, eps, mesh_eps, resolution, eps_loc=None):
+    """find_sampling_time running the annulus nodes one by one and probing
+    the diagnosis one node at a time."""
+    nodes = _annulus_nodes(problem, mesh_eps)
+
+    def certified(eta):
+        max_steps = max(20, math.ceil(6.0 * problem.overshoot_radius / eta))
+        el = eps_loc if eps_loc is not None else max(1e-12, eta * eps / 100.0)
+        return _nodes_one_by_one(problem, kappa, nodes, eta, eps, el, max_steps)
+
+    eta_lo = margin_lo = None
+    probe = eta_max
+    while probe >= resolution:
+        ok, margin = certified(probe)
+        if ok:
+            eta_lo, margin_lo = probe, margin
+            break
+        probe /= 2.0
+    if eta_lo is None:
+        worst_rate = -math.inf
+        for x0 in nodes:
+            _, val = clf_feedback(problem, x0, min(eps, 1e-3))
+            worst_rate = max(worst_rate, val.value + val.radius)
+        if worst_rate >= 0:
+            diagnosis = (
+                f"clf_inadequate: no certified decay direction at some annulus node "
+                f"(best certified rate {worst_rate:+.3g})"
+            )
+        else:
+            diagnosis = (
+                f"optimizer_tolerance: decay exists (worst certified rate {worst_rate:+.3g}) "
+                f"but the optimizer tolerance eps={eps} consumes the decrease reserve"
+            )
+        return "failure", None, None, diagnosis
+    if eta_lo == eta_max:
+        return "certified", eta_max, margin_lo, ""
+    lo, hi = eta_lo, min(2.0 * eta_lo, eta_max)
+    best_margin = margin_lo
+    while hi - lo > resolution:
+        mid = 0.5 * (lo + hi)
+        ok, margin = certified(mid)
+        if ok:
+            lo, best_margin = mid, margin
+        else:
+            hi = mid
+    return "certified", lo, best_margin, ""
+
+
+def _same_sampling_time(prob, kappa, eta_max, eps, mesh_eps, resolution, eps_loc=None):
+    res = find_sampling_time(prob, kappa, eta_max, eps, mesh_eps=mesh_eps,
+                             resolution=resolution, eps_loc=eps_loc)
+    ref = _sampling_time_one_by_one(prob, kappa, eta_max, eps, mesh_eps, resolution, eps_loc)
+    assert (res.verdict, res.eta, res.margin, res.diagnosis) == ref
+    return res
+
+
+def _same_closed_loop(prob, kappa, nodes, eta, eps, eps_loc, max_steps):
+    ok, margin, samples = _simulate_closed_loop(prob, kappa, nodes, eta, eps, eps_loc, max_steps)
+    assert (ok, margin) == _nodes_one_by_one(prob, kappa, nodes, eta, eps, eps_loc, max_steps)
+    return ok, margin
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.1, 0.5])
+def test_lockstep_sampling_time_integrator(eps):
+    prob = integrator_problem()
+    kappa = lambda x: clf_feedback(prob, x, eps)[0]
+    res = _same_sampling_time(prob, kappa, 1.0, eps, 0.1, 5e-4)
+    assert res.ok == (eps < 0.5)
+    nodes = _annulus_nodes(prob, 0.1)
+    for eta in (1.0, 0.3, 0.05):
+        _same_closed_loop(prob, kappa, nodes, eta, eps, max(1e-12, eta * eps / 100.0), 200)
+
+
+def affine_problem(r):
+    # x' = x + u x^2 on [0, 1.5], U = [-6, 0]: lip_x = 1, so every Picard
+    # step iterates, and the rows stop at different iterations
+    dyn = ControlledDynamics(
+        f=lambda xs, us: xs + us[:, :1] * xs ** 2,
+        state_box=Hypercube(np.array([0.75]), 1.5),
+        lip_x=1.0,
+        lip_u=2.25,
+        sup_bound=15.0,
+    )
+    return CLFProblem(
+        dynamics=dyn,
+        control_box=Hypercube(np.array([-3.0]), 6.0),
+        V=lambda xs: xs[:, 0] ** 2,
+        grad_V=lambda xs: 2.0 * xs,
+        v_lipschitz=3.0,
+        target_radius=r,
+        overshoot_radius=0.75,
+    )
+
+
+@pytest.mark.parametrize("r,verdict", [(0.25, "certified"), (0.2, "failure")])
+def test_lockstep_sampling_time_control_affine(r, verdict):
+    prob = affine_problem(r)
+    eps = 0.02
+    kappa = lambda x: clf_feedback(prob, x, eps)[0]
+    res = _same_sampling_time(prob, kappa, 1.0, eps, 0.05, 4e-3, eps_loc=1e-3)
+    assert res.verdict == verdict
+    nodes = _annulus_nodes(prob, 0.05)
+    for eta in (1.0, 0.5, 0.125):
+        _same_closed_loop(prob, kappa, nodes, eta, eps, 1e-3, 40)
+
+
+def _stalling_kappa(zones):
+    """-0.3 sign(x), except a near-zero push inside the given intervals,
+    where V cannot fall by the reserve."""
+    def kappa(x):
+        x = np.asarray(x, dtype=float)
+        u = -0.3 * np.sign(x)
+        for lo, hi in zones:
+            u = np.where((lo <= x) & (x <= hi), -1e-4 * np.sign(x) * (1.0 + x * x), u)
+        return u
+    return kappa
+
+
+def test_lockstep_reports_lowest_failing_node_not_first_failure():
+    prob = integrator_problem()
+    nodes = _annulus_nodes(prob, 0.1)
+    kappa = _stalling_kappa([(-0.62, -0.5), (0.95, 1.0)])
+    eta, eps, el = 0.2, 1e-3, 2e-6
+    outcomes = [_one_node(prob, kappa, x0, eta, eps, el, 200) for x0 in nodes]
+    # the last node fails at once, the first one only after several steps,
+    # with a different margin
+    assert not outcomes[-1][0] and outcomes[-1][2] == 0
+    assert not outcomes[0][0] and outcomes[0][2] > 2
+    assert outcomes[0][1] != outcomes[-1][1]
+    ok, margin = _same_closed_loop(prob, kappa, nodes, eta, eps, el, 200)
+    assert (ok, margin) == (False, outcomes[0][1])
+    for eta in (1.0, 0.5, 0.35, 0.1):
+        _same_closed_loop(prob, kappa, nodes, eta, eps, el, 200)
+    _same_sampling_time(prob, kappa, 1.0, eps, 0.1, 1e-2)
+
+
+def test_lockstep_domain_exit():
+    dyn = ControlledDynamics(
+        f=lambda xs, us: xs + us,
+        state_box=Hypercube(np.array([0.0]), 4.0),
+        lip_x=1.0,
+        lip_u=1.0,
+        sup_bound=2.1,
+    )
+    prob = CLFProblem(
+        dynamics=dyn,
+        control_box=Hypercube(np.array([0.0]), 0.2),
+        V=lambda xs: xs[:, 0] ** 2,
+        grad_V=lambda xs: 2.0 * xs,
+        v_lipschitz=4.0,
+        target_radius=0.1,
+        overshoot_radius=1.0,
+    )
+    eps = 0.01
+    kappa = lambda x: clf_feedback(prob, x, eps)[0]
+    nodes = _annulus_nodes(prob, 0.1)
+    u0 = kappa(nodes[0])
+    rhs = RegularRHS.single(lambda xs, ts: xs + u0, 1.0, dyn.state_box, 1.0, 2.1)
+    with pytest.raises(DomainExitError):  # the first node leaves the box
+        picard_solve(rhs, nodes[0], 1.0, 1e-4)
+    assert _same_closed_loop(prob, kappa, nodes, 1.0, eps, 1e-4, 20) == (False, -math.inf)
+    for eta in (0.5, 0.2):
+        _same_closed_loop(prob, kappa, nodes, eta, eps, 1e-4, 20)
+    res = _same_sampling_time(prob, kappa, 1.0, eps, 0.1, 1e-2)
+    assert res.diagnosis.startswith("clf_inadequate")
+
+
+def test_lockstep_max_steps_exhaustion():
+    prob = integrator_problem()
+    nodes = _annulus_nodes(prob, 0.1)
+    kappa = lambda x: -0.02 * np.sign(np.asarray(x, dtype=float))
+    eps = 1e-4
+    # V falls by more than the reserve every interval, but too slowly to
+    # reach the target ball within the step budget
+    assert _same_closed_loop(prob, kappa, nodes, 0.25, eps, 1e-9, 24) == (False, -math.inf)
+    assert _same_closed_loop(prob, kappa, nodes, 0.25, eps, 1e-9, 400)[0]
+    assert _same_closed_loop(prob, kappa, nodes[:1], 0.25, eps, 1e-9, 0) == (False, -math.inf)
+    res = _same_sampling_time(prob, kappa, 1.0, eps, 0.1, 1e-2)
+    assert not res.ok

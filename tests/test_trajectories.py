@@ -4,13 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from certctrl.core import ArgumentError, DomainExitError, Hypercube, Modulus
+from certctrl.core import ArgumentError, ContractError, DomainExitError, Hypercube, Modulus
 from certctrl.trajectories import (
     ControlledDynamics,
     RegularRHS,
     SampleHoldPolicy,
     TimeBlockRHS,
     dependence_modulus,
+    picard_plan,
+    picard_rows,
     picard_solve,
     sample_hold_trajectory,
 )
@@ -248,3 +250,42 @@ def test_error_bound_sound_against_affine_closed_forms():
         err = abs(sol.endpoint[0] - exact)
         assert err <= sol.error_bound.value + 1e-12
         assert sol.error_bound.value <= eps
+
+
+def _row_outcomes(rhs, x0s, T, eps):
+    """picard_rows on all rows against one picard_solve per row."""
+    res = picard_rows(picard_plan(rhs, T, eps), x0s)
+    for i, x0 in enumerate(x0s):
+        try:
+            sol = picard_solve(rhs, x0, T, eps)
+        except (DomainExitError, ContractError) as exc:
+            got = res.failures[i]
+            assert type(got) is type(exc) and str(got) == str(exc)
+            assert getattr(got, "exit_time", None) == getattr(exc, "exit_time", None)
+            yield type(exc).__name__
+            continue
+        assert res.failures[i] is None
+        assert res.endpoints[i].tobytes() == sol.endpoint.tobytes()
+        assert res.error_bound[i] == sol.error_bound.value
+        yield "ok"
+
+
+def test_picard_rows_match_one_row_solves():
+    # two blocks and five windows; the rows stop iterating at different
+    # iterations (x0 = 0 is a fixed point of the first block and stops
+    # after one), and x0 = 1.99 leaves the box in the second block
+    blocks = (
+        TimeBlockRHS(Fraction(0), Fraction(1, 3), lambda xs, ts: -2.0 * xs + 0.5 * np.sin(3.0 * xs),
+                     3.5, Modulus.lipschitz(0.0), 5.0),
+        TimeBlockRHS(Fraction(1, 3), Fraction(2), lambda xs, ts: 0.4 * xs + 0.3 * np.cos(ts)[:, None],
+                     0.4, Modulus.lipschitz(0.3), 1.1),
+    )
+    rhs = RegularRHS(blocks, BOX2)
+    x0s = np.array([[0.0], [0.3], [-1.2], [1.99], [1.0], [-0.05]])
+    outcomes = list(_row_outcomes(rhs, x0s, 2.0, 0.05))
+    assert outcomes == ["ok", "ok", "ok", "DomainExitError", "ok", "ok"]
+    # an understated Lipschitz constant: the rows at rest converge, the
+    # moving one fails to contract
+    fast = RegularRHS.single(lambda xs, ts: 40.0 * xs, 1.0, Hypercube(np.array([0.0]), 1e9), 0.1, 10.0)
+    outcomes = list(_row_outcomes(fast, np.array([[0.0], [1.0], [0.0]]), 1.0, 1e-2))
+    assert outcomes == ["ok", "ContractError", "ok"]
