@@ -28,7 +28,6 @@ from .core import (
     Modulus,
     ResourceBudgetError,
     build_mesh,
-    parallel_map,
 )
 from . import danskin as dk
 from . import eigen as eig
@@ -79,7 +78,7 @@ def _write_csv(path: Path, header: str, rows) -> None:
 # task handlers: each returns (verdict, numeric fields, witness payload)
 # ---------------------------------------------------------------------------
 
-def _task_evt_min(config, seed, workers, out):
+def _task_evt_min(config, seed, out):
     pc = config["policy_class"]
     pclass = evt.PolicyClass(
         _interval(pc["domain"]), 1, float(pc["lipschitz"]), float(pc["bound"])
@@ -149,7 +148,7 @@ _DANSKIN_OBJECTIVES = {
 }
 
 
-def _task_danskin(config, seed, workers, out):
+def _task_danskin(config, seed, out):
     name = config["objective"]
     if name not in _DANSKIN_OBJECTIVES:
         raise ArgumentError(
@@ -177,7 +176,7 @@ def _task_danskin(config, seed, workers, out):
     return verdict, numeric, {"audit_file": "audit.csv"}
 
 
-def _task_selector(config, seed, workers, out):
+def _task_selector(config, seed, out):
     blocks = tuple(sel.Block.interval(Fraction(str(a)), Fraction(str(b)))
                    for a, b in config["domain_blocks"])
     chunks = []
@@ -221,14 +220,14 @@ def _task_selector(config, seed, workers, out):
     return ("certified" if ok else "counterexample"), numeric, {"selector_file": "selector.csv"}
 
 
-def _task_eig(config, seed, workers, out):
+def _task_eig(config, seed, out):
     if "matrix_file" in config:
         A = parse_complex_matrix(Path(config["matrix_file"]).read_text())
     else:
         A = np.array(config["matrix"], dtype=complex)
     eps = float(config.get("eps", 1e-8))
     verdict = eig.hurwitz_verdict(A, eps)
-    pairs, achieved = eig.approx_eigenpairs(A, eps, seed=seed)
+    pairs, achieved = eig.approx_eigenpairs(A, eps)
     _write_csv(
         out / "roots.csv",
         "re,im,radius,multiplicity",
@@ -263,7 +262,7 @@ def _ode_rhs_from_config(config) -> traj.RegularRHS:
     return traj.RegularRHS(tuple(blocks), box)
 
 
-def _task_ode(config, seed, workers, out):
+def _task_ode(config, seed, out):
     rhs = _ode_rhs_from_config(config)
     x0 = np.atleast_1d(np.asarray(config["x0"], dtype=float))
     T = float(config["T"])
@@ -307,7 +306,7 @@ def _shh_problem(config) -> stab.CLFProblem:
     )
 
 
-def _task_shh(config, seed, workers, out):
+def _task_shh(config, seed, out):
     problem = _shh_problem(config)
     eta_max = float(config.get("eta_max", 1.0))
     mesh_eps = float(config.get("mesh_eps", 0.1))
@@ -351,7 +350,7 @@ def _task_shh(config, seed, workers, out):
     return ("certified" if res.ok else "failure"), numeric, payload
 
 
-def _task_certify(config, seed, workers, out):
+def _task_certify(config, seed, out):
     box = _interval(config["state_box"])
     R = box.side / 2.0
     f = build_scalar_form(config["dynamics"])
@@ -396,7 +395,7 @@ def _task_certify(config, seed, workers, out):
     return cert.verdict, numeric, payload
 
 
-def _task_audit(config, seed, workers, out):
+def _task_audit(config, seed, out):
     """Seeded property battery across every module; the determinism
     acceptance criterion compares this record's numeric fields."""
     rng = np.random.default_rng(seed)
@@ -457,18 +456,16 @@ def _task_audit(config, seed, workers, out):
     )
     numeric["selector_pieces"] = float(len(s.pieces))
 
-    # eigen: residuals over random matrices (parallelizable mesh scan)
-    def one_matrix(k):
+    # eigen: residuals over random matrices
+    results = []
+    for k in range(40):
         r = np.random.default_rng(seed + 1000 + k)
         n = int(r.integers(2, 7))
         A = r.standard_normal((n, n)) + 1j * r.standard_normal((n, n))
-        pairs, achieved = eig.approx_eigenpairs(A, 1e-8, seed=seed + k)
-        worst = max((p.residual.value + p.residual.radius for p in pairs), default=0.0)
-        return worst, achieved
-
-    results = parallel_map(one_matrix, range(40), workers)
-    numeric["eigen_worst_residual"] = max(w for w, _ in results)
-    numeric["eigen_all_achieved"] = float(all(a for _, a in results))
+        results.append(eig.approx_eigenpairs(A, 1e-8))
+    bounds = [p.residual.value + p.residual.radius for pairs, _ in results for p in pairs]
+    numeric["eigen_worst_residual"] = max(bounds)
+    numeric["eigen_all_achieved"] = float(all(achieved for _, achieved in results))
 
     # trajectories: exponential decay
     rhs = traj.RegularRHS.single(lambda xs, ts: -xs, 1.0, Hypercube(np.array([0.0]), 4.0), 1.0, 2.0)
@@ -487,7 +484,7 @@ def _task_audit(config, seed, workers, out):
         "state_box": [-1, 1],
         "mesh_eps": 0.002,
     }
-    verdict, cnum, _ = _task_certify(cfg, seed, workers, out)
+    verdict, cnum, _ = _task_certify(cfg, seed, out)
     numeric["certify_decay_margin"] = cnum["decay_margin"]
     numeric["certify_x0_level"] = cnum["x0_level"]
     shh_cfg = {
@@ -498,7 +495,7 @@ def _task_audit(config, seed, workers, out):
         "optimizer_eps": 0.05,
         "eta_max": 1.0,
     }
-    sv, snum, _ = _task_shh(shh_cfg, seed, workers, out)
+    sv, snum, _ = _task_shh(shh_cfg, seed, out)
     numeric["shh_eta"] = snum["eta"]
 
     ok = (
@@ -533,10 +530,10 @@ def _precision_audit(record: dict, config: dict, seed: int) -> dict:
     out = {}
     # eigen residuals against mpmath
     worst_ratio = 0.0
-    for k in range(10):
+    for _ in range(10):
         n = int(rng.integers(2, 6))
         A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        pairs, _ = eig.approx_eigenpairs(A, 1e-8, seed=seed + k)
+        pairs, _ = eig.approx_eigenpairs(A, 1e-8)
         for p in pairs:
             hi = eig.residual_recheck_mp(A, p)
             bound = p.residual.value + p.residual.radius
@@ -557,12 +554,12 @@ def _precision_audit(record: dict, config: dict, seed: int) -> dict:
     return out
 
 
-def run(task: str, config: dict, seed: int, workers: int, out_dir, precision_audit=False):
+def run(task: str, config: dict, seed: int, out_dir, precision_audit=False):
     """Execute one subcommand; returns (exit_code, record)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    verdict, numeric, payload = _HANDLERS[task](config, seed, workers, out)
+    verdict, numeric, payload = _HANDLERS[task](config, seed, out)
     record = {
         "tool": "certctrl",
         "version": __version__,
@@ -588,7 +585,6 @@ def main(argv=None) -> int:
     parser.add_argument("task", choices=TASKS)
     parser.add_argument("--config", required=False, help="JSON problem definition")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--out", default="certctrl-out")
     parser.add_argument("--precision-audit", action="store_true")
     args = parser.parse_args(argv)
@@ -612,9 +608,7 @@ def main(argv=None) -> int:
             return EXIT_CONFIG
 
     try:
-        code, record = run(
-            args.task, config, args.seed, args.workers, args.out, args.precision_audit
-        )
+        code, record = run(args.task, config, args.seed, args.out, args.precision_audit)
     except (ArgumentError, ContractError, KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

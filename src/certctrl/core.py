@@ -33,7 +33,6 @@ __all__ = [
     "modulus_step",
     "located_distance",
     "snap_dyadic",
-    "parallel_map",
     "DEFAULT_MESH_BUDGET",
     "SNAP_BITS",
 ]
@@ -480,13 +479,3 @@ def located_distance(A: LocatedSet, x, eps: float) -> CertifiedReal:
     _, d = mesh.nearest(x)
     return CertifiedReal(d, _inflate(d, eps))
 
-
-def parallel_map(fn, items, workers: int = 1):
-    """Order-preserving map; mesh scans are pure so a thread pool is safe."""
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))

@@ -3,11 +3,11 @@ criterion.
 
 Exact eigenvectors are not computable in general; what is computable is a
 set of k <= n independent vectors whose eigen-residuals are certified
-below a requested tolerance.  Roots of the characteristic polynomial come
-with inclusion radii (honest for clusters: a root of multiplicity m only
-admits an eps^(1/m)-scale radius), and the Hurwitz verdict is decided from
-the certified root disks, returning `undecided` whenever a disk touches
-the imaginary axis.
+below a requested tolerance.  Eigenpairs come from LAPACK; Gershgorin disks
+of X^-1 A X, bounded rigorously, cluster the eigenvalues with exact
+multiplicities, and the Hurwitz verdict is `undecided` whenever a cluster
+touches the imaginary axis.  Polynomial root clusters come with honest
+radii (a root of multiplicity m only admits an eps^(1/m)-scale radius).
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
+_U = 2.0 ** -53  # unit roundoff of round to nearest
+_ETA = 2.0 ** -1074  # smallest subnormal: the most one underflowing product loses
 
 
 @dataclass(frozen=True)
@@ -98,13 +100,6 @@ class RootCluster:
     members: tuple = ()
 
 
-def _poly_eval(coeffs: np.ndarray, z: complex) -> complex:
-    r = coeffs[0]
-    for c in coeffs[1:]:
-        r = r * z + c
-    return r
-
-
 def _poly_eval_certified(coeffs: np.ndarray, z: complex, coeff_radii=None) -> tuple[complex, float]:
     """Horner value plus a sound bound on its floating-point error
     (condition-number style: (2n+2) eps sum |c_k| |z|^k, plus any
@@ -123,6 +118,25 @@ def _poly_eval_certified(coeffs: np.ndarray, z: complex, coeff_radii=None) -> tu
             err += float(rad) * p
             p *= az
     return r, err
+
+
+def _overlap_components(centers: np.ndarray, radii: np.ndarray, pad: float) -> list[list[int]]:
+    """Union-find groups of overlapping closed disks, by smallest index:
+    i and j join when |c_i - c_j| <= r_i + r_j + pad (pad absorbs rounding)."""
+    close = np.abs(centers[:, None] - centers[None, :]) <= radii[:, None] + radii[None, :] + pad
+    parent = list(range(len(centers)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in np.argwhere(np.triu(close, 1)).tolist():
+        parent[find(i)] = find(j)
+    groups: dict[int, list[int]] = {}
+    for i in range(len(centers)):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
 
 
 def approx_roots(
@@ -151,6 +165,10 @@ def approx_roots(
     if eps <= 0:
         raise ArgumentError("eps must be positive")
     deriv = coeffs[:-1] * np.arange(n, 0, -1)
+    # |p'| must be bounded below over every polynomial within the radii
+    deriv_radii = None
+    if coeff_radii is not None:
+        deriv_radii = np.asarray(coeff_radii)[:-1] * np.arange(n, 0, -1)
 
     # Cauchy bound seeds on a perturbed circle (deterministic)
     R = 1.0 + max(abs(c) for c in coeffs[1:])
@@ -165,8 +183,8 @@ def approx_roots(
     for _ in range(max_iter):
         moved = 0.0
         for i in range(n):
-            p = _poly_eval(coeffs, z[i])
-            dp = _poly_eval(deriv, z[i])
+            p = _poly_eval_certified(coeffs, z[i])[0]
+            dp = _poly_eval_certified(deriv, z[i])[0]
             s = complex(0.0)
             for j in range(n):
                 if j != i:
@@ -189,7 +207,7 @@ def approx_roots(
     radii = np.empty(n)
     for i in range(n):
         p, perr = _poly_eval_certified(coeffs, z[i], coeff_radii)
-        dp, derr = _poly_eval_certified(deriv, z[i])
+        dp, derr = _poly_eval_certified(deriv, z[i], deriv_radii)
         pc = abs(p) + perr
         dp_lo = abs(dp) - derr
         if dp_lo > 0:
@@ -197,28 +215,8 @@ def approx_roots(
         else:
             radii[i] = pc ** (1.0 / n)
 
-    # merge overlapping disks into clusters (union-find over the overlap graph)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(z[i] - z[j]) <= radii[i] + radii[j] + 4 * _EPS * R:
-                pi, pj = find(i), find(j)
-                if pi != pj:
-                    parent[pi] = pj
-
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-
     clusters = []
-    for idxs in groups.values():
+    for idxs in _overlap_components(z, radii, 4 * _EPS * R):
         m = len(idxs)
         members = z[idxs]
         center = complex(members.mean())
@@ -256,69 +254,98 @@ def _residual_certified(a: np.ndarray, v: np.ndarray, lam: complex) -> Certified
     return CertifiedReal(val, rad)
 
 
-def approx_eigenpairs(
-    A,
-    eps: float,
-    tau: float = 1e-6,
-    max_refine: int = 60,
-    seed: int = 0,
-) -> tuple[list[ApproxEigenPair], bool]:
-    """Inverse/Rayleigh iteration per root cluster, kept while the running
-    Gram matrix stays tau-independent; returns (pairs, achieved) where
-    achieved is False when some kept pair misses the residual target."""
-    A = _coerce(A)
+def _eig_clusters(a: np.ndarray, eps: float):
+    """LAPACK eigenpairs lam, X and certified clusters of the spectrum of A.
+
+    Returns (lam, X, clusters, groups): disjoint disks sorted by center, each
+    holding exactly len(groups[k]) eigenvalues, those the pairs groups[k]
+    approximate; clusters wider than eps have converged=False.  With u =
+    2^-53, gamma_k = k u/(1 - k u), eta = 2^-1074, R = inv(X), ~ = computed:
+
+    1. The real and imaginary parts of an entry of a complex product P Q of
+       inner dimension n are sums of 2n real products, so in any order,
+       fused or not, |fl(P Q) - P Q| <= sqrt2 gamma_2n |P||Q| + 3n eta
+       (Higham 2002, §3.1, §3.6; eta per product for underflow; true of
+       numpy's zgemm, not of a 3M complex product).
+    2. B = R A X, B~ = fl(R fl(A X)): |B~ - B| <= sqrt2 gamma_2n (2 + sqrt2
+       gamma_2n)|R||A||X| + 3n eta (1 + ||R||inf) <= E := g |R||A||X| + mu,
+       g = 3 gamma_2n, mu = 8n eta (1 + ||R||inf) (which also covers
+       underflow while |R||A||X| is evaluated).
+    3. delta bounds the row sums of |I - fl(R X)| + g |R||X| + mu >= |I - R X|.
+       If delta < 1, R X and X are invertible and ||(R X)^-1 - I||inf <=
+       delta/(1 - delta) (Neumann series).
+    4. X^-1 A X = (R X)^-1 B = B~ + (B - B~) + ((R X)^-1 - I) B; the last
+       term has row sums <= delta beta/(1 - delta), beta = ||B~||inf +
+       max_i sum_j E_ij >= ||B||inf.
+    5. Disk i, center B~_ii, radius rho_i = sum_{j!=i} |B~_ij| + sum_j E_ij
+       + delta beta/(1 - delta), contains Gershgorin disk i of X^-1 A X, so
+       k disks whose union misses the rest hold exactly k eigenvalues (the
+       counting theorem), also after merging until enclosing disks are apart.
+    6. delta, beta and all radii are sums and products of nonnegative terms
+       in at most k = 4n + 16 roundings (a complex modulus counts two), so
+       fl >= (1 - gamma_k) exact; up = 1 + 4 gamma_k, applied to delta before
+       1 - delta and to every radius, restores each bound with its rounding.
+    Otherwise (delta >= 1, X singular, overflow) the disk |z| <= ||A||inf
+    holds the spectrum.
+    """
     if eps <= 0:
         raise ArgumentError("eps must be positive")
-    a = A.entries
-    n = A.n
-    coeffs, radii = char_poly(A)
-    clusters = approx_roots(coeffs, max(eps, 1e-13), coeff_radii=radii)
-    rng = np.random.default_rng(seed)
-    scale = max(1.0, float(np.abs(a).max()))
+    n = a.shape[0]
+    lam, X = np.linalg.eig(a)
+    g = 6 * n * _U / (1.0 - 2 * n * _U)
+    up = 1.0 + 4.0 * (4 * n + 16) * _U / (1.0 - (4 * n + 16) * _U)
+    try:
+        R = np.linalg.inv(X)
+    except np.linalg.LinAlgError:
+        R = np.full_like(X, np.nan)
+    absR, absX, eye = np.abs(R), np.abs(X), np.eye(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        B = R @ (a @ X)
+        mu = 8 * n * (1.0 + absR.sum(axis=1).max()) * _ETA
+        E = (g * (absR @ (np.abs(a) @ absX)) + mu).sum(axis=1)
+        delta = up * (np.abs(eye - R @ X) + g * (absR @ absX) + mu).sum(axis=1).max()
+        absB = np.abs(B)
+        beta = absB.sum(axis=1).max() + E.max()
+        rho = up * (np.where(eye > 0, 0.0, absB).sum(axis=1) + E + delta * beta / (1.0 - delta))
+    if not (delta < 1.0 and np.all(np.isfinite(rho))):
+        radius = float(up * np.abs(a).sum(axis=1).max())
+        return lam, X, [RootCluster(0j, radius, n, radius <= eps, tuple(lam))], [list(range(n))]
+    centers = np.diag(B)
+    groups = [[i] for i in range(n)]
+    while True:
+        mid = np.array([centers[idx].mean() for idx in groups])
+        rad = up * np.array([(np.abs(centers[idx] - m) + rho[idx]).max()
+                             for idx, m in zip(groups, mid)])
+        merged = _overlap_components(mid, rad, 4 * _EPS * (np.abs(mid).max() + rad.max()))
+        if len(merged) == len(groups):
+            break
+        groups = [sorted(i for c in comp for i in groups[c]) for comp in merged]
+    order = np.lexsort((mid.imag, mid.real))
+    clusters = [RootCluster(complex(mid[k]), float(rad[k]), len(groups[k]), bool(rad[k] <= eps),
+                            tuple(lam[groups[k]])) for k in order]
+    return lam, X, clusters, [groups[k] for k in order]
 
+
+def approx_eigenpairs(A, eps: float, tau: float = 1e-6) -> tuple[list[ApproxEigenPair], bool]:
+    """Eigenpairs from the columns of LAPACK's eigenvector matrix, cluster by
+    cluster, kept while the running Gram matrix stays tau-independent;
+    returns (pairs, achieved) where achieved is False when some kept pair
+    misses the residual target."""
+    a = _coerce(A).entries
+    lam, X, clusters, groups = _eig_clusters(a, eps)
     pairs: list[ApproxEigenPair] = []
-    kept: list[np.ndarray] = []
     achieved = True
-    for cl in clusters:
-        for _attempt in range(cl.multiplicity):
-            lam = cl.center
-            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            v /= np.linalg.norm(v)
-            best_v, best_lam, best_res = v, lam, math.inf
-            shift = lam
-            for it in range(max_refine):
-                M = a - shift * np.eye(n)
-                try:
-                    w = np.linalg.solve(M, v)
-                except np.linalg.LinAlgError:
-                    shift = shift + (1e-12 + 1e-12j) * scale * (it + 1)
-                    continue
-                nw = np.linalg.norm(w)
-                if not np.isfinite(nw) or nw == 0:
-                    shift = shift + (1e-12 + 1e-12j) * scale * (it + 1)
-                    continue
-                v = w / nw
-                lam_r = complex(np.vdot(v, a @ v))
-                res = float(np.linalg.norm(a @ v - lam_r * v))
-                if res < best_res:
-                    best_v, best_lam, best_res = v.copy(), lam_r, res
-                if res <= eps * 0.25:
-                    break
-                # Rayleigh acceleration once the residual is small
-                if res < 1e-2 * scale:
-                    shift = lam_r
-            cert = _residual_certified(a, best_v, best_lam)
+    for cl, idxs in zip(clusters, groups):
+        for i in idxs:
             # independence: smallest eigenvalue of the Gram matrix of the
             # candidate set must stay above tau
-            cand = kept + [best_v]
-            G = np.array([[np.vdot(u, w) for w in cand] for u in cand])
-            gmin = float(np.linalg.eigvalsh(G).min())
-            if gmin < tau:
+            V = np.array([p.v_hat for p in pairs] + [X[:, i]])
+            if float(np.linalg.eigvalsh(V.conj() @ V.T).min()) < tau:
                 continue
+            cert = _residual_certified(a, X[:, i], lam[i])
             if cert.value + cert.radius > eps:
                 achieved = False
-            kept.append(best_v)
-            pairs.append(ApproxEigenPair(best_lam, best_v, cert, cl))
+            pairs.append(ApproxEigenPair(complex(lam[i]), X[:, i], cert, cl))
     return pairs, achieved
 
 
@@ -331,33 +358,22 @@ class StabilityVerdict:
 
 
 def hurwitz_verdict(A, eps: float) -> StabilityVerdict:
-    """Eigenvalue stability criterion on certified root disks.
+    """Eigenvalue stability criterion on the certified eigenvalue clusters.
 
-    stable: every disk strictly in the open left half-plane;
-    unstable: some disk strictly in the right half-plane; otherwise
-    undecided (a disk touches the axis at this resolution).
+    stable: every cluster strictly in the open left half-plane; unstable:
+    some cluster strictly in the right half-plane; otherwise undecided (a
+    cluster touches the imaginary axis).  eps only sets `converged`.
     """
-    A = _coerce(A)
-    if eps <= 0:
-        raise ArgumentError("eps must be positive")
-    coeffs, radii = char_poly(A)
-    clusters = approx_roots(coeffs, eps, coeff_radii=radii)
-    all_left = all(c.center.real + c.radius < 0 for c in clusters)
-    any_right = any(c.center.real - c.radius > 0 for c in clusters)
-    undecided_radius = any(not c.converged for c in clusters)
-    if all_left and not undecided_radius:
-        verdict = "stable"
-    elif any_right and not undecided_radius:
+    clusters = _eig_clusters(_coerce(A).entries, eps)[2]
+    # the margin's center and radius come from one cluster so the verdict
+    # inequalities hold against it: the rightmost certified disk for
+    # unstable, the disk bounding the maximum real part otherwise
+    worst = max(clusters, key=lambda c: c.center.real - c.radius)
+    if worst.center.real - worst.radius > 0:
         verdict = "unstable"
     else:
-        verdict = "undecided"
-    # the margin's center and radius must come from one cluster so the
-    # verdict inequalities hold against it: the rightmost certified disk
-    # for unstable, the disk bounding the maximum real part otherwise
-    if verdict == "unstable":
-        worst = max(clusters, key=lambda c: c.center.real - c.radius)
-    else:
         worst = max(clusters, key=lambda c: c.center.real + c.radius)
+        verdict = "stable" if worst.center.real + worst.radius < 0 else "undecided"
     margin = CertifiedReal(worst.center.real, worst.radius)
     return StabilityVerdict(verdict, margin, eps, tuple(clusters))
 

@@ -68,6 +68,48 @@ def test_eig_stable_matrix_exit_zero(tmp_path):
     assert record["numeric"]["max_residual"] <= 1e-8
 
 
+def test_eig_n32_exits_zero_with_certificate(tmp_path):
+    rng = np.random.default_rng(32)
+    q, _ = np.linalg.qr(rng.standard_normal((32, 32)))
+    A = q @ np.diag(rng.uniform(-2.0, -1.0, 32)) @ q.T
+    code, record, out = _run_cli(tmp_path, "eig", {"matrix": A.tolist(), "eps": 1e-8})
+    assert code == EXIT_OK
+    assert record["verdict"] == "stable"
+    assert record["numeric"]["n_pairs"] == 32
+    assert record["numeric"]["achieved"] == 1
+    assert len((out / "roots.csv").read_text().splitlines()) == 33
+
+
+@pytest.mark.parametrize(
+    "matrix,code,expected",
+    [
+        (
+            [[0.0, 1.0, 0.0], [-2.0, -3.0, 1.0], [0.0, 0.0, -0.5]],
+            EXIT_OK,
+            {"max_real_part": -0.5, "margin_radius": 4.0705884754746016e-14,
+             "max_residual": 9.125584676016687e-15, "n_pairs": 3, "achieved": 1},
+        ),
+        (
+            [[0.05, -1.0], [1.0, 0.05]],
+            1,
+            {"max_real_part": 0.05, "margin_radius": 5.668530230052401e-15,
+             "max_residual": 3.0860837387835997e-15, "n_pairs": 2, "achieved": 1},
+        ),
+        (
+            [[0.0, -1.0], [1.0, 0.0]],
+            EXIT_UNDECIDED,
+            {"max_real_part": 3.389636702121535e-32, "margin_radius": 5.701885557950257e-15,
+             "max_residual": 3.0156186059580457e-15, "n_pairs": 2, "achieved": 1},
+        ),
+    ],
+)
+def test_eig_numeric_fields_pinned(tmp_path, matrix, code, expected):
+    # recorded from the Gershgorin enclosure in the LAPACK eigenvector basis
+    got, record, _ = _run_cli(tmp_path, "eig", {"matrix": matrix, "eps": 1e-8})
+    assert got == code
+    assert record["numeric"] == {**expected, "eps": 1e-8}
+
+
 def test_ode_decay_trajectory(tmp_path):
     code, record, out = _run_cli(tmp_path, "ode", ODE_DECAY)
     assert code == EXIT_OK
@@ -218,12 +260,6 @@ def test_precision_audit_flag(tmp_path):
     rec = json.loads((out / "certificate.json").read_text())
     assert rec["precision_audit"]["eigen_mp_sound"] == 1.0
     assert rec["precision_audit"]["core_exact_sound"] == 1.0
-
-
-def test_workers_flag_accepted(tmp_path):
-    out = tmp_path / "out"
-    code = main(["audit", "--seed", "3", "--workers", "2", "--out", str(out)])
-    assert code == EXIT_OK
 
 
 def test_shh_failure_exit_one_with_diagnosis(tmp_path):

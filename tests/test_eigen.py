@@ -138,6 +138,19 @@ def test_roots_coefficient_round_trip():
         assert np.abs(back - coeffs).max() <= n * 1e-7 * scale
 
 
+def test_roots_coefficient_radii_bound_the_derivative():
+    # the per-root radius n |p| / |p'| must bound |p'| from below over every
+    # polynomial within the coefficient radii; with the radius on the cubic
+    # coefficient left out of |p'|, the family member p - 0.8 z^3 has a root
+    # near 2.67 outside every cluster
+    coeffs = np.poly([0.625, -0.25, 1.5, 0.5])
+    radii = np.array([0.0, 0.8, 0.0, 0.0, 0.0])
+    clusters = approx_roots(coeffs, 1e-3, coeff_radii=radii)
+    for sign in (-1.0, 0.0, 1.0):
+        for z in np.roots(coeffs + sign * radii):
+            assert any(abs(z - c.center) <= c.radius for c in clusters), (sign, z)
+
+
 def test_roots_rejects_degenerate_input():
     with pytest.raises(ArgumentError):
         approx_roots(np.array([1.0]), 1e-6)
@@ -282,3 +295,156 @@ def test_hurwitz_margin_invariants_random():
             assert v.margin.value + v.margin.radius < 0
         elif v.verdict == "unstable":
             assert v.margin.value - v.margin.radius > 0
+
+
+# ---------------------------------------------------------------------------
+# the LAPACK eigenbasis enclosure
+# ---------------------------------------------------------------------------
+
+def _symmetric_with_spectrum(rng, spectrum):
+    q, _ = np.linalg.qr(rng.standard_normal((len(spectrum), len(spectrum))))
+    return q @ np.diag(spectrum) @ q.T
+
+
+@pytest.mark.parametrize("n", [8, 12, 32])
+def test_symmetric_stable_spectrum_is_decided_with_every_pair(n):
+    rng = np.random.default_rng(n)
+    A = _symmetric_with_spectrum(rng, rng.uniform(-2.0, -1.0, n))
+    v = hurwitz_verdict(A, 1e-8)
+    assert v.verdict == "stable"
+    assert sum(c.multiplicity for c in v.clusters) == n
+    pairs, achieved = approx_eigenpairs(A, 1e-8)
+    assert achieved and len(pairs) == n
+
+
+def test_graded_diagonal_is_decided_with_every_pair():
+    A = np.diag(-1.0 - 0.1 * np.arange(10))
+    v = hurwitz_verdict(A, 1e-8)
+    assert v.verdict == "stable"
+    assert v.margin.value + v.margin.radius < 0
+    pairs, achieved = approx_eigenpairs(A, 1e-8)
+    assert achieved and len(pairs) == 10
+
+
+def _near_defective(rng):
+    """Jordan blocks (exact and perturbed by 1e-10), a nearly coalescent
+    triple, a double root and a dense similarity of a Jordan block."""
+    j3 = np.diag([-1.0, -1.0, -1.0]) + np.diag([1.0, 1.0], 1)
+    j2 = np.array([[0.5, 1.0], [0.0, 0.5]])
+    cases = [
+        j3,
+        j3 + 1e-10 * rng.standard_normal((3, 3)),
+        np.block([[j2, np.zeros((2, 2))], [np.zeros((2, 2)), np.diag([-2.0, 3.0])]]),
+        np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 1e-9], [1e-9, 0.0, 2.0]]),
+        np.array([[0.0, -1.0], [1.0, -2.0]]),  # companion of (lambda + 1)^2
+    ]
+    S = np.eye(4) + 0.3 * rng.standard_normal((4, 4))
+    cases.append(S @ cases[2] @ np.linalg.inv(S))
+    return cases
+
+
+def _frank(n):
+    """Frank matrix: real positive eigenvalues, the smallest ill-conditioned."""
+    i, j = np.indices((n, n))
+    return np.where(j >= i - 1, n - np.maximum(i, j), 0).astype(float)
+
+
+def _assert_clusters_hold_mp_eigenvalues(A, clusters):
+    # DERIVED oracle: eigenvalues at 50 digits (mpmath), independent of
+    # LAPACK; every one lies in exactly one cluster and each cluster holds
+    # exactly its multiplicity of them
+    import mpmath as mp
+
+    with mp.workdps(50):
+        lams = mp.eig(mp.matrix(np.asarray(A, dtype=complex).tolist()), left=False, right=False)
+        held = [0] * len(clusters)
+        for lam in lams:
+            inside = [k for k, c in enumerate(clusters)
+                      if mp.fabs(lam - mp.mpc(c.center)) <= mp.mpf(c.radius)]
+            assert len(inside) == 1, (A, lam)
+            held[inside[0]] += 1
+    assert held == [c.multiplicity for c in clusters]
+
+
+def test_clusters_hold_exactly_the_mp_eigenvalues():
+    rng = np.random.default_rng(61)
+    mats = []
+    for _ in range(12):
+        n = int(rng.integers(2, 11))
+        mats.append(rng.standard_normal((n, n)))
+        mats.append(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    mats.extend(_near_defective(rng))
+    mats.append(_frank(12))
+    for A in mats:
+        _assert_clusters_hold_mp_eigenvalues(A, hurwitz_verdict(A, 1e-8).clusters)
+
+
+def test_enclosure_holds_for_a_perturbed_basis(monkeypatch):
+    # the bound must hold for any basis X, not only for LAPACK's accurate
+    # one: a basis off by about 1e-3 puts entries of that size off the
+    # diagonal of R A X, and only the Gershgorin radii account for them
+    rng = np.random.default_rng(71)
+    lapack_eig = np.linalg.eig
+
+    def perturbed_eig(a):
+        lam, X = lapack_eig(a)
+        return lam, X @ (np.eye(len(lam)) + 1e-3 * rng.standard_normal(X.shape))
+
+    monkeypatch.setattr(np.linalg, "eig", perturbed_eig)
+    for _ in range(10):
+        n = int(rng.integers(2, 9))
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        clusters = hurwitz_verdict(A, 1e-8).clusters
+        assert max(c.radius for c in clusters) > 1e-6
+        _assert_clusters_hold_mp_eigenvalues(A, clusters)
+
+
+def test_boundary_spectrum_is_undecided():
+    # a rotation block puts eigenvalues +-i w on the axis; the computed
+    # centers land a rounding error left or right of it
+    rng = np.random.default_rng(73)
+    for n in range(2, 12):
+        d = np.diag(rng.uniform(-2.0, -1.0, n))
+        w = rng.uniform(0.5, 2.0)
+        d[0, 0] = d[1, 1] = 0.0
+        d[0, 1], d[1, 0] = -w, w
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        assert hurwitz_verdict(q @ d @ q.T, 1e-8).verdict == "undecided"
+
+
+def test_near_defective_verdicts_are_never_wrong():
+    rng = np.random.default_rng(67)
+    truths = ["stable", "stable", "unstable", "unstable", "stable", "unstable"]
+    for A, truth in zip(_near_defective(rng), truths):
+        assert hurwitz_verdict(A, 1e-8).verdict in (truth, "undecided")
+
+
+@pytest.mark.parametrize(
+    "lam,n,decided", [(0.0, 2, "undecided"), (-1.0, 2, "stable"), (0.0, 4, "undecided")]
+)
+def test_jordan_block_verdict_and_single_direction(lam, n, decided):
+    # the 4x4 block at 0 has no provably invertible eigenvector basis, so
+    # its one cluster is the norm disk |z| <= ||A||_inf
+    A = lam * np.eye(n) + np.diag(np.ones(n - 1), 1)
+    v = hurwitz_verdict(A, 1e-8)
+    assert v.verdict in (decided, "undecided")
+    assert sum(c.multiplicity for c in v.clusters) == n
+    assert any(abs(lam - c.center) <= c.radius for c in v.clusters)
+    pairs, _ = approx_eigenpairs(A, 1e-8)
+    assert len(pairs) == 1
+    assert abs(pairs[0].v_hat[0]) >= 0.99
+    assert pairs[0].residual.value <= 1e-8
+
+
+def test_frank_matrix_without_a_provable_basis_keeps_the_norm_disk():
+    # at n = 16 the enclosure still proves instability; at n = 20 the row
+    # sums of |I - R X| exceed 1, so only |z| <= ||A||_inf is certified
+    assert hurwitz_verdict(_frank(16), 1e-8).verdict == "unstable"
+    A = _frank(20)
+    v = hurwitz_verdict(A, 1e-8)
+    assert v.verdict == "undecided"
+    (cluster,) = v.clusters
+    assert cluster.center == 0 and cluster.multiplicity == 20
+    assert cluster.radius >= np.abs(A).sum(axis=1).max()
+    pairs, achieved = approx_eigenpairs(A, 1e-8)
+    assert achieved and 1 <= len(pairs) <= 20
