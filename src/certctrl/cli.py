@@ -376,7 +376,7 @@ def _task_certify(config, seed, out):
     )
     mesh_eps = float(config.get("mesh_eps", 0.002))
     t_samples = [float(t) for t in config.get("t_samples", [0.0])]
-    cert = stab.certify(data, box, mesh_eps, t_samples, rng=np.random.default_rng(seed))
+    cert = stab.certify(data, box, mesh_eps, t_samples)
     numeric = {
         "mesh_eps": mesh_eps,
         "sandwich_margin": cert.checks["sandwich"].margin,
@@ -391,6 +391,8 @@ def _task_certify(config, seed, out):
         ce = dict(cert.counterexample)
         if "point" in ce:
             ce["point"] = [float(v) for v in np.atleast_1d(ce["point"])]
+        if "pair" in ce:
+            ce["pair"] = [[float(v) for v in p] for p in ce["pair"]]
         payload["counterexample"] = ce
     return cert.verdict, numeric, payload
 

@@ -32,6 +32,7 @@ __all__ = [
     "mesh_divisions",
     "modulus_step",
     "located_distance",
+    "poly_eval",
     "snap_dyadic",
     "DEFAULT_MESH_BUDGET",
     "SNAP_BITS",
@@ -194,6 +195,14 @@ class CertifiedReal:
 
     def __repr__(self):
         return f"CertifiedReal({self.value!r} ± {self.radius!r})"
+
+
+def poly_eval(coeffs, x):
+    """Horner evaluation of sum_k coeffs[k] x^k, elementwise on arrays."""
+    out = np.zeros_like(np.asarray(x, dtype=float))
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
 
 
 class Modulus:

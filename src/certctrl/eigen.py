@@ -160,6 +160,8 @@ def approx_roots(
     if abs(coeffs[0] - 1.0) > 1e-12:
         if coeffs[0] == 0:
             raise ArgumentError("leading coefficient must be nonzero")
+        if coeff_radii is not None:
+            coeff_radii = np.asarray(coeff_radii) / abs(coeffs[0])
         coeffs = coeffs / coeffs[0]
     n = coeffs.size - 1
     if eps <= 0:
@@ -330,7 +332,7 @@ def approx_eigenpairs(A, eps: float, tau: float = 1e-6) -> tuple[list[ApproxEige
     """Eigenpairs from the columns of LAPACK's eigenvector matrix, cluster by
     cluster, kept while the running Gram matrix stays tau-independent;
     returns (pairs, achieved) where achieved is False when some kept pair
-    misses the residual target."""
+    misses the residual target or fewer than n pairs are kept."""
     a = _coerce(A).entries
     lam, X, clusters, groups = _eig_clusters(a, eps)
     pairs: list[ApproxEigenPair] = []
@@ -346,7 +348,7 @@ def approx_eigenpairs(A, eps: float, tau: float = 1e-6) -> tuple[list[ApproxEige
             if cert.value + cert.radius > eps:
                 achieved = False
             pairs.append(ApproxEigenPair(complex(lam[i]), X[:, i], cert, cl))
-    return pairs, achieved
+    return pairs, achieved and len(pairs) == a.shape[0]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ArgumentError, Hypercube, Modulus
+from .core import ArgumentError, Hypercube, Modulus, poly_eval
 from .stability import Comparator
 
 __all__ = [
@@ -44,14 +44,6 @@ class ScalarForm:
         return Modulus.lipschitz(self.lipschitz_on(radius))
 
 
-def _poly_eval(coeffs, x):
-    # coeffs[k] multiplies x^k
-    out = np.zeros_like(np.asarray(x, dtype=float))
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
-
-
 def poly_derivative(coeffs):
     return [k * c for k, c in enumerate(coeffs)][1:] or [0.0]
 
@@ -69,14 +61,14 @@ def _poly_form(coeffs) -> ScalarForm:
     d = poly_derivative(coeffs)
 
     def lip(radius: float) -> float:
-        return float(_poly_eval([abs(c) for c in d], radius)) if d else 0.0
+        return float(poly_eval([abs(c) for c in d], radius)) if d else 0.0
 
     deriv = ScalarForm(
-        lambda x, d=d: _poly_eval(d, x),
-        lambda r, dd=poly_derivative(d): float(_poly_eval([abs(c) for c in dd], r)) if dd else 0.0,
+        lambda x, d=d: poly_eval(d, x),
+        lambda r, dd=poly_derivative(d): float(poly_eval([abs(c) for c in dd], r)) if dd else 0.0,
         spec={"form": "polynomial", "coeffs": d},
     )
-    return ScalarForm(lambda x, c=coeffs: _poly_eval(c, x), lip, deriv,
+    return ScalarForm(lambda x, c=coeffs: poly_eval(c, x), lip, deriv,
                       spec={"form": "polynomial", "coeffs": coeffs})
 
 
@@ -149,33 +141,15 @@ def build_scalar_form(spec: dict) -> ScalarForm:
 
 
 def build_comparator(spec: dict, box: Hypercube, name: str = "") -> Comparator:
-    """Positive-definite comparator from a radial polynomial
-    w(x) = sum_k c_k |x|^k (k >= 1, coefficients >= 0, some positive),
-    with a strict-increase witness from the coefficient bounds."""
+    """Comparator from a radial polynomial w(x) = sum_k c_k |x|^k
+    (k >= 1, coefficients >= 0, some positive), with its Lipschitz
+    modulus on the box."""
     if spec.get("form") != "radial_poly":
         raise ArgumentError("comparators must use the radial_poly form")
-    coeffs = [float(c) for c in spec["coeffs"]]
-    if not coeffs or any(c < 0 for c in coeffs) or all(c == 0 for c in coeffs):
-        raise ArgumentError("radial_poly needs non-negative coefficients, not all zero")
+    coeffs = tuple(float(c) for c in spec["coeffs"])
     R = box.diameter / 2.0
-    # w(x) = sum c_k |x|^k with k starting at 1
-    full = [0.0] + coeffs
-
-    def fn(xs):
-        r = np.linalg.norm(np.atleast_2d(xs), axis=1)
-        return _poly_eval(full, r)
-
-    lip = float(_poly_eval([abs(c) for c in poly_derivative(full)], R))
-
-    def nu(x, y):
-        # half the exact radial increment: monotone in |x| with positive
-        # coefficients, so this is a sound strict-increase witness
-        rx = float(np.linalg.norm(np.atleast_1d(x)))
-        ry = float(np.linalg.norm(np.atleast_1d(y)))
-        gap = float(_poly_eval(full, ry) - _poly_eval(full, rx))
-        return 0.5 * gap
-
-    return Comparator(fn, Modulus.lipschitz(lip), nu=nu, name=name or spec.get("name", ""))
+    lip = float(poly_eval([abs(c) for c in poly_derivative((0.0,) + coeffs)], R))
+    return Comparator(coeffs, Modulus.lipschitz(lip), name=name or spec.get("name", ""))
 
 
 def parse_complex_matrix(text: str) -> np.ndarray:

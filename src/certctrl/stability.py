@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,6 +36,7 @@ from .core import (
     ResourceBudgetError,
     build_mesh,
     mesh_divisions,
+    poly_eval,
 )
 from .trajectories import ControlledDynamics, RegularRHS, picard_plan, picard_rows
 
@@ -57,40 +59,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Comparator:
-    """Positive-definite comparison function with certificate data: a
-    modulus for inter-node slack and a strict-increase witness nu with
-    w(y) - w(x) > nu(x, y) > 0 whenever |x| < |y| (rational points)."""
+    """Radial polynomial comparator w(x) = sum_k coeffs[k-1] |x|^k (k >= 1)
+    with finite, non-negative coefficients, not all zero: positive definite
+    and strictly increasing in |x|.  The modulus covers inter-node slack."""
 
-    fn: Callable[[np.ndarray], np.ndarray]  # (B, n) -> (B,)
+    coeffs: tuple
     modulus: Modulus
-    nu: Optional[Callable] = None
     eval_radius: float = 1e-12
     name: str = ""
 
-    def __call__(self, xs: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(np.atleast_2d(xs)), dtype=float)
+    def __post_init__(self):
+        coeffs = tuple(float(c) for c in self.coeffs)
+        if not all(math.isfinite(c) and c >= 0 for c in coeffs) or not any(coeffs):
+            raise ArgumentError(
+                f"comparator {self.name!r} needs finite non-negative coefficients, not all zero"
+            )
+        object.__setattr__(self, "coeffs", coeffs)
 
-    def validate_witness(self, rng: np.random.Generator, box: Hypercube, n_pairs: int = 64):
-        if self.nu is None:
-            raise ContractError(f"comparator {self.name or ''} lacks a strict-increase witness")
-        pts = box.sample(rng, 2 * n_pairs)
-        pts = np.round(pts * 1024) / 1024  # rational sample points
-        for i in range(n_pairs):
-            x, y = pts[2 * i], pts[2 * i + 1]
-            if np.linalg.norm(x) >= np.linalg.norm(y):
-                x, y = y, x
-            if np.linalg.norm(x) == np.linalg.norm(y):
-                continue
-            gap = float(self.nu(x, y))
-            if gap <= 0:
-                raise ContractError("witness returned a non-positive gap")
-            wx = float(self(x[None, :])[0])
-            wy = float(self(y[None, :])[0])
-            if not wy - wx > gap - 2 * self.eval_radius:
-                raise ContractError(
-                    f"witness gap {gap} not honored at |x|={np.linalg.norm(x)}, "
-                    f"|y|={np.linalg.norm(y)}"
-                )
+    def __call__(self, xs: np.ndarray) -> np.ndarray:
+        return poly_eval((0.0,) + self.coeffs, np.linalg.norm(np.atleast_2d(xs), axis=1))
 
 
 @dataclass(frozen=True)
@@ -120,7 +107,7 @@ class LyapunovData:
 @dataclass(frozen=True)
 class CheckResult:
     verdict: str  # "certified" | "counterexample" | "undecided"
-    margin: float  # worst node margin (normalized for the growth check)
+    margin: float  # worst node margin; the slope surplus c_1 - xi for the growth check
     counterexample: object = None
     covered_radius: Optional[float] = None  # annulus from which moduli cover gaps
     details: dict = field(default_factory=dict)
@@ -240,45 +227,45 @@ def check_decay(data: LyapunovData, box: Hypercube, mesh_eps: float, t_samples) 
     return _two_sided_verdict(pts, norms, margins, eval_r, slack, box, t_of=worst_t)
 
 
-def check_linear_growth(
-    w2: Comparator, xi: float, box: Hypercube, mesh_eps: float, min_gap: Optional[float] = None
-) -> CheckResult:
-    """w2(x) - w2(y) >= xi (|x| - |y|) over ordered mesh pairs.
+def check_linear_growth(w2: Comparator, xi: float, box: Hypercube) -> CheckResult:
+    """w2(x) - w2(y) >= xi (|x| - |y|) for all |x| >= |y|, decided exactly.
 
-    The margin is the normalized slope surplus
-    (w2(x) - w2(y) - xi (|x| - |y|)) / (|x| - |y|), evaluated over pairs
-    with a norm gap of at least min_gap (equal-norm pairs are structural
-    equalities).  Certified requires a strictly positive worst slope;
-    zero surplus (w2 = xi |x|) is the boundary case and stays undecided.
+    w2 = phi(|x|) with phi(r) = sum_k c_k r^k, c_k >= 0, is convex on
+    r >= 0, so the infimum of (phi(r) - phi(s)) / (r - s) over r > s >= 0
+    is phi'(0) = c_1, and the margin is the slope surplus c_1 - xi.  Zero
+    surplus (w2 = xi |x|) is the boundary case and stays undecided.  When
+    c_1 < xi the counterexample is a pair (0, r e_1) in the box with
+    phi(r) < xi r, checked in exact rational arithmetic; without such a
+    pair (the box misses the origin, or no double r > 0 violates) the
+    verdict is undecided.
     """
-    if xi <= 0:
+    if not xi > 0:
         raise ArgumentError("xi must be positive")
-    pts, norms = _origin_excluded_nodes(box, mesh_eps)
-    if min_gap is None:
-        min_gap = mesh_eps / 2.0
-    w = w2(pts)
-    worst = math.inf
-    worst_pair = None
-    for i in range(pts.shape[0]):
-        gaps = norms[i] - norms
-        ok = gaps >= min_gap
-        if not np.any(ok):
-            continue
-        slopes = (w[i] - w[ok] - xi * gaps[ok]) / gaps[ok]
-        j = int(np.argmin(slopes))
-        if slopes[j] < worst:
-            worst = float(slopes[j])
-            worst_pair = (pts[i], pts[ok][j])
-    if worst_pair is None:
-        raise ArgumentError("mesh has no ordered pairs at this resolution")
-    eval_r = 2.0 * w2.eval_radius / min_gap
-    if worst < -eval_r:
+    margin = w2.coeffs[0] - xi
+    if w2.coeffs[0] > xi:
+        return CheckResult("certified", margin)
+    if w2.coeffs[0] == xi:
+        return CheckResult("undecided", margin, details={"hint": "zero slope margin"})
+    if not (np.all(box.lo <= 0.0) and np.all(box.hi >= 0.0)):
         return CheckResult(
-            "counterexample", worst, {"pair": worst_pair, "slope_margin": worst}
+            "undecided", margin, details={"hint": "the box does not contain the origin"}
         )
-    if worst <= eval_r:
-        return CheckResult("undecided", worst, details={"hint": "zero slope margin"})
-    return CheckResult("certified", worst, covered_radius=None)
+    # phi(r) < xi r holds on an interval (0, r*): halve r from the far end
+    # of the box along +e_1 or -e_1, whichever reaches further
+    sign = 1.0 if box.hi[0] >= -box.lo[0] else -1.0
+    r = float(max(box.hi[0], -box.lo[0]))
+    while r > 0:
+        q = Fraction(r)
+        surplus = sum(Fraction(c) * q ** k for k, c in enumerate(w2.coeffs)) - Fraction(xi)
+        if surplus < 0:  # phi(r) - xi r = r * surplus
+            y = np.zeros(box.dim)
+            y[0] = sign * r
+            return CheckResult(
+                "counterexample", margin,
+                {"pair": (np.zeros(box.dim), y), "slope_margin": float(surplus)},
+            )
+        r /= 2.0
+    return CheckResult("undecided", margin, details={"hint": "no violating pair in floating point"})
 
 
 @dataclass(frozen=True)
@@ -317,23 +304,14 @@ class StabilityCertificate:
     counterexample: object = None
 
 
-def certify(
-    data: LyapunovData,
-    box: Hypercube,
-    mesh_eps: float,
-    t_samples,
-    rng: Optional[np.random.Generator] = None,
-) -> StabilityCertificate:
+def certify(data: LyapunovData, box: Hypercube, mesh_eps: float, t_samples) -> StabilityCertificate:
     """Combine the three condition checks; on success construct
     X0 = {w2 <= min of w1 on the inscribed sphere} (one valid choice, not
     claimed maximal)."""
-    rng = rng if rng is not None else np.random.default_rng(0)
-    for w in (data.w1, data.w2, data.w3):
-        w.validate_witness(rng, box)
     checks = {
         "sandwich": check_sandwich(data, box, mesh_eps, t_samples),
         "decay": check_decay(data, box, mesh_eps, t_samples),
-        "linear_growth": check_linear_growth(data.w2, data.xi, box, mesh_eps),
+        "linear_growth": check_linear_growth(data.w2, data.xi, box),
     }
     tolerances = {"mesh_eps": mesh_eps, "xi": data.xi}
     for name, res in checks.items():
@@ -379,7 +357,6 @@ class CLFProblem:
     v_lipschitz: float
     target_radius: float  # r
     overshoot_radius: float  # R
-    w3: Optional[Comparator] = None
     v_radius: float = 1e-12
 
     def __post_init__(self):

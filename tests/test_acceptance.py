@@ -17,6 +17,7 @@ from certctrl import evt
 from certctrl import selector as sel
 from certctrl import stability as stab
 from certctrl import trajectories as traj
+from certctrl.forms import build_comparator
 
 UNIT = Hypercube(np.array([0.5]), 1.0)
 GRID = np.linspace(0.0, 1.0, 401).reshape(-1, 1)
@@ -358,18 +359,17 @@ def test_acceptance_5_caratheodory():
 # ---------------------------------------------------------------------------
 
 def _lyap(vdot_sign):
-    def comp(fn, lip, name):
-        def nu(x, y, f=fn):
-            return 0.5 * (float(f(np.atleast_2d(y))[0]) - float(f(np.atleast_2d(x))[0]))
+    box = Hypercube(np.array([0.0]), 2.0)
 
-        return stab.Comparator(fn, Modulus.lipschitz(lip), nu=nu, name=name)
+    def comp(coeffs, name):
+        return build_comparator({"form": "radial_poly", "coeffs": coeffs}, box, name)
 
     return stab.LyapunovData(
         V=lambda xs, t: xs[:, 0] ** 2,
         Vdot=lambda xs, t, s=vdot_sign: s * 2.0 * xs[:, 0] ** 2,
-        w1=comp(lambda xs: 0.5 * xs[:, 0] ** 2, 1.0, "w1"),
-        w2=comp(lambda xs: 2.0 * np.abs(xs[:, 0]), 2.0, "w2"),
-        w3=comp(lambda xs: xs[:, 0] ** 2, 2.0, "w3"),
+        w1=comp([0.0, 0.5], "w1"),
+        w2=comp([2.0], "w2"),
+        w3=comp([0.0, 1.0], "w3"),
         xi=1.0,
         v_modulus_x=Modulus.lipschitz(2.0),
         v_modulus_t=Modulus.lipschitz(0.0),

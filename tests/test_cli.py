@@ -53,6 +53,18 @@ def test_certify_unstable_counterexample_exit(tmp_path):
     assert record["payload"]["counterexample"]["check"] == "decay"
 
 
+def test_certify_growth_counterexample_exit(tmp_path):
+    # w2 = 2|x|^2 has slope 0 at the origin, below xi = 1
+    cfg = dict(CERTIFY_DECAY, w2={"form": "radial_poly", "coeffs": [0.0, 2.0]})
+    code, record, out = _run_cli(tmp_path, "certify", cfg)
+    assert code == 1
+    assert record["verdict"] == "counterexample"
+    ce = record["payload"]["counterexample"]
+    assert ce["check"] == "linear_growth"
+    (y,), (x,) = ce["pair"]
+    assert y == 0.0 and 0 < abs(x) <= 1 and 2.0 * x * x < abs(x)
+
+
 def test_eig_rotation_matrix_file_undecided(tmp_path):
     mat = tmp_path / "rot.txt"
     mat.write_text("0,0 -1,0\n1,0 0,0\n")

@@ -151,6 +151,16 @@ def test_roots_coefficient_radii_bound_the_derivative():
             assert any(abs(z - c.center) <= c.radius for c in clusters), (sign, z)
 
 
+def test_roots_scale_radii_with_the_leading_coefficient():
+    # 2z^2 - 2 within radius 1 on the constant is z^2 - 1 within radius 0.5
+    scaled = approx_roots(np.array([2.0, 0.0, -2.0]), 1e-3, coeff_radii=np.array([0.0, 0.0, 1.0]))
+    monic = approx_roots(np.array([1.0, 0.0, -1.0]), 1e-3, coeff_radii=np.array([0.0, 0.0, 0.5]))
+    assert [(c.center, c.radius, c.multiplicity) for c in scaled] == [
+        (c.center, c.radius, c.multiplicity) for c in monic
+    ]
+    assert len(monic) == 2
+
+
 def test_roots_rejects_degenerate_input():
     with pytest.raises(ArgumentError):
         approx_roots(np.array([1.0]), 1e-6)
@@ -446,5 +456,15 @@ def test_frank_matrix_without_a_provable_basis_keeps_the_norm_disk():
     (cluster,) = v.clusters
     assert cluster.center == 0 and cluster.multiplicity == 20
     assert cluster.radius >= np.abs(A).sum(axis=1).max()
+    # the tau-Gram filter keeps fewer than 20 pairs, so the target is missed
     pairs, achieved = approx_eigenpairs(A, 1e-8)
-    assert achieved and 1 <= len(pairs) <= 20
+    assert not achieved and 1 <= len(pairs) < 20
+
+
+def test_eigenpairs_not_achieved_with_missing_pairs():
+    # the tau-Gram filter drops nearly parallel eigenvectors of the Frank
+    # matrix of order 12, so fewer than n pairs come back
+    A = _frank(12)
+    pairs, achieved = approx_eigenpairs(A, 1e-8)
+    assert len(pairs) < 12
+    assert not achieved

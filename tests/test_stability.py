@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,26 +28,28 @@ from certctrl.stability import (
     _annulus_nodes,
     _simulate_closed_loop,
 )
+from certctrl.forms import build_comparator
 from certctrl.trajectories import ControlledDynamics, RegularRHS, picard_solve
 
 BOX = Hypercube(np.array([0.0]), 2.0)  # [-1, 1]
 
 
-def comparator(fn, lip, name=""):
-    def nu(x, y, f=fn):
-        wy = float(f(np.atleast_2d(y))[0])
-        wx = float(f(np.atleast_2d(x))[0])
-        return 0.5 * (wy - wx)
-
-    return Comparator(fn, Modulus.lipschitz(lip), nu=nu, name=name)
+def comparator(coeffs, name=""):
+    return build_comparator({"form": "radial_poly", "coeffs": coeffs}, BOX, name)
 
 
-W_HALF_SQ = comparator(lambda xs: 0.5 * xs[:, 0] ** 2, 1.0, "x^2/2")
-W_TWO_SQ = comparator(lambda xs: 2.0 * xs[:, 0] ** 2, 4.0, "2x^2")
-W_TWO_ABS = comparator(lambda xs: 2.0 * np.abs(xs[:, 0]), 2.0, "2|x|")
-W_ABS = comparator(lambda xs: np.abs(xs[:, 0]), 1.0, "|x|")
-W_SQ = comparator(lambda xs: xs[:, 0] ** 2, 2.0, "x^2")
-W_QUARTIC = comparator(lambda xs: xs[:, 0] ** 4, 4.0, "x^4")
+W_HALF_SQ = comparator([0.0, 0.5], "x^2/2")
+W_TWO_SQ = comparator([0.0, 2.0], "2x^2")
+W_TWO_ABS = comparator([2.0], "2|x|")
+W_ABS = comparator([1.0], "|x|")
+W_SQ = comparator([0.0, 1.0], "x^2")
+W_QUARTIC = comparator([0.0, 0.0, 0.0, 1.0], "x^4")
+
+
+def test_comparator_moduli_match_hand_derived():
+    # DERIVED: the Lipschitz constant of phi(|x|) on [-1, 1] is phi'(1)
+    ws = (W_HALF_SQ, W_TWO_SQ, W_TWO_ABS, W_ABS, W_SQ, W_QUARTIC)
+    assert [w.modulus.lipschitz_constant for w in ws] == [1.0, 4.0, 2.0, 1.0, 2.0, 4.0]
 
 
 def lyapunov_decay(vdot_factor=-2.0, w3=W_SQ):
@@ -111,8 +114,8 @@ def test_sandwich_time_varying_family():
     data = LyapunovData(
         V=lambda xs, t: xs[:, 0] ** 2 * (1.0 + 0.1 * math.sin(t)),
         Vdot=lambda xs, t: -2.0 * xs[:, 0] ** 2,
-        w1=comparator(lambda xs: 0.8 * xs[:, 0] ** 2, 1.6, "0.8x^2"),
-        w2=comparator(lambda xs: 1.2 * xs[:, 0] ** 2, 2.4, "1.2x^2"),
+        w1=comparator([0.0, 0.8], "0.8x^2"),
+        w2=comparator([0.0, 1.2], "1.2x^2"),
         w3=W_SQ,
         xi=1.0,
         v_modulus_x=Modulus.lipschitz(2.2),
@@ -168,26 +171,93 @@ def test_decay_cubic_system_quartic_rate():
 # ---------------------------------------------------------------------------
 
 def test_linear_growth_certified():
-    res = check_linear_growth(W_TWO_ABS, 1.0, BOX, 0.05)
+    res = check_linear_growth(W_TWO_ABS, 1.0, BOX)
     assert res.verdict == "certified"
     assert res.margin == pytest.approx(1.0, abs=1e-6)
 
 
 def test_linear_growth_counterexample_quadratic_flatness():
     # DERIVED: pairs with small norms violate (slope x + y < 1 near 0)
-    res = check_linear_growth(W_SQ, 1.0, BOX, 0.05)
+    res = check_linear_growth(W_SQ, 1.0, BOX)
     assert res.verdict == "counterexample"
 
 
 def test_linear_growth_boundary_case_undecided():
-    res = check_linear_growth(W_ABS, 1.0, BOX, 0.05)
+    res = check_linear_growth(W_ABS, 1.0, BOX)
     assert res.verdict == "undecided"
     assert abs(res.margin) <= 1e-9
 
 
 def test_linear_growth_rejects_bad_xi():
     with pytest.raises(ArgumentError):
-        check_linear_growth(W_TWO_ABS, 0.0, BOX, 0.05)
+        check_linear_growth(W_TWO_ABS, 0.0, BOX)
+
+
+def _violates_exactly(w, xi, pair):
+    """w(x) - w(y) < xi (|x| - |y|) in rational arithmetic, for a pair of
+    one-dimensional points."""
+    lo, hi = sorted(abs(Fraction(float(p[0]))) for p in pair)
+    phi = lambda r: sum(Fraction(c) * r ** (k + 1) for k, c in enumerate(w.coeffs))
+    return lo < hi and phi(hi) - phi(lo) < Fraction(xi) * (hi - lo)
+
+
+def test_linear_growth_refutes_quadratic_at_small_xi():
+    # DERIVED: |x|^2 < 0.003 |x| for every 0 < |x| < 0.003
+    w = comparator([0.0, 1.0], "|x|^2")
+    res = check_linear_growth(w, 0.003, BOX)
+    assert res.verdict == "counterexample"
+    assert res.margin == -0.003
+    pair = res.counterexample["pair"]
+    assert all(BOX.contains(p) for p in pair)
+    assert _violates_exactly(w, 0.003, pair)
+
+
+def test_linear_growth_randomized_radial_polynomials():
+    rng = np.random.default_rng(2025)
+    box = Hypercube(np.array([0.0]), 2.0)
+    grid = np.arange(-256, 257) / 256.0  # dyadic, origin included
+    seen = set()
+    for trial in range(60):
+        deg = int(rng.integers(1, 5))
+        coeffs = [float(v) for v in np.round(rng.uniform(0.0, 2.0, deg) * 64) / 64]
+        if trial % 3 == 0:
+            coeffs[0] = 0.0
+        if not any(coeffs):
+            coeffs[-1] = 1.0
+        w = build_comparator({"form": "radial_poly", "coeffs": coeffs}, box)
+        c1 = coeffs[0]
+        for xi in (c1 + 0.25, c1 * 0.5 + 0.01, c1 - 0.125):
+            if xi <= 0:
+                continue
+            res = check_linear_growth(w, xi, box)
+            seen.add(res.verdict)
+            if res.verdict == "certified":
+                assert res.margin == c1 - xi > 0
+                vals = w(grid[:, None])
+                r = np.abs(grid)
+                dr = r[:, None] - r[None, :]
+                dw = vals[:, None] - vals[None, :]
+                ordered = dr > 0
+                assert np.all(dw[ordered] / dr[ordered] > xi)
+            else:
+                assert res.verdict == "counterexample" and c1 < xi
+                pair = res.counterexample["pair"]
+                assert all(box.contains(p) for p in pair)
+                assert _violates_exactly(w, xi, pair)
+    assert seen == {"certified", "counterexample"}
+
+
+def test_linear_growth_refutation_needs_the_origin():
+    far = Hypercube(np.array([2.0]), 2.0)  # [1, 3]: |x|^2 has slope >= 2 there
+    res = check_linear_growth(comparator([0.0, 1.0]), 1.0, far)
+    assert res.verdict == "undecided"
+    left = Hypercube(np.array([-0.75]), 2.0)  # [-1.75, 0.25]
+    res = check_linear_growth(comparator([0.0, 1.0]), 1.0, left)
+    assert res.verdict == "counterexample"
+    assert res.counterexample["pair"][1][0] < 0 and left.contains(res.counterexample["pair"][1])
+    # 1e308 |x|^2 < 1e-300 |x| only for 0 < |x| < 1e-608, below every double
+    res = check_linear_growth(comparator([0.0, 1e308]), 1e-300, BOX)
+    assert res.verdict == "undecided"
 
 
 # ---------------------------------------------------------------------------
@@ -242,15 +312,12 @@ def test_certified_instance_trajectories_decrease_v():
         assert np.all(v >= w1v - 1e-9) and np.all(v <= w2v + 1e-9)
 
 
-def test_witness_validation_catches_bad_nu():
-    bad = Comparator(
-        lambda xs: np.abs(xs[:, 0]),
-        Modulus.lipschitz(1.0),
-        nu=lambda x, y: 10.0,  # absurd gap claim
-        name="bad",
-    )
-    with pytest.raises(ContractError):
-        bad.validate_witness(np.random.default_rng(0), BOX)
+def test_comparator_rejects_bad_coefficients():
+    for coeffs in ([1.0, -0.5], [float("nan"), 1.0], [0.0, float("inf")], [0.0, 0.0], []):
+        with pytest.raises(ArgumentError):
+            Comparator(coeffs, Modulus.lipschitz(1.0), name="bad")
+        with pytest.raises(ArgumentError):
+            build_comparator({"form": "radial_poly", "coeffs": coeffs}, BOX)
 
 
 # ---------------------------------------------------------------------------
