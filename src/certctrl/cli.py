@@ -200,9 +200,7 @@ def _task_selector(config, seed, out):
     eps = float(config["eps"])
     budget = Fraction(str(config.get("exception_budget", "1/100")))
     selector = sel.extract_selector(F, eps)
-    rng = np.random.default_rng(seed)
-    pts = selector.domain.sample_off_exception(rng, int(config.get("samples", 1000)), budget)
-    dists = [F.located_distance_to(x, selector(x)) for x in pts]
+    verdict, max_distance, witness = sel.certify_selector(F, selector, budget)
     _write_csv(
         out / "selector.csv",
         "lo,hi,value",
@@ -212,12 +210,14 @@ def _task_selector(config, seed, out):
     numeric = {
         "eps": eps,
         "n_pieces": len(selector.pieces),
-        "max_distance": max(dists),
+        "max_distance": max_distance,
         "exception_volume": float(selector.domain.exception(budget).volume_exact()),
         "proper": 1 if selector.proper() else 0,
     }
-    ok = numeric["proper"] == 1 and numeric["max_distance"] <= eps + 1e-12
-    return ("certified" if ok else "counterexample"), numeric, {"selector_file": "selector.csv"}
+    payload = {"selector_file": "selector.csv"}
+    if witness is not None:
+        payload["witness"] = witness
+    return verdict, numeric, payload
 
 
 def _task_eig(config, seed, out):
@@ -452,10 +452,7 @@ def _task_audit(config, seed, out):
         ),
     )
     s = sel.extract_selector(F, 0.125)
-    pts = s.domain.sample_off_exception(rng, 400, Fraction(1, 100))
-    numeric["selector_max_distance"] = max(
-        F.located_distance_to(x, s(x)) for x in pts
-    )
+    selector_verdict, numeric["selector_max_distance"], _ = sel.certify_selector(F, s, Fraction(1, 100))
     numeric["selector_pieces"] = float(len(s.pieces))
 
     # eigen: residuals over random matrices
@@ -507,7 +504,7 @@ def _task_audit(config, seed, out):
         and numeric["mesh_cover_worst"] <= 0.25
         and numeric["eigen_worst_residual"] <= 1e-8
         and numeric["eigen_all_achieved"] == 1.0
-        and numeric["selector_max_distance"] <= 0.125
+        and selector_verdict == "certified"
         and numeric["ode_endpoint_error"] <= 1e-5
         and numeric["danskin_spread"] <= 0.3 + numeric["danskin_slack"]
     )

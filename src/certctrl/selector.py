@@ -11,9 +11,10 @@ form a dyadic mesh on [0, 1], the sets
     C_i = {x : |r_i - Fhat(x)| <= 2^-k - margin}
     D_i = {x : |r_i - f_{k-1}(x)| <= 2^-(k-1) - margin}
 
-are computed exactly (both functions are block-constant), their
-intersections are made disjoint by countable reduction, and f_k takes
-value r_i on the reduced pieces.
+are computed exactly (both functions are block-constant), and f_k takes
+on each piece the first r_i whose C_i and D_i contain it.  The pieces are
+interior-disjoint, so this is what countable reduction of the C_i & D_i
+gives, without splitting a piece.
 
 The recursion is seeded with the codomain midpoint: seeding with 0 (the
 bottom endpoint) strands chunks with values above 3/4 because the stage-2
@@ -53,6 +54,7 @@ __all__ = [
     "simple_approx",
     "extract_selector",
     "refine_selector",
+    "certify_selector",
 ]
 
 STRICTNESS_MARGIN_SHIFT = 4  # strict sets realized as closed sets shrunk by 2^-(k+4)
@@ -169,10 +171,6 @@ class GeneralizedBlock:
     @classmethod
     def of(cls, *blocks) -> "GeneralizedBlock":
         return cls(tuple(blocks))
-
-    @property
-    def locally_finitely_enumerable(self) -> bool:
-        return not self.infinite
 
     @property
     def proper(self) -> bool:
@@ -322,7 +320,6 @@ class RegularSVF:
     domain_blocks: tuple  # tuple[Block]
     chunks_per_block: tuple  # tuple[tuple[Chunk, ...]]
     value_range: tuple = (Fraction(0), Fraction(1))
-    inverse_generator: Optional[Callable] = None
 
     def __post_init__(self):
         if len(self.domain_blocks) != len(self.chunks_per_block):
@@ -401,13 +398,6 @@ class Selector:
                 return float(val)
         return None
 
-    def value_exact(self, x) -> Optional[Fraction]:
-        xf = [_frac(v) for v in np.atleast_1d(x)]
-        for b, val in self.pieces:
-            if b.contains(xf):
-                return val
-        return None
-
     def proper(self) -> bool:
         return GeneralizedBlock(tuple(b for b, _ in self.pieces)).proper
 
@@ -476,13 +466,6 @@ def simple_approx(F: RegularSVF, delta: float, max_blocks: int = 200_000):
 # selector extraction
 # ---------------------------------------------------------------------------
 
-def _stage_mesh(k: int) -> list:
-    """Dyadic mesh on [0, 1] with spacing 2^-(k+1) (covering radius
-    2^-(k+2), strictly finer than the 2^-(k+1) the recursion needs)."""
-    n = 1 << (k + 1)
-    return [Fraction(j, n) for j in range(n + 1)]
-
-
 def _rescaled(F: RegularSVF):
     lo, hi = F.value_range
     scale = hi - lo
@@ -507,59 +490,40 @@ def _clip_unit(iv):
 
 
 def _run_stages(fhat: SimpleSVF, n_stages: int, snapshot=None):
-    """The staged recursion; pieces never split because the C/D conditions
-    are constant per piece, so countable reduction cancels whole blocks."""
+    """The staged recursion.  At stage k the candidate values are the
+    dyadic mesh j / 2^(k+1) on [0, 1] (covering radius 2^-(k+2), strictly
+    finer than the 2^-(k+1) the recursion needs).  The C/D conditions are
+    constant per piece, so each piece keeps its block and takes the first
+    qualifying mesh value; pieces are listed mesh value first, then in
+    their previous order, as countable reduction of the C & D sets lists
+    them."""
     # current pieces: (block, value, frozen chunk intervals)
-    pieces = [
-        (b, Fraction(1, 2), tuple(_clip_unit(iv) for iv in vals)) for b, vals in fhat.pieces
-    ]
-    margin_shift = STRICTNESS_MARGIN_SHIFT
+    pieces = [(b, Fraction(1, 2), tuple(map(_clip_unit, vals))) for b, vals in fhat.pieces if b.volume() > 0]
     for k in range(1, n_stages + 1):
-        mesh = _stage_mesh(k)
-        t_c = Fraction(1, 1 << k) - Fraction(1, 1 << (k + margin_shift))
-        t_d = Fraction(1, 1 << (k - 1)) - Fraction(1, 1 << (k + margin_shift))
-        a_sets = []
-        qualifying = []  # parallel: list of (piece index list) per r
-        for r in mesh:
-            idxs = [
-                i
-                for i, (b, fval, fvals) in enumerate(pieces)
-                if SimpleSVF.interval_distance(r, fvals) <= t_c and abs(r - fval) <= t_d
-            ]
-            qualifying.append(idxs)
-            a_sets.append(GeneralizedBlock(tuple(pieces[i][0] for i in idxs)))
-        q_sets = countable_reduction(a_sets)
-        new_pieces = []
-        for r, q, idxs in zip(mesh, q_sets, qualifying):
-            lookup = {id(pieces[i][0]): pieces[i][2] for i in idxs}
-            for blk in q.blocks:
-                fvals = lookup.get(id(blk))
-                if fvals is None:
-                    # split block: find an owning original piece
-                    owner = next(
-                        (pieces[i][2] for i in idxs if pieces[i][0].intersect(blk).volume() == blk.volume()),
-                        None,
-                    )
-                    if owner is None:
-                        raise InternalConsistencyError("reduced block without an owner piece")
-                    fvals = owner
-                new_pieces.append((blk, r, fvals))
-        old_vol = sum((p[0].volume() for p in pieces), Fraction(0))
-        new_vol = sum((p[0].volume() for p in new_pieces), Fraction(0))
-        if new_vol != old_vol:
-            raise InternalConsistencyError(
-                f"stage {k} lost domain volume {old_vol - new_vol} beyond the "
-                "certified exception set; simple approximation or moduli unsound"
-            )
-        pieces = new_pieces
+        n = 1 << (k + 1)
+        t_c = Fraction(1, 1 << k) - Fraction(1, 1 << (k + STRICTNESS_MARGIN_SHIFT))
+        t_d = Fraction(1, 1 << (k - 1)) - Fraction(1, 1 << (k + STRICTNESS_MARGIN_SHIFT))
+        chosen = []
+        for b, fval, fvals in pieces:
+            # mesh indices j with |j / n - fval| <= t_d, in increasing order
+            js = range(max(0, math.ceil((fval - t_d) * n)), min(n, math.floor((fval + t_d) * n)) + 1)
+            j = next((j for j in js if SimpleSVF.interval_distance(Fraction(j, n), fvals) <= t_c), None)
+            if j is None:
+                raise InternalConsistencyError(
+                    f"stage {k} lost domain volume {b.volume()}: a piece meets no mesh "
+                    "value; simple approximation or moduli unsound"
+                )
+            chosen.append(j)
+        order = sorted(range(len(pieces)), key=chosen.__getitem__)
+        pieces = [(pieces[i][0], Fraction(chosen[i], n), pieces[i][2]) for i in order]
         if snapshot is not None:
             snapshot(k, pieces)
     return pieces
 
 
-def extract_selector(F: RegularSVF, eps: float, domain_eps=None) -> Selector:
+def extract_selector(F: RegularSVF, eps: float) -> Selector:
     """Piecewise-constant selector with located distance <= eps to F on a
-    representable domain (exceptions generated at budget domain_eps)."""
+    representable domain; certify_selector checks it off J(budget)."""
     if eps <= 0:
         raise ArgumentError("eps must be positive")
     Fr, lo, scale = _rescaled(F)
@@ -573,20 +537,12 @@ def extract_selector(F: RegularSVF, eps: float, domain_eps=None) -> Selector:
     return Selector(out, eps, domain, stage=n_stages)
 
 
-def refine_selector(
-    F: RegularSVF,
-    n_stages: int,
-    inverse_generator: Optional[Callable] = None,
-    rng: Optional[np.random.Generator] = None,
-) -> list:
+def refine_selector(F: RegularSVF, n_stages: int) -> list:
     """Successive selectors f_k, k = 1..n_stages, from one recursion at the
     finest accuracy: consecutive stages differ by at most 2^-(k-1) on the
     shared domain (the Cauchy certificate of the corollary)."""
     if n_stages < 1:
         raise ArgumentError("need at least one stage")
-    gen = inverse_generator if inverse_generator is not None else F.inverse_generator
-    if gen is not None:
-        _check_inverse_generator(F, gen, rng or np.random.default_rng(0))
     Fr, lo, scale = _rescaled(F)
     fhat, domain = simple_approx(Fr, 0.5 ** (n_stages + 1))
     snaps = []
@@ -599,22 +555,64 @@ def refine_selector(
     return snaps
 
 
-def _check_inverse_generator(F: RegularSVF, gen, rng):
-    """Spot-check Def.-1 style inverse domains against direct distances."""
-    rs = [0.25, 0.5, 0.75]
-    radius = 0.25
-    claimed = gen(rs, radius)
-    if not isinstance(claimed, GeneralizedBlock):
-        raise ContractError("inverse generator must return a GeneralizedBlock")
-    for b in F.domain_blocks:
-        for x in b.sample(rng, 16):
-            d = min(F.located_distance_to(x, r) for r in rs)
-            inside = claimed.contains([Fraction(float(v)) for v in x])
-            if d <= radius * 0.9 and not inside:
-                raise ContractError(
-                    f"inverse generator omits x={x} with distance {d} <= {radius}"
-                )
-            if d >= radius * 1.1 + 0.05 and inside:
-                raise ContractError(
-                    f"inverse generator claims x={x} with distance {d} > {radius}"
-                )
+# ---------------------------------------------------------------------------
+# located-distance certificate
+# ---------------------------------------------------------------------------
+
+def _up(x: float) -> float:
+    return math.nextafter(x, math.inf)
+
+
+def _float_up(q: Fraction) -> float:
+    f = float(q)
+    return f if Fraction(f) >= q else _up(f)
+
+
+def _radius_up(b: Block, c) -> float:
+    """Upper bound on the distance from the point c to any point of b."""
+    sq = sum(max(Fraction(ci) - lo, hi - Fraction(ci)) ** 2 for ci, (lo, hi) in zip(c, b.intervals))
+    r = math.sqrt(sq)
+    while Fraction(r) ** 2 < sq:
+        r = _up(r)
+    return r
+
+
+def certify_selector(F: RegularSVF, s: Selector, budget) -> tuple:
+    """Decide dist(s(x), F(x)) <= s.epsilon off J(budget) piece by piece.
+
+    A piece B with value v lies in one domain block.  With c its center and
+    r the largest distance from c to B, min over the block's chunks of
+    dist(v, [alpha(c), beta(c)]) + modulus(r) + eval_radius, rounded
+    upward, bounds dist(v, F) on all of B; off J(budget) every point of B
+    is inside B and its domain block.  Returns (verdict, max_distance,
+    witness): "certified" when the largest bound is <= eps and the pieces
+    are proper with the domain's exact volume (so they cover it),
+    "counterexample" with a piece center off J whose distance minus
+    eval_radius exceeds eps as witness, else "undecided".
+    """
+    eps = Fraction(s.epsilon)
+    J = s.domain.exception(budget)
+    max_distance = 0.0
+    witness = None
+    for b, v in s.pieces:
+        i = F.block_index(b.center())
+        if i is None or F.domain_blocks[i].intersect(b) != b:
+            max_distance = math.inf
+            continue
+        c = b.center_float()
+        r = _radius_up(b, c)
+        upper = lower = math.inf
+        for ch in F.chunks_per_block[i]:
+            a, e = float(ch.alpha(c)), float(ch.beta(c))
+            gap = max(Fraction(0), Fraction(min(a, e)) - v, v - Fraction(max(a, e)))
+            upper = min(upper, _up(_up(_float_up(gap) + _up(ch.modulus.forward_bound(r))) + ch.eval_radius))
+            lower = min(lower, gap - Fraction(ch.eval_radius))
+        max_distance = max(max_distance, upper)
+        if witness is None and lower > eps and not J.contains([Fraction(x) for x in c]):
+            witness = {"point": c.tolist(), "value": float(v), "distance_lower": float(lower)}
+    if witness is not None:
+        return "counterexample", max_distance, witness
+    covered = sum(b.volume() for b, _ in s.pieces) == sum(d.volume() for d in F.domain_blocks)
+    if max_distance <= s.epsilon and covered and s.proper():
+        return "certified", max_distance, None
+    return "undecided", max_distance, None

@@ -271,7 +271,7 @@ def check_linear_growth(w2: Comparator, xi: float, box: Hypercube) -> CheckResul
 @dataclass(frozen=True)
 class SublevelSet:
     """X0 = {x : w2(x) <= level}: forward-invariant by the comparison
-    argument (w2 <= min of w1 on the inscribed sphere)."""
+    argument (w2 <= min of w1 on a sphere about the origin inside the box)."""
 
     w2: Comparator
     level: float
@@ -306,8 +306,9 @@ class StabilityCertificate:
 
 def certify(data: LyapunovData, box: Hypercube, mesh_eps: float, t_samples) -> StabilityCertificate:
     """Combine the three condition checks; on success construct
-    X0 = {w2 <= min of w1 on the inscribed sphere} (one valid choice, not
-    claimed maximal)."""
+    X0 = {w2 <= min of w1 on the largest sphere about the origin inside the
+    box} (one valid choice, not claimed maximal); undecided when the origin
+    is not strictly inside the box."""
     checks = {
         "sandwich": check_sandwich(data, box, mesh_eps, t_samples),
         "decay": check_decay(data, box, mesh_eps, t_samples),
@@ -323,8 +324,10 @@ def certify(data: LyapunovData, box: Hypercube, mesh_eps: float, t_samples) -> S
     if any(res.verdict == "undecided" for res in checks.values()):
         return StabilityCertificate("undecided", None, mesh_eps, tolerances, checks)
 
-    # sublevel construction on the inscribed sphere
-    rho = box.side / 2.0
+    # sublevel construction on the largest origin-centered sphere in the box
+    rho = float(np.minimum(-box.lo, box.hi).min())
+    if rho <= 0:
+        return StabilityCertificate("undecided", None, mesh_eps, tolerances, checks)
     pts, norms = _origin_excluded_nodes(box, mesh_eps)
     near = np.abs(norms - rho) <= mesh_eps
     if not np.any(near):

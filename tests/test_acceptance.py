@@ -181,7 +181,8 @@ def test_acceptance_2_danskin_sandwich():
 
 # ---------------------------------------------------------------------------
 # 3. Selector guarantee (10 regular SVFs, 1e3 sampled points, exact
-#    properness, exception budget, <= 30 s)
+#    properness, exception budget, the per-piece located-distance bound
+#    against 1001 points per piece, <= 30 s)
 # ---------------------------------------------------------------------------
 
 def _const_chunk(lo, hi):
@@ -240,6 +241,18 @@ def test_acceptance_3_selector_guarantee():
             v = s(x)
             if v is None or F.located_distance_to(x, v) > eps + 1e-12:
                 ok = False
+        verdict, bound, _ = sel.certify_selector(F, s, budget)
+        if verdict != "certified" or bound > eps:
+            ok = False
+        for piece, v in s.pieces:
+            # dense evaluation on the domain block that holds the piece
+            chunks = F.chunks_per_block[F.block_index(piece.center())]
+            for x in np.linspace(*(float(t) for t in piece.intervals[0]), 1001):
+                xx = np.array([x])
+                d = min(max(0.0, min(ch.alpha(xx), ch.beta(xx)) - float(v),
+                            float(v) - max(ch.alpha(xx), ch.beta(xx))) for ch in chunks)
+                if d > bound:
+                    ok = False
     # the 10^3-point check on one representative instance
     F = _svf_suite()[8]
     s = sel.extract_selector(F, 0.125)

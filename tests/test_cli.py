@@ -65,6 +65,19 @@ def test_certify_growth_counterexample_exit(tmp_path):
     assert y == 0.0 and 0 < abs(x) <= 1 and 2.0 * x * x < abs(x)
 
 
+def test_certify_x0_stays_inside_an_off_center_box(tmp_path):
+    # X0 = {2|x| <= level} must lie in [-0.2, 1.8], so level <= 0.4
+    cfg = dict(CERTIFY_DECAY, state_box=[-0.2, 1.8])
+    code, record, _ = _run_cli(tmp_path, "certify", cfg)
+    assert code == EXIT_OK
+    assert 0 < record["numeric"]["x0_level"] <= 2.0 * 0.2
+    assert record["payload"]["witness"]["sphere_radius"] <= 0.2
+    # no sphere about the origin fits in a box with the origin on its boundary
+    code, record, _ = _run_cli(tmp_path, "certify", dict(CERTIFY_DECAY, state_box=[0, 1]))
+    assert code == EXIT_UNDECIDED
+    assert record["verdict"] == "undecided" and record["numeric"]["x0_level"] == -1.0
+
+
 def test_eig_rotation_matrix_file_undecided(tmp_path):
     mat = tmp_path / "rot.txt"
     mat.write_text("0,0 -1,0\n1,0 0,0\n")
@@ -215,13 +228,50 @@ def test_selector_subcommand(tmp_path):
         ],
         "value_range": [0, 1],
         "eps": 0.125,
-        "samples": 300,
     }
     code, record, out = _run_cli(tmp_path, "selector", config)
     assert code == EXIT_OK
     assert record["numeric"]["max_distance"] <= 0.125
     assert record["numeric"]["proper"] == 1
     assert (out / "selector.csv").exists()
+
+
+SELECTOR_QUADRATIC = json.loads((Path(__file__).parents[1] / "examples" / "selector.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "config,expected",
+    [
+        (
+            {
+                "domain_blocks": [["-1", "0"], ["0", "1"]],
+                "chunks": [
+                    [{"alpha": {"form": "polynomial", "coeffs": [0.0]},
+                      "beta": {"form": "polynomial", "coeffs": [0.25]}}],
+                    [{"alpha": {"form": "polynomial", "coeffs": [0.75]},
+                      "beta": {"form": "polynomial", "coeffs": [1.0]}}],
+                ],
+                "eps": 0.125,
+            },
+            {"eps": 0.125, "n_pieces": 2, "max_distance": 0.06250000100000003,
+             "exception_volume": 0.0078125, "proper": 1},
+        ),
+        (
+            SELECTOR_QUADRATIC,
+            {"eps": 0.06, "n_pieces": 24, "max_distance": 0.023419953392578165,
+             "exception_volume": 0.0087890625, "proper": 1},
+        ),
+    ],
+)
+def test_selector_numeric_fields_pinned(tmp_path, config, expected):
+    # recorded from the per-piece bound; the task draws no random numbers,
+    # so the seed cannot move a numeric field
+    records = []
+    for seed in ("0", "12345"):
+        code, record, _ = _run_cli(tmp_path, "selector", config, ("--seed", seed))
+        assert code == EXIT_OK and record["verdict"] == "certified"
+        records.append(record["numeric"])
+    assert records[0] == records[1] == expected
 
 
 def test_shh_subcommand_with_sweep(tmp_path):

@@ -4,12 +4,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from certctrl.core import ArgumentError, ContractError, Modulus
+from certctrl.core import ArgumentError, ContractError, InternalConsistencyError, Modulus
 from certctrl.selector import (
+    STRICTNESS_MARGIN_SHIFT,
     Block,
     Chunk,
     GeneralizedBlock,
     RegularSVF,
+    Selector,
+    SimpleSVF,
+    _rescaled,
+    _run_stages,
+    certify_selector,
     countable_reduction,
     extract_selector,
     refine_selector,
@@ -334,16 +340,6 @@ def test_refine_two_point_set_stabilizes_branch():
         assert min(abs(v - 0.0), abs(v - 1.0)) <= 2.0 ** -6 + 1e-12
 
 
-def test_refine_inverse_generator_mismatch_raises():
-    F = RegularSVF((Block.interval(0, 1),), ((identity_chunk(),),))
-
-    def bogus(rs, radius):
-        return GeneralizedBlock(())  # claims nothing is ever close
-
-    with pytest.raises(ContractError):
-        refine_selector(F, 3, inverse_generator=bogus)
-
-
 def test_stage_domains_preserve_volume():
     F = RegularSVF(
         (Block.interval(-1, 0), Block.interval(0, 1)),
@@ -353,3 +349,227 @@ def test_stage_domains_preserve_volume():
     vols = [sum((b.volume() for b, _ in s.pieces), Fraction(0)) for s in sels]
     assert all(v == vols[0] for v in vols)
     assert vols[0] == 2
+
+
+# ---------------------------------------------------------------------------
+# stage assignment against countable reduction
+# ---------------------------------------------------------------------------
+
+def shifted_chunk():
+    # [x / 2, x / 2 + 1/2]
+    return Chunk(
+        alpha=lambda x: 0.5 * float(np.atleast_1d(x)[0]),
+        beta=lambda x: 0.5 * float(np.atleast_1d(x)[0]) + 0.5,
+        modulus=Modulus.lipschitz(0.5),
+        eval_radius=0.0,
+    )
+
+
+def upper_chunk():
+    # [x, 1]
+    return Chunk(
+        alpha=lambda x: float(np.atleast_1d(x)[0]),
+        beta=lambda x: 1.0,
+        modulus=Modulus.lipschitz(1.0),
+        eval_radius=0.0,
+    )
+
+
+def quadratic_svf(seed, n_blocks, n_chunks):
+    """Quadratic chunk boundaries alpha <= beta on dyadic blocks of [0, 1],
+    drawn like the benchmark's synthesis selector jobs."""
+    rng = np.random.default_rng(seed)
+    cuts = [0, *sorted(rng.choice(np.arange(1, 16), n_blocks - 1, replace=False).tolist()), 16]
+    blocks = tuple(Block.interval(Fraction(a, 16), Fraction(b, 16)) for a, b in zip(cuts, cuts[1:]))
+    chunks = []
+    for _ in blocks:
+        here = []
+        for _ in range(n_chunks):
+            lo, width = rng.uniform(0.25, 0.55), rng.uniform(0.02, 0.2)
+            slope = rng.choice([-1.0, 1.0]) * rng.uniform(0.095, 0.105)
+            curve = rng.choice([-1.0, 1.0]) * rng.uniform(0.045, 0.055)
+
+            def alpha(x, lo=lo, s=slope, c=curve):
+                t = float(np.atleast_1d(x)[0])
+                return lo + s * t + c * t * t
+
+            here.append(Chunk(
+                alpha=alpha,
+                beta=lambda x, a=alpha, w=width: a(x) + w,
+                modulus=Modulus.lipschitz(abs(slope) + 2.0 * abs(curve)),
+                eval_radius=1e-9,
+            ))
+        chunks.append(tuple(here))
+    return RegularSVF(blocks, tuple(chunks))
+
+
+I01 = Block.interval(0, 1)
+IM10 = Block.interval(-1, 0)
+
+# (name, F, eps): every SVF shape of this file and of the acceptance suite,
+# plus quadratic chunks at the benchmark's eps levels
+SVFS = [
+    ("const_0_1", RegularSVF((I01,), ((const_chunk(0, 1),),)), 0.25),
+    ("const_0_half", RegularSVF((I01,), ((const_chunk(0, F12),),)), 0.125),
+    ("const_quarter_half", RegularSVF((I01,), ((const_chunk(0.25, 0.5),),)), 0.125),
+    ("const_1", RegularSVF((I01,), ((const_chunk(1, 1),),)), 0.125),
+    ("linear", RegularSVF((I01,), ((linear_chunk(),),)), 0.125),
+    ("identity", RegularSVF((I01,), ((identity_chunk(),),)), 0.25),
+    ("identity_fine", RegularSVF((I01,), ((identity_chunk(),),)), 0.06),
+    ("shifted", RegularSVF((I01,), ((shifted_chunk(),),)), 0.125),
+    ("zero_and_upper", RegularSVF((I01,), ((const_chunk(0, 0), upper_chunk()),)), 0.125),
+    ("two_point", RegularSVF((I01,), ((const_chunk(0, 0), const_chunk(1, 1)),)), 0.125),
+    ("sign_dependent", RegularSVF((IM10, I01), ((const_chunk(0, 0.25),), (const_chunk(0.75, 1),))), 0.125),
+    ("half_and_linear", RegularSVF((IM10, I01), ((const_chunk(0.5, 0.5),), (linear_chunk(),))), 0.125),
+    ("rescaled", RegularSVF(
+        (I01,),
+        ((Chunk(
+            alpha=lambda x: 4.0 * float(np.atleast_1d(x)[0]) - 2.0,
+            beta=lambda x: 4.0 * float(np.atleast_1d(x)[0]) - 2.0,
+            modulus=Modulus.lipschitz(4.0),
+        ),),),
+        value_range=(Fraction(-2), Fraction(2)),
+    ), 0.5),
+    ("quadratic_2x1", quadratic_svf(1, 2, 1), 0.115),
+    ("quadratic_3x1", quadratic_svf(2, 3, 1), 0.075),
+    ("quadratic_4x2", quadratic_svf(3, 4, 2), 0.045),
+]
+SVF_IDS = [name for name, _, _ in SVFS]
+
+
+def reference_stages(fhat, n_stages, snapshot=None):
+    """The staged recursion as it ran through countable reduction, kept as
+    the reference for _run_stages."""
+    pieces = [
+        (b, Fraction(1, 2), tuple((min(max(lo, 0), 1), min(max(hi, 0), 1)) for lo, hi in vals))
+        for b, vals in fhat.pieces
+    ]
+    for k in range(1, n_stages + 1):
+        n = 1 << (k + 1)
+        mesh = [Fraction(j, n) for j in range(n + 1)]
+        t_c = Fraction(1, 1 << k) - Fraction(1, 1 << (k + STRICTNESS_MARGIN_SHIFT))
+        t_d = Fraction(1, 1 << (k - 1)) - Fraction(1, 1 << (k + STRICTNESS_MARGIN_SHIFT))
+        qualifying = [
+            [i for i, (b, fval, fvals) in enumerate(pieces)
+             if SimpleSVF.interval_distance(r, fvals) <= t_c and abs(r - fval) <= t_d]
+            for r in mesh
+        ]
+        q_sets = countable_reduction(
+            [GeneralizedBlock(tuple(pieces[i][0] for i in idxs)) for idxs in qualifying]
+        )
+        new_pieces = []
+        for r, q, idxs in zip(mesh, q_sets, qualifying):
+            lookup = {id(pieces[i][0]): pieces[i][2] for i in idxs}
+            new_pieces.extend((blk, r, lookup[id(blk)]) for blk in q.blocks)
+        old_vol = sum((p[0].volume() for p in pieces), Fraction(0))
+        if sum((p[0].volume() for p in new_pieces), Fraction(0)) != old_vol:
+            raise InternalConsistencyError(f"stage {k} lost domain volume")
+        pieces = new_pieces
+        if snapshot is not None:
+            snapshot(k, pieces)
+    return pieces
+
+
+def _stages_both_ways(fhat, n_stages):
+    runs = []
+    for stages in (_run_stages, reference_stages):
+        snaps = []
+        out = stages(fhat, n_stages, snapshot=lambda k, pieces: snaps.append((k, list(pieces))))
+        runs.append((out, snaps))
+    return runs
+
+
+@pytest.mark.parametrize("name,F,eps", SVFS, ids=SVF_IDS)
+def test_run_stages_matches_countable_reduction_reference(name, F, eps):
+    Fr, _, scale = _rescaled(F)
+    eps_scaled = min(eps / float(scale), 1.0)
+    # the extract_selector recursion, then refine_selector's at 5 stages
+    for delta, n_stages in (
+        (eps_scaled / 2.0, max(1, math.ceil(math.log2(2.0 / eps_scaled)))),
+        (0.5 ** 6, 5),
+    ):
+        fhat, _ = simple_approx(Fr, delta)
+        (got, got_snaps), (ref, ref_snaps) = _stages_both_ways(fhat, n_stages)
+        assert got == ref
+        assert got_snaps == ref_snaps
+        assert [k for k, _ in got_snaps] == list(range(1, n_stages + 1))
+
+
+def test_run_stages_raises_when_a_piece_meets_no_mesh_value():
+    # an inverted frozen interval is at distance >= 1/2 from every value
+    fhat = SimpleSVF(((I01, ((Fraction(1), Fraction(0)),)),))
+    for stages in (_run_stages, reference_stages):
+        with pytest.raises(InternalConsistencyError):
+            stages(fhat, 3)
+
+
+# ---------------------------------------------------------------------------
+# per-piece located-distance certificate
+# ---------------------------------------------------------------------------
+
+def dense_distance(F, piece, v, n=1001):
+    """Largest dist(v, F(x)) over n evenly spaced points of a 1-D piece,
+    endpoints included, with F taken on the domain block holding it."""
+    ((lo, hi),) = piece.intervals
+    chunks = F.chunks_per_block[F.block_index(piece.center())]
+    worst = 0.0
+    for x in np.linspace(float(lo), float(hi), n):
+        xx = np.array([x])
+        for_x = min(
+            max(0.0, min(a, b) - v, v - max(a, b))
+            for a, b in ((float(ch.alpha(xx)), float(ch.beta(xx))) for ch in chunks)
+        )
+        worst = max(worst, for_x)
+    return worst
+
+
+@pytest.mark.parametrize("name,F,eps", SVFS, ids=SVF_IDS)
+def test_certify_selector_bound_covers_dense_evaluation(name, F, eps):
+    s = extract_selector(F, eps)
+    verdict, bound, witness = certify_selector(F, s, Fraction(1, 100))
+    assert verdict == "certified" and witness is None
+    assert 0.0 <= bound <= eps
+    for piece, v in s.pieces:
+        assert dense_distance(F, piece, float(v)) <= bound
+
+
+def _lying_identity():
+    # the identity on [0, 1] declared constant (Lipschitz 0)
+    return Chunk(
+        alpha=lambda x: float(np.atleast_1d(x)[0]),
+        beta=lambda x: float(np.atleast_1d(x)[0]),
+        modulus=Modulus.lipschitz(0.0),
+        eval_radius=0.0,
+    )
+
+
+def test_certify_selector_lying_modulus_undecided_then_refuted():
+    eps = 0.125
+    lying = RegularSVF((I01,), ((_lying_identity(),),))
+    honest = RegularSVF((I01,), ((identity_chunk(),),))
+    s = extract_selector(lying, eps)
+    # the lie leaves one piece, whose center value is right
+    assert len(s.pieces) == 1 and s.pieces[0][0] == I01
+    verdict, bound, witness = certify_selector(honest, s, Fraction(1, 100))
+    assert verdict == "undecided" and witness is None
+    assert bound >= dense_distance(honest, I01, float(s.pieces[0][1])) > eps
+    # the same value on both halves is refuted at the center of the first
+    v = s.pieces[0][1]
+    halves = Selector(tuple((b, v) for b in I01.halve_longest()), eps, s.domain)
+    verdict, bound, witness = certify_selector(honest, halves, Fraction(1, 100))
+    assert verdict == "counterexample"
+    assert witness["point"] == [0.25] and witness["value"] == float(v)
+    assert witness["distance_lower"] == abs(0.25 - float(v)) > eps
+    assert not s.domain.exception(Fraction(1, 100)).contains([Fraction(1, 4)])
+    assert honest.located_distance_to(np.array(witness["point"]), witness["value"]) > eps
+    assert bound >= witness["distance_lower"]
+
+
+def test_certify_selector_undecided_without_coverage():
+    F = RegularSVF((IM10, I01), ((const_chunk(0, 0.25),), (const_chunk(0.75, 1),)))
+    s = extract_selector(F, 0.125)
+    partial = Selector(s.pieces[1:], s.epsilon, s.domain)
+    assert certify_selector(F, s, Fraction(1, 100))[0] == "certified"
+    verdict, bound, witness = certify_selector(F, partial, Fraction(1, 100))
+    assert verdict == "undecided" and witness is None
+    assert bound <= 0.125
