@@ -24,6 +24,7 @@ from .core import (
     ArgumentError,
     CertifiedReal,
     ContractError,
+    DomainExitError,
     Hypercube,
     Modulus,
     ResourceBudgetError,
@@ -267,7 +268,12 @@ def _task_ode(config, seed, out):
     x0 = np.atleast_1d(np.asarray(config["x0"], dtype=float))
     T = float(config["T"])
     eps = float(config["eps"])
-    sol = traj.picard_solve(rhs, x0, T, eps)
+    try:
+        sol = traj.picard_solve(rhs, x0, T, eps)
+    except DomainExitError as exc:
+        # the solution leaves the box on which the Lipschitz data hold
+        payload = {"exit_time": exc.exit_time, "state": np.atleast_1d(exc.state).tolist()}
+        return "undecided", {"T": T, "eps": eps}, payload
     (out / "trajectory.csv").write_text(
         traj.solution_to_csv(sol, int(config.get("csv_points", 2000)))
     )
@@ -278,7 +284,8 @@ def _task_ode(config, seed, out):
         "error_bound": sol.error_bound.value,
         "grid_nodes": int(sol.grid.size),
     }
-    return "certified", numeric, {"trajectory_file": "trajectory.csv"}
+    payload = {"trajectory_file": "trajectory.csv", "picard_sweeps": sol.sweeps.tolist()}
+    return "certified", numeric, payload
 
 
 def _shh_problem(config) -> stab.CLFProblem:

@@ -10,6 +10,14 @@ the moduli, and the contraction factor <= 1/2 turns the last iterate gap
 into a fixed-point error bound.  Window errors propagate through the
 Grönwall factor exp(L_x (T - t)).
 
+The tail bound holds whatever iterate a sweep starts from: if P is a
+q-contraction with fixed point x*, then for any y, |P y - x*| <= q |y - x*|
+<= q (|y - P y| + |P y - x*|), so |P y - x*| <= q / (1 - q) |P y - y|.  Long
+windows therefore start from a cold Picard solve on a coarse grid of the
+same window, interpolated onto the fine nodes; it is close to the fine
+fixed point, so one or two fine sweeps meet the tolerance.  The coarse
+iterates only pick the start and certify nothing.
+
 Solutions are extended-sense: the differential equation is certified off
 arbitrarily thin neighborhoods of the block boundaries, produced by the
 validity domain's exception generator.
@@ -51,6 +59,11 @@ __all__ = [
 ]
 
 DEFAULT_GRID_BUDGET = 20_000_000
+
+# Warm start: a window whose fine grid has at least WARM_RATIO times
+# COARSE_INTERVALS intervals first converges on a grid of COARSE_INTERVALS.
+COARSE_INTERVALS = 4096
+WARM_RATIO = 4
 
 
 @dataclass(frozen=True)
@@ -123,6 +136,7 @@ class ExtendedSolution:
     validity: RepresentableDomain
     controls: Optional[np.ndarray] = None  # (m, p) for sample-and-hold runs
     error_profile: Optional[np.ndarray] = None  # (m,) cumulative certified bound
+    sweeps: Optional[np.ndarray] = None  # (windows, 2) coarse and fine Picard sweeps
 
     def at(self, t: float) -> np.ndarray:
         t = float(np.clip(t, self.grid[0], self.grid[-1]))
@@ -268,10 +282,12 @@ def picard_plan(
 class PicardRows:
     """Result of picard_rows for B initial states.
 
-    values[j] and errors[j] hold, for the rows still running after window
-    j, their (b_j, m_j, n) grid values and (b_j,) certified sup error at
-    the window end.  endpoints and error_bound are (B, n) and (B,); they
-    are meaningful only for rows whose failures entry is None.
+    values[j], errors[j] and sweeps[j] hold, for the rows still running
+    after window j, their (b_j, m_j, n) grid values, (b_j,) certified sup
+    error at the window end and (b_j, 2) coarse and fine Picard sweep
+    counts (coarse 0: the window started cold).  endpoints and error_bound
+    are (B, n) and (B,); they are meaningful only for rows whose failures
+    entry is None.
     """
 
     values: list
@@ -279,6 +295,7 @@ class PicardRows:
     endpoints: np.ndarray
     error_bound: np.ndarray
     failures: list  # per row: None, or the error a one-row solve raises
+    sweeps: list
 
 
 def _block_field(block, xs, ts, rows):
@@ -308,6 +325,68 @@ def _exit_error(box: Hypercube, t: np.ndarray, x: np.ndarray, ok: np.ndarray) ->
     )
 
 
+def _iterate(field, block, rows, starts, x, mid_t, hw, q, stop_tail, max_picard):
+    """Picard sweeps x <- starts + cumsum(hw * field(midpoints of x)) on
+    one window grid, in the time-contiguous (b, n, m) layout, from the
+    iterates x (overwritten).  A row stops once its tail gap * q / (1 - q)
+    is at most stop_tail, or after max_picard sweeps.  Returns the last
+    iterates, the (b,) tails and the (b,) sweep counts."""
+    b, n, _ = x.shape
+    tail = np.full(b, math.inf)
+    sweeps = np.zeros(b, dtype=int)
+    cur, pos, cur_starts = x, np.arange(b), starts
+    for _ in range(max_picard):
+        mid = cur[:, :, 1:] + cur[:, :, :-1]
+        mid *= 0.5
+        f = np.swapaxes(field(block, mid.transpose(0, 2, 1), mid_t, rows[pos]), 1, 2)
+        x_new = np.empty_like(cur)
+        x_new[:, :, 0] = 0.0
+        np.cumsum(f * hw, axis=2, out=x_new[:, :, 1:])
+        x_new += cur_starts
+        d = x_new - cur
+        # the sup over the grid of the Euclidean gap; sqrt(d * d) = |d|
+        gap = np.abs(d[:, 0]).max(axis=1) if n == 1 else np.sqrt((d * d).sum(axis=1)).max(axis=1)
+        sweeps[pos] += 1
+        cur = x_new
+        if q == 0.0:
+            tail[pos] = 0.0
+            done = np.ones(pos.size, dtype=bool)
+        else:
+            tail[pos] = gap * q / (1.0 - q)
+            done = tail[pos] <= stop_tail
+        if done.all() and pos.size == b:  # all stop together: no copy
+            return cur, tail, sweeps
+        if done.any():
+            x[pos[done]] = cur[done]
+            cur, pos, cur_starts = cur[~done], pos[~done], cur_starts[~done]
+            if not pos.size:
+                return x, tail, sweeps
+    x[pos] = cur  # out of sweeps: kept only if the tail is within budget
+    return x, tail, sweeps
+
+
+def _warm_start(field, w: PicardWindow, rows, starts, stop_tail, max_picard):
+    """First iterates (b, n, m) of a window: the constant start, or, on a
+    fine grid with at least WARM_RATIO times COARSE_INTERVALS intervals,
+    the converged iterate of a cold coarse grid on the same window
+    interpolated onto the fine nodes.  A row whose coarse pass misses
+    stop_tail starts cold.  Returns the iterates and the (b,) coarse
+    sweep counts."""
+    x = np.repeat(starts, w.t.size, axis=2)
+    coarse = np.zeros(starts.shape[0], dtype=int)
+    if w.contraction == 0.0 or w.t.size - 1 < WARM_RATIO * COARSE_INTERVALS:
+        return x, coarse
+    tc = np.linspace(w.t[0], w.t[-1], COARSE_INTERVALS + 1)
+    xc, tail, coarse = _iterate(
+        field, w.block, rows, starts, np.repeat(starts, tc.size, axis=2),
+        0.5 * (tc[1:] + tc[:-1]), tc[1] - tc[0], w.contraction, stop_tail, max_picard,
+    )
+    for p in np.flatnonzero(tail <= stop_tail):
+        for d in range(x.shape[1]):
+            x[p, d] = np.interp(w.t, tc, xc[p, d])
+    return x, coarse
+
+
 def picard_rows(
     plan: PicardPlan,
     x0s: np.ndarray,
@@ -323,69 +402,60 @@ def picard_rows(
     error bound, so its numbers are those of a one-row solve.  A row whose
     iterate fails to contract or leaves the state box stops there, with
     the ContractError or DomainExitError a one-row solve would raise.
+    Long windows start from a coarse-grid solution (see _warm_start).
     """
     field = field if field is not None else _block_field
     box = plan.state_box
     x0s = np.asarray(x0s, dtype=float)
-    B, n = x0s.shape
+    B = x0s.shape[0]
     failures = [None] * B
     live = np.arange(B)  # rows still running
     x_start = x0s.copy()
     err = np.zeros(B)  # certified sup error at the current window start
     margin = 1e-12 * (1.0 + box.side)
-    lo, hi = box.lo[None, None, :] - margin, box.hi[None, None, :] + margin
-    values, errors = [], []
+    lo, hi = box.lo - margin, box.hi + margin
+    values, errors, sweeps = [], [], []
     for w in plan.windows:
         if not live.size:
             break
-        starts = x_start[live][:, None, :]
-        x = np.repeat(starts, w.t.size, axis=1)
-        tail = np.full(live.size, math.inf)
-        # iterate the rows (positions in x) that have not met the stop tail
-        cur, pos, cur_starts = x, np.arange(live.size), starts
-        for _ in range(max_picard):
-            mid_x = 0.5 * (cur[:, 1:] + cur[:, :-1])
-            f = field(w.block, mid_x, w.mid_t, live[pos])
-            inc = np.concatenate([np.zeros((pos.size, 1, n)), np.cumsum(f * w.hw, axis=1)], axis=1)
-            x_new = cur_starts + inc
-            gap = np.linalg.norm(x_new - cur, axis=2).max(axis=1)
-            cur = x_new
-            if w.contraction == 0.0:
-                tail[pos] = 0.0
-                done = np.ones(pos.size, dtype=bool)
-            else:
-                tail[pos] = gap * w.contraction / (1.0 - w.contraction)
-                done = tail[pos] <= plan.stop_tail
-            if done.all() and pos.size == live.size:  # all stop together: no copy
-                x = cur
-                pos = pos[:0]
-                break
-            if done.any():
-                x[pos[done]] = cur[done]
-                cur, pos, cur_starts = cur[~done], pos[~done], cur_starts[~done]
-                if not pos.size:
-                    break
-        if pos.size:  # out of iterations: kept only if the tail is within budget
-            x[pos] = cur
+        starts = x_start[live][:, :, None]
+        x, coarse = _warm_start(field, w, live, starts, plan.stop_tail, max_picard)
+        x, tail, fine = _iterate(
+            field, w.block, live, starts, x, w.mid_t, w.hw, w.contraction, plan.stop_tail, max_picard
+        )
         ok_rows = ~(tail > plan.tail_budget)
         for p in np.flatnonzero(~ok_rows):
             failures[live[p]] = ContractError(
                 "Picard iteration failed to contract; Lipschitz data unsound"
             )
-        # hard domain check, no extrapolation
-        inside = np.all(x >= lo, axis=2) & np.all(x <= hi, axis=2)
-        for p in np.flatnonzero(ok_rows & ~inside.all(axis=1)):
-            failures[live[p]] = _exit_error(box, w.t, x[p], inside[p])
+        # hard domain check on the final fine iterate, no extrapolation
+        inside = np.all(x.min(axis=2) >= lo, axis=1) & np.all(x.max(axis=2) <= hi, axis=1)
+        for p in np.flatnonzero(ok_rows & ~inside):
+            at = np.all(x[p] >= lo[:, None], axis=0) & np.all(x[p] <= hi[:, None], axis=0)
+            failures[live[p]] = _exit_error(box, w.t, x[p].T, at)
             ok_rows[p] = False
         # window defect: quadrature + Picard tail, then Grönwall transport
         rows = live[ok_rows]
         err[rows] = err[rows] * w.growth + (w.defect + tail[ok_rows]) * w.growth
         x = x if ok_rows.all() else x[ok_rows]
         live = rows
-        x_start[live] = x[:, -1]
-        values.append(x)
+        x_start[live] = x[:, :, -1]
+        values.append(x.transpose(0, 2, 1))
         errors.append(err[live])
-    return PicardRows(values, errors, x_start, err, failures)
+        sweeps.append(np.stack([coarse, fine], axis=1)[ok_rows])
+    return PicardRows(values, errors, x_start, err, failures, sweeps)
+
+
+def _stitch(plan: PicardPlan, res: PicardRows):
+    """Grid, (m, n) values, error profile and (windows, 2) sweep counts of
+    row 0 of a picard_rows result over all windows of its plan."""
+    grid = np.concatenate([w.t[1:] if j else w.t for j, w in enumerate(plan.windows)])
+    values = np.vstack([v[0, 1:] if j else v[0] for j, v in enumerate(res.values)])
+    profile = np.concatenate([
+        np.full(w.t.size - 1 if j else w.t.size, e[0])
+        for j, (w, e) in enumerate(zip(plan.windows, res.errors))
+    ])
+    return grid, values, profile, np.array([s[0] for s in res.sweeps])
 
 
 def picard_solve(
@@ -409,12 +479,7 @@ def picard_solve(
     if res.failures[0] is not None:
         raise res.failures[0]
 
-    grid = np.concatenate([w.t[1:] if j else w.t for j, w in enumerate(plan.windows)])
-    values = np.vstack([v[0, 1:] if j else v[0] for j, v in enumerate(res.values)])
-    profile = np.concatenate([
-        np.full(w.t.size - 1 if j else w.t.size, e[0])
-        for j, (w, e) in enumerate(zip(plan.windows, res.errors))
-    ])
+    grid, values, profile, sweeps = _stitch(plan, res)
     T = float(T)
     time_blocks = tuple(
         Block.interval(a, min(b.t_hi, Fraction(T).limit_denominator(10 ** 12)))
@@ -423,7 +488,7 @@ def picard_solve(
     )
     validity = RepresentableDomain(time_blocks, _facet_exception_generator(time_blocks))
     return ExtendedSolution(grid, values, CertifiedReal(float(res.error_bound[0]), 0.0), validity,
-                            error_profile=profile)
+                            error_profile=profile, sweeps=sweeps)
 
 
 def dependence_modulus(rhs: RegularRHS, T: float) -> Modulus:
@@ -499,31 +564,43 @@ def sample_hold_trajectory(
     ctrl = []
     errs = [np.array([0.0])]
     x = x0.copy()
+    n = x.size
     err = 0.0
     t0 = 0.0
+    plans = {}  # one plan per distinct interval length; f enters as the field
     for k in range(n_int):
         t1 = min((k + 1) * eta, T)
         span = t1 - t0
         if span <= 0:
             break
+        if not dyn.state_box.contains(x):
+            raise DomainExitError("initial state outside the state box", exit_time=t0, state=x)
         u = np.atleast_1d(np.asarray(sh.policy(x), dtype=float))
-        rhs = RegularRHS.single(
-            lambda xs, ts, u=u: dyn.f(xs, np.repeat(u[None, :], xs.shape[0], axis=0)),
-            span,
-            dyn.state_box,
-            dyn.lip_x,
-            dyn.sup_bound,
+        if span not in plans:
+            plans[span] = picard_plan(
+                RegularRHS.single(dyn.f, span, dyn.state_box, dyn.lip_x, dyn.sup_bound),
+                span, eps_loc, grid_budget,
+            )
+        plan = plans[span]
+        res = picard_rows(
+            plan, x[None, :],
+            field=lambda blk, s, ts, rows, u=u: np.reshape(
+                dyn.f(s.reshape(-1, n), np.repeat(u[None, :], s.shape[0] * s.shape[1], axis=0)),
+                s.shape,
+            ),
         )
-        sol = picard_solve(rhs, x, span, eps_loc, grid_budget)
+        if res.failures[0] is not None:
+            raise res.failures[0]
+        g, v, _, _ = _stitch(plan, res)
         # transport: prior state error grows, plus control error from the
         # perturbed sample, plus the local solver error
-        err = err * growth * (1.0 + span * dyn.lip_u * lk) + sol.error_bound.value
-        grid.append(sol.grid[1:] + t0)
-        vals.append(sol.values[1:])
-        errs.append(np.full(sol.grid.size - 1, err))  # end-of-interval bound
-        rows = sol.grid.size if k == 0 else sol.grid.size - 1
+        err = err * growth * (1.0 + span * dyn.lip_u * lk) + float(res.error_bound[0])
+        grid.append(g[1:] + t0)
+        vals.append(v[1:])
+        errs.append(np.full(g.size - 1, err))  # end-of-interval bound
+        rows = g.size if k == 0 else g.size - 1
         ctrl.append(np.repeat(u[None, :], rows, axis=0))
-        x = sol.endpoint.copy()
+        x = res.endpoints[0].copy()
         t0 = t1
 
     grid = np.concatenate(grid)

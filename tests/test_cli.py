@@ -144,6 +144,46 @@ def test_ode_decay_trajectory(tmp_path):
     assert len(lines) > 100
 
 
+def test_ode_leaving_the_box_is_undecided(tmp_path):
+    # x' = 2x from 0.5 reaches the box edge 1 at t = ln(2) / 2
+    config = {
+        "blocks": [{"t_lo": 0, "t_hi": 1, "f": {"form": "polynomial", "coeffs": [0.0, 2.0]}}],
+        "state_box": [-1, 1],
+        "x0": [0.5],
+        "T": 1.0,
+        "eps": 1e-3,
+    }
+    code, record, out = _run_cli(tmp_path, "ode", config)
+    assert code == EXIT_UNDECIDED
+    assert record["verdict"] == "undecided"
+    assert record["payload"]["exit_time"] == pytest.approx(math.log(2.0) / 2.0, abs=1e-3)
+    (state,) = record["payload"]["state"]
+    assert state == pytest.approx(1.0, abs=1e-3)
+    assert not (out / "trajectory.csv").exists()
+
+
+ODE_EXAMPLE = json.loads((Path(__file__).parents[1] / "examples" / "ode.json").read_text())
+# like the benchmark's long-grid ode jobs: x' = a x on [0, 1] at eps 1.05e-5
+ODE_LONG_GRID = {**ODE_DECAY, "state_box": [-4, 4], "x0": [-1.2], "eps": 1.05e-5}
+
+
+@pytest.mark.parametrize("config, exact", [
+    (ODE_EXAMPLE, math.exp(-0.25)),
+    (ODE_LONG_GRID, -1.2 * math.exp(-1.0)),
+])
+def test_ode_long_grid_converges_in_one_fine_sweep(tmp_path, config, exact):
+    # each window starts from its coarse-grid solution; at the parent every
+    # window took 7 fine sweeps from the constant start
+    code, record, _ = _run_cli(tmp_path, "ode", config)
+    assert code == EXIT_OK
+    num = record["numeric"]
+    assert abs(num["endpoint"] - exact) <= num["error_bound"] <= config["eps"]
+    sweeps = record["payload"]["picard_sweeps"]
+    assert len(sweeps) >= 2
+    assert all(coarse > 0 and 1 <= fine <= 2 for coarse, fine in sweeps)
+    assert "picard_sweeps" not in num
+
+
 def test_malformed_config_exit_64(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{not json")

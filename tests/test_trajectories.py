@@ -6,6 +6,8 @@ import pytest
 
 from certctrl.core import ArgumentError, ContractError, DomainExitError, Hypercube, Modulus
 from certctrl.trajectories import (
+    COARSE_INTERVALS,
+    WARM_RATIO,
     ControlledDynamics,
     RegularRHS,
     SampleHoldPolicy,
@@ -289,3 +291,289 @@ def test_picard_rows_match_one_row_solves():
     fast = RegularRHS.single(lambda xs, ts: 40.0 * xs, 1.0, Hypercube(np.array([0.0]), 1e9), 0.1, 10.0)
     outcomes = list(_row_outcomes(fast, np.array([[0.0], [1.0], [0.0]]), 1.0, 1e-2))
     assert outcomes == ["ok", "ContractError", "ok"]
+
+
+# ---------------------------------------------------------------------------
+# Picard kernel: time-contiguous layout and coarse-grid warm start
+# ---------------------------------------------------------------------------
+
+def _reference_picard_rows(plan, x0s, field=None, max_picard=80):
+    """The cold-start kernel in the (rows, m, n) layout: every window starts
+    from the constant initial state.  Returns the values, errors, endpoints,
+    error bounds and failures of picard_rows."""
+    from certctrl.trajectories import _block_field, _exit_error
+
+    field = field if field is not None else _block_field
+    box = plan.state_box
+    x0s = np.asarray(x0s, dtype=float)
+    B, n = x0s.shape
+    failures = [None] * B
+    live = np.arange(B)
+    x_start = x0s.copy()
+    err = np.zeros(B)
+    margin = 1e-12 * (1.0 + box.side)
+    lo, hi = box.lo[None, None, :] - margin, box.hi[None, None, :] + margin
+    values, errors = [], []
+    for w in plan.windows:
+        if not live.size:
+            break
+        starts = x_start[live][:, None, :]
+        x = np.repeat(starts, w.t.size, axis=1)
+        tail = np.full(live.size, math.inf)
+        cur, pos, cur_starts = x, np.arange(live.size), starts
+        for _ in range(max_picard):
+            mid_x = 0.5 * (cur[:, 1:] + cur[:, :-1])
+            f = field(w.block, mid_x, w.mid_t, live[pos])
+            inc = np.concatenate([np.zeros((pos.size, 1, n)), np.cumsum(f * w.hw, axis=1)], axis=1)
+            x_new = cur_starts + inc
+            gap = np.linalg.norm(x_new - cur, axis=2).max(axis=1)
+            cur = x_new
+            if w.contraction == 0.0:
+                tail[pos] = 0.0
+                done = np.ones(pos.size, dtype=bool)
+            else:
+                tail[pos] = gap * w.contraction / (1.0 - w.contraction)
+                done = tail[pos] <= plan.stop_tail
+            if done.all() and pos.size == live.size:
+                x = cur
+                pos = pos[:0]
+                break
+            if done.any():
+                x[pos[done]] = cur[done]
+                cur, pos, cur_starts = cur[~done], pos[~done], cur_starts[~done]
+                if not pos.size:
+                    break
+        if pos.size:
+            x[pos] = cur
+        ok_rows = ~(tail > plan.tail_budget)
+        for p in np.flatnonzero(~ok_rows):
+            failures[live[p]] = ContractError("Picard iteration failed to contract; Lipschitz data unsound")
+        inside = np.all(x >= lo, axis=2) & np.all(x <= hi, axis=2)
+        for p in np.flatnonzero(ok_rows & ~inside.all(axis=1)):
+            failures[live[p]] = _exit_error(box, w.t, x[p], inside[p])
+            ok_rows[p] = False
+        rows = live[ok_rows]
+        err[rows] = err[rows] * w.growth + (w.defect + tail[ok_rows]) * w.growth
+        x = x if ok_rows.all() else x[ok_rows]
+        live = rows
+        x_start[live] = x[:, -1]
+        values.append(x)
+        errors.append(err[live])
+    return values, errors, x_start, err, failures
+
+
+def _is_warm(w):
+    return w.t.size - 1 >= WARM_RATIO * COARSE_INTERVALS
+
+
+def _assert_rows_bit_identical(plan, x0s):
+    res = picard_rows(plan, x0s)
+    values, errors, endpoints, error_bound, failures = _reference_picard_rows(plan, x0s)
+    assert len(res.values) == len(values)
+    for got, want in zip(res.values, values):
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+    for got, want in zip(res.errors, errors):
+        assert got.tobytes() == want.tobytes()
+    assert res.endpoints.tobytes() == endpoints.tobytes()
+    assert res.error_bound.tobytes() == error_bound.tobytes()
+    for got, want in zip(res.failures, failures):
+        assert type(got) is type(want) and str(got) == str(want)
+        assert getattr(got, "exit_time", None) == getattr(want, "exit_time", None)
+    # below the warm threshold every window starts cold
+    assert all(not s[:, 0].any() for s in res.sweeps)
+    return res
+
+
+def test_picard_rows_cold_bit_identical_to_reference_1d():
+    # two blocks, a time-dependent f, one row that leaves the box
+    blocks = (
+        TimeBlockRHS(Fraction(0), Fraction(1, 3), lambda xs, ts: -2.0 * xs + 0.5 * np.sin(3.0 * xs),
+                     3.5, Modulus.lipschitz(0.0), 5.0),
+        TimeBlockRHS(Fraction(1, 3), Fraction(2), lambda xs, ts: 0.4 * xs + 0.3 * np.cos(ts)[:, None],
+                     0.4, Modulus.lipschitz(0.3), 1.1),
+    )
+    rhs = RegularRHS(blocks, BOX2)
+    plan = picard_plan(rhs, 2.0, 0.5)
+    assert not any(_is_warm(w) for w in plan.windows)
+    x0s = np.array([[0.0], [0.3], [-1.2], [1.99], [1.0], [-0.05]])
+    res = _assert_rows_bit_identical(plan, x0s)
+    assert [type(f).__name__ for f in res.failures] == ["NoneType"] * 3 + ["DomainExitError"] + ["NoneType"] * 2
+
+
+def test_picard_rows_cold_bit_identical_to_reference_2d():
+    box = Hypercube(np.zeros(2), 4.0)
+
+    def f1(xs, ts):
+        return np.stack([-xs[:, 1] + 0.2 * np.sin(ts), xs[:, 0] - 0.3 * xs[:, 1]], axis=1)
+
+    def f2(xs, ts):
+        return np.stack([-0.5 * xs[:, 0] * np.cos(ts), 0.25 * xs[:, 0] + 0.1 * xs[:, 1]], axis=1)
+
+    blocks = (
+        TimeBlockRHS(Fraction(0), Fraction(1, 2), f1, 1.3, Modulus.lipschitz(0.2), 3.5),
+        TimeBlockRHS(Fraction(1, 2), Fraction(3, 2), f2, 0.6, Modulus.lipschitz(0.5), 1.5),
+    )
+    plan = picard_plan(RegularRHS(blocks, box), 1.5, 2e-3)
+    assert not any(_is_warm(w) for w in plan.windows)
+    x0s = np.array([[1.0, 0.0], [0.0, 0.0], [-0.4, 1.3], [1.9, 1.9], [0.7, -0.2]])
+    res = _assert_rows_bit_identical(plan, x0s)
+    assert [type(f).__name__ for f in res.failures] == ["NoneType"] * 3 + ["DomainExitError", "NoneType"]
+
+
+
+
+def test_warm_start_rotation_within_error_bound():
+    box = Hypercube(np.zeros(2), 4.0)
+    rhs = RegularRHS.single(
+        lambda xs, ts: np.stack([-xs[:, 1], xs[:, 0]], axis=1), 1.0, box,
+        lip_x=1.0, sup_bound=2.0 * math.sqrt(2.0),
+    )
+    plan = picard_plan(rhs, 1.0, 1e-4)
+    assert len(plan.windows) == 2 and all(_is_warm(w) for w in plan.windows)
+    x0 = np.array([0.8, -0.3])
+    sol = picard_solve(rhs, x0, 1.0, 1e-4)
+    c, s = math.cos(1.0), math.sin(1.0)
+    exact = np.array([c * x0[0] - s * x0[1], s * x0[0] + c * x0[1]])
+    assert np.linalg.norm(sol.endpoint - exact) <= sol.error_bound.value
+    assert sol.error_bound.value <= 1e-4
+    assert np.all(sol.sweeps[:, 0] > 0) and np.all(sol.sweeps[:, 1] <= 2)
+    # the warm bound is not looser than the cold reference's
+    _, _, _, cold_bound, _ = _reference_picard_rows(plan, x0[None, :])
+    assert sol.error_bound.value <= cold_bound[0]
+
+
+def test_warm_start_affine_closed_forms_within_cold_tail():
+    # one window (|a| T <= 1/2): warm and cold iterates approximate the same
+    # discrete fixed point, each within its own tail
+    rng = np.random.default_rng(4242)
+    box = Hypercube(np.array([0.0]), 12.0)
+    for _ in range(4):
+        a = float(rng.uniform(0.1, 0.5)) * float(rng.choice([-1.0, 1.0]))
+        b = float(rng.uniform(-0.5, 0.5))
+        x0 = float(rng.uniform(-1.0, 1.0))
+        rhs = RegularRHS.single(
+            lambda xs, ts, a=a, b=b: a * xs + b, 1.0, box, lip_x=abs(a), sup_bound=abs(a) * 6.0 + abs(b),
+        )
+        eps = 2e-5
+        plan = picard_plan(rhs, 1.0, eps)
+        assert len(plan.windows) == 1 and all(_is_warm(w) for w in plan.windows)
+        w = plan.windows[0]
+        res = picard_rows(plan, np.array([[x0]]))
+        assert res.failures[0] is None and res.sweeps[0][0, 0] > 0
+        _, _, cold_end, cold_bound, _ = _reference_picard_rows(plan, np.array([[x0]]))
+        warm_tail = res.error_bound[0] / w.growth - w.defect
+        cold_tail = cold_bound[0] / w.growth - w.defect
+        assert abs(res.endpoints[0, 0] - cold_end[0, 0]) <= warm_tail + cold_tail
+        exact = (x0 + b / a) * math.exp(a) - b / a
+        assert abs(res.endpoints[0, 0] - exact) <= res.error_bound[0]
+        assert res.error_bound[0] <= eps
+
+
+def test_warm_start_lying_lipschitz_still_contract_error():
+    # f = 40 x claimed 0.1-Lipschitz: the coarse pass misses its tolerance,
+    # so the fine pass starts cold and fails to contract
+    rhs = RegularRHS.single(lambda xs, ts: 40.0 * xs, 1.0, Hypercube(np.array([0.0]), 1e9), 0.1, 200.0)
+    plan = picard_plan(rhs, 1.0, 1e-3)
+    assert all(_is_warm(w) for w in plan.windows)
+    res = picard_rows(plan, np.array([[0.0], [1.0]]))
+    assert res.failures[0] is None and type(res.failures[1]) is ContractError
+    with pytest.raises(ContractError):
+        picard_solve(rhs, np.array([1.0]), 1.0, 1e-3)
+
+
+def _sample_hold_reference(dyn, sh, x0, T, eps):
+    """sample_hold_trajectory with one picard_solve per sampling interval."""
+    from certctrl.core import CertifiedReal
+
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    eta = sh.eta
+    n_int = max(1, math.ceil(T / eta - 1e-12))
+    growth = math.exp(dyn.lip_x * eta)
+    lk = sh.lipschitz if sh.lipschitz is not None else 0.0
+    amp, amps = 1.0, []
+    for _ in range(n_int):
+        amps.append(amp)
+        amp = amp * growth * (1.0 + eta * dyn.lip_u * lk)
+    eps_loc = eps / (sum(amps) + 1e-300) * 0.9
+    grid, vals, ctrl, errs = [np.array([0.0])], [x0[None, :]], [], [np.array([0.0])]
+    x, err, t0 = x0.copy(), 0.0, 0.0
+    for k in range(n_int):
+        t1 = min((k + 1) * eta, T)
+        span = t1 - t0
+        if span <= 0:
+            break
+        u = np.atleast_1d(np.asarray(sh.policy(x), dtype=float))
+        rhs = RegularRHS.single(
+            lambda xs, ts, u=u: dyn.f(xs, np.repeat(u[None, :], xs.shape[0], axis=0)),
+            span, dyn.state_box, dyn.lip_x, dyn.sup_bound,
+        )
+        sol = picard_solve(rhs, x, span, eps_loc)
+        err = err * growth * (1.0 + span * dyn.lip_u * lk) + sol.error_bound.value
+        grid.append(sol.grid[1:] + t0)
+        vals.append(sol.values[1:])
+        errs.append(np.full(sol.grid.size - 1, err))
+        ctrl.append(np.repeat(u[None, :], sol.grid.size if k == 0 else sol.grid.size - 1, axis=0))
+        x = sol.endpoint.copy()
+        t0 = t1
+    return np.concatenate(grid), np.vstack(vals), np.vstack(ctrl), np.concatenate(errs), CertifiedReal(err, 0.0)
+
+
+def _assert_sample_hold_matches_reference(dyn, sh, x0, T, eps):
+    from certctrl.trajectories import solution_to_csv
+
+    sol = sample_hold_trajectory(dyn, sh, x0, T, eps)
+    grid, values, controls, profile, bound = _sample_hold_reference(dyn, sh, x0, T, eps)
+    assert sol.grid.tobytes() == grid.tobytes()
+    assert sol.values.tobytes() == values.tobytes()
+    assert sol.controls.tobytes() == controls.tobytes()
+    assert sol.error_profile.tobytes() == profile.tobytes()
+    assert sol.error_bound == bound
+    ref = type(sol)(grid, values, bound, sol.validity, controls=controls, error_profile=profile)
+    assert solution_to_csv(sol) == solution_to_csv(ref)
+
+
+def test_sample_hold_matches_per_interval_solves():
+    # a contracting linear plant x' = -x + u: several Picard windows per
+    # interval and a shorter last interval
+    def f(xs, us):
+        return -xs + us
+
+    dyn = ControlledDynamics(f, BOX2, lip_x=1.5, lip_u=1.0, sup_bound=3.0)
+    sh = SampleHoldPolicy(lambda x: -0.5 * x, 0.7, lipschitz=0.5)
+    _assert_sample_hold_matches_reference(dyn, sh, np.array([1.2]), 2.0, 1e-4)
+    _assert_sample_hold_matches_reference(integrator(), SampleHoldPolicy(lambda x: -x, 0.1, 1.0),
+                                          np.array([1.0]), 1.0, 1e-8)
+
+
+def test_sample_hold_initial_state_outside_box():
+    sh = SampleHoldPolicy(lambda x: -x, 0.1)
+    with pytest.raises(DomainExitError) as ei:
+        sample_hold_trajectory(integrator(), sh, np.array([2.5]), 1.0, 1e-6)
+    assert ei.value.exit_time == 0.0
+
+
+def test_shh_closed_loop_csv_matches_per_interval_solves(tmp_path):
+    import json
+    from pathlib import Path
+
+    from certctrl import cli
+    from certctrl import stability as stab
+    from certctrl.trajectories import ExtendedSolution, solution_to_csv
+
+    config = json.loads((Path(__file__).parents[1] / "examples" / "shh.json").read_text())
+    config["sweep"] = []
+    cfg = tmp_path / "shh.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(["shh", "--config", str(cfg), "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    eta = json.loads((tmp_path / "out" / "certificate.json").read_text())["numeric"]["eta"]
+    # the demo closed loop of the shh task, one picard_solve per interval
+    problem = cli._shh_problem(config)
+    eps = config["optimizer_eps"]
+    sh = SampleHoldPolicy(lambda x: stab.clf_feedback(problem, x, eps)[0], eta)
+    horizon = math.ceil(4.0 * problem.overshoot_radius / eta) * eta
+    grid, values, controls, profile, bound = _sample_hold_reference(
+        problem.dynamics, sh, np.array([problem.overshoot_radius]), horizon, max(1e-9, eps * eta / 100.0)
+    )
+    ref = ExtendedSolution(grid, values, bound, None, controls=controls, error_profile=profile)
+    assert (tmp_path / "out" / "closed_loop.csv").read_text() == solution_to_csv(ref)
