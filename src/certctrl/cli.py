@@ -301,13 +301,15 @@ def _shh_problem(config) -> stab.CLFProblem:
                         + abs(_interval(config["control_box"]).center[0])),
     )
     vform = build_scalar_form(config.get("V", {"form": "polynomial", "coeffs": [0, 0, 1]}))
-    R = state_box.side / 2.0
+    # the forms take their Lipschitz constant on [-radius, radius]: the
+    # box's largest |x| makes that interval contain the box
+    radius = float(max(-state_box.lo[0], state_box.hi[0]))
     return stab.CLFProblem(
         dynamics=dyn,
         control_box=_interval(config["control_box"]),
         V=lambda xs, f=vform: f(xs[:, 0]),
         grad_V=lambda xs, f=vform: f.derivative(xs[:, :1]),
-        v_lipschitz=vform.lipschitz_on(R),
+        v_lipschitz=vform.lipschitz_on(radius),
         target_radius=float(config["target_radius"]),
         overshoot_radius=float(config["overshoot_radius"]),
     )
@@ -341,6 +343,7 @@ def _task_shh(config, seed, out):
         "margin": res.margin if res.margin is not None else -1.0,
     }
     payload = {"diagnosis": res.diagnosis} if res.diagnosis else {}
+    payload["search"] = res.details
     if rows:
         payload["sweep_file"] = "sweep.csv"
     if res.ok:

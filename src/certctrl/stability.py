@@ -8,13 +8,14 @@ certificate reports the annulus radius from which node margins dominate
 the inter-node modulus slack.  Equality within the evaluation radius at
 any other node yields `undecided`, never `certified`.
 
-The sampling-time search is an empirical-certified bisection: a candidate
-eta is certified when every annulus mesh state, under the sample-and-hold
-closed loop, decreases the Lyapunov function each interval by more than
-the solver slack plus a reserve of eta * eps (the optimizer tolerance per
-unit time) until it enters the target ball with the same reserve.  The
-reserve is what makes certified sampling times shrink as the optimizer
-tolerance grows, and fail once the tolerance eats the decay margin.
+The sampling-time search is a bisection certified at the annulus mesh
+nodes only: a candidate eta is certified when every annulus mesh node,
+under the sample-and-hold closed loop, decreases the Lyapunov function
+each interval by more than the solver slack plus a reserve of eta * eps
+(the optimizer tolerance per unit time) until it enters the target ball
+with the same reserve.  The reserve is what makes certified sampling
+times shrink as the optimizer tolerance grows, and fail once the
+tolerance eats the decay margin.
 """
 
 from __future__ import annotations
@@ -353,6 +354,12 @@ def certify(data: LyapunovData, box: Hypercube, mesh_eps: float, t_samples) -> S
 
 @dataclass(frozen=True)
 class CLFProblem:
+    """The annulus r <= |x| <= R is centred at the origin, so the state box
+    must contain [-R, R]^n.  control_meshes holds the control-box mesh nodes
+    of each division count clf_feedback has used (they depend on the box and
+    the count only), so every search and closed loop on this problem builds
+    each mesh once."""
+
     dynamics: ControlledDynamics
     control_box: Hypercube
     V: Callable[[np.ndarray], np.ndarray]  # (B, n) -> (B,)
@@ -361,12 +368,14 @@ class CLFProblem:
     target_radius: float  # r
     overshoot_radius: float  # R
     v_radius: float = 1e-12
+    control_meshes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0 < self.target_radius < self.overshoot_radius):
             raise ArgumentError("need 0 < r < R")
-        if self.overshoot_radius > self.dynamics.state_box.side / 2.0 + 1e-12:
-            raise ArgumentError("R must fit inside the state box")
+        box, R = self.dynamics.state_box, self.overshoot_radius
+        if np.any(box.lo > -R + 1e-12) or np.any(box.hi < R - 1e-12):
+            raise ArgumentError("the state box must contain [-R, R]^n")
 
 
 # (state, control node) pairs per dynamics evaluation in clf_feedback; bounds
@@ -397,9 +406,12 @@ def clf_feedback(problem: CLFProblem, x, eps: float):
     B CertifiedReal) for a batch.
 
     The mesh resolution depends on |grad V(x)|; states whose meshes have
-    the same divisions share one mesh, and dynamics.f runs once over the
-    (state, mesh node) pairs of as many states as fit in _FEEDBACK_PAIRS
-    pairs.
+    the same divisions share one mesh, kept in problem.control_meshes, and
+    dynamics.f runs once over the (state, mesh node) pairs of as many
+    states as fit in _FEEDBACK_PAIRS pairs.  Each row's result depends on
+    that row alone, bit for bit, whatever the batch around it: the
+    reductions run per row (_rowdot, reduceat segments), so a feedback
+    evaluated once on a batch may be reused on any subset of its rows.
     """
     if eps <= 0:
         raise ArgumentError("eps must be positive")
@@ -416,13 +428,13 @@ def clf_feedback(problem: CLFProblem, x, eps: float):
     us = np.empty((B, box.dim))
     vals_at = np.empty(B)
     radii = np.empty(B)
+    meshes = problem.control_meshes
     lo = 0
     while lo < B:
         hi, pairs = lo + 1, sizes[lo]
         while hi < B and pairs + sizes[hi] <= _FEEDBACK_PAIRS:
             pairs += sizes[hi]
             hi += 1
-        meshes = {}
         for i in range(lo, hi):
             if ks[i] not in meshes:
                 meshes[ks[i]] = build_mesh(box, res[i]).points
@@ -453,7 +465,7 @@ class SamplingTimeResult:
     eta: Optional[float]
     margin: Optional[float]
     diagnosis: str = ""
-    details: dict = field(default_factory=dict)
+    details: dict = field(default_factory=dict)  # resolution and work counters
 
     @property
     def ok(self) -> bool:
@@ -461,10 +473,11 @@ class SamplingTimeResult:
 
 
 def _annulus_nodes(problem: CLFProblem, mesh_eps: float) -> np.ndarray:
-    box = Hypercube(problem.dynamics.state_box.center, 2.0 * problem.overshoot_radius)
-    mesh = build_mesh(box, mesh_eps)
+    """The nodes with r <= |x| <= R of the mesh of [-R, R]^n."""
+    R = problem.overshoot_radius
+    mesh = build_mesh(Hypercube(np.zeros(problem.dynamics.state_box.dim), 2.0 * R), mesh_eps)
     norms = np.linalg.norm(mesh.points, axis=1)
-    keep = (norms >= problem.target_radius) & (norms <= problem.overshoot_radius + 1e-12)
+    keep = (norms >= problem.target_radius) & (norms <= R + 1e-12)
     return mesh.points[keep]
 
 
@@ -476,23 +489,25 @@ def _simulate_closed_loop(
     eps: float,
     eps_loc: float,
     max_steps: int,
+    kappa_x0=None,
 ):
     """Run the SH loop from every row of x0 (B, n) in lockstep; a 1-D x0
     is one node.  A node succeeds by entering the target ball with reserve
     while V decreases each interval by more than the reserve plus solver
-    slack.  Returns (ok, margin, samples): on success the worst node
-    margin; otherwise the margin of the lowest-index failing node, -inf
-    when it left the state box, its Picard step exceeded the budget or
-    contract, or it ran out of steps.  That is the answer of running the
-    nodes one by one and stopping at the first failure.  samples lists the
-    states after each interval of the nodes that completed it (1-D states
-    for a 1-D x0).
+    slack.  The run stops at the first interval in which a node fails.
+    Returns (ok, margin, samples): on success the worst node margin;
+    otherwise the margin of the lowest-index node that fails in that
+    interval, -inf when it left the state box, its Picard step exceeded the
+    budget or contract, or it ran out of steps.  samples lists the states
+    after each interval of the nodes that completed it (1-D states for a
+    1-D x0).
 
     One kappa call (kappa maps (b, n) states to (b, p) controls) and one
-    batched Picard step per interval serve all running nodes; a node
-    above the lowest failure so far is dropped.  Any error other than the
-    DomainExitError, ResourceBudgetError and ContractError of a Picard step
-    is a fault and propagates."""
+    batched Picard step per interval serve all running nodes.  kappa_x0,
+    when given, returns the (B, p) controls kappa gives the rows of x0; the
+    first interval takes the rows of its running nodes instead of calling
+    kappa.  Any error other than the DomainExitError, ResourceBudgetError
+    and ContractError of a Picard step is a fault and propagates."""
     dyn = problem.dynamics
     box = dyn.state_box
     one = np.ndim(x0) == 1
@@ -513,13 +528,16 @@ def _simulate_closed_loop(
         plan = None  # every Picard step of this eta exceeds its budget
     node = np.arange(xs.shape[0])  # node index of each running row
     margins = np.full(xs.shape[0], math.inf)
-    failed, fail_margin = xs.shape[0], None  # lowest failing node so far
-    for _ in range(max_steps):
+    fail_margin = None
+    for step in range(max_steps):
         running = ~(_row_norms(xs) <= entry_cut)
         xs, node = xs[running], node[running]
         if not node.size:
             break
-        us = np.asarray(kappa(xs), dtype=float).reshape(node.size, -1)
+        if step == 0 and kappa_x0 is not None:
+            us = kappa_x0()[node]
+        else:
+            us = np.asarray(kappa(xs), dtype=float).reshape(node.size, -1)
         stepped = np.all(xs >= box.lo, axis=1) & np.all(xs <= box.hi, axis=1)
         x_new = xs.copy()
         err = np.zeros(node.size)
@@ -554,20 +572,19 @@ def _simulate_closed_loop(
             m, at = (dec - need)[on], node[rows[on]]
             margins[at] = np.where(m < margins[at], m, margins[at])
             samples.append(x_new[stepped])
-        if fails.any():  # the running nodes all lie below the lowest failure so far
-            first = int(np.argmax(fails))
-            failed, fail_margin = int(node[first]), float(step_margin[first])
-        keep = ~fails & (node < failed)
-        xs, node = x_new[keep], node[keep]
+        if fails.any():  # rows are in node order
+            fail_margin = float(step_margin[int(np.argmax(fails))])
+            break
+        xs = x_new
     else:
         if node.size:  # still outside the ball after max_steps intervals
-            failed, fail_margin = int(node[0]), -math.inf
+            fail_margin = -math.inf
     if one:
         samples = [s[0] for s in samples]
     if fail_margin is not None:
         return False, fail_margin, samples
     worst = math.inf
-    for m in margins:  # node order, as the one-by-one loop
+    for m in margins:  # node order, as a one-by-one loop
         worst = min(worst, float(m))
     return True, worst, samples
 
@@ -581,15 +598,26 @@ def find_sampling_time(
     resolution: Optional[float] = None,
     eps_loc: Optional[float] = None,
 ) -> SamplingTimeResult:
-    """Largest mesh-certified sampling time by empirical bisection.
+    """Largest sampling time certified at the annulus mesh nodes, by a
+    downward geometric probe and bisection.
+
+    The certificate covers the mesh nodes only, not the states between
+    them: kappa is discontinuous, so no modulus carries a node's decrease
+    to its neighbours (an annulus-wide one-step decrease bound is an open
+    item of the ROADMAP).
 
     kappa is the (eps-tolerance) feedback, typically built from
-    clf_feedback, mapping (B, n) states to (B, p) controls; all annulus
-    nodes run in lockstep (see _simulate_closed_loop).  eps enters the
-    certificates as the per-unit-time reserve the observed decrease must
-    dominate.  On failure the diagnosis distinguishes an inadequate CLF
-    (no certified decay direction at some node even with a fine optimizer)
-    from a too-large optimizer tolerance.
+    clf_feedback, mapping (B, n) states to (B, p) controls, each row
+    depending on that row alone.  All annulus nodes run in lockstep (see
+    _simulate_closed_loop), and every probe starts at the same nodes, so
+    kappa runs on the whole node array once per search, when a probe first
+    needs it.  eps enters the certificates as the per-unit-time reserve the
+    observed decrease must dominate.  On failure the diagnosis
+    distinguishes an inadequate CLF (no certified decay direction at some
+    node even with a fine optimizer) from a too-large optimizer tolerance.
+    details counts the work: probes (closed-loop simulations), lockstep
+    intervals, kappa calls and the control meshes built in
+    problem.control_meshes.
     """
     if eta_max <= 0:
         raise ArgumentError("eta_max must be positive")
@@ -598,13 +626,35 @@ def find_sampling_time(
     nodes = _annulus_nodes(problem, mesh_eps)
     if nodes.shape[0] == 0:
         raise ArgumentError("annulus mesh empty; refine mesh_eps")
+    work = {"resolution": resolution, "probes": 0, "intervals": 0, "kappa_calls": 0}
+    meshes_before = len(problem.control_meshes)
+    at_nodes = []
+
+    def counted_kappa(xs):
+        work["intervals"] += 1
+        work["kappa_calls"] += 1
+        return kappa(xs)
+
+    def kappa_at_nodes():
+        work["intervals"] += 1
+        if not at_nodes:
+            work["kappa_calls"] += 1
+            at_nodes.append(np.asarray(kappa(nodes), dtype=float).reshape(len(nodes), -1))
+        return at_nodes[0]
 
     def certified(eta: float):
+        work["probes"] += 1
         max_steps = max(20, math.ceil(6.0 * problem.overshoot_radius / eta))
         # solver tolerance well under the eta*eps reserve it must not mask
         el = eps_loc if eps_loc is not None else max(1e-12, eta * eps / 100.0)
-        ok, margin, _ = _simulate_closed_loop(problem, kappa, nodes, eta, eps, el, max_steps)
+        ok, margin, _ = _simulate_closed_loop(
+            problem, counted_kappa, nodes, eta, eps, el, max_steps, kappa_at_nodes
+        )
         return ok, margin
+
+    def result(verdict, eta, margin, diagnosis=""):
+        work["control_meshes_built"] = len(problem.control_meshes) - meshes_before
+        return SamplingTimeResult(verdict, eta, margin, diagnosis, details=work)
 
     # geometric probe downward for a certifiable eta
     eta_lo, margin_lo = None, None
@@ -616,12 +666,9 @@ def find_sampling_time(
             break
         probe /= 2.0
     if eta_lo is None:
-        return SamplingTimeResult(
-            "failure", None, None, diagnosis=_diagnose(problem, nodes, eps),
-            details={"resolution": resolution},
-        )
+        return result("failure", None, None, _diagnose(problem, nodes, eps))
     if eta_lo == eta_max:
-        return SamplingTimeResult("certified", eta_max, margin_lo)
+        return result("certified", eta_max, margin_lo)
     lo, hi = eta_lo, min(2.0 * eta_lo, eta_max)
     best_margin = margin_lo
     while hi - lo > resolution:
@@ -631,7 +678,7 @@ def find_sampling_time(
             lo, best_margin = mid, margin
         else:
             hi = mid
-    return SamplingTimeResult("certified", lo, best_margin)
+    return result("certified", lo, best_margin)
 
 
 def _diagnose(problem: CLFProblem, nodes: np.ndarray, eps: float) -> str:

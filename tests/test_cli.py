@@ -436,3 +436,33 @@ def test_shh_numeric_fields_pinned(tmp_path, config, expected, sweep):
         assert not (out / "sweep.csv").exists()
     else:
         assert (out / "sweep.csv").read_text().splitlines() == ["optimizer_eps,eta,margin", *sweep]
+
+
+def test_shh_payload_reports_the_search_work(tmp_path):
+    config = {**SHH_INTEGRATOR, "optimizer_eps": 0.05, "sweep": [0.1]}
+    code, record, _ = _run_cli(tmp_path, "shh", config)
+    assert code == EXIT_OK
+    search = record["payload"]["search"]
+    assert set(search) == {"resolution", "probes", "intervals", "kappa_calls",
+                           "control_meshes_built"}
+    assert search["probes"] > 1 and 1 <= search["kappa_calls"] < search["intervals"]
+    assert "search" not in record["numeric"]
+
+
+def test_shh_rejects_a_state_box_without_the_annulus(tmp_path):
+    # the annulus 0.1 <= |x| <= 1.5 needs [-1.5, 1.5] inside the state box
+    config = {**SHH_INTEGRATOR, "state_box": [0.5, 4.5], "overshoot_radius": 1.5,
+              "optimizer_eps": 0.05}
+    code, _, _ = _run_cli(tmp_path, "shh", config)
+    assert code == EXIT_CONFIG
+
+
+def test_shh_v_lipschitz_on_the_whole_state_box():
+    from certctrl.cli import _shh_problem
+
+    # V = x^2 on [-1, 3]: sup |V'| = 6, at x = 3
+    config = {**SHH_INTEGRATOR, "state_box": [-1, 3], "overshoot_radius": 0.8,
+              "optimizer_eps": 0.05}
+    assert _shh_problem(config).v_lipschitz == 6.0
+    assert _shh_problem({**config, "state_box": [-3, 1]}).v_lipschitz == 6.0
+    assert _shh_problem({**config, "state_box": [-2, 2]}).v_lipschitz == 4.0

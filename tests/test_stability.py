@@ -324,10 +324,10 @@ def test_comparator_rejects_bad_coefficients():
 # CLF feedback
 # ---------------------------------------------------------------------------
 
-def integrator_problem(r=0.1, R=1.0):
+def integrator_problem(r=0.1, R=1.0, state_box=Hypercube(np.array([0.0]), 4.0)):
     dyn = ControlledDynamics(
         f=lambda xs, u: np.broadcast_to(u, xs.shape).copy(),
-        state_box=Hypercube(np.array([0.0]), 4.0),
+        state_box=state_box,
         lip_x=0.0,
         lip_u=1.0,
         sup_bound=1.0,
@@ -438,6 +438,82 @@ def test_find_sampling_time_certified_loop_enters_ball():
         )
         assert ok
         assert min(np.linalg.norm(s) for s in samples) <= 0.1 + 1e-6
+
+
+def test_annulus_is_meshed_around_the_origin():
+    # the state box [-1, 3] is centred at 1; the annulus 0.1 <= |x| <= 0.8
+    # is centred at the origin
+    prob = integrator_problem(0.1, 0.8, Hypercube(np.array([1.0]), 4.0))
+    mesh_eps = 0.1
+    nodes = _annulus_nodes(prob, mesh_eps)[:, 0]
+    assert np.all((np.abs(nodes) >= 0.1) & (np.abs(nodes) <= 0.8 + 1e-12))
+    assert sorted(nodes) == sorted(-nodes)
+    xs = np.linspace(-0.8, 0.8, 3201)
+    xs = xs[np.abs(xs) >= 0.1]
+    dist = np.abs(xs[:, None] - nodes[None, :]).min(axis=1)
+    # within mesh_eps of the inner sphere the nearest mesh node may lie in
+    # the target ball, where no node runs
+    assert np.all(dist[np.abs(xs) >= 0.1 + mesh_eps] <= mesh_eps)
+
+
+def test_clf_problem_needs_the_origin_centred_cube_in_the_state_box():
+    with pytest.raises(ArgumentError, match=r"\[-R, R\]"):
+        integrator_problem(0.1, 1.5, Hypercube(np.array([2.5]), 4.0))  # [0.5, 4.5]
+    with pytest.raises(ArgumentError):
+        integrator_problem(0.1, 1.2, Hypercube(np.array([1.0]), 4.0))  # [-1, 3]
+    integrator_problem(0.1, 1.0, Hypercube(np.array([1.0]), 4.0))
+
+
+def _counting_search(monkeypatch, prob, kappa, *args, **kwargs):
+    """find_sampling_time with every build_mesh call and kappa call
+    recorded: returns (result, control mesh division counts, kappa inputs)."""
+    divisions, inputs = [], []
+
+    def counted_mesh(box, eps, *a, **k):
+        if box == prob.control_box:
+            divisions.append(stability.mesh_divisions(box, eps))
+        return build_mesh(box, eps, *a, **k)
+
+    def counted_kappa(x):
+        inputs.append(np.array(x, copy=True))
+        return kappa(x)
+
+    monkeypatch.setattr(stability, "build_mesh", counted_mesh)
+    res = find_sampling_time(prob, counted_kappa, *args, **kwargs)
+    return res, divisions, inputs
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.5])
+def test_sampling_time_search_reuses_meshes_and_kappa_at_the_nodes(monkeypatch, eps):
+    prob = integrator_problem(0.1, 0.9)  # the annulus mesh box is not the control box
+    kappa = lambda x: clf_feedback(prob, x, eps)[0]
+    res, divisions, inputs = _counting_search(
+        monkeypatch, prob, kappa, 1.0, eps, mesh_eps=0.1, resolution=5e-4
+    )
+    assert res.ok == (eps < 0.5)  # the failure runs the diagnosis as well
+    assert len(divisions) == len(set(divisions)) == len(prob.control_meshes) > 1
+    nodes = _annulus_nodes(prob, 0.1)
+    assert sum(x.shape == nodes.shape and np.array_equal(x, nodes) for x in inputs) == 1
+    assert res.details["probes"] > 1
+    assert res.details["kappa_calls"] == len(inputs) < res.details["intervals"]
+    assert res.details["control_meshes_built"] == len(divisions)
+    # a second search on the same problem builds no control mesh
+    again, divisions, _ = _counting_search(
+        monkeypatch, prob, kappa, 1.0, eps, mesh_eps=0.1, resolution=5e-4
+    )
+    assert (again.verdict, again.eta, again.margin) == (res.verdict, res.eta, res.margin)
+    assert divisions == [] and again.details["control_meshes_built"] == 0
+
+
+def test_sampling_time_search_skips_kappa_when_no_probe_starts():
+    # the reserve eta * eps exceeds the target radius for every probe eta
+    prob = integrator_problem()
+    calls = []
+    kappa = lambda x: calls.append(x) or clf_feedback(prob, x, 20.0)[0]
+    res = find_sampling_time(prob, kappa, 1.0, 20.0, mesh_eps=0.1, resolution=1e-2)
+    assert not res.ok and calls == []
+    assert res.details["probes"] == 7
+    assert res.details["kappa_calls"] == res.details["intervals"] == 0
 
 
 def test_find_sampling_time_propagates_dynamics_faults():
@@ -604,11 +680,14 @@ def _one_node(problem, kappa, x0, eta, eps, eps_loc, max_steps):
 
 
 def _nodes_one_by_one(problem, kappa, nodes, eta, eps, eps_loc, max_steps):
+    """On failure the margin of the lowest-index node among those failing
+    at the earliest failing step; otherwise the worst margin."""
+    outcomes = [_one_node(problem, kappa, x0, eta, eps, eps_loc, max_steps) for x0 in nodes]
+    failing = [(steps, i) for i, (ok, _, steps) in enumerate(outcomes) if not ok]
+    if failing:
+        return False, outcomes[min(failing)[1]][1]
     worst = math.inf
-    for x0 in nodes:
-        ok, margin, _ = _one_node(problem, kappa, x0, eta, eps, eps_loc, max_steps)
-        if not ok:
-            return False, margin
+    for _, margin, _ in outcomes:
         worst = min(worst, margin)
     return True, worst
 
@@ -687,11 +766,12 @@ def test_lockstep_sampling_time_integrator(eps):
 
 
 def affine_problem(r):
-    # x' = x + u x^2 on [0, 1.5], U = [-6, 0]: lip_x = 1, so every Picard
-    # step iterates, and the rows stop at different iterations
+    # x' = x + u x |x| on [-1.5, 1.5], U = [-6, 0]: lip_x = 1, so every
+    # Picard step iterates, and the rows stop at different iterations; the
+    # field is odd, so the nodes below 0 mirror those above it
     dyn = ControlledDynamics(
-        f=lambda xs, us: xs + us[:, :1] * xs ** 2,
-        state_box=Hypercube(np.array([0.75]), 1.5),
+        f=lambda xs, us: xs + us[:, :1] * xs * np.abs(xs),
+        state_box=Hypercube(np.array([0.0]), 3.0),
         lip_x=1.0,
         lip_u=2.25,
         sup_bound=15.0,
@@ -731,19 +811,26 @@ def _stalling_kappa(zones):
     return kappa
 
 
-def test_lockstep_reports_lowest_failing_node_not_first_failure():
+def test_lockstep_reports_lowest_node_of_earliest_failing_interval():
     prob = integrator_problem()
     nodes = _annulus_nodes(prob, 0.1)
     kappa = _stalling_kappa([(-0.62, -0.5), (0.95, 1.0)])
     eta, eps, el = 0.2, 1e-3, 2e-6
     outcomes = [_one_node(prob, kappa, x0, eta, eps, el, 200) for x0 in nodes]
-    # the last node fails at once, the first one only after several steps,
-    # with a different margin
-    assert not outcomes[-1][0] and outcomes[-1][2] == 0
+    # the last node fails at once, alone; the first one only after several
+    # steps, with a different margin
+    assert [i for i, (ok, _, steps) in enumerate(outcomes) if not ok and steps == 0] == [
+        len(nodes) - 1
+    ]
     assert not outcomes[0][0] and outcomes[0][2] > 2
     assert outcomes[0][1] != outcomes[-1][1]
+    # the loop stops in the first interval, so it reports the last node
     ok, margin = _same_closed_loop(prob, kappa, nodes, eta, eps, el, 200)
-    assert (ok, margin) == (False, outcomes[0][1])
+    assert (ok, margin) == (False, outcomes[-1][1])
+    calls = []
+    counted = lambda x: calls.append(len(x)) or kappa(x)
+    assert _simulate_closed_loop(prob, counted, nodes, eta, eps, el, 200)[:2] == (ok, margin)
+    assert calls == [len(nodes)]  # no interval after the failing one
     for eta in (1.0, 0.5, 0.35, 0.1):
         _same_closed_loop(prob, kappa, nodes, eta, eps, el, 200)
     _same_sampling_time(prob, kappa, 1.0, eps, 0.1, 1e-2)
