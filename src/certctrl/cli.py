@@ -90,7 +90,10 @@ def _task_evt_min(config, seed, out):
         target = build_scalar_form(spec["target"])
         tvals = target(grid[:, 0])
         gap = float(grid[1, 0] - grid[0, 0])
-        rad = (pclass.lipschitz + target.lipschitz_on(1.0)) * gap / 2.0 + 1e-12
+        # the forms take their Lipschitz constant on [-radius, radius]: the
+        # domain's largest |x| makes that interval contain the domain
+        radius = float(max(-pclass.domain.lo[0], pclass.domain.hi[0]))
+        rad = (pclass.lipschitz + target.lipschitz_on(radius)) * gap / 2.0 + 1e-12
 
         def ev(V):
             return np.abs(V[:, :, 0] - tvals).max(axis=1), rad
@@ -104,7 +107,8 @@ def _task_evt_min(config, seed, out):
     else:
         raise ArgumentError(f"unknown functional kind {spec['kind']!r}: sup_distance, mean")
     eps = float(config["eps"])
-    policy, cert = evt.epsilon_minimize(J, pclass, eps)
+    net = evt.enumerate_policy_net(pclass, J.modulus.step(eps / 2.0))
+    policy, cert = evt.epsilon_minimize(J, pclass, eps, net=net)
     (out / "policy.txt").write_text(evt.policy_to_text(policy))
     numeric = {
         "value": cert.value,
@@ -112,7 +116,11 @@ def _task_evt_min(config, seed, out):
         "eps": eps,
         "member_index": policy.index,
     }
-    return "certified", numeric, {"policy_file": "policy.txt"}
+    payload = {
+        "policy_file": "policy.txt",
+        "net": {"members": len(net), "nodes": len(net.nodes), "grid_points": len(grid)},
+    }
+    return "certified", numeric, payload
 
 
 _DANSKIN_OBJECTIVES = {
@@ -407,6 +415,21 @@ def _task_certify(config, seed, out):
     return cert.verdict, numeric, payload
 
 
+def _soundness_gap(a: float, b: float, c: float, r: float) -> tuple[int, int]:
+    """|(a b + a) b - a - c| - r, exact, as (numerator, denominator).
+
+    Every float is n / 2**e (float.as_integer_ratio), so over a common
+    denominator D for a and b the exact product is an integer over D**3,
+    and the gap an integer over one power of two S.
+    """
+    (na, da), (nb, db), (nc, dc), (nr, dr) = (x.as_integer_ratio() for x in (a, b, c, r))
+    D = max(da, db)
+    A, B = na * (D // da), nb * (D // db)
+    S = max(D**3, dc, dr)
+    exact = (A * B * B + A * B * D - A * D * D) * (S // D**3)
+    return abs(exact - nc * (S // dc)) - nr * (S // dr), S
+
+
 def _task_audit(config, seed, out):
     """Seeded property battery across every module; the determinism
     acceptance criterion compares this record's numeric fields."""
@@ -414,17 +437,16 @@ def _task_audit(config, seed, out):
     numeric = {}
 
     # core: interval soundness on random products
-    worst_gap = -math.inf
+    worst = None
     for _ in range(2000):
         a = CertifiedReal(float(rng.uniform(-3, 3)), 0.0)
         b = CertifiedReal(float(rng.uniform(-3, 3)), 0.0)
         c = (a * b + a) * b - a
-        exact = (Fraction(a.value) * Fraction(b.value) + Fraction(a.value)) * Fraction(
-            b.value
-        ) - Fraction(a.value)
-        gap = float(abs(exact - Fraction(c.value)) - Fraction(c.radius))
-        worst_gap = max(worst_gap, gap)
-    numeric["core_worst_soundness_gap"] = worst_gap
+        n, d = _soundness_gap(a.value, b.value, c.value, c.radius)
+        if worst is None or n * worst[1] > worst[0] * d:
+            worst = n, d
+    # one correctly rounded division
+    numeric["core_worst_soundness_gap"] = worst[0] / worst[1]
 
     # core: mesh covering
     mesh = build_mesh(Hypercube(np.zeros(2), 2.0), 0.25)

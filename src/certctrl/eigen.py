@@ -6,13 +6,11 @@ set of k <= n independent vectors whose eigen-residuals are certified
 below a requested tolerance.  Eigenpairs come from LAPACK; Gershgorin disks
 of X^-1 A X, bounded rigorously, cluster the eigenvalues with exact
 multiplicities, and the Hurwitz verdict is `undecided` whenever a cluster
-touches the imaginary axis.  Polynomial root clusters come with honest
-radii (a root of multiplicity m only admits an eps^(1/m)-scale radius).
+touches the imaginary axis.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -25,8 +23,6 @@ __all__ = [
     "RootCluster",
     "ApproxEigenPair",
     "StabilityVerdict",
-    "char_poly",
-    "approx_roots",
     "approx_eigenpairs",
     "hurwitz_verdict",
     "residual_recheck_mp",
@@ -58,37 +54,6 @@ def _coerce(A) -> ComplexMatrix:
     return A if isinstance(A, ComplexMatrix) else ComplexMatrix(np.asarray(A))
 
 
-def char_poly(A) -> tuple[np.ndarray, np.ndarray]:
-    """Monic characteristic polynomial by the Faddeev-LeVerrier recursion.
-
-    Returns (coeffs, radii): coeffs[0] = 1, coeffs[k] multiplies
-    lambda^(n-k); radii soundly bound the accumulated floating-point error
-    of each coefficient (first-order interval propagation plus ulp terms).
-    """
-    A = _coerce(A)
-    a = A.entries
-    n = A.n
-    absA = np.abs(a)
-    coeffs = np.empty(n + 1, dtype=complex)
-    radii = np.zeros(n + 1)
-    coeffs[0] = 1.0
-    M = np.eye(n, dtype=complex)
-    RM = np.zeros((n, n))
-    gamma = (n + 2) * _EPS
-    for k in range(1, n + 1):
-        AM = a @ M
-        # |fl(A M) - A M| <= gamma |A||M| plus propagated radius of M
-        R_AM = absA @ RM + gamma * (absA @ np.abs(M)) + _EPS * np.abs(AM)
-        tr = np.trace(AM)
-        r_tr = float(np.trace(R_AM)) + n * _EPS * abs(tr)
-        c = -tr / k
-        coeffs[k] = c
-        radii[k] = (r_tr / k) * (1.0 + 1e-12) + math.ulp(abs(c))
-        M = AM + c * np.eye(n)
-        RM = R_AM + (radii[k] + _EPS * abs(c)) * np.eye(n)
-    return coeffs, radii
-
-
 @dataclass(frozen=True)
 class RootCluster:
     """A certified root disk: center, inclusion radius, multiplicity."""
@@ -98,26 +63,6 @@ class RootCluster:
     multiplicity: int
     converged: bool = True
     members: tuple = ()
-
-
-def _poly_eval_certified(coeffs: np.ndarray, z: complex, coeff_radii=None) -> tuple[complex, float]:
-    """Horner value plus a sound bound on its floating-point error
-    (condition-number style: (2n+2) eps sum |c_k| |z|^k, plus any
-    coefficient radii)."""
-    n = coeffs.size - 1
-    az = abs(z)
-    r = coeffs[0]
-    mag = abs(coeffs[0])
-    for c in coeffs[1:]:
-        r = r * z + c
-        mag = mag * az + abs(c)
-    err = (2 * n + 2) * _EPS * mag
-    if coeff_radii is not None:
-        p = 1.0
-        for rad in np.asarray(coeff_radii)[::-1]:
-            err += float(rad) * p
-            p *= az
-    return r, err
 
 
 def _overlap_components(centers: np.ndarray, radii: np.ndarray, pad: float) -> list[list[int]]:
@@ -137,105 +82,6 @@ def _overlap_components(centers: np.ndarray, radii: np.ndarray, pad: float) -> l
     for i in range(len(centers)):
         groups.setdefault(find(i), []).append(i)
     return list(groups.values())
-
-
-def approx_roots(
-    coeffs,
-    eps: float,
-    max_iter: int = 400,
-    coeff_radii=None,
-) -> list[RootCluster]:
-    """Aberth simultaneous iteration with certified inclusion radii.
-
-    Radii come from the n |p(z)/p'(z)| bound; overlapping disks merge into
-    clusters whose shared radius uses the multiplicity-aware bound
-    (n |p(z)| / prod of distances to outside roots)^(1/m) plus the member
-    spread, which keeps multiple-root radii honest (machine-eps^(1/m)
-    scale).  Returns converged=False clusters when the iteration cap is
-    reached before every radius drops below eps.
-    """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.ndim != 1 or coeffs.size < 2:
-        raise ArgumentError("need a polynomial of degree >= 1")
-    if abs(coeffs[0] - 1.0) > 1e-12:
-        if coeffs[0] == 0:
-            raise ArgumentError("leading coefficient must be nonzero")
-        if coeff_radii is not None:
-            coeff_radii = np.asarray(coeff_radii) / abs(coeffs[0])
-        coeffs = coeffs / coeffs[0]
-    n = coeffs.size - 1
-    if eps <= 0:
-        raise ArgumentError("eps must be positive")
-    deriv = coeffs[:-1] * np.arange(n, 0, -1)
-    # |p'| must be bounded below over every polynomial within the radii
-    deriv_radii = None
-    if coeff_radii is not None:
-        deriv_radii = np.asarray(coeff_radii)[:-1] * np.arange(n, 0, -1)
-
-    # Cauchy bound seeds on a perturbed circle (deterministic)
-    R = 1.0 + max(abs(c) for c in coeffs[1:])
-    z = np.array(
-        [
-            R * cmath.exp(2j * math.pi * (k + 0.25) / n + 0.35j / n)
-            for k in range(n)
-        ],
-        dtype=complex,
-    )
-    converged = False
-    for _ in range(max_iter):
-        moved = 0.0
-        for i in range(n):
-            p = _poly_eval_certified(coeffs, z[i])[0]
-            dp = _poly_eval_certified(deriv, z[i])[0]
-            s = complex(0.0)
-            for j in range(n):
-                if j != i:
-                    dzij = z[i] - z[j]
-                    if dzij == 0:
-                        dzij = 1e-300
-                    s += 1.0 / dzij
-            denom = dp - p * s
-            if denom == 0:
-                continue
-            step = p / denom
-            z[i] -= step
-            moved = max(moved, abs(step))
-        if moved < 1e3 * _EPS * max(1.0, R):
-            converged = True
-            break
-
-    # per-root inclusion radii with evaluation-error floors (a residual
-    # that cancels to zero at a multiple root is noise, not certainty)
-    radii = np.empty(n)
-    for i in range(n):
-        p, perr = _poly_eval_certified(coeffs, z[i], coeff_radii)
-        dp, derr = _poly_eval_certified(deriv, z[i], deriv_radii)
-        pc = abs(p) + perr
-        dp_lo = abs(dp) - derr
-        if dp_lo > 0:
-            radii[i] = n * pc / dp_lo
-        else:
-            radii[i] = pc ** (1.0 / n)
-
-    clusters = []
-    for idxs in _overlap_components(z, radii, 4 * _EPS * R):
-        m = len(idxs)
-        members = z[idxs]
-        center = complex(members.mean())
-        spread = max((abs(w - center) for w in members), default=0.0)
-        outside = [z[j] for j in range(n) if j not in idxs]
-        p, perr = _poly_eval_certified(coeffs, center, coeff_radii)
-        pc = abs(p) + perr
-        denom = 1.0
-        for w in outside:
-            denom *= max(abs(center - w) - spread, 1e-300)
-        r_cluster = (n * pc / denom) ** (1.0 / m) + spread
-        ok = converged and r_cluster <= max(eps, spread)
-        clusters.append(
-            RootCluster(center, max(r_cluster, spread), m, converged=ok, members=tuple(members))
-        )
-    clusters.sort(key=lambda c: (c.center.real, c.center.imag))
-    return clusters
 
 
 @dataclass(frozen=True)

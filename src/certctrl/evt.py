@@ -321,9 +321,10 @@ def enumerate_policy_net(
     return PolicyNet(nodes, values[rows], Lc, K)
 
 
-# members per evaluation block: a (256, G, m) block of extended values
-# stays small enough to be cache-friendly at the grid sizes in use
-_CHUNK = 256
+# members per evaluation block: a (128, G, m) block of extended values and
+# the temporaries of its last node stay within a 2 MB L2 cache at G = 401
+# (256 measured slower)
+_CHUNK = 128
 
 
 def _grid_blocks(net: PolicyNet, grid):
@@ -332,15 +333,33 @@ def _grid_blocks(net: PolicyNet, grid):
 
     Same arithmetic as PiecewisePolicy.__call__ (the max over nodes is
     exact in any order), with the grid-to-node distances computed once.
+    The partial maximum max_{i <= j} (v_i - L d(g, x_i)) depends only on
+    a member's values at nodes 0..j, so within a block it is computed
+    once per distinct prefix (consecutive members compared bit for bit),
+    and each prefix extends its parent's row by one np.maximum.  Members
+    come in lexicographic order, so prefixes are long runs.
     """
     grid = np.asarray(grid, dtype=float).reshape(-1, net.nodes.dim)
     dist = np.linalg.norm(grid[:, None, :] - net.nodes.points[None, :, :], axis=2)
-    drop = net.coordinate_lipschitz * dist  # (G, N)
+    drop = (net.coordinate_lipschitz * dist).T[:, :, None].copy()  # (N, G, 1)
+    N = net.values.shape[1]
     for s in range(0, len(net), _CHUNK):
-        v = net.values[s : s + _CHUNK]  # (c, N, m)
-        block = v[:, None, 0, :] - drop[None, :, 0, None]
-        for i in range(1, v.shape[1]):
-            np.maximum(block, v[:, None, i, :] - drop[None, :, i, None], out=block)
+        v = np.ascontiguousarray(net.values[s : s + _CHUNK], dtype=float)  # (c, N, m)
+        # new[k, j]: member k starts a prefix of length j + 1 (the integer
+        # view tells -0.0 from 0.0, which != does not)
+        bits = v.view(np.int64)
+        new = np.ones(v.shape[:2], dtype=bool)
+        np.logical_or.accumulate((bits[1:] != bits[:-1]).any(axis=2), axis=1, out=new[1:])
+        # owner[k, j]: the row of the level-j partial maxima holding member
+        # k's prefix
+        owner = np.cumsum(new, axis=0) - 1
+        part = v[new[:, 0], None, 0, :] - drop[0]
+        for j in range(1, N):
+            rows = np.flatnonzero(new[:, j]) if j < N - 1 else slice(None)
+            step = v[rows, None, j, :] - drop[j]
+            np.maximum(part[owner[rows, j - 1]], step, out=step)
+            part = step
+        block = part if N > 1 else part[owner[:, 0]]
         np.clip(block, -net.bound, net.bound, out=block)
         yield s, block
 

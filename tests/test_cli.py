@@ -243,6 +243,35 @@ def test_evt_min_numeric_fields_pinned(tmp_path, functional, eps, expected):
     assert record["numeric"] == {**expected, "eps": eps}
 
 
+def test_evt_min_target_lipschitz_on_the_domain(tmp_path):
+    # x^2 has slope 3 at x = -1.5; the grid error of the sup distance needs
+    # (L + 3) * gap / 2, and the constant taken on [-1, 1] gives only 2
+    config = {
+        "policy_class": {"domain": [-1.5, -0.5], "lipschitz": 1.0, "bound": 1.0},
+        "functional": {"kind": "sup_distance", "target": {"form": "polynomial", "coeffs": [0.0, 0.0, 1.0]}},
+        "eps": 1.3,
+    }
+    code, record, _ = _run_cli(tmp_path, "evt-min", config)
+    assert code == EXIT_OK
+    assert record["numeric"]["radius"] >= 1.3 / 2.0 + (1.0 + 3.0) * (1.0 / 400.0) / 2.0
+
+
+def test_evt_min_payload_reports_the_net(tmp_path):
+    from certctrl.core import Hypercube
+    from certctrl.evt import PolicyClass, enumerate_policy_net
+
+    config = {
+        "policy_class": {"domain": [0, 1], "lipschitz": 1.0, "bound": 1.0},
+        "functional": {"kind": "mean"},
+        "eps": 1.3,
+    }
+    code, record, _ = _run_cli(tmp_path, "evt-min", config)
+    assert code == EXIT_OK
+    net = enumerate_policy_net(PolicyClass(Hypercube(np.array([0.5]), 1.0), 1, 1.0, 1.0), 0.65)
+    assert record["payload"]["net"] == {"members": len(net), "nodes": len(net.nodes), "grid_points": 401}
+    assert "net" not in record["numeric"]
+
+
 def test_danskin_subcommand_writes_audit(tmp_path):
     config = {
         "objective": "bilinear",
@@ -351,6 +380,54 @@ def test_audit_deterministic_numeric_fields(tmp_path):
         rec = json.loads((out / "certificate.json").read_text())
         outs.append(json.dumps(rec["numeric"], sort_keys=True))
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "seed,expected",
+    [
+        (3, {"core_worst_soundness_gap": -3.5285583764849673e-19, "mesh_cover_worst": 0.23228832774337152}),
+        (11, {"core_worst_soundness_gap": -5.109700595103938e-19, "mesh_cover_worst": 0.23291287595882945}),
+    ],
+)
+def test_audit_numeric_fields_pinned(tmp_path, seed, expected):
+    # recorded from the Fraction-by-Fraction soundness loop and the
+    # member-by-member EVT kernel; mesh_cover_worst pins the next rng draws
+    out = tmp_path / "out"
+    assert main(["audit", "--seed", str(seed), "--out", str(out)]) == EXIT_OK
+    numeric = json.loads((out / "certificate.json").read_text())["numeric"]
+    assert numeric == {
+        **expected,
+        "certify_decay_margin": 3.984047872267146e-06,
+        "certify_x0_level": 0.497999999999,
+        "danskin_derivative": 1.0,
+        "danskin_slack": 2.000000000002,
+        "danskin_spread": 2.0,
+        "eigen_all_achieved": 1.0,
+        "eigen_worst_residual": 3.418680061825021e-14,
+        "evt_radius": 0.6525,
+        "evt_value": 0.10000000000002274,
+        "ode_endpoint_error": 7.690386660819115e-10,
+        "ode_error_bound": 4.188890670539512e-06,
+        "selector_max_distance": 0.031250000000000014,
+        "selector_pieces": 2.0,
+        "shh_eta": 0.216796875,
+    }
+
+
+def test_soundness_gap_is_exact():
+    from fractions import Fraction
+
+    from certctrl.cli import _soundness_gap
+
+    rng = np.random.default_rng(2)
+    cases = [(5e-324, -3.0, 0.0, 0.0), (0.0, -0.0, 1e-300, 2.0**-1074), (-2.5, 1e-12, 0.75, 1e-17)]
+    cases += [tuple(rng.uniform(-3, 3, 3)) + (float(rng.uniform(0, 1e-15)),) for _ in range(50)]
+    for a, b, c, r in cases:
+        fa, fb = Fraction(a), Fraction(b)
+        exact = abs((fa * fb + fa) * fb - fa - Fraction(c)) - Fraction(r)
+        n, d = _soundness_gap(a, b, c, r)
+        assert Fraction(n, d) == exact and d & (d - 1) == 0
+        assert n / d == float(exact)
 
 
 def test_precision_audit_flag(tmp_path):

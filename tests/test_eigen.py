@@ -1,171 +1,14 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
-from certctrl.core import ArgumentError
 from certctrl.eigen import (
     ApproxEigenPair,
     approx_eigenpairs,
-    approx_roots,
-    char_poly,
     hurwitz_verdict,
     residual_recheck_mp,
 )
 
 ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
-
-
-# ---------------------------------------------------------------------------
-# exact-oracle characteristic polynomial (Fraction Laplace expansion,
-# independent of the Faddeev-LeVerrier path under test)
-# ---------------------------------------------------------------------------
-
-def _poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
-def _poly_add(p, q):
-    n = max(len(p), len(q))
-    p = [Fraction(0)] * (n - len(p)) + list(p)
-    q = [Fraction(0)] * (n - len(q)) + list(q)
-    return [a + b for a, b in zip(p, q)]
-
-
-def _poly_scale(p, s):
-    return [s * a for a in p]
-
-
-def _char_poly_fraction(A):
-    """det(lambda I - A) by Laplace expansion over Fraction[lambda]."""
-    n = len(A)
-    M = [
-        [
-            [Fraction(1), -Fraction(A[i][j])] if i == j else [Fraction(0), -Fraction(A[i][j])]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-
-    def det(rows, cols):
-        if len(cols) == 1:
-            return M[rows[0]][cols[0]]
-        total = [Fraction(0)]
-        for k, c in enumerate(cols):
-            minor = det(rows[1:], cols[:k] + cols[k + 1 :])
-            term = _poly_mul(M[rows[0]][c], minor)
-            if k % 2 == 1:
-                term = _poly_scale(term, Fraction(-1))
-            total = _poly_add(total, term)
-        return total
-
-    return det(list(range(n)), list(range(n)))
-
-
-def test_char_poly_diagonal():
-    coeffs, radii = char_poly(np.diag([-1.0, -2.0]))
-    assert np.allclose(coeffs, [1.0, 3.0, 2.0], atol=1e-14)
-    assert np.all(radii < 1e-12)
-
-
-def test_char_poly_rotation():
-    coeffs, _ = char_poly(ROT)
-    assert np.allclose(coeffs, [1.0, 0.0, 1.0], atol=1e-14)
-
-
-def test_char_poly_random_vs_fraction_oracle():
-    rng = np.random.default_rng(77)
-    for _ in range(25):
-        A = np.round(rng.uniform(-2, 2, (3, 3)) * 64) / 64  # dyadic entries
-        coeffs, radii = char_poly(A)
-        exact = _char_poly_fraction(A.tolist())
-        for c, e, r in zip(coeffs, exact, radii):
-            # DERIVED oracle: exact cofactor expansion
-            assert abs(complex(c) - complex(e)) <= max(r, 1e-10)
-
-
-# ---------------------------------------------------------------------------
-# roots
-# ---------------------------------------------------------------------------
-
-def test_roots_plus_minus_i():
-    clusters = approx_roots(np.array([1.0, 0.0, 1.0]), 1e-10)
-    centers = sorted((c.center for c in clusters), key=lambda z: z.imag)
-    assert abs(centers[0] + 1j) <= 1e-10
-    assert abs(centers[1] - 1j) <= 1e-10
-
-
-def test_roots_simple_real_pair():
-    clusters = approx_roots(np.array([1.0, 3.0, 2.0]), 1e-10)
-    centers = sorted(c.center.real for c in clusters)
-    assert abs(centers[0] + 2.0) <= 1e-9
-    assert abs(centers[1] + 1.0) <= 1e-9
-
-
-def test_roots_triple_root_cluster_radius_honest():
-    # (lambda + 1)^3: the cluster radius must stay at the cube-root of
-    # machine-scale coefficient noise, never at machine epsilon itself
-    clusters = approx_roots(np.array([1.0, 3.0, 3.0, 1.0]), 1e-3)
-    big = max(clusters, key=lambda c: c.multiplicity)
-    assert abs(big.center + 1.0) <= 1e-3
-    assert sum(c.multiplicity for c in clusters) == 3
-    assert big.radius >= 1e-8  # >= machine-scale cube-root inflation
-    # DERIVED: perturbing the coefficients by 1e-12 spreads the roots to
-    # about (1e-12)^(1/3) = 1e-4, confirming the ill-conditioning the
-    # radius must reflect
-    pert = approx_roots(np.array([1.0, 3.0, 3.0, 1.0 + 1e-12]), 1e-3)
-    all_roots = [w for c in pert for w in (c.members if c.members else (c.center,))]
-    spread = max(abs(w + 1.0) for w in all_roots)
-    assert 1e-6 <= spread <= 1e-2
-
-
-def test_roots_coefficient_round_trip():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        n = int(rng.integers(2, 6))
-        roots = rng.uniform(-2, 2, n) + 1j * rng.uniform(-2, 2, n)
-        coeffs = np.poly(roots)
-        clusters = approx_roots(coeffs, 1e-8)
-        got = []
-        for c in clusters:
-            got.extend([c.center] * c.multiplicity)
-        back = np.poly(np.array(got))
-        scale = np.abs(coeffs).max()
-        assert np.abs(back - coeffs).max() <= n * 1e-7 * scale
-
-
-def test_roots_coefficient_radii_bound_the_derivative():
-    # the per-root radius n |p| / |p'| must bound |p'| from below over every
-    # polynomial within the coefficient radii; with the radius on the cubic
-    # coefficient left out of |p'|, the family member p - 0.8 z^3 has a root
-    # near 2.67 outside every cluster
-    coeffs = np.poly([0.625, -0.25, 1.5, 0.5])
-    radii = np.array([0.0, 0.8, 0.0, 0.0, 0.0])
-    clusters = approx_roots(coeffs, 1e-3, coeff_radii=radii)
-    for sign in (-1.0, 0.0, 1.0):
-        for z in np.roots(coeffs + sign * radii):
-            assert any(abs(z - c.center) <= c.radius for c in clusters), (sign, z)
-
-
-def test_roots_scale_radii_with_the_leading_coefficient():
-    # 2z^2 - 2 within radius 1 on the constant is z^2 - 1 within radius 0.5
-    scaled = approx_roots(np.array([2.0, 0.0, -2.0]), 1e-3, coeff_radii=np.array([0.0, 0.0, 1.0]))
-    monic = approx_roots(np.array([1.0, 0.0, -1.0]), 1e-3, coeff_radii=np.array([0.0, 0.0, 0.5]))
-    assert [(c.center, c.radius, c.multiplicity) for c in scaled] == [
-        (c.center, c.radius, c.multiplicity) for c in monic
-    ]
-    assert len(monic) == 2
-
-
-def test_roots_rejects_degenerate_input():
-    with pytest.raises(ArgumentError):
-        approx_roots(np.array([1.0]), 1e-6)
-    with pytest.raises(ArgumentError):
-        approx_roots(np.array([1.0, 2.0]), 0.0)
 
 
 # ---------------------------------------------------------------------------

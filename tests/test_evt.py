@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from certctrl.core import ArgumentError, Hypercube, Modulus, ResourceBudgetError
+from certctrl import evt
+from certctrl.core import ArgumentError, FiniteMesh, Hypercube, Modulus, ResourceBudgetError
 from certctrl.evt import (
     Functional,
     PolicyClass,
+    PolicyNet,
     enumerate_policy_net,
     epsilon_minimize,
     lipschitz_extend,
     mollify,
+    net_values_on_grid,
     policy_from_text,
     policy_to_text,
 )
@@ -260,26 +263,94 @@ def test_net_sequence_indexing():
     assert p.nodes is net.nodes and p.coordinate_lipschitz == 1.0 and p.bound == 1.0
 
 
+# ---------------------------------------------------------------------------
+# grid kernel: partial McShane maxima shared along member prefixes
+# ---------------------------------------------------------------------------
+
+def _per_node_blocks(net, grid, chunk):
+    """Reference kernel: one subtract and one np.maximum per node for every
+    member, in blocks of `chunk` members."""
+    grid = np.asarray(grid, dtype=float).reshape(-1, net.nodes.dim)
+    dist = np.linalg.norm(grid[:, None, :] - net.nodes.points[None, :, :], axis=2)
+    drop = net.coordinate_lipschitz * dist
+    for s in range(0, len(net), chunk):
+        v = net.values[s : s + chunk]
+        block = v[:, None, 0, :] - drop[None, :, 0, None]
+        for i in range(1, v.shape[1]):
+            np.maximum(block, v[:, None, i, :] - drop[None, :, i, None], out=block)
+        np.clip(block, -net.bound, net.bound, out=block)
+        yield s, block
+
+
+def _assert_grid_values_exact(net, grid):
+    """net_values_on_grid is bit-identical to every member's own extension
+    and to the per-node reference kernel."""
+    V = net_values_on_grid(net, grid)
+    for k in range(len(net)):
+        assert V[k].tobytes() == net[k](grid).reshape(V.shape[1:]).tobytes(), k
+    ref = np.concatenate([b for _, b in _per_node_blocks(net, grid, evt._CHUNK)])
+    assert V.tobytes() == ref.tobytes()
+    return V
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+def test_kernel_prefix_groups_split_across_blocks(monkeypatch, chunk):
+    monkeypatch.setattr(evt, "_CHUNK", chunk)
+    net = enumerate_policy_net(PolicyClass(UNIT, 1, 1.0, 1.0), 0.74)
+    assert net.values.shape[1] > 2
+    _assert_grid_values_exact(net, GRID)
+
+
 @pytest.mark.parametrize(
     "pclass,eps,grid",
     [
         (PolicyClass(UNIT, 1, 1.0, 1.0), 0.74, GRID),
+        # m = 2, with grid points outside the domain
         (PolicyClass(UNIT, 2, 1.0, 1.0), 1.4, np.linspace(-0.25, 1.25, 37).reshape(-1, 1)),
+        # 2-D domain
         (
             PolicyClass(Hypercube(np.zeros(2), 0.5), 1, 1.0, 1.0),
             1.9,
             np.random.default_rng(3).uniform(-0.5, 0.5, (29, 2)),
         ),
+        # one node: constant members
+        (PolicyClass(UNIT, 1, 0.0, 1.0), 0.5, GRID),
     ],
 )
 def test_net_values_on_grid_match_members(pclass, eps, grid):
-    from certctrl.evt import net_values_on_grid
+    _assert_grid_values_exact(enumerate_policy_net(pclass, eps), grid)
 
-    net = enumerate_policy_net(pclass, eps)
-    V = net_values_on_grid(net, grid)
-    members = net[:: max(1, len(net) // 300)] + [net[-1]]
-    for p in members:
-        assert V[p.index].tobytes() == p(grid).tobytes()
+
+def _hand_built_net(values, points=((0.0,), (0.5,), (1.0,))):
+    nodes = FiniteMesh(np.array(points), 0.25, UNIT)
+    return PolicyNet(nodes, np.array(values, dtype=float), 1.0, 1.0)
+
+
+@pytest.mark.parametrize("chunk", [4, 128])
+def test_kernel_unordered_net_with_repeated_rows(monkeypatch, chunk):
+    monkeypatch.setattr(evt, "_CHUNK", chunk)
+    rng = np.random.default_rng(5)
+    rows = rng.choice([-0.5, 0.0, 0.25, 0.5], size=(30, 3, 1))
+    values = np.concatenate([rows, rows[::-1], rows[:5], rows[:5]])
+    values = values[rng.permutation(len(values))]
+    assert len(np.unique(values, axis=0)) < len(values)
+    _assert_grid_values_exact(_hand_built_net(values), GRID)
+
+
+def test_kernel_tells_signed_zeros_apart():
+    # rows that differ only in the sign of a zero are different prefixes:
+    # at x = 0 member 1 is +0.0 and its neighbours -0.0, which == cannot see
+    values = [
+        [[-0.0], [-0.5]],
+        [[0.0], [-0.5]],
+        [[-0.0], [-0.5]],
+        [[-0.0], [0.0]],
+        [[0.0], [0.0]],
+    ]
+    net = _hand_built_net(values, points=((0.0,), (1.0,)))
+    grid = np.array([[0.0], [0.5], [1.0]])
+    V = _assert_grid_values_exact(net, grid)
+    assert [math.copysign(1.0, x) for x in V[:, 0, 0]] == [-1.0, 1.0, -1.0, -1.0, 1.0]
 
 
 _TARGET = 0.3 * np.sin(3.0 * GRID[:, 0])
