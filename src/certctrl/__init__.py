@@ -22,7 +22,6 @@ from .core import (
     ResourceBudgetError,
     build_mesh,
     located_distance,
-    modulus_step,
 )
 
 __all__ = [
@@ -39,5 +38,4 @@ __all__ = [
     "ResourceBudgetError",
     "build_mesh",
     "located_distance",
-    "modulus_step",
 ]

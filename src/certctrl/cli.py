@@ -128,7 +128,6 @@ _DANSKIN_OBJECTIVES = {
         dk.ParametricObjective(
             value=lambda x, th: th[:, 0] * x[0],
             grad_x=lambda x, th: th[:, :1].copy(),
-            modulus_x=Modulus.lipschitz(1.0),
             modulus_theta=Modulus.lipschitz(2.0),
             grad_modulus=Modulus.lipschitz(1.0),
             name="bilinear",
@@ -138,7 +137,6 @@ _DANSKIN_OBJECTIVES = {
         dk.ParametricObjective(
             value=lambda x, th: -((th[:, 0] - x[0]) ** 2),
             grad_x=lambda x, th: (2.0 * (th[:, 0] - x[0]))[:, None],
-            modulus_x=Modulus.lipschitz(4.0),
             modulus_theta=Modulus.lipschitz(4.0),
             grad_modulus=Modulus.lipschitz(4.0),
             name="neg_quadratic",
@@ -148,7 +146,6 @@ _DANSKIN_OBJECTIVES = {
         dk.ParametricObjective(
             value=lambda x, th: th[:, 0] * x[0] - th[:, 0] ** 2,
             grad_x=lambda x, th: th[:, :1].copy(),
-            modulus_x=Modulus.lipschitz(1.0),
             modulus_theta=Modulus.lipschitz(4.0),
             grad_modulus=Modulus.lipschitz(1.0),
             name="concave_linear",
@@ -370,7 +367,9 @@ def _task_shh(config, seed, out):
 
 def _task_certify(config, seed, out):
     box = _interval(config["state_box"])
-    R = box.side / 2.0
+    # the forms take their Lipschitz constant on [-R, R]: the box's largest
+    # |x| makes that interval contain the box
+    R = float(max(-box.lo[0], box.hi[0]))
     f = build_scalar_form(config["dynamics"])
     V = build_scalar_form(config["V"])
     if V.derivative is None:
@@ -555,37 +554,7 @@ _HANDLERS = {
 }
 
 
-def _precision_audit(record: dict, config: dict, seed: int) -> dict:
-    """Re-run numeric kernels at doubled precision and compare."""
-    rng = np.random.default_rng(seed)
-    out = {}
-    # eigen residuals against mpmath
-    worst_ratio = 0.0
-    for _ in range(10):
-        n = int(rng.integers(2, 6))
-        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        pairs, _ = eig.approx_eigenpairs(A, 1e-8)
-        for p in pairs:
-            hi = eig.residual_recheck_mp(A, p)
-            bound = p.residual.value + p.residual.radius
-            worst_ratio = max(worst_ratio, hi / bound if bound > 0 else 0.0)
-    out["eigen_mp_residual_ratio"] = worst_ratio
-    out["eigen_mp_sound"] = float(worst_ratio <= 1.0)
-    # core arithmetic against exact rationals
-    worst = -math.inf
-    for _ in range(500):
-        a = CertifiedReal(float(rng.uniform(-2, 2)), 1e-6)
-        b = CertifiedReal(float(rng.uniform(-2, 2)), 1e-6)
-        c = a * b + a - b
-        # exact center evaluation must land inside the certified interval
-        exact = Fraction(a.value) * Fraction(b.value) + Fraction(a.value) - Fraction(b.value)
-        worst = max(worst, float(abs(exact - Fraction(c.value)) - Fraction(c.radius)))
-    out["core_exact_gap"] = worst
-    out["core_exact_sound"] = float(worst <= 0.0)
-    return out
-
-
-def run(task: str, config: dict, seed: int, out_dir, precision_audit=False):
+def run(task: str, config: dict, seed: int, out_dir):
     """Execute one subcommand; returns (exit_code, record)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -602,8 +571,6 @@ def run(task: str, config: dict, seed: int, out_dir, precision_audit=False):
         "payload": payload,
         "wallclock_s": time.perf_counter() - t0,
     }
-    if precision_audit:
-        record["precision_audit"] = _precision_audit(record, config, seed)
     (out / "certificate.json").write_text(json.dumps(record, indent=2, sort_keys=True))
     return _VERDICT_EXIT.get(verdict, EXIT_COUNTEREXAMPLE), record
 
@@ -617,29 +584,21 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=False, help="JSON problem definition")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="certctrl-out")
-    parser.add_argument("--precision-audit", action="store_true")
     args = parser.parse_args(argv)
 
-    if args.task == "audit":
-        config = {}
-        if args.config:
-            try:
-                config = json.loads(Path(args.config).read_text())
-            except (OSError, json.JSONDecodeError) as exc:
-                print(f"config error: {exc}", file=sys.stderr)
-                return EXIT_CONFIG
-    else:
-        if not args.config:
-            print("config error: --config is required", file=sys.stderr)
-            return EXIT_CONFIG
+    config = {}
+    if args.config:
         try:
             config = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
+    elif args.task != "audit":
+        print("config error: --config is required", file=sys.stderr)
+        return EXIT_CONFIG
 
     try:
-        code, record = run(args.task, config, args.seed, args.out, args.precision_audit)
+        code, record = run(args.task, config, args.seed, args.out)
     except (ArgumentError, ContractError, KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -30,7 +30,6 @@ __all__ = [
     "LocatedSet",
     "build_mesh",
     "mesh_divisions",
-    "modulus_step",
     "located_distance",
     "poly_eval",
     "snap_dyadic",
@@ -174,25 +173,6 @@ class CertifiedReal:
         v = abs(self.value)
         return CertifiedReal(v, _inflate(v, self.radius))
 
-    def max_with(self, other) -> "CertifiedReal":
-        # enclosure of max(x, y): the computed max is within max(rx, ry)
-        # of every point of [max(lo), max(hi)]
-        o = self._coerce(other)
-        v = max(self.value, o.value)
-        return CertifiedReal(v, _inflate(v, max(self.radius, o.radius)))
-
-    def min_with(self, other) -> "CertifiedReal":
-        o = self._coerce(other)
-        v = min(self.value, o.value)
-        return CertifiedReal(v, _inflate(v, max(self.radius, o.radius)))
-
-    # -- certified comparisons (constructive: may be undecided) ------------
-    def definitely_lt(self, bound: float) -> bool:
-        return self.upper < bound
-
-    def definitely_gt(self, bound: float) -> bool:
-        return self.lower > bound
-
     def __repr__(self):
         return f"CertifiedReal({self.value!r} ± {self.radius!r})"
 
@@ -241,12 +221,6 @@ class Modulus:
     @classmethod
     def constant(cls, delta: float) -> "Modulus":
         return cls("omega", lambda eps, c, r, d=delta: d)
-
-    def bound(self, t: float) -> float:
-        """mu-format forward bound on the output distance at input gap t."""
-        if self.format != "mu":
-            raise ContractError("forward bound only available for mu-format moduli")
-        return self._fn(t)
 
     def forward_bound(self, t: float, center=None, ball_radius: float = 1.0) -> float:
         """Output distance guaranteed at input gap t.
@@ -310,11 +284,6 @@ class Modulus:
             # mu is positive away from 0, so a tiny positive step always exists
             lo = hi * 0.5 ** 64
         return lo
-
-
-def modulus_step(m: Modulus, eps: float, center=None, ball_radius: float = 1.0) -> float:
-    """Functional form of Modulus.step."""
-    return m.step(eps, center=center, ball_radius=ball_radius)
 
 
 @dataclass(frozen=True)
@@ -453,10 +422,6 @@ class LocatedSet:
 
     mesh_generator: Callable[[float], FiniteMesh]
     description: str = ""
-
-    @classmethod
-    def from_box(cls, box: Hypercube, budget: int = DEFAULT_MESH_BUDGET) -> "LocatedSet":
-        return cls(lambda eps: build_mesh(box, eps, budget), f"box(side={box.side})")
 
     @classmethod
     def from_ball(cls, center, radius: float, budget: int = DEFAULT_MESH_BUDGET) -> "LocatedSet":

@@ -21,7 +21,6 @@ import numpy as np
 from .core import (
     ArgumentError,
     CertifiedReal,
-    ContractError,
     FiniteMesh,
     Hypercube,
     Modulus,
@@ -35,7 +34,6 @@ __all__ = [
     "psi",
     "delta_optimizers",
     "directional_derivative",
-    "psi_modulus",
     "finite_difference_audit",
     "AuditReport",
 ]
@@ -47,26 +45,19 @@ class ParametricObjective:
 
     value(x, thetas) -> (B,) array over a theta batch;
     grad_x(x, thetas) -> (B, n) array of x-gradients.
-    modulus_x bounds phi in x uniformly over theta; modulus_theta bounds
-    phi in theta; grad_modulus bounds grad_x phi in (x, theta) jointly.
+    modulus_theta bounds phi in theta; grad_modulus bounds grad_x phi in
+    (x, theta) jointly.
     eval_radius / grad_radius are sound rounding bounds for the two
     evaluators.
     """
 
     value: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grad_x: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    modulus_x: Modulus
     modulus_theta: Modulus
     grad_modulus: Modulus
     eval_radius: float = 1e-12
     grad_radius: float = 1e-12
     name: str = ""
-
-    def _thetas(self, thetas) -> np.ndarray:
-        t = np.asarray(thetas, dtype=float)
-        if t.ndim == 1:
-            t = t.reshape(-1, 1)
-        return t
 
 
 @dataclass(frozen=True)
@@ -202,13 +193,6 @@ def member_spread(obj: ParametricObjective, dset: DeltaOptimizerSet, v) -> tuple
     spread = float(dirs.max() - dirs.min())
     slack = vnorm * obj.grad_modulus.forward_bound(dset.diameter) + 2.0 * vnorm * obj.grad_radius
     return spread, slack
-
-
-def psi_modulus(obj: ParametricObjective) -> Modulus:
-    """psi inherits phi's modulus in x unchanged."""
-    if obj.modulus_x is None:
-        raise ContractError("objective carries no x-modulus")
-    return obj.modulus_x
 
 
 @dataclass(frozen=True)

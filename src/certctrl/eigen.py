@@ -25,7 +25,6 @@ __all__ = [
     "StabilityVerdict",
     "approx_eigenpairs",
     "hurwitz_verdict",
-    "residual_recheck_mp",
 ]
 
 _EPS = np.finfo(float).eps
@@ -44,10 +43,6 @@ class ComplexMatrix:
         if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
             raise ArgumentError("matrix entries must be finite")
         object.__setattr__(self, "entries", a)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
 
 
 def _coerce(A) -> ComplexMatrix:
@@ -224,22 +219,3 @@ def hurwitz_verdict(A, eps: float) -> StabilityVerdict:
         verdict = "stable" if worst.center.real + worst.radius < 0 else "undecided"
     margin = CertifiedReal(worst.center.real, worst.radius)
     return StabilityVerdict(verdict, margin, eps, tuple(clusters))
-
-
-def residual_recheck_mp(A, pair: ApproxEigenPair, dps: int = 34) -> float:
-    """Doubled-precision re-evaluation of ||A v - lambda v|| (mpmath)."""
-    import mpmath as mp
-
-    with mp.workdps(dps):
-        a = _coerce(A).entries
-        n = a.shape[0]
-        v = [mp.mpc(complex(x)) for x in pair.v_hat]
-        lam = mp.mpc(complex(pair.lambda_hat))
-        total = mp.mpf(0)
-        for i in range(n):
-            s = mp.mpc(0)
-            for j in range(n):
-                s += mp.mpc(complex(a[i, j])) * v[j]
-            s -= lam * v[i]
-            total += (s.real ** 2 + s.imag ** 2)
-        return float(mp.sqrt(total))

@@ -20,7 +20,7 @@ import io
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -42,12 +42,9 @@ __all__ = [
     "PiecewisePolicy",
     "PolicyNet",
     "Functional",
-    "lipschitz_extend",
     "enumerate_policy_net",
     "epsilon_minimize",
     "net_values_on_grid",
-    "mollify",
-    "MollifiedPolicy",
     "policy_to_text",
     "policy_from_text",
     "DEFAULT_NET_BUDGET",
@@ -59,7 +56,7 @@ DEFAULT_NET_BUDGET = 2_000_000
 @dataclass(frozen=True)
 class PolicyClass:
     """Functions domain -> R^m with a common Lipschitz constant and a
-    common sup-norm bound; smooth_order > 0 asks for mollified members.
+    common sup-norm bound.
 
     With per_coordinate_budget the net is built with per-coordinate
     constant L/sqrt(m), so extended members certify vector Lipschitz
@@ -70,7 +67,6 @@ class PolicyClass:
     output_dim: int
     lipschitz: float
     bound: float
-    smooth_order: int = 0
     per_coordinate_budget: bool = False
 
     def __post_init__(self):
@@ -88,49 +84,6 @@ class PolicyClass:
     @property
     def extension_vector_lipschitz(self) -> float:
         return self.coordinate_lipschitz * math.sqrt(self.output_dim)
-
-
-def lipschitz_extend(nodes, values, L: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Lower McShane extension, per output coordinate:
-
-        f_j(x) = max_i (v_{i,j} - L * |x - x_i|)
-
-    Agrees with the data at the nodes whenever the data is
-    Lipschitz-compatible with constant L per coordinate; the extension has
-    per-coordinate Lipschitz constant L (vector constant <= L sqrt(m)).
-    """
-    nodes = np.asarray(nodes, dtype=float)
-    if nodes.ndim == 1:
-        nodes = nodes.reshape(-1, 1)
-    values = np.asarray(values, dtype=float)
-    if values.ndim == 1:
-        values = values.reshape(-1, 1)
-    if values.shape[0] != nodes.shape[0]:
-        raise ArgumentError("nodes and values disagree in length")
-    if L < 0:
-        raise ArgumentError("Lipschitz constant must be >= 0")
-    slack = 1e-9 * (1.0 + np.abs(values).max(initial=0.0))
-    for i in range(nodes.shape[0]):
-        for j in range(i + 1, nodes.shape[0]):
-            d = float(np.linalg.norm(nodes[i] - nodes[j]))
-            gap = float(np.abs(values[i] - values[j]).max())
-            if gap > L * d + slack:
-                raise ArgumentError(
-                    f"node data not Lipschitz-compatible: nodes {i} and {j} "
-                    f"differ by {gap} over distance {d} (limit {L * d})"
-                )
-
-    def extension(x):
-        x = np.asarray(x, dtype=float)
-        single = x.ndim <= 1
-        xs = np.atleast_2d(x)
-        if xs.shape[1] != nodes.shape[1]:
-            xs = xs.reshape(-1, nodes.shape[1])
-        dist = np.linalg.norm(xs[:, None, :] - nodes[None, :, :], axis=2)
-        out = np.max(values[None, :, :] - L * dist[:, :, None], axis=1)
-        return out[0] if single else out
-
-    return extension
 
 
 @dataclass(frozen=True)
@@ -373,7 +326,7 @@ def epsilon_minimize(
 ) -> tuple[PiecewisePolicy, CertifiedReal]:
     """Certified eps-minimization: J[k*] - eps <= inf over the class.
 
-    Enumerates a delta-net with delta = modulus_step(mu_J, eps/2),
+    Enumerates a delta-net with delta = J.modulus.step(eps/2),
     evaluates it block by block through J.evaluate on J.grid and picks a
     member of minimal value (ties by lowest enumeration index).  The
     returned certificate radius covers both the evaluator radius and the
@@ -417,73 +370,16 @@ def net_values_on_grid(net: PolicyNet, grid: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Mollification
-# ---------------------------------------------------------------------------
-
-def _bump_quadrature(n_points: int = 129):
-    """Nodes and weights of the normalized compact bump on [-1, 1]."""
-    u = np.linspace(-1.0, 1.0, n_points)
-    inner = u[1:-1]
-    w = np.zeros_like(u)
-    w[1:-1] = np.exp(-1.0 / (1.0 - inner * inner))
-    w /= w.sum()
-    return u, w
-
-
-@dataclass(frozen=True)
-class MollifiedPolicy:
-    """Convolution of a policy with a compact bump kernel of the stated
-    width; smooth to every order, Lipschitz constant preserved."""
-
-    base: PiecewisePolicy
-    width: float
-    order: int
-    _nodes: np.ndarray = field(repr=False, default=None)
-    _weights: np.ndarray = field(repr=False, default=None)
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        xs = np.atleast_2d(x)
-        n = self.base.nodes.dim
-        if xs.shape[1] != n:
-            xs = xs.reshape(-1, n)
-        if n != 1:
-            raise ArgumentError("mollify currently supports 1-D domains")
-        shifted = xs[:, None, 0] - self.width * self._nodes[None, :]
-        vals = self.base(shifted.reshape(-1, 1))
-        vals = vals.reshape(xs.shape[0], self._nodes.size, -1)
-        out = np.tensordot(self._weights, vals, axes=(0, 1))
-        if x.ndim <= 1 and xs.shape[0] == 1:
-            return out[0]
-        return out
-
-
-def mollify(policy: PiecewisePolicy, d: int, width: float) -> MollifiedPolicy:
-    """Smooth eps-optimizer: convolve with a bump kernel of given width.
-
-    Sup-distance to the input is at most (vector Lipschitz) * width and
-    the Lipschitz constant is preserved.
-    """
-    if d < 1:
-        raise ArgumentError("smoothing order must be >= 1")
-    if width <= 0:
-        raise ArgumentError("mollifier width must be positive")
-    u, w = _bump_quadrature()
-    return MollifiedPolicy(policy, width, d, u, w)
-
-
-# ---------------------------------------------------------------------------
 # Serialization: flat text table, bit-exact round trip
 # ---------------------------------------------------------------------------
 
-def policy_to_text(policy: PiecewisePolicy, L: float = None, K: float = None) -> str:
+def policy_to_text(policy: PiecewisePolicy) -> str:
     buf = io.StringIO()
     n = policy.nodes.dim
     m = policy.output_dim
     N = len(policy.nodes)
     Lc = policy.coordinate_lipschitz
-    K = policy.bound if K is None else K
-    buf.write(f"policy n={n} m={m} N={N} Lc={Lc!r} K={K!r} rule={policy.extension_rule}\n")
+    buf.write(f"policy n={n} m={m} N={N} Lc={Lc!r} K={policy.bound!r} rule={policy.extension_rule}\n")
     for i in range(N):
         coords = " ".join(repr(float(c)) for c in policy.nodes.points[i])
         vals = " ".join(repr(float(v)) for v in policy.values[i])

@@ -147,7 +147,8 @@ def build_comparator(spec: dict, box: Hypercube, name: str = "") -> Comparator:
     if spec.get("form") != "radial_poly":
         raise ArgumentError("comparators must use the radial_poly form")
     coeffs = tuple(float(c) for c in spec["coeffs"])
-    R = box.diameter / 2.0
+    # the box's largest |x|
+    R = float(np.linalg.norm(np.maximum(-box.lo, box.hi)))
     lip = float(poly_eval([abs(c) for c in poly_derivative((0.0,) + coeffs)], R))
     return Comparator(coeffs, Modulus.lipschitz(lip), name=name or spec.get("name", ""))
 

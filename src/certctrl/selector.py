@@ -53,7 +53,6 @@ __all__ = [
     "countable_reduction",
     "simple_approx",
     "extract_selector",
-    "refine_selector",
     "certify_selector",
 ]
 
@@ -489,7 +488,7 @@ def _clip_unit(iv):
     return (min(max(lo, Fraction(0)), Fraction(1)), min(max(hi, Fraction(0)), Fraction(1)))
 
 
-def _run_stages(fhat: SimpleSVF, n_stages: int, snapshot=None):
+def _run_stages(fhat: SimpleSVF, n_stages: int):
     """The staged recursion.  At stage k the candidate values are the
     dyadic mesh j / 2^(k+1) on [0, 1] (covering radius 2^-(k+2), strictly
     finer than the 2^-(k+1) the recursion needs).  The C/D conditions are
@@ -516,8 +515,6 @@ def _run_stages(fhat: SimpleSVF, n_stages: int, snapshot=None):
             chosen.append(j)
         order = sorted(range(len(pieces)), key=chosen.__getitem__)
         pieces = [(pieces[i][0], Fraction(chosen[i], n), pieces[i][2]) for i in order]
-        if snapshot is not None:
-            snapshot(k, pieces)
     return pieces
 
 
@@ -535,24 +532,6 @@ def extract_selector(F: RegularSVF, eps: float) -> Selector:
     pieces = _run_stages(fhat, n_stages)
     out = tuple((b, lo + r * scale) for b, r, _ in pieces)
     return Selector(out, eps, domain, stage=n_stages)
-
-
-def refine_selector(F: RegularSVF, n_stages: int) -> list:
-    """Successive selectors f_k, k = 1..n_stages, from one recursion at the
-    finest accuracy: consecutive stages differ by at most 2^-(k-1) on the
-    shared domain (the Cauchy certificate of the corollary)."""
-    if n_stages < 1:
-        raise ArgumentError("need at least one stage")
-    Fr, lo, scale = _rescaled(F)
-    fhat, domain = simple_approx(Fr, 0.5 ** (n_stages + 1))
-    snaps = []
-
-    def snap(k, pieces):
-        out = tuple((b, lo + r * scale) for b, r, _ in pieces)
-        snaps.append(Selector(out, float(scale) * 2.0 ** -k, domain, stage=k))
-
-    _run_stages(fhat, n_stages, snapshot=snap)
-    return snaps
 
 
 # ---------------------------------------------------------------------------

@@ -113,10 +113,6 @@ class CheckResult:
     covered_radius: Optional[float] = None  # annulus from which moduli cover gaps
     details: dict = field(default_factory=dict)
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "certified"
-
 
 def _origin_excluded_nodes(box: Hypercube, mesh_eps: float):
     mesh = build_mesh(box, mesh_eps)

@@ -54,7 +54,6 @@ __all__ = [
     "picard_plan",
     "picard_rows",
     "picard_solve",
-    "dependence_modulus",
     "sample_hold_trajectory",
 ]
 
@@ -152,24 +151,6 @@ class ExtendedSolution:
     @property
     def endpoint(self) -> np.ndarray:
         return self.values[-1]
-
-    def residual_check(self, rhs: "RegularRHS") -> float:
-        """Re-integrate the stored trajectory (trapezoid, independent of
-        the midpoint path) and return the worst defect against the
-        integral identity; must stay within twice the error bound."""
-        worst = 0.0
-        x = self.values[0].copy()
-        for b in rhs.blocks:
-            mask = (self.grid >= float(b.t_lo) - 1e-15) & (self.grid <= float(b.t_hi) + 1e-15)
-            g = self.grid[mask]
-            v = self.values[mask]
-            f = b.f(v, g)
-            dt = np.diff(g)
-            inc = 0.5 * (f[1:] + f[:-1]) * dt[:, None]
-            traj = np.vstack([x, x + np.cumsum(inc, axis=0)])
-            worst = max(worst, float(np.linalg.norm(traj - v, axis=1).max()))
-            x = traj[-1]
-        return worst
 
 
 def _window_plan(rhs: RegularRHS) -> list:
@@ -489,14 +470,6 @@ def picard_solve(
     validity = RepresentableDomain(time_blocks, _facet_exception_generator(time_blocks))
     return ExtendedSolution(grid, values, CertifiedReal(float(res.error_bound[0]), 0.0), validity,
                             error_profile=profile, sweeps=sweeps)
-
-
-def dependence_modulus(rhs: RegularRHS, T: float) -> Modulus:
-    """Grönwall modulus: initial-condition perturbations grow by at most
-    exp(L_x T)."""
-    L = rhs.max_lip
-    g = math.exp(L * float(T))
-    return Modulus("mu", lambda t, g=g: g * t, lipschitz_constant=g)
 
 
 # ---------------------------------------------------------------------------

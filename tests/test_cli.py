@@ -65,6 +65,41 @@ def test_certify_growth_counterexample_exit(tmp_path):
     assert y == 0.0 and 0 < abs(x) <= 1 and 2.0 * x * x < abs(x)
 
 
+def _certify_data(monkeypatch, tmp_path, config):
+    """The LyapunovData the certify task hands to stability.certify."""
+    from certctrl import stability
+
+    seen = []
+    certify = stability.certify
+
+    def capture(data, *args, **kwargs):
+        seen.append(data)
+        return certify(data, *args, **kwargs)
+
+    monkeypatch.setattr(stability, "certify", capture)
+    _run_cli(tmp_path, "certify", config)
+    (data,) = seen
+    return data
+
+
+def test_certify_v_lipschitz_on_the_whole_state_box(tmp_path, monkeypatch):
+    # V = x^2 and V' f = -2 x^2 on [-0.2, 1.8]: sup |V'| = 3.6 and
+    # sup |(V' f)'| = 7.2, both at x = 1.8 (half the side gives 2 and 4)
+    data = _certify_data(monkeypatch, tmp_path, {**CERTIFY_DECAY, "state_box": [-0.2, 1.8]})
+    assert data.v_modulus_x.lipschitz_constant == pytest.approx(3.6)
+    assert data.vdot_modulus_x.lipschitz_constant == pytest.approx(7.2)
+
+
+def test_certify_comparator_lipschitz_on_the_whole_state_box(tmp_path, monkeypatch):
+    # w1 = |x|^2 / 2 and w3 = |x|^2 on [-0.2, 1.8]: slopes |x| and 2 |x|
+    # peak at |x| = 1.8 (half the diameter gives 1 and 2); w2 = 2 |x| is
+    # 2-Lipschitz everywhere
+    data = _certify_data(monkeypatch, tmp_path, {**CERTIFY_DECAY, "state_box": [-0.2, 1.8]})
+    assert data.w1.modulus.lipschitz_constant == pytest.approx(1.8)
+    assert data.w2.modulus.lipschitz_constant == 2.0
+    assert data.w3.modulus.lipschitz_constant == pytest.approx(3.6)
+
+
 def test_certify_x0_stays_inside_an_off_center_box(tmp_path):
     # X0 = {2|x| <= level} must lie in [-0.2, 1.8], so level <= 0.4
     cfg = dict(CERTIFY_DECAY, state_box=[-0.2, 1.8])
@@ -201,6 +236,12 @@ def test_unknown_form_reference_exit_64_lists_registry(tmp_path, capsys):
 
 def test_missing_config_exit_64():
     assert main(["ode"]) == EXIT_CONFIG
+
+
+def test_audit_with_a_missing_config_file_exits_64(tmp_path):
+    out = tmp_path / "out"
+    assert main(["audit", "--config", str(tmp_path / "missing.json"), "--out", str(out)]) == EXIT_CONFIG
+    assert not (out / "certificate.json").exists()
 
 
 def test_evt_min_subcommand(tmp_path):
@@ -428,17 +469,6 @@ def test_soundness_gap_is_exact():
         n, d = _soundness_gap(a, b, c, r)
         assert Fraction(n, d) == exact and d & (d - 1) == 0
         assert n / d == float(exact)
-
-
-def test_precision_audit_flag(tmp_path):
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps(ODE_DECAY))
-    out = tmp_path / "out"
-    code = main(["ode", "--config", str(cfg), "--out", str(out), "--precision-audit"])
-    assert code == EXIT_OK
-    rec = json.loads((out / "certificate.json").read_text())
-    assert rec["precision_audit"]["eigen_mp_sound"] == 1.0
-    assert rec["precision_audit"]["core_exact_sound"] == 1.0
 
 
 def test_shh_failure_exit_one_with_diagnosis(tmp_path):

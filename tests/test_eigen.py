@@ -5,8 +5,8 @@ from certctrl.eigen import (
     ApproxEigenPair,
     approx_eigenpairs,
     hurwitz_verdict,
-    residual_recheck_mp,
 )
+from oracles import residual_recheck_mp
 
 ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
 

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from certctrl import evt
-from certctrl.core import ArgumentError, FiniteMesh, Hypercube, Modulus, ResourceBudgetError
+from certctrl.core import FiniteMesh, Hypercube, Modulus, ResourceBudgetError
 from certctrl.evt import (
     Functional,
     PolicyClass,
     PolicyNet,
     enumerate_policy_net,
     epsilon_minimize,
-    lipschitz_extend,
-    mollify,
     net_values_on_grid,
     policy_from_text,
     policy_to_text,
@@ -44,49 +42,6 @@ def _random_lipschitz(rng, L=1.0, K=1.0, n_knots=12):
         ys.append(rng.uniform(lo, hi))
     ys = np.array(ys)
     return lambda x: np.interp(x, xs, ys)
-
-
-# ---------------------------------------------------------------------------
-# lipschitz_extend
-# ---------------------------------------------------------------------------
-
-def test_extend_identity_on_unit_interval():
-    f = lipschitz_extend([[0.0], [1.0]], [[0.0], [1.0]], 1.0)
-    xs = np.linspace(0, 1, 11).reshape(-1, 1)
-    assert np.allclose(f(xs)[:, 0], xs[:, 0], atol=1e-12)
-
-
-def test_extend_single_node_is_constant():
-    f = lipschitz_extend([[0.3]], [[0.7]], 2.0)
-    for x in (-1.0, 0.3, 5.0):
-        assert f(np.array([x]))[0] == pytest.approx(0.7 - 2.0 * abs(x - 0.3))
-    # at the node itself it is the constant
-    assert f(np.array([0.3]))[0] == pytest.approx(0.7)
-
-
-def test_extend_lower_mcshane_dips_between_equal_nodes():
-    # DERIVED by hand: max(0 - 1*0.5, 0 - 1*0.5) = -0.5
-    f = lipschitz_extend([[0.0], [1.0]], [[0.0], [0.0]], 1.0)
-    assert f(np.array([0.5]))[0] == pytest.approx(-0.5)
-    assert f(np.array([0.0]))[0] == pytest.approx(0.0)
-    assert f(np.array([1.0]))[0] == pytest.approx(0.0)
-
-
-def test_extend_rejects_incompatible_data():
-    with pytest.raises(ArgumentError) as ei:
-        lipschitz_extend([[0.0], [0.5]], [[0.0], [2.0]], 1.0)
-    assert "0" in str(ei.value) and "1" in str(ei.value)
-
-
-def test_extend_difference_quotients_bounded():
-    rng = np.random.default_rng(5)
-    nodes = np.sort(rng.uniform(0, 1, 6)).reshape(-1, 1)
-    vals = 0.3 * np.sin(3.0 * nodes)  # slope bounded by 0.9 < 1
-    f = lipschitz_extend(nodes, vals, 1.0)
-    xs = rng.uniform(0, 1, (300, 1))
-    ys = rng.uniform(0, 1, (300, 1))
-    q = np.abs(f(xs) - f(ys))[:, 0] / (np.abs(xs - ys)[:, 0] + 1e-15)
-    assert q.max() <= 1.0 + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -450,67 +405,6 @@ def test_minimize_monotone_in_eps():
 
 
 # ---------------------------------------------------------------------------
-# mollify
-# ---------------------------------------------------------------------------
-
-def _abs_policy():
-    nodes = np.linspace(-1, 1, 21).reshape(-1, 1)
-    vals = np.abs(nodes)
-    from certctrl.core import FiniteMesh
-    from certctrl.evt import PiecewisePolicy
-
-    return PiecewisePolicy(FiniteMesh(nodes, 0.05, None), vals, 1.0, 1.0)
-
-
-def test_mollify_constant_is_constant():
-    from certctrl.core import FiniteMesh
-    from certctrl.evt import PiecewisePolicy
-
-    p = PiecewisePolicy(FiniteMesh(np.array([[0.0]]), 1.0, None), np.array([[0.4]]), 0.0, 1.0)
-    sm = mollify(p, 2, 0.05)
-    xs = np.linspace(-0.5, 0.5, 7).reshape(-1, 1)
-    assert np.allclose(sm(xs), 0.4, atol=1e-12)
-
-
-def test_mollify_abs_at_zero_positive_and_bounded_by_width():
-    p = _abs_policy()
-    w = 0.01
-    sm = mollify(p, 1, w)
-    v = float(sm(np.array([0.0]))[0])
-    # DERIVED oracle: integral of |w u| k(u) du = w * E|u| under the kernel
-    from certctrl.evt import _bump_quadrature
-
-    u, wt = _bump_quadrature()
-    expected = w * float(np.sum(wt * np.abs(u)))
-    assert v == pytest.approx(expected, rel=1e-9)
-    assert 0.0 < v <= w
-
-
-def test_mollify_sup_distance_bound():
-    rng = np.random.default_rng(31)
-    from certctrl.core import FiniteMesh
-    from certctrl.evt import PiecewisePolicy
-
-    nodes = np.linspace(0, 1, 9).reshape(-1, 1)
-    vals = np.cumsum(rng.uniform(-0.125, 0.125, 9)).reshape(-1, 1)
-    p = PiecewisePolicy(FiniteMesh(nodes, 0.0625, None), vals, 1.0, 1.0)
-    w = 0.01
-    sm = mollify(p, 1, w)
-    xs = np.linspace(0, 1, 2001).reshape(-1, 1)
-    dev = np.abs(sm(xs) - p(xs)).max()
-    # DERIVED: dense-grid evaluation against L*sqrt(m)*width
-    assert dev <= 1.0 * 1.0 * w + 1e-12
-
-
-def test_mollify_rejects_bad_args():
-    p = _abs_policy()
-    with pytest.raises(ArgumentError):
-        mollify(p, 0, 0.1)
-    with pytest.raises(ArgumentError):
-        mollify(p, 1, 0.0)
-
-
-# ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
@@ -526,45 +420,6 @@ def test_policy_text_round_trip_bit_exact():
     assert q.bound == p.bound
     xs = np.linspace(0, 1, 50).reshape(-1, 1)
     assert np.array_equal(p(xs), q(xs))
-
-
-def test_extend_vector_valued_quotients():
-    # m = 2: per-coordinate constant L, vector constant <= L sqrt(2)
-    rng = np.random.default_rng(14)
-    nodes = np.linspace(0, 1, 5).reshape(-1, 1)
-    vals = np.stack([0.4 * np.sin(2 * nodes[:, 0]), 0.4 * np.cos(2 * nodes[:, 0])], axis=1)
-    f = lipschitz_extend(nodes, vals, 1.0)
-    assert np.allclose(f(nodes), vals, atol=1e-12)
-    xs = rng.uniform(0, 1, (400, 1))
-    ys = rng.uniform(0, 1, (400, 1))
-    gap = np.abs(xs - ys)[:, 0] + 1e-15
-    per_coord = np.abs(f(xs) - f(ys)).max(axis=1) / gap
-    vector = np.linalg.norm(f(xs) - f(ys), axis=1) / gap
-    assert per_coord.max() <= 1.0 + 1e-9
-    assert vector.max() <= np.sqrt(2.0) + 1e-9
-
-
-def test_smooth_epsilon_optimizer_pipeline():
-    # mollifying the piecewise optimizer keeps the epsilon guarantee once
-    # the width is budgeted against the functional modulus: for a
-    # 1-Lipschitz-in-sup-norm J, J[smooth] <= J[k*] + L * width
-    pclass = PolicyClass(UNIT, 1, 1.0, 1.0, smooth_order=2)
-    target = 0.3 * np.sin(3.0 * GRID[:, 0])
-
-    def ev(V):
-        return np.abs(V[:, :, 0] - target).max(axis=1), 3e-3
-
-    J = Functional(ev, Modulus.lipschitz(1.0), GRID, name="sup-dist")
-    eps = 1.8
-    eps_net, eps_width = 1.3, eps - 1.3
-    policy, cert = epsilon_minimize(J, pclass, eps_net)
-    width = eps_width / (pclass.lipschitz * np.sqrt(pclass.output_dim))
-    smooth = mollify(policy, pclass.smooth_order, width)
-    v_smooth = float(np.abs(smooth(GRID)[:, 0] - target).max())
-    # inf = 0 (the target is admissible); the smooth member still honors
-    # J[smooth] - eps <= inf
-    assert v_smooth - eps <= 0.0 + 1e-9
-    assert v_smooth <= float(np.abs(policy(GRID)[:, 0] - target).max()) + 1.0 * width + 1e-9
 
 
 @pytest.mark.parametrize("L,K,eps", [(0.5, 1.0, 1.0), (2.0, 0.5, 1.2)])

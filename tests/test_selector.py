@@ -18,7 +18,6 @@ from certctrl.selector import (
     certify_selector,
     countable_reduction,
     extract_selector,
-    refine_selector,
     simple_approx,
     volume,
 )
@@ -297,9 +296,23 @@ def test_extract_rejects_bad_eps():
 # refinement / Cauchy certificate
 # ---------------------------------------------------------------------------
 
+def stage_selectors(F, n_stages):
+    """Selectors f_1 .. f_n of one staged recursion at the finest accuracy:
+    _run_stages(fhat, k) for k = 1..n on one simple approximation.
+    Consecutive stages differ by at most 2^-(k-1) on the shared domain
+    (the Cauchy certificate of the corollary)."""
+    Fr, lo, scale = _rescaled(F)
+    fhat, domain = simple_approx(Fr, 0.5 ** (n_stages + 1))
+    return [
+        Selector(tuple((b, lo + r * scale) for b, r, _ in _run_stages(fhat, k)),
+                 float(scale) * 2.0 ** -k, domain, stage=k)
+        for k in range(1, n_stages + 1)
+    ]
+
+
 def test_refine_constant_stabilizes_after_stage_one():
     F = RegularSVF((Block.interval(0, 1),), ((const_chunk(0, 1),),))
-    sels = refine_selector(F, 4)
+    sels = stage_selectors(F, 4)
     xs = np.linspace(0.05, 0.95, 19)
     for k in range(1, len(sels)):
         for x in xs:
@@ -309,7 +322,7 @@ def test_refine_constant_stabilizes_after_stage_one():
 def test_refine_identity_cauchy_and_convergence():
     F = RegularSVF((Block.interval(0, 1),), ((identity_chunk(),),))
     n = 6
-    sels = refine_selector(F, n)
+    sels = stage_selectors(F, n)
     rng = np.random.default_rng(8)
     xs = rng.uniform(0.01, 0.99, 200)
     for k in range(1, n):
@@ -331,7 +344,7 @@ def test_refine_two_point_set_stabilizes_branch():
         (Block.interval(0, 1),),
         ((const_chunk(0, 0), const_chunk(1, 1)),),
     )
-    sels = refine_selector(F, 6)
+    sels = stage_selectors(F, 6)
     xs = np.linspace(0.1, 0.9, 9)
     last = [sels[-1](np.array([x])) for x in xs]
     prev = [sels[-2](np.array([x])) for x in xs]
@@ -345,7 +358,7 @@ def test_stage_domains_preserve_volume():
         (Block.interval(-1, 0), Block.interval(0, 1)),
         ((const_chunk(0, 0.25),), (const_chunk(0.75, 1),)),
     )
-    sels = refine_selector(F, 5)
+    sels = stage_selectors(F, 5)
     vols = [sum((b.volume() for b, _ in s.pieces), Fraction(0)) for s in sels]
     assert all(v == vols[0] for v in vols)
     assert vols[0] == 2
@@ -470,29 +483,23 @@ def reference_stages(fhat, n_stages, snapshot=None):
     return pieces
 
 
-def _stages_both_ways(fhat, n_stages):
-    runs = []
-    for stages in (_run_stages, reference_stages):
-        snaps = []
-        out = stages(fhat, n_stages, snapshot=lambda k, pieces: snaps.append((k, list(pieces))))
-        runs.append((out, snaps))
-    return runs
-
-
 @pytest.mark.parametrize("name,F,eps", SVFS, ids=SVF_IDS)
 def test_run_stages_matches_countable_reduction_reference(name, F, eps):
     Fr, _, scale = _rescaled(F)
     eps_scaled = min(eps / float(scale), 1.0)
-    # the extract_selector recursion, then refine_selector's at 5 stages
+    # the extract_selector recursion, then stage_selectors' at 5 stages
     for delta, n_stages in (
         (eps_scaled / 2.0, max(1, math.ceil(math.log2(2.0 / eps_scaled)))),
         (0.5 ** 6, 5),
     ):
         fhat, _ = simple_approx(Fr, delta)
-        (got, got_snaps), (ref, ref_snaps) = _stages_both_ways(fhat, n_stages)
-        assert got == ref
-        assert got_snaps == ref_snaps
-        assert [k for k, _ in got_snaps] == list(range(1, n_stages + 1))
+        ref_snaps = []
+        ref = reference_stages(fhat, n_stages,
+                               snapshot=lambda k, pieces: ref_snaps.append((k, list(pieces))))
+        assert [k for k, _ in ref_snaps] == list(range(1, n_stages + 1))
+        for k, ref_pieces in ref_snaps:
+            assert _run_stages(fhat, k) == ref_pieces
+        assert _run_stages(fhat, n_stages) == ref
 
 
 def test_run_stages_raises_when_a_piece_meets_no_mesh_value():
