@@ -68,6 +68,11 @@ def _interval(pair) -> Hypercube:
     return Hypercube(np.array([(lo + hi) / 2.0]), hi - lo)
 
 
+def _sup_abs(form, box: Hypercube) -> float:
+    """Upper bound on |form| over a 1-D box, from the form's enclosure."""
+    return max(map(abs, form.enclose(box.lo[0], box.hi[0])))
+
+
 def _write_csv(path: Path, header: str, rows) -> None:
     with path.open("w") as fh:
         fh.write(header + "\n")
@@ -90,10 +95,8 @@ def _task_evt_min(config, seed, out):
         target = build_scalar_form(spec["target"])
         tvals = target(grid[:, 0])
         gap = float(grid[1, 0] - grid[0, 0])
-        # the forms take their Lipschitz constant on [-radius, radius]: the
-        # domain's largest |x| makes that interval contain the domain
-        radius = float(max(-pclass.domain.lo[0], pclass.domain.hi[0]))
-        rad = (pclass.lipschitz + target.lipschitz_on(radius)) * gap / 2.0 + 1e-12
+        lip = _sup_abs(target.derivative, pclass.domain)
+        rad = (pclass.lipschitz + lip) * gap / 2.0 + 1e-12
 
         def ev(V):
             return np.abs(V[:, :, 0] - tvals).max(axis=1), rad
@@ -161,11 +164,20 @@ def _task_danskin(config, seed, out):
             f"unknown objective {name!r}; registry: {sorted(_DANSKIN_OBJECTIVES)}"
         )
     obj = _DANSKIN_OBJECTIVES[name]()
-    dom = dk.ThetaDomain(_interval(config.get("theta_box", [-1, 1])), budget=400_000)
+    theta_box = config.get("theta_box", [-1, 1])
+    dom = dk.ThetaDomain(_interval(theta_box), budget=400_000)
     x = np.array([float(config["x"])])
     v = np.array([float(config["v"])])
     delta = float(config["delta"])
     hs = [float(h) for h in config.get("h_sequence", [1e-1, 1e-2, 1e-3, 1e-4])]
+    # The registry's theta moduli hold for theta and x in [-1, 1]: |d phi/d theta|
+    # is |x| (bilinear), 2 |theta - x| <= 4 (neg_quadratic) or |x - 2 theta|
+    # <= 3 (concave_linear); the gradient moduli hold everywhere.  The audit
+    # evaluates phi at x and at x + min(h, 1) v for every h.
+    points = [float(t) for t in theta_box]
+    points += [x[0] + min(h, 1.0) * v[0] for h in [0.0, *hs]]
+    if not all(-1.0 <= p <= 1.0 for p in points):
+        raise ArgumentError("danskin needs theta_box, x and x + min(h, 1) v inside [-1, 1]")
     report = dk.finite_difference_audit(obj, dom, x, v, delta, hs)
     (out / "audit.csv").write_text(report.to_csv())
     dset = dk.delta_optimizers(obj, dom, x, delta, min(0.01, delta / 4.0))
@@ -185,15 +197,16 @@ def _task_danskin(config, seed, out):
 def _task_selector(config, seed, out):
     blocks = tuple(sel.Block.interval(Fraction(str(a)), Fraction(str(b)))
                    for a, b in config["domain_blocks"])
+    # the chunk moduli hold on the hull of the domain blocks
+    lo = min(b.intervals[0][0] for b in blocks)
+    hi = max(b.intervals[0][1] for b in blocks)
     chunks = []
     for chunk_list in config["chunks"]:
         here = []
         for ch in chunk_list:
             alpha = build_scalar_form(ch["alpha"])
             beta = build_scalar_form(ch["beta"])
-            R = max(abs(float(b.intervals[0][0])) + float(b.intervals[0][1] - b.intervals[0][0])
-                    for b in blocks)
-            L = max(alpha.lipschitz_on(R), beta.lipschitz_on(R))
+            L = max(map(abs, alpha.derivative.enclose(lo, hi) + beta.derivative.enclose(lo, hi)))
             here.append(sel.Chunk(
                 alpha=lambda x, f=alpha: float(f(np.atleast_1d(x)[0])),
                 beta=lambda x, f=beta: float(f(np.atleast_1d(x)[0])),
@@ -252,18 +265,13 @@ def _task_eig(config, seed, out):
 
 def _ode_rhs_from_config(config) -> traj.RegularRHS:
     box = _interval(config["state_box"])
-    R = float(np.abs(box.center).max() + box.side / 2.0)
     blocks = []
     for b in config["blocks"]:
         form = build_scalar_form(b["f"])
-        lip = form.lipschitz_on(R)
-        # sup of |f| over the box from the form on [-R, R]
-        probe = np.linspace(-R, R, 2001)
-        sup = float(np.abs(form(probe)).max()) * 1.05 + 1e-9
         blocks.append(traj.TimeBlockRHS(
             Fraction(str(b["t_lo"])), Fraction(str(b["t_hi"])),
             lambda xs, ts, f=form: f(xs),
-            lip, Modulus.lipschitz(0.0), sup,
+            _sup_abs(form.derivative, box), Modulus.lipschitz(0.0), _sup_abs(form, box),
         ))
     return traj.RegularRHS(tuple(blocks), box)
 
@@ -297,24 +305,23 @@ def _shh_problem(config) -> stab.CLFProblem:
     if config.get("dynamics", "integrator") != "integrator":
         raise ArgumentError("shh dynamics registry: integrator")
     state_box = _interval(config.get("state_box", [-2, 2]))
+    control_box = _interval(config["control_box"])
     dyn = traj.ControlledDynamics(
         f=lambda xs, us: us.copy(),
         state_box=state_box,
         lip_x=0.0,
         lip_u=1.0,
-        sup_bound=float(_interval(config["control_box"]).side / 2.0
-                        + abs(_interval(config["control_box"]).center[0])),
+        # f(x, u) = u: its sup is the enclosure of u on the control box
+        sup_bound=_sup_abs(build_scalar_form({"form": "polynomial", "coeffs": [0, 1]}),
+                           control_box),
     )
     vform = build_scalar_form(config.get("V", {"form": "polynomial", "coeffs": [0, 0, 1]}))
-    # the forms take their Lipschitz constant on [-radius, radius]: the
-    # box's largest |x| makes that interval contain the box
-    radius = float(max(-state_box.lo[0], state_box.hi[0]))
     return stab.CLFProblem(
         dynamics=dyn,
-        control_box=_interval(config["control_box"]),
+        control_box=control_box,
         V=lambda xs, f=vform: f(xs[:, 0]),
-        grad_V=lambda xs, f=vform: f.derivative(xs[:, :1]),
-        v_lipschitz=vform.lipschitz_on(radius),
+        grad_V=lambda xs, f=vform.derivative: f(xs[:, :1]),
+        v_lipschitz=_sup_abs(vform.derivative, state_box),
         target_radius=float(config["target_radius"]),
         overshoot_radius=float(config["overshoot_radius"]),
     )
@@ -367,13 +374,8 @@ def _task_shh(config, seed, out):
 
 def _task_certify(config, seed, out):
     box = _interval(config["state_box"])
-    # the forms take their Lipschitz constant on [-R, R]: the box's largest
-    # |x| makes that interval contain the box
-    R = float(max(-box.lo[0], box.hi[0]))
     f = build_scalar_form(config["dynamics"])
     V = build_scalar_form(config["V"])
-    if V.derivative is None:
-        raise ContractError("V needs an analytic derivative (polynomial/trig forms)")
     # along-system derivative: V'(x) f(x), composed analytically
     if f.spec["form"] == "polynomial" and V.spec["form"] == "polynomial":
         vdot_coeffs = poly_multiply(V.derivative.spec["coeffs"], f.spec["coeffs"])
@@ -387,9 +389,9 @@ def _task_certify(config, seed, out):
         w2=build_comparator(config["w2"], box, "w2"),
         w3=build_comparator(config["w3"], box, "w3"),
         xi=float(config.get("xi", 1.0)),
-        v_modulus_x=Modulus.lipschitz(V.lipschitz_on(R)),
+        v_modulus_x=Modulus.lipschitz(_sup_abs(V.derivative, box)),
         v_modulus_t=Modulus.lipschitz(0.0),
-        vdot_modulus_x=Modulus.lipschitz(vdot.lipschitz_on(R)),
+        vdot_modulus_x=Modulus.lipschitz(_sup_abs(vdot.derivative, box)),
     )
     mesh_eps = float(config.get("mesh_eps", 0.002))
     t_samples = [float(t) for t in config.get("t_samples", [0.0])]
@@ -584,17 +586,17 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=False, help="JSON problem definition")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="certctrl-out")
-    args = parser.parse_args(argv)
-
-    config = {}
-    if args.config:
-        try:
-            config = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-    elif args.task != "audit":
-        print("config error: --config is required", file=sys.stderr)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a bad argument, and 2 means undecided
+        return EXIT_CONFIG if exc.code else EXIT_OK
+    try:
+        if (args.config is None) != (args.task == "audit"):
+            raise ArgumentError("audit takes no --config, and every other task needs one")
+        config = {} if args.config is None else json.loads(Path(args.config).read_text())
+    except (OSError, ArgumentError, json.JSONDecodeError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:

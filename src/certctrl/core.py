@@ -77,11 +77,25 @@ SNAP_BITS = 44
 _SNAP_SCALE = float(1 << SNAP_BITS)
 
 DEFAULT_MESH_BUDGET = 4_000_000
+_FLOAT_MAX = Fraction(1.7976931348623157e308)  # the largest double
 
 
 def _inflate(value: float, raw_radius: float) -> float:
     """One-ulp rounding inflation on top of the propagated radius."""
     return raw_radius * _RADIUS_SAFETY + math.ulp(abs(value))
+
+
+def _up(x: float) -> float:
+    return math.nextafter(x, math.inf)
+
+
+def _float_up(q: Fraction) -> float:
+    """The least float >= the rational q: outward rounding as in Moore,
+    Kearfott and Cloud, Introduction to Interval Analysis (SIAM 2009)."""
+    if q > _FLOAT_MAX:
+        return math.inf
+    f = float(max(q, -_FLOAT_MAX))
+    return f if Fraction(f) >= q else _up(f)
 
 
 def snap_dyadic(x) -> np.ndarray:
@@ -186,21 +200,16 @@ def poly_eval(coeffs, x):
 
 
 class Modulus:
-    """A continuity certificate in omega- or mu-format.
-
-    omega-format: delta = fn(eps, center, ball_radius), the input distance
-    guaranteeing output distance <= eps on the ball.
-    mu-format: a positive-definite monotone map bounding the output
-    distance, |f(x) - f(y)| <= mu(|x - y|); stepping it inverts mu by
-    monotone bisection (64 iterations), a conservative under-approximation.
+    """A continuity certificate in mu-format: a positive-definite monotone
+    map bounding the output distance, |f(x) - f(y)| <= mu(|x - y|).
+    Stepping it inverts mu, exactly for a Lipschitz modulus and otherwise
+    by monotone bisection (64 iterations), a conservative
+    under-approximation.
     """
 
-    __slots__ = ("format", "_fn", "lipschitz_constant")
+    __slots__ = ("_fn", "lipschitz_constant")
 
-    def __init__(self, format: str, fn: Callable, lipschitz_constant: Optional[float] = None):
-        if format not in ("omega", "mu"):
-            raise ArgumentError("modulus format must be 'omega' or 'mu'")
-        self.format = format
+    def __init__(self, fn: Callable[[float], float], lipschitz_constant: Optional[float] = None):
         self._fn = fn
         self.lipschitz_constant = lipschitz_constant
 
@@ -208,58 +217,20 @@ class Modulus:
     def lipschitz(cls, L: float) -> "Modulus":
         if L < 0:
             raise ArgumentError("Lipschitz constant must be >= 0")
-        return cls("mu", lambda t, L=L: L * t, lipschitz_constant=L)
+        return cls(lambda t, L=L: L * t, lipschitz_constant=L)
 
     @classmethod
     def mu(cls, fn: Callable[[float], float]) -> "Modulus":
-        return cls("mu", fn)
+        return cls(fn)
 
-    @classmethod
-    def omega(cls, fn: Callable[[float, object, float], float]) -> "Modulus":
-        return cls("omega", fn)
+    def forward_bound(self, t: float) -> float:
+        """Output distance guaranteed at input gap t."""
+        return 0.0 if t <= 0 else self._fn(t)
 
-    @classmethod
-    def constant(cls, delta: float) -> "Modulus":
-        return cls("omega", lambda eps, c, r, d=delta: d)
-
-    def forward_bound(self, t: float, center=None, ball_radius: float = 1.0) -> float:
-        """Output distance guaranteed at input gap t.
-
-        Direct for mu-format; for omega-format the smallest eps with
-        step(eps) >= t, found by doubling plus bisection (omega is
-        monotone non-decreasing in eps).
-        """
-        if t <= 0:
-            return 0.0
-        if self.format == "mu":
-            return self._fn(t)
-        if self.lipschitz_constant is not None:
-            return self.lipschitz_constant * t
-        eps = 1e-12
-        grow = 0
-        while self.step(eps, center, ball_radius) < t and grow < 120:
-            eps *= 2.0
-            grow += 1
-        if grow == 0:
-            return eps
-        lo, hi = eps / 2.0, eps
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            if self.step(mid, center, ball_radius) >= t:
-                hi = mid
-            else:
-                lo = mid
-        return hi
-
-    def step(self, eps: float, center=None, ball_radius: float = 1.0) -> float:
+    def step(self, eps: float) -> float:
         """Largest certified input distance for output precision eps."""
         if eps <= 0:
             raise ArgumentError("modulus step requires eps > 0")
-        if self.format == "omega":
-            delta = self._fn(eps, center, ball_radius)
-            if delta <= 0:
-                raise ContractError("omega modulus returned non-positive delta")
-            return delta
         if self.lipschitz_constant is not None:
             if self.lipschitz_constant == 0.0:
                 return math.inf

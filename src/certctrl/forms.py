@@ -2,27 +2,36 @@
 
 Configs reference built-in forms (polynomial, piecewise-linear, trig, and
 affine composition) instead of arbitrary expressions, which keeps problem
-definitions auditable: every form knows its own Lipschitz constant on a
-box and, where meaningful, its derivative.  Scalar forms act on the first
-state coordinate (the config-driven demos are one-dimensional).
+definitions auditable.  Every form encloses its own range on an interval:
+``enclose(lo, hi)`` gives floats lower <= f(x) <= upper on [lo, hi], worked
+out in exact rationals and rounded outward once.  A task reads the sup of
+|f| from ``f.enclose`` and the Lipschitz constant from
+``f.derivative.enclose``, on the set it uses.  A polynomial encloses as
+c_0 -+ sum_{k>=1} |c_k| r^k with r = max(|lo|, |hi|); pwl exactly, from the
+knots inside [lo, hi] and the interpolated ends, and its derivative is the
+step function of its slopes; trig as -+ sum |a|; affine_of scales and
+shifts the inner enclosure.  Scalar forms act on the first state coordinate
+(the config-driven demos are one-dimensional).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ArgumentError, Hypercube, Modulus, poly_eval
+from .core import ArgumentError, Hypercube, Modulus, _float_up, poly_eval
 from .stability import Comparator
 
 __all__ = [
     "ScalarForm",
     "build_scalar_form",
     "build_comparator",
-    "poly_derivative",
     "poly_multiply",
     "parse_complex_matrix",
 ]
@@ -30,22 +39,33 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScalarForm:
-    """A scalar function of one variable with certificate metadata."""
+    """A scalar function of one variable that encloses its own range:
+    exact_range(lo, hi) bounds it on [lo, hi] by two rationals."""
 
     fn: Callable[[np.ndarray], np.ndarray]
-    lipschitz_on: Callable[[float], float]  # radius -> Lipschitz constant
-    derivative: Optional["ScalarForm"] = None
+    exact_range: Callable[[Fraction, Fraction], tuple]
+    derive: Optional[Callable[[], "ScalarForm"]] = None
     spec: dict = None
 
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))
 
-    def modulus(self, radius: float) -> Modulus:
-        return Modulus.lipschitz(self.lipschitz_on(radius))
+    @cached_property
+    def derivative(self) -> Optional["ScalarForm"]:
+        return self.derive and self.derive()
+
+    def enclose(self, lo, hi) -> tuple[float, float]:
+        """Floats (lower, upper) with lower <= f(x) <= upper on [lo, hi]."""
+        lower, upper = self.exact_range(Fraction(lo), Fraction(hi))
+        return -_float_up(-lower), _float_up(upper)
 
 
-def poly_derivative(coeffs):
-    return [k * c for k, c in enumerate(coeffs)][1:] or [0.0]
+def _exact(values) -> list:
+    """Config numbers as the exact rationals of their floats."""
+    floats = [float(v) for v in values]
+    if not all(map(math.isfinite, floats)):
+        raise ArgumentError(f"form parameters must be finite, got {values!r}")
+    return [Fraction(v) for v in floats]
 
 
 def poly_multiply(p, q):
@@ -56,56 +76,78 @@ def poly_multiply(p, q):
     return out
 
 
-def _poly_form(coeffs) -> ScalarForm:
-    coeffs = [float(c) for c in coeffs]
-    d = poly_derivative(coeffs)
+def _poly_form(coeffs: list, floats: list) -> ScalarForm:
+    # exact coefficients for the enclosure, float ones (inf on overflow) for fn
+    coeffs, floats = coeffs or [Fraction(0)], floats or [0.0]
 
-    def lip(radius: float) -> float:
-        return float(poly_eval([abs(c) for c in d], radius)) if d else 0.0
+    def exact_range(lo, hi):
+        r = max(abs(lo), abs(hi))
+        s = sum(abs(c) * r**k for k, c in enumerate(coeffs) if k)
+        return coeffs[0] - s, coeffs[0] + s
 
-    deriv = ScalarForm(
-        lambda x, d=d: poly_eval(d, x),
-        lambda r, dd=poly_derivative(d): float(poly_eval([abs(c) for c in dd], r)) if dd else 0.0,
-        spec={"form": "polynomial", "coeffs": d},
-    )
-    return ScalarForm(lambda x, c=coeffs: poly_eval(c, x), lip, deriv,
-                      spec={"form": "polynomial", "coeffs": coeffs})
+    def derive():
+        return _poly_form([k * c for k, c in enumerate(coeffs)][1:],
+                          [k * c for k, c in enumerate(floats)][1:])
+
+    return ScalarForm(lambda x: poly_eval(floats, x), exact_range, derive,
+                      {"form": "polynomial", "coeffs": floats})
 
 
-def _pwl_form(xs, ys) -> ScalarForm:
-    xs = [float(v) for v in xs]
-    ys = [float(v) for v in ys]
-    if len(xs) != len(ys) or len(xs) < 2 or sorted(xs) != xs:
-        raise ArgumentError("piecewise-linear form needs sorted xs matching ys")
-    slopes = [
-        abs((y1 - y0) / (x1 - x0)) for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:])
-    ]
-    L = max(slopes)
+def _pwl_form(X: list, Y: list) -> ScalarForm:
+    if len(X) != len(Y) or len(X) < 2 or any(b <= a for a, b in zip(X, X[1:])):
+        raise ArgumentError("piecewise-linear form needs strictly increasing xs matching ys")
+    xs, ys = [float(v) for v in X], [float(v) for v in Y]
+    slopes = [(y1 - y0) / (x1 - x0) for x0, x1, y0, y1 in zip(X, X[1:], Y, Y[1:])]
+
+    def at(x):  # as np.interp: linear between the knots, constant outside
+        i = min(max(bisect.bisect_right(X, x), 1), len(X) - 1)
+        return Y[i - 1] + slopes[i - 1] * (min(max(x, X[0]), X[-1]) - X[i - 1])
+
+    def exact_range(lo, hi):
+        vals = [at(lo), at(hi)] + [y for x, y in zip(X, Y) if lo < x < hi]
+        return min(vals), max(vals)
+
+    def slope_range(lo, hi):
+        # every one-sided slope on [lo, hi], 0 on the constant parts
+        vals = [s for a, b, s in zip(X, X[1:], slopes) if a <= hi and b >= lo]
+        vals += [Fraction(0)] * (lo <= X[0] or hi >= X[-1])
+        return min(vals), max(vals)
+
+    # the slope right of x; searchsorted's -1 and n - 1 both pick the last 0
+    step = np.array([float(s) for s in slopes] + [0.0])
     return ScalarForm(
-        lambda x, xs=xs, ys=ys: np.interp(x, xs, ys),
-        lambda r, L=L: L,
-        spec={"form": "pwl", "xs": xs, "ys": ys},
+        lambda x: np.interp(x, xs, ys), exact_range,
+        lambda: ScalarForm(lambda x: step[np.searchsorted(xs, x, side="right") - 1], slope_range),
+        {"form": "pwl", "xs": xs, "ys": ys},
     )
 
 
-def _trig_form(terms) -> ScalarForm:
-    # sum of a * sin(b x + c)
-    terms = [(float(a), float(b), float(c)) for a, b, c in terms]
-    L = sum(abs(a * b) for a, b, _ in terms)
+def _trig_form(terms: list) -> ScalarForm:
+    # sum of a sin(b x + c), with exact amplitudes a, so the derivative's a b
+    amplitude = sum(abs(a) for a, _, _ in terms)
 
     def fn(x):
-        out = np.zeros_like(np.asarray(x, dtype=float))
+        out = np.zeros_like(x)
         for a, b, c in terms:
-            out = out + a * np.sin(b * x + c)
+            out = out + float(a) * np.sin(b * x + c)
         return out
 
-    deriv_terms = [(a * b, b, c + math.pi / 2.0) for a, b, c in terms]
-    deriv = ScalarForm(
-        lambda x, t=deriv_terms: sum(a * np.sin(b * x + c) for a, b, c in t),
-        lambda r, L2=sum(abs(a * b) for a, b, _ in deriv_terms): L2,
-        spec={"form": "trig", "terms": deriv_terms},
+    return ScalarForm(
+        fn, lambda lo, hi: (-amplitude, amplitude),
+        lambda: _trig_form([(a * Fraction(b), b, c + math.pi / 2.0) for a, b, c in terms]),
+        {"form": "trig", "terms": [[float(a), b, c] for a, b, c in terms]},
     )
-    return ScalarForm(fn, lambda r, L=L: L, deriv, spec={"form": "trig", "terms": terms})
+
+
+def _affine_form(inner: ScalarForm, s: Fraction, b: Fraction, spec: dict) -> ScalarForm:
+    def exact_range(lo, hi):
+        ends = [s * v + b for v in inner.exact_range(lo, hi)]
+        return min(ends), max(ends)
+
+    def derive():
+        return inner.derivative and _affine_form(inner.derivative, s, Fraction(0), None)
+
+    return ScalarForm(lambda x: float(s) * inner(x) + float(b), exact_range, derive, spec)
 
 
 def build_scalar_form(spec: dict) -> ScalarForm:
@@ -114,27 +156,17 @@ def build_scalar_form(spec: dict) -> ScalarForm:
         raise ArgumentError(f"not a function-form reference: {spec!r}")
     kind = spec["form"]
     if kind == "polynomial":
-        return _poly_form(spec["coeffs"])
+        floats = [float(c) for c in spec["coeffs"]]
+        return _poly_form(_exact(floats), floats)
     if kind == "pwl":
-        return _pwl_form(spec["xs"], spec["ys"])
+        return _pwl_form(_exact(spec["xs"]), _exact(spec["ys"]))
     if kind == "trig":
-        return _trig_form(spec["terms"])
+        terms = spec["terms"]
+        return _trig_form([(a, float(b), float(c))
+                           for a, (_, b, c) in zip(_exact([t[0] for t in terms]), terms)])
     if kind == "affine_of":
-        inner = build_scalar_form(spec["inner"])
-        s, b = float(spec.get("scale", 1.0)), float(spec.get("shift", 0.0))
-        deriv = None
-        if inner.derivative is not None:
-            deriv = ScalarForm(
-                lambda x, f=inner.derivative, s=s: s * f(x),
-                lambda r, f=inner.derivative, s=s: abs(s) * f.lipschitz_on(r),
-                spec={"form": "affine_of", "scale": s, "inner": inner.derivative.spec},
-            )
-        return ScalarForm(
-            lambda x, f=inner, s=s, b=b: s * f(x) + b,
-            lambda r, f=inner, s=s: abs(s) * f.lipschitz_on(r),
-            deriv,
-            spec=spec,
-        )
+        s, b = _exact([spec.get("scale", 1.0), spec.get("shift", 0.0)])
+        return _affine_form(build_scalar_form(spec["inner"]), s, b, spec)
     raise ArgumentError(
         f"unknown function form {kind!r}; registry: polynomial, pwl, trig, affine_of"
     )
@@ -143,13 +175,13 @@ def build_scalar_form(spec: dict) -> ScalarForm:
 def build_comparator(spec: dict, box: Hypercube, name: str = "") -> Comparator:
     """Comparator from a radial polynomial w(x) = sum_k c_k |x|^k
     (k >= 1, coefficients >= 0, some positive), with its Lipschitz
-    modulus on the box."""
+    modulus on the box: the upper end of the enclosure of w' >= 0 on
+    [0, R], R the box's largest |x|."""
     if spec.get("form") != "radial_poly":
         raise ArgumentError("comparators must use the radial_poly form")
     coeffs = tuple(float(c) for c in spec["coeffs"])
-    # the box's largest |x|
     R = float(np.linalg.norm(np.maximum(-box.lo, box.hi)))
-    lip = float(poly_eval([abs(c) for c in poly_derivative((0.0,) + coeffs)], R))
+    lip = _poly_form(_exact((0.0,) + coeffs), (0.0,) + coeffs).derivative.enclose(0.0, R)[1]
     return Comparator(coeffs, Modulus.lipschitz(lip), name=name or spec.get("name", ""))
 
 

@@ -39,6 +39,8 @@ from .core import (
     ContractError,
     InternalConsistencyError,
     Modulus,
+    _float_up,
+    _up,
 )
 
 __all__ = [
@@ -537,15 +539,6 @@ def extract_selector(F: RegularSVF, eps: float) -> Selector:
 # ---------------------------------------------------------------------------
 # located-distance certificate
 # ---------------------------------------------------------------------------
-
-def _up(x: float) -> float:
-    return math.nextafter(x, math.inf)
-
-
-def _float_up(q: Fraction) -> float:
-    f = float(q)
-    return f if Fraction(f) >= q else _up(f)
-
 
 def _radius_up(b: Block, c) -> float:
     """Upper bound on the distance from the point c to any point of b."""

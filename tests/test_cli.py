@@ -219,6 +219,25 @@ def test_ode_long_grid_converges_in_one_fine_sweep(tmp_path, config, exact):
     assert "picard_sweeps" not in num
 
 
+def test_ode_sup_comes_from_the_form_not_from_samples(tmp_path):
+    # x' = sin(1000 pi x): all 2,001 equispaced points of [-1, 1] are zeros
+    # of f, and a sup sampled there certified a bound of 3.0e-8 for an
+    # endpoint 3.0e-7 off; the form's own enclosure gives sup |f| = 1
+    w, x0, T = 1000.0 * math.pi, 0.00025, 0.002
+    config = {
+        "blocks": [{"t_lo": 0, "t_hi": T, "f": {"form": "trig", "terms": [[1.0, w, 0.0]]}}],
+        "state_box": [-1, 1],
+        "x0": [x0],
+        "T": T,
+        "eps": 1e-6,
+    }
+    code, record, _ = _run_cli(tmp_path, "ode", config)
+    exact = (2.0 / w) * math.atan(math.tan(w * x0 / 2.0) * math.exp(w * T))
+    num = record["numeric"]
+    assert code == EXIT_OK and record["verdict"] == "certified"
+    assert abs(num["endpoint"] - exact) <= num["error_bound"] <= 1e-6
+
+
 def test_malformed_config_exit_64(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{not json")
@@ -236,6 +255,29 @@ def test_unknown_form_reference_exit_64_lists_registry(tmp_path, capsys):
 
 def test_missing_config_exit_64():
     assert main(["ode"]) == EXIT_CONFIG
+
+
+EIG_EXAMPLE = str(Path(__file__).parents[1] / "examples" / "eig.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ["eig", "--config", EIG_EXAMPLE, "--no-such-flag"],
+    ["eig", "--config", EIG_EXAMPLE, "--precision-audit"],
+    ["eig", "--config", EIG_EXAMPLE, "--seed", "x"],
+    ["no-such-task"],
+])
+def test_bad_argument_exits_64_not_the_undecided_code(tmp_path, argv):
+    # argparse alone exits 2, which is the exit code of an undecided verdict
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+    assert not (out / "certificate.json").exists()
+
+
+def test_audit_takes_no_config(tmp_path):
+    # the audit never reads a config, so one would change only the digest
+    out = tmp_path / "out"
+    assert main(["audit", "--config", EIG_EXAMPLE, "--out", str(out)]) == EXIT_CONFIG
+    assert not (out / "certificate.json").exists()
 
 
 def test_audit_with_a_missing_config_file_exits_64(tmp_path):
@@ -325,6 +367,22 @@ def test_danskin_subcommand_writes_audit(tmp_path):
     assert code == EXIT_OK
     assert record["numeric"]["derivative"] == pytest.approx(1.0, abs=0.05)
     assert (out / "audit.csv").read_text().startswith("h,quotient,lower,upper")
+
+
+@pytest.mark.parametrize("objective, changes", [
+    ("neg_quadratic", {"x": 5.0}),
+    ("bilinear", {"theta_box": [-6, 4]}),
+    ("concave_linear", {"theta_box": [-1, 1.5]}),
+    # x + 0.1 v = 1.05 leaves [-1, 1] at the audit's largest step
+    ("neg_quadratic", {"x": 0.95}),
+    ("bilinear", {"x": -0.5, "v": -1.0, "h_sequence": [2.0, 0.1]}),
+])
+def test_danskin_rejects_configs_outside_the_registry_set(tmp_path, objective, changes):
+    # the registry's theta moduli hold for theta and x in [-1, 1] only:
+    # neg_quadratic's |d phi/d theta| = 2 |theta - x| is 12 at x = 5
+    config = {"objective": objective, "x": 0.45, "v": 1.0, "delta": 0.16, **changes}
+    code, record, _ = _run_cli(tmp_path, "danskin", config)
+    assert code == EXIT_CONFIG and record is None
 
 
 def test_selector_subcommand(tmp_path):

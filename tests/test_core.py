@@ -116,12 +116,6 @@ def test_modulus_mu_quadratic_bisection():
     assert d * d <= 0.01 + 1e-15
 
 
-def test_modulus_omega_constant():
-    m = Modulus.constant(0.3)
-    assert m.step(1e-6, center=np.zeros(2), ball_radius=5.0) == 0.3
-    assert m.step(10.0) == 0.3
-
-
 def test_modulus_step_rejects_bad_eps():
     with pytest.raises(ArgumentError):
         Modulus.lipschitz(1.0).step(0.0)
