@@ -268,10 +268,12 @@ def _ode_rhs_from_config(config) -> traj.RegularRHS:
     blocks = []
     for b in config["blocks"]:
         form = build_scalar_form(b["f"])
+        f2 = form.derivative.derivative  # None for pwl forms: first-order defect
         blocks.append(traj.TimeBlockRHS(
             Fraction(str(b["t_lo"])), Fraction(str(b["t_hi"])),
             lambda xs, ts, f=form: f(xs),
             _sup_abs(form.derivative, box), Modulus.lipschitz(0.0), _sup_abs(form, box),
+            _sup_abs(f2, box) if f2 else math.inf,
         ))
     return traj.RegularRHS(tuple(blocks), box)
 
@@ -297,7 +299,12 @@ def _task_ode(config, seed, out):
         "error_bound": sol.error_bound.value,
         "grid_nodes": int(sol.grid.size),
     }
-    payload = {"trajectory_file": "trajectory.csv", "picard_sweeps": sol.sweeps.tolist()}
+    payload = {
+        "trajectory_file": "trajectory.csv",
+        "picard_sweeps": sol.sweeps.tolist(),
+        "grid_step": sol.grid_step,
+        "defect_order": sol.defect_order,
+    }
     return "certified", numeric, payload
 
 

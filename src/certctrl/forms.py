@@ -6,12 +6,13 @@ definitions auditable.  Every form encloses its own range on an interval:
 ``enclose(lo, hi)`` gives floats lower <= f(x) <= upper on [lo, hi], worked
 out in exact rationals and rounded outward once.  A task reads the sup of
 |f| from ``f.enclose`` and the Lipschitz constant from
-``f.derivative.enclose``, on the set it uses.  A polynomial encloses as
+``f.derivative.enclose``, on the set it uses (the ode task also sup|f''|
+from ``f.derivative.derivative.enclose``).  A polynomial encloses as
 c_0 -+ sum_{k>=1} |c_k| r^k with r = max(|lo|, |hi|); pwl exactly, from the
 knots inside [lo, hi] and the interpolated ends, and its derivative is the
-step function of its slopes; trig as -+ sum |a|; affine_of scales and
-shifts the inner enclosure.  Scalar forms act on the first state coordinate
-(the config-driven demos are one-dimensional).
+step function of its slopes, which has no derivative; trig as -+ sum |a|;
+affine_of scales and shifts the inner enclosure.  Scalar forms act on the
+first state coordinate (the config-driven demos are one-dimensional).
 """
 
 from __future__ import annotations
@@ -125,17 +126,23 @@ def _pwl_form(X: list, Y: list) -> ScalarForm:
 def _trig_form(terms: list) -> ScalarForm:
     # sum of a sin(b x + c), with exact amplitudes a, so the derivative's a b
     amplitude = sum(abs(a) for a, _, _ in terms)
+    try:
+        floats = [float(a) for a, _, _ in terms]
+    except OverflowError:
+        raise ArgumentError(
+            "trig form: an amplitude of the form or of its derivatives exceeds the largest double"
+        ) from None
 
     def fn(x):
         out = np.zeros_like(x)
-        for a, b, c in terms:
-            out = out + float(a) * np.sin(b * x + c)
+        for a, (_, b, c) in zip(floats, terms):
+            out = out + a * np.sin(b * x + c)
         return out
 
     return ScalarForm(
         fn, lambda lo, hi: (-amplitude, amplitude),
         lambda: _trig_form([(a * Fraction(b), b, c + math.pi / 2.0) for a, b, c in terms]),
-        {"form": "trig", "terms": [[float(a), b, c] for a, b, c in terms]},
+        {"form": "trig", "terms": [[a, b, c] for a, (_, b, c) in zip(floats, terms)]},
     )
 
 

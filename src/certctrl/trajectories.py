@@ -4,11 +4,48 @@ sample-and-hold trajectory generation.
 The right-hand side is block-regular in time: continuous (Lipschitz in the
 state) on each rational time block, with possible jumps at block
 boundaries.  Each block is split into contraction windows of length at
-most 1/(2 L_x); within a window the Picard map is iterated on a uniform
-grid with composite midpoint quadrature, whose defect is certified from
-the moduli, and the contraction factor <= 1/2 turns the last iterate gap
-into a fixed-point error bound.  Window errors propagate through the
-Grönwall factor exp(L_x (T - t)).
+most 1/(2 L); within a window the Picard map is iterated on a uniform grid
+of step h with composite midpoint quadrature, and the last iterate is
+certified through its residual.
+
+Window error.  Let y be the polygon through the last iterate on a window
+[a, b] of length span, started from x_a, and P the exact Picard map,
+P(y)(t) = x_a + int_a^t f(y(s), s) ds.  If |y - P(y)| <= r on the window,
+then |y(t) - x(t)| <= r + L int_a^t |y - x|, so by Grönwall the window
+adds at most r e^(L span), and an error e at x_a leaves as e e^(L span).
+On cell k, y has slope s_k = f(y'_k, m_k): the field at the midpoint y'_k
+of the previous iterate, which is within the last gap g of the polygon's
+midpoint y_k.  At t in cell k, y(t) - P(y)(t) collects
+
+- the gap: sum_j h (f(y'_j) - f(y_j)), at most (t - a) L g <= q g with
+  q = L span, which the Picard tail q / (1 - q) g covers;
+- the time modulus: f(., m_j) against f(., s), at most (t - a) w_t(h/2)
+  <= span w_t(h/2) over the finished cells and the open one together;
+- the midpoint rule on the finished cells j < k, applied to
+  phi(s) = f(y(s), m_j): at most L |s_j| h^2 / 4 per cell, or
+  sup|f''| |s_j|^2 h^3 / 24 (the midpoint remainder, Atkinson, An
+  Introduction to Numerical Analysis, 1989, 5.2);
+- the open cell: int_{t_k}^t |f(y_k, m_k) - f(y(s), m_k)| <= L |s_k| h^2 / 4.
+
+Why |s_k| <= S = M + L g: the last iterate lies in the state box (it is
+checked, up to a rounding margin), and y'_k is within g of y_k.  Where y'_k
+is in the box, |s_k| <= M; where it is not, |f(y'_k)| <= |f(y_k)| + L g,
+with the Lipschitz data taken across the gap, as the box check's margin
+already takes them.  A row is kept only if q / (1 - q) g <= the tail
+budget, which bounds g a priori.  Summed over at most span / h cells, the
+first-order residual is span L S h / 4, which the historical
+span L M h / 2 covers while S <= 2 M; the second-order one is
+span sup|f''| S^2 h^2 / 24 + L S h^2 / 4, whose open-cell term does not
+accumulate.  So the defect of a window is
+
+    span w_t(h/2) + min(span L max(M, S/2) h / 2,
+                        span sup|f''| S^2 h^2 / 24 + L S h^2 / 4),
+
+and a block with no bound on f'' (sup_f2 = inf: pwl forms, sample-and-hold,
+plain callables) keeps the first-order term bit for bit.  Validated ODE
+solvers bound their defects the same way (Nedialkov, Jackson and Corliss,
+Appl. Math. Comput. 105(1), 1999).  Window errors propagate through the
+Grönwall factor exp(L (T - t)).
 
 The tail bound holds whatever iterate a sweep starts from: if P is a
 q-contraction with fixed point x*, then for any y, |P y - x*| <= q |y - x*|
@@ -16,7 +53,10 @@ q-contraction with fixed point x*, then for any y, |P y - x*| <= q |y - x*|
 windows therefore start from a cold Picard solve on a coarse grid of the
 same window, interpolated onto the fine nodes; it is close to the fine
 fixed point, so one or two fine sweeps meet the tolerance.  The coarse
-iterates only pick the start and certify nothing.
+iterates only pick the start and certify nothing.  With the second-order
+defect a field with a small sup|f''| needs a few thousand nodes, so the
+warm start runs only for first-order blocks and for fields whose f'' is
+large: a window needs at least WARM_RATIO * COARSE_INTERVALS intervals.
 
 Solutions are extended-sense: the differential equation is certified off
 arbitrarily thin neighborhoods of the block boundaries, produced by the
@@ -28,6 +68,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Callable, Optional
 
 import numpy as np
@@ -75,14 +116,15 @@ class TimeBlockRHS:
     lip_x: float
     t_modulus: Modulus
     sup_bound: float  # bound on |f| over the state box and the block
+    sup_f2: float = math.inf  # bound on |d2f/dx2| over the box; inf: unknown
 
     def __post_init__(self):
         object.__setattr__(self, "t_lo", Fraction(self.t_lo))
         object.__setattr__(self, "t_hi", Fraction(self.t_hi))
         if self.t_lo >= self.t_hi:
             raise ArgumentError("time block must have positive length")
-        if self.lip_x < 0 or self.sup_bound < 0:
-            raise ArgumentError("Lipschitz constant and sup bound must be >= 0")
+        if not (self.lip_x >= 0 and self.sup_bound >= 0 and self.sup_f2 >= 0):
+            raise ArgumentError("Lipschitz constant and sup bounds must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -105,10 +147,6 @@ class RegularRHS:
     @property
     def t_end(self) -> Fraction:
         return self.blocks[-1].t_hi
-
-    @property
-    def max_lip(self) -> float:
-        return max(b.lip_x for b in self.blocks)
 
     @classmethod
     def single(
@@ -136,6 +174,8 @@ class ExtendedSolution:
     controls: Optional[np.ndarray] = None  # (m, p) for sample-and-hold runs
     error_profile: Optional[np.ndarray] = None  # (m,) cumulative certified bound
     sweeps: Optional[np.ndarray] = None  # (windows, 2) coarse and fine Picard sweeps
+    grid_step: Optional[float] = None  # the step the Picard defect was sized for
+    defect_order: Optional[list] = None  # per time block: 1 or 2, see picard_plan
 
     def at(self, t: float) -> np.ndarray:
         t = float(np.clip(t, self.grid[0], self.grid[-1]))
@@ -153,11 +193,25 @@ class ExtendedSolution:
         return self.values[-1]
 
 
-def _window_plan(rhs: RegularRHS) -> list:
-    """(t_start, t_end, block) windows: contraction L dt <= 1/2, split
-    exactly at the rational block boundaries."""
+def _window_plan(rhs: RegularRHS, T: float, grid_budget: int) -> list:
+    """(t_start, t_end, span, block) windows up to T, as floats of the
+    exact rational ends: contraction L dt <= 1/2, split exactly at the
+    rational block boundaries.  Each window needs at least two grid nodes,
+    so a plan with more than grid_budget / 2 windows is refused before any
+    window is built."""
+    T_q = Fraction(T).limit_denominator(10 ** 12)
+    used = [b for b in rhs.blocks if float(b.t_lo) < T]
+    least = 0.0  # a lower bound on the number of windows before T
+    for b in used:
+        span = float(b.t_hi - b.t_lo)
+        least += max(1.0, span * b.lip_x / 0.5 * min(1.0, (T - float(b.t_lo)) / span))
+    if 2.0 * least > grid_budget:
+        raise ResourceBudgetError(
+            f"certified solve needs at least {2.0 * least:.3g} grid nodes "
+            f"(two per contraction window); budget is {grid_budget}"
+        )
     windows = []
-    for b in rhs.blocks:
+    for b in used:
         span = b.t_hi - b.t_lo
         if b.lip_x == 0:
             parts = 1
@@ -165,8 +219,27 @@ def _window_plan(rhs: RegularRHS) -> list:
             parts = max(1, math.ceil(float(span) * b.lip_x / 0.5))
         step = span / parts
         for j in range(parts):
-            windows.append((b.t_lo + j * step, b.t_lo + (j + 1) * step, b))
+            a = b.t_lo + j * step
+            if float(a) >= T:
+                break
+            end = min(a + step, T_q)
+            windows.append((float(a), float(end), float(end - a), b))
     return windows
+
+
+def _defect(blk: TimeBlockRHS, span: float, h: float, tail_budget: float):
+    """Residual bound of a window's last polygon at grid step h, and the
+    order (1 or 2) of the quadrature term that gives it (module
+    docstring)."""
+    L, M = blk.lip_x, blk.sup_bound
+    q = min(0.5, L * span)
+    slope = M + (L * tail_budget * (1.0 - q) / q if q > 0 else 0.0)  # S = M + L g
+    w = blk.t_modulus.forward_bound(h / 2.0)
+    first = span * (L * max(M, slope / 2.0) * h / 2.0 + w)
+    if slope == 0.0 or blk.sup_f2 == math.inf:  # constant polygon, or no f''
+        return first, 1
+    second = span * (blk.sup_f2 * slope * slope * h * h / 24.0 + w) + L * slope * h * h / 4.0
+    return (second, 2) if second < first else (first, 1)
 
 
 @dataclass(frozen=True)
@@ -181,6 +254,7 @@ class PicardWindow:
     contraction: float
     defect: float
     growth: float  # Grönwall factor exp(L_x span)
+    order: int  # 1 or 2: the quadrature term behind the defect
 
 
 @dataclass(frozen=True)
@@ -193,17 +267,19 @@ class PicardPlan:
     state_box: Hypercube
     tail_budget: float  # Picard tail a window may leave unconverged
     stop_tail: float  # tail at which a row stops iterating
+    grid_step: float  # the step h the defect was sized for
 
 
 def picard_plan(
     rhs: RegularRHS, T: float, eps: float, grid_budget: int = DEFAULT_GRID_BUDGET
 ) -> PicardPlan:
     """Window plan and grid step of picard_solve; reads only the blocks'
-    Lipschitz, sup and time-modulus data, never their f.
+    Lipschitz, sup, sup|f''| and time-modulus data, never their f.
 
-    The grid step is chosen a priori so the accumulated quadrature defect,
-    amplified by the Grönwall factor, stays below eps/2; Picard tails are
-    bounded by the contraction certificate and consume the other half.
+    The grid step is chosen a priori so the accumulated window defects
+    (module docstring), amplified by the Grönwall factor, stay below
+    eps/2; Picard tails are bounded by the contraction certificate and
+    consume the other half.
     """
     if eps <= 0:
         raise ArgumentError("eps must be positive")
@@ -211,31 +287,28 @@ def picard_plan(
     if not (0 < T <= float(rhs.t_end) + 1e-12):
         raise ArgumentError("horizon must lie within the block partition")
 
-    windows = [(a, min(b, Fraction(T).limit_denominator(10 ** 12)), blk)
-               for a, b, blk in _window_plan(rhs) if float(a) < T]
-    L = rhs.max_lip
+    windows = _window_plan(rhs, T, grid_budget)
+    L = max(blk.lip_x for *_, blk in windows)
+    if L * T > 700.0:  # e^(L T) > 1e304: no float grid can meet eps
+        raise ResourceBudgetError(f"Grönwall factor e^(L T) = e^{L * T:.4g} is out of float range")
     growth_T = math.exp(L * T)
+    tail_budget = eps / 2.0 / max(1, len(windows))
+    live = [(a, b, span, blk, math.exp(L * (T - a))) for a, b, span, blk in windows if span > 0]
 
-    # grid step from the first-order quadrature defect:
-    # defect(h) ~ T (L M + L_t) h / 2 amplified by e^(L T) <= eps / 2
     def total_defect(h: float) -> float:
         d = 0.0
-        for a, b, blk in windows:
-            span = float(b - a)
-            if span <= 0:
-                continue
-            per_step = blk.lip_x * blk.sup_bound * h / 2.0 + blk.t_modulus.forward_bound(h / 2.0)
-            d += span * per_step * math.exp(L * (T - float(a)))
+        for _, _, span, blk, transport in live:
+            d += _defect(blk, span, h, tail_budget)[0] * transport
         return d
 
-    h = min(float(b - a) for a, b, blk in windows if float(b - a) > 0)
+    h = min(span for _, _, span, _, _ in live)
     for _ in range(80):
         if total_defect(h) <= eps / 2.0:
             break
         h /= 2.0
     else:
         raise ResourceBudgetError("could not meet eps with a finite grid step")
-    n_nodes_total = sum(max(2, math.ceil(float(b - a) / h) + 1) for a, b, _ in windows)
+    n_nodes_total = sum(max(2, math.ceil(span / h) + 1) for _, _, span, _ in windows)
     if n_nodes_total > grid_budget:
         raise ResourceBudgetError(
             f"certified solve needs about {n_nodes_total} grid nodes for eps={eps}; "
@@ -243,20 +316,16 @@ def picard_plan(
         )
 
     planned = []
-    for a, b, blk in windows:
-        span = float(b - a)
-        if span <= 0:
-            continue
+    for a, b, span, blk, _ in live:
         m = max(2, math.ceil(span / h) + 1)
-        t = np.linspace(float(a), float(b), m)
+        t = np.linspace(a, b, m)
         hw = t[1] - t[0]
-        defect = span * (blk.lip_x * blk.sup_bound * hw / 2.0 + blk.t_modulus.forward_bound(hw / 2.0))
+        defect, order = _defect(blk, span, hw, tail_budget)
         planned.append(PicardWindow(
             blk, t, 0.5 * (t[1:] + t[:-1]), hw,
-            min(0.5, blk.lip_x * span), defect, math.exp(blk.lip_x * span),
+            min(0.5, blk.lip_x * span), defect, math.exp(blk.lip_x * span), order,
         ))
-    tail_budget = eps / 2.0 / max(1, len(windows))
-    return PicardPlan(tuple(planned), rhs.state_box, tail_budget, tail_budget / growth_T)
+    return PicardPlan(tuple(planned), rhs.state_box, tail_budget, tail_budget / growth_T, h)
 
 
 @dataclass(frozen=True)
@@ -288,9 +357,10 @@ def _block_field(block, xs, ts, rows):
 
 def _exit_error(box: Hypercube, t: np.ndarray, x: np.ndarray, ok: np.ndarray) -> DomainExitError:
     """The error for a row whose grid values x leave the box first at the
-    first False of ok."""
+    first False of ok, with the time and state where the polygon crosses
+    the box boundary."""
     bad = int(np.argmin(ok))
-    t_exit = float(t[bad])
+    t_exit, state = float(t[bad]), x[bad]
     if bad > 0:
         # interpolate the crossing along the polygon segment
         fracs = [1.0]
@@ -300,9 +370,11 @@ def _exit_error(box: Hypercube, t: np.ndarray, x: np.ndarray, ok: np.ndarray) ->
                 a1 = sgn * (x[bad][d] - bound)
                 if a0 < 0.0 <= a1 and a1 > a0:
                     fracs.append(-a0 / (a1 - a0))
-        t_exit = float(t[bad - 1] + min(fracs) * (t[bad] - t[bad - 1]))
+        frac = min(fracs)
+        t_exit = float(t[bad - 1] + frac * (t[bad] - t[bad - 1]))
+        state = x[bad - 1] + frac * (x[bad] - x[bad - 1])
     return DomainExitError(
-        f"trajectory left the state box at t={t_exit:.6g}", exit_time=t_exit, state=x[bad]
+        f"trajectory left the state box at t={t_exit:.6g}", exit_time=t_exit, state=state
     )
 
 
@@ -461,6 +533,7 @@ def picard_solve(
         raise res.failures[0]
 
     grid, values, profile, sweeps = _stitch(plan, res)
+    orders = [max(w.order for w in ws) for _, ws in groupby(plan.windows, key=lambda w: id(w.block))]
     T = float(T)
     time_blocks = tuple(
         Block.interval(a, min(b.t_hi, Fraction(T).limit_denominator(10 ** 12)))
@@ -469,7 +542,8 @@ def picard_solve(
     )
     validity = RepresentableDomain(time_blocks, _facet_exception_generator(time_blocks))
     return ExtendedSolution(grid, values, CertifiedReal(float(res.error_bound[0]), 0.0), validity,
-                            error_profile=profile, sweeps=sweeps)
+                            error_profile=profile, sweeps=sweeps,
+                            grid_step=plan.grid_step, defect_order=orders)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -198,17 +199,29 @@ def test_ode_leaving_the_box_is_undecided(tmp_path):
 
 
 ODE_EXAMPLE = json.loads((Path(__file__).parents[1] / "examples" / "ode.json").read_text())
-# like the benchmark's long-grid ode jobs: x' = a x on [0, 1] at eps 1.05e-5
-ODE_LONG_GRID = {**ODE_DECAY, "state_box": [-4, 4], "x0": [-1.2], "eps": 1.05e-5}
+
+
+def _pwl_linear(a):
+    """x' = a x on [-4, 4] as a pwl form: no f'', so a first-order defect."""
+    return {"form": "pwl", "xs": [-4.0, 4.0], "ys": [-4.0 * a, 4.0 * a]}
+
+
+# the example's fields and x' = -x from -1.2 at eps 1.05e-5, as pwl forms:
+# their first-order defect still needs about 5e5 grid nodes
+ODE_PWL_EXAMPLE = {**ODE_EXAMPLE, "blocks": [
+    {**b, "f": _pwl_linear(b["f"]["coeffs"][1])} for b in ODE_EXAMPLE["blocks"]
+]}
+ODE_LONG_GRID = {**ODE_DECAY, "blocks": [{"t_lo": "0", "t_hi": "1", "f": _pwl_linear(-1.0)}],
+                 "state_box": [-4, 4], "x0": [-1.2], "eps": 1.05e-5}
 
 
 @pytest.mark.parametrize("config, exact", [
-    (ODE_EXAMPLE, math.exp(-0.25)),
+    (ODE_PWL_EXAMPLE, math.exp(-0.25)),
     (ODE_LONG_GRID, -1.2 * math.exp(-1.0)),
 ])
 def test_ode_long_grid_converges_in_one_fine_sweep(tmp_path, config, exact):
-    # each window starts from its coarse-grid solution; at the parent every
-    # window took 7 fine sweeps from the constant start
+    # each window starts from its coarse-grid solution; from the constant
+    # start every window took 7 fine sweeps
     code, record, _ = _run_cli(tmp_path, "ode", config)
     assert code == EXIT_OK
     num = record["numeric"]
@@ -217,6 +230,89 @@ def test_ode_long_grid_converges_in_one_fine_sweep(tmp_path, config, exact):
     assert len(sweeps) >= 2
     assert all(coarse > 0 and 1 <= fine <= 2 for coarse, fine in sweeps)
     assert "picard_sweeps" not in num
+
+
+def _ode_closed_forms():
+    """(coeffs, x0, closed form of x' = poly(x)) on [-2, 2] over [0, 1]."""
+    a, b = -0.8, 0.5
+
+    def cubic(t, x0):  # x' = -x - x^3: u = x^2 solves u' = -2 u (1 + u)
+        e = np.exp(-2.0 * t)
+        return np.sign(x0) * np.sqrt(x0 * x0 * e / (1.0 + x0 * x0 * (1.0 - e)))
+
+    return [
+        ([0.0, a], 1.3, lambda t, x0: x0 * np.exp(a * t)),
+        ([0.0, a, b], 1.0, lambda t, x0: a * x0 * np.exp(a * t) / (a + b * x0 * (1.0 - np.exp(a * t)))),
+        ([0.0, -1.0, 0.0, -1.0], 1.5, cubic),
+    ]
+
+
+@pytest.mark.parametrize("coeffs, x0, exact", _ode_closed_forms(), ids=["linear", "logistic", "cubic"])
+def test_second_order_defect_holds_at_every_node_and_cell_midpoint(coeffs, x0, exact):
+    # the cell midpoints are where the polygon's in-cell error peaks; each
+    # point is checked against the bound of the window that contains it
+    from dataclasses import replace
+
+    from certctrl.cli import _ode_rhs_from_config
+    from certctrl.core import ResourceBudgetError
+    from certctrl.trajectories import RegularRHS, picard_plan, picard_solve
+
+    config = {"blocks": [{"t_lo": 0, "t_hi": 1, "f": {"form": "polynomial", "coeffs": coeffs}}],
+              "state_box": [-2, 2]}
+    rhs = _ode_rhs_from_config(config)
+    eps = 1e-3
+    sol = picard_solve(rhs, np.array([x0]), 1.0, eps)
+    assert sol.defect_order == [2] and sol.error_bound.value <= eps
+    t, x, bound = sol.grid, sol.values[:, 0], sol.error_profile
+    slack = 8 * np.spacing(np.abs(exact(t, x0)))
+    assert np.all(np.abs(x - exact(t, x0)) <= bound + slack)
+    mid_t, mid_x = 0.5 * (t[1:] + t[:-1]), 0.5 * (x[1:] + x[:-1])
+    assert np.all(np.abs(mid_x - exact(mid_t, x0)) <= bound[1:] + slack[1:])
+    if coeffs[-1] == -1.0:
+        # the first-order defect needs about 7e12 nodes for this field
+        first = RegularRHS(tuple(replace(b, sup_f2=math.inf) for b in rhs.blocks), rhs.state_box)
+        with pytest.raises(ResourceBudgetError):
+            picard_plan(first, 1.0, eps)
+
+
+def test_ode_payload_reports_grid_step_and_defect_order(tmp_path):
+    # a polynomial field has an f'' bound and a pwl one has none
+    config = {**ODE_DECAY, "blocks": [
+        {"t_lo": "0", "t_hi": "1/2", "f": {"form": "polynomial", "coeffs": [0.0, -1.0]}},
+        {"t_lo": "1/2", "t_hi": "1", "f": {"form": "pwl", "xs": [-2.0, 2.0], "ys": [2.0, -2.0]}},
+    ]}
+    code, record, _ = _run_cli(tmp_path, "ode", config)
+    assert code == EXIT_OK
+    payload = record["payload"]
+    assert payload["defect_order"] == [2, 1]
+    assert 0.0 < payload["grid_step"] <= 0.5
+    assert "grid_step" not in record["numeric"] and "defect_order" not in record["numeric"]
+
+
+@pytest.mark.parametrize("f", [
+    {"form": "polynomial", "coeffs": [0.0, -1e7]},  # 2e7 contraction windows
+    {"form": "trig", "terms": [[1e-100, 1e200, 0.0]]},  # L = 1e100
+    {"form": "polynomial", "coeffs": [0.0, -1000.0]},  # e^(L T) overflows
+])
+def test_ode_beyond_the_grid_budget_exits_64_at_once(tmp_path, f, capsys):
+    config = {**ODE_DECAY, "blocks": [{"t_lo": 0, "t_hi": 1, "f": f}], "state_box": [-1, 1], "x0": [0.5]}
+    t0 = time.perf_counter()
+    code, record, _ = _run_cli(tmp_path, "ode", config)
+    assert code == EXIT_CONFIG and record is None
+    assert time.perf_counter() - t0 < 5.0
+    assert "resource budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("terms", [
+    [[1e300, 1e10, 0.0]],  # f' = 1e310
+    [[1.0, 1e200, 0.0]],  # f'' = 1e400
+    [[1.0, 1.5e154, 0.0]],  # f'' = 2.25e308
+])
+def test_ode_trig_derivative_overflow_exits_64(tmp_path, terms, capsys):
+    config = {**ODE_DECAY, "blocks": [{"t_lo": 0, "t_hi": 1, "f": {"form": "trig", "terms": terms}}]}
+    code, record, _ = _run_cli(tmp_path, "ode", config)
+    assert code == EXIT_CONFIG and record is None
+    assert "largest double" in capsys.readouterr().err
 
 
 def test_ode_sup_comes_from_the_form_not_from_samples(tmp_path):

@@ -1,12 +1,21 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from certctrl.core import ArgumentError, ContractError, DomainExitError, Hypercube, Modulus
+from certctrl.core import (
+    ArgumentError,
+    ContractError,
+    DomainExitError,
+    Hypercube,
+    Modulus,
+    ResourceBudgetError,
+)
 from certctrl.trajectories import (
     COARSE_INTERVALS,
+    DEFAULT_GRID_BUDGET,
     WARM_RATIO,
     ControlledDynamics,
     RegularRHS,
@@ -16,6 +25,7 @@ from certctrl.trajectories import (
     picard_rows,
     picard_solve,
     sample_hold_trajectory,
+    _window_plan,
 )
 from oracles import residual_check
 
@@ -193,6 +203,72 @@ def test_solution_csv_includes_controls_and_cumulative_error():
         a <= b + 1e-15 for a, b in zip(errs, errs[1:])
     )  # cumulative: non-decreasing
     assert errs[-1] == sol.error_bound.value
+
+
+def test_defect_without_f2_is_the_first_order_term_bit_for_bit():
+    # sup_f2 = inf: the plan is the first-order one, h halved from the
+    # shortest window until sum span (L M h / 2 + w_t(h / 2)) e^(L (T - a))
+    # <= eps / 2, with each window's defect recomputed at its own step
+    rot = lambda xs, ts: np.stack([-xs[:, 1], xs[:, 0]], axis=1)
+    cases = [
+        (decay_rhs(), 1.0, 1e-5),
+        (RegularRHS((
+            TimeBlockRHS(Fraction(0), Fraction(1, 3), lambda xs, ts: -2.0 * xs,
+                         3.5, Modulus.lipschitz(0.0), 5.0),
+            TimeBlockRHS(Fraction(1, 3), Fraction(2), lambda xs, ts: 0.4 * xs + 0.3 * np.cos(ts)[:, None],
+                         0.4, Modulus.lipschitz(0.3), 1.1),
+        ), BOX2), 1.7, 1e-3),
+        (RegularRHS.single(rot, 1.0, Hypercube(np.zeros(2), 4.0), 1.0, 2.0 * math.sqrt(2.0)), 1.0, 1e-4),
+    ]
+    for rhs, T, eps in cases:
+        plan = picard_plan(rhs, T, eps)
+        windows = _window_plan(rhs, T, DEFAULT_GRID_BUDGET)
+        L = max(blk.lip_x for *_, blk in windows)
+
+        def first_order(blk, span, h):
+            return span * (blk.lip_x * blk.sup_bound * h / 2.0 + blk.t_modulus.forward_bound(h / 2.0))
+
+        h = min(span for _, _, span, _ in windows)
+        while sum(first_order(blk, span, h) * math.exp(L * (T - a))
+                  for a, _, span, blk in windows) > eps / 2.0:
+            h /= 2.0
+        assert plan.grid_step == h
+        assert len(plan.windows) == len(windows)
+        for w, (_, _, span, blk) in zip(plan.windows, windows):
+            assert w.t.size == max(2, math.ceil(span / h) + 1)
+            assert w.order == 1 and w.defect == first_order(blk, span, w.hw)
+        # the same blocks with f'' = 0 take the second-order term
+        flat = RegularRHS(tuple(replace(b, sup_f2=0.0) for b in rhs.blocks), rhs.state_box)
+        plan2 = picard_plan(flat, T, eps)
+        assert all(w.order == 2 for w in plan2.windows)
+        assert plan2.grid_step >= plan.grid_step
+
+
+def test_defect_of_a_zero_field_is_zero_not_nan():
+    # M = 0: the polygon is constant, and inf * 0 must not enter the defect
+    for L, f2 in [(0.0, math.inf), (0.0, 5.0), (1.0, math.inf), (1.0, 0.0)]:
+        rhs = RegularRHS.single(lambda xs, ts: np.zeros_like(xs), 1.0, BOX2, L, 0.0)
+        rhs = RegularRHS(tuple(replace(b, sup_f2=f2) for b in rhs.blocks), BOX2)
+        plan = picard_plan(rhs, 1.0, 1e-6)
+        assert all(math.isfinite(w.defect) for w in plan.windows)
+        sol = picard_solve(rhs, np.array([0.5]), 1.0, 1e-6)
+        assert np.all(sol.values == 0.5) and sol.error_bound.value <= 1e-6
+
+
+def test_window_budget_is_checked_before_the_windows_are_built():
+    # 2e7 contraction windows need 4e7 nodes: refused without building one
+    rhs = RegularRHS.single(lambda xs, ts: -1e7 * xs, 1.0, BOX2, 1e7, 2e7)
+    with pytest.raises(ResourceBudgetError, match="grid nodes"):
+        picard_plan(rhs, 1.0, 1e-3)
+    huge = RegularRHS.single(lambda xs, ts: xs, 1.0, BOX2, math.inf, math.inf)
+    with pytest.raises(ResourceBudgetError):
+        picard_plan(huge, 1.0, 1e-3)
+    # windows after the horizon do not count
+    late = RegularRHS((
+        TimeBlockRHS(0, 1, lambda xs, ts: -xs, 1.0, Modulus.lipschitz(0.0), 2.0),
+        TimeBlockRHS(1, 2, lambda xs, ts: -1e7 * xs, 1e7, Modulus.lipschitz(0.0), 2e7),
+    ), BOX2)
+    assert picard_plan(late, 1.0, 1e-3).windows
 
 
 def test_picard_budget_error_mentions_nodes():
