@@ -2,8 +2,10 @@
 with uniform JSON certificates and CSV data files.
 
 Exit codes: 0 certified/success, 1 counterexample/failure, 2 undecided,
-64 config error.  Certificates are reproducible: the numeric fields are
-bit-identical across runs with the same config and seed.
+64 config error, 70 internal error (an invariant that should hold by
+construction failed, or a trajectory left its box outside the ode task).
+Certificates are reproducible: the numeric fields are bit-identical across
+runs with the same config and seed.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .core import (
     ContractError,
     DomainExitError,
     Hypercube,
+    InternalConsistencyError,
     Modulus,
     ResourceBudgetError,
     build_mesh,
@@ -36,12 +39,13 @@ from . import evt
 from . import selector as sel
 from . import stability as stab
 from . import trajectories as traj
-from .forms import build_comparator, build_scalar_form, parse_complex_matrix, poly_multiply
+from .forms import build_comparator, build_scalar_form, parse_complex_matrix
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_UNDECIDED = 2
 EXIT_CONFIG = 64
+EXIT_INTERNAL = 70
 
 _VERDICT_EXIT = {
     "certified": EXIT_OK,
@@ -383,36 +387,26 @@ def _task_certify(config, seed, out):
     box = _interval(config["state_box"])
     f = build_scalar_form(config["dynamics"])
     V = build_scalar_form(config["V"])
-    # along-system derivative: V'(x) f(x), composed analytically
-    if f.spec["form"] == "polynomial" and V.spec["form"] == "polynomial":
-        vdot_coeffs = poly_multiply(V.derivative.spec["coeffs"], f.spec["coeffs"])
-        vdot = build_scalar_form({"form": "polynomial", "coeffs": vdot_coeffs})
-    else:
-        raise ArgumentError("certify currently composes polynomial dynamics and V")
+    if f.spec["form"] != "polynomial" or V.spec["form"] != "polynomial":
+        raise ArgumentError("certify takes polynomial dynamics and V")
     data = stab.LyapunovData(
-        V=lambda xs, t, g=V: g(xs[:, 0]),
-        Vdot=lambda xs, t, g=vdot: g(xs[:, 0]),
-        w1=build_comparator(config["w1"], box, "w1"),
-        w2=build_comparator(config["w2"], box, "w2"),
-        w3=build_comparator(config["w3"], box, "w3"),
+        V=V.spec["coeffs"],
+        f=f.spec["coeffs"],
+        w1=build_comparator(config["w1"], "w1"),
+        w2=build_comparator(config["w2"], "w2"),
+        w3=build_comparator(config["w3"], "w3"),
         xi=float(config.get("xi", 1.0)),
-        v_modulus_x=Modulus.lipschitz(_sup_abs(V.derivative, box)),
-        v_modulus_t=Modulus.lipschitz(0.0),
-        vdot_modulus_x=Modulus.lipschitz(_sup_abs(vdot.derivative, box)),
     )
-    mesh_eps = float(config.get("mesh_eps", 0.002))
-    t_samples = [float(t) for t in config.get("t_samples", [0.0])]
-    cert = stab.certify(data, box, mesh_eps, t_samples)
+    cert = stab.certify(data, box)
     numeric = {
-        "mesh_eps": mesh_eps,
         "sandwich_margin": cert.checks["sandwich"].margin,
         "decay_margin": cert.checks["decay"].margin,
         "growth_margin": cert.checks["linear_growth"].margin,
         "x0_level": cert.x0_set.level if cert.x0_set else -1.0,
     }
-    payload = {}
+    payload = {"orders": {name: cert.checks[name].details["orders"] for name in ("sandwich", "decay")}}
     if cert.witness:
-        payload["witness"] = {k: float(v) for k, v in cert.witness.items()}
+        payload["witness"] = cert.witness
     if cert.counterexample:
         ce = dict(cert.counterexample)
         if "point" in ce:
@@ -521,7 +515,6 @@ def _task_audit(config, seed, out):
         "w3": {"form": "radial_poly", "coeffs": [0.0, 1.0]},
         "xi": 1.0,
         "state_box": [-1, 1],
-        "mesh_eps": 0.002,
     }
     verdict, cnum, _ = _task_certify(cfg, seed, out)
     numeric["certify_decay_margin"] = cnum["decay_margin"]
@@ -614,6 +607,10 @@ def main(argv=None) -> int:
     except ResourceBudgetError as exc:
         print(f"resource budget: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (InternalConsistencyError, DomainExitError) as exc:
+        # a fault of the computation, not of the config
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     print(f"{record['subcommand']}: {record['verdict']}")
     return code
 

@@ -26,14 +26,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ArgumentError, Hypercube, Modulus, _float_up, poly_eval
+from .core import ArgumentError, _float_up, poly_eval
 from .stability import Comparator
 
 __all__ = [
     "ScalarForm",
     "build_scalar_form",
     "build_comparator",
-    "poly_multiply",
     "parse_complex_matrix",
 ]
 
@@ -67,14 +66,6 @@ def _exact(values) -> list:
     if not all(map(math.isfinite, floats)):
         raise ArgumentError(f"form parameters must be finite, got {values!r}")
     return [Fraction(v) for v in floats]
-
-
-def poly_multiply(p, q):
-    out = [0.0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
 
 
 def _poly_form(coeffs: list, floats: list) -> ScalarForm:
@@ -179,17 +170,12 @@ def build_scalar_form(spec: dict) -> ScalarForm:
     )
 
 
-def build_comparator(spec: dict, box: Hypercube, name: str = "") -> Comparator:
+def build_comparator(spec: dict, name: str = "") -> Comparator:
     """Comparator from a radial polynomial w(x) = sum_k c_k |x|^k
-    (k >= 1, coefficients >= 0, some positive), with its Lipschitz
-    modulus on the box: the upper end of the enclosure of w' >= 0 on
-    [0, R], R the box's largest |x|."""
+    (k >= 1, coefficients >= 0, some positive)."""
     if spec.get("form") != "radial_poly":
         raise ArgumentError("comparators must use the radial_poly form")
-    coeffs = tuple(float(c) for c in spec["coeffs"])
-    R = float(np.linalg.norm(np.maximum(-box.lo, box.hi)))
-    lip = _poly_form(_exact((0.0,) + coeffs), (0.0,) + coeffs).derivative.enclose(0.0, R)[1]
-    return Comparator(coeffs, Modulus.lipschitz(lip), name=name or spec.get("name", ""))
+    return Comparator(tuple(float(c) for c in spec["coeffs"]), name or spec.get("name", ""))
 
 
 def parse_complex_matrix(text: str) -> np.ndarray:

@@ -1,12 +1,20 @@
 """Lyapunov certificate checking, CLF optimization feedback and certified
 sample-and-hold sampling-time search.
 
-Margin semantics: positive-definite data vanishes at the origin, so the
-sandwich and decay inequalities cannot carry a uniform margin there; the
-exact origin node is excluded (its equality is structural) and the
-certificate reports the annulus radius from which node margins dominate
-the inter-node modulus slack.  Equality within the evaluation radius at
-any other node yields `undecided`, never `certified`.
+Margin semantics: the sandwich w1(x) <= V(x) <= w2(x) and the decay
+V'(x) f(x) <= -w3(x) are decided exactly for one-dimensional polynomial
+data.  On each half of the box, x = s r with s = +-1 and r = |x|, a
+condition reads p(r) >= 0 for a polynomial p whose coefficients are the
+exact rationals of the given floats, V'f included.  Positive-definite data
+vanishes at the origin, so p is divided by its lowest power r^k (the order
+k is reported in the check's details) and the quotient's sign is decided
+from its Bernstein coefficients on the half, bisecting up to
+_BERNSTEIN_BOXES boxes (Garloff 1986, LNCS 212).  A certified check holds
+on the whole box, origin included: p(r) >= m r^k, where the margin m > 0
+is the lowest Bernstein coefficient of the quotient, rounded down.  A
+counterexample is a point where the exact p is negative (the origin only
+when p(0) itself is).  A quotient that is exactly 0 somewhere, p
+identically 0, or a spent budget leaves the check undecided.
 
 The sampling-time search is a bisection certified at the annulus mesh
 nodes only: a candidate eta is certified when every annulus mesh node,
@@ -33,11 +41,10 @@ from .core import (
     ContractError,
     DomainExitError,
     Hypercube,
-    Modulus,
     ResourceBudgetError,
+    _float_up,
     build_mesh,
     mesh_divisions,
-    poly_eval,
 )
 from .trajectories import ControlledDynamics, RegularRHS, picard_plan, picard_rows
 
@@ -57,16 +64,28 @@ __all__ = [
     "find_sampling_time",
 ]
 
+# Bernstein boxes examined per quotient before its sign is left undecided
+_BERNSTEIN_BOXES = 512
+
+
+def _horner(coeffs, r):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * r + c
+    return acc
+
+
+def _float_down(q: Fraction) -> float:
+    return -_float_up(-q) + 0.0  # 0.0, not -0.0, for q = 0
+
 
 @dataclass(frozen=True)
 class Comparator:
     """Radial polynomial comparator w(x) = sum_k coeffs[k-1] |x|^k (k >= 1)
     with finite, non-negative coefficients, not all zero: positive definite
-    and strictly increasing in |x|.  The modulus covers inter-node slack."""
+    and strictly increasing in |x|."""
 
     coeffs: tuple
-    modulus: Modulus
-    eval_radius: float = 1e-12
     name: str = ""
 
     def __post_init__(self):
@@ -77,151 +96,160 @@ class Comparator:
             )
         object.__setattr__(self, "coeffs", coeffs)
 
-    def __call__(self, xs: np.ndarray) -> np.ndarray:
-        return poly_eval((0.0,) + self.coeffs, np.linalg.norm(np.atleast_2d(xs), axis=1))
+    @property
+    def radial(self) -> list:
+        """The exact coefficients of w in powers of |x|, from |x|^0."""
+        return [Fraction(0)] + [Fraction(c) for c in self.coeffs]
+
+    def exact(self, r: Fraction) -> Fraction:
+        """w at |x| = r, in exact rational arithmetic."""
+        return _horner(self.radial, r)
 
 
 @dataclass(frozen=True)
 class LyapunovData:
-    """Candidate V with comparators and the along-system derivative.
+    """One-dimensional polynomial data: V(x) = sum_k V[k] x^k for
+    x' = f(x) = sum_k f[k] x^k, the comparators w1, w2, w3 and the
+    linear-growth constant xi.  The coefficients are finite floats, read as
+    the rationals they are."""
 
-    Vdot is user-supplied (analytic <grad V, f> plus any explicit time
-    term); a finite-difference audit in the tests cross-checks it.
-    """
-
-    V: Callable[[np.ndarray, float], np.ndarray]  # (B, n), t -> (B,)
-    Vdot: Callable[[np.ndarray, float], np.ndarray]
+    V: tuple
+    f: tuple
     w1: Comparator
     w2: Comparator
     w3: Comparator
     xi: float
-    v_modulus_x: Modulus
-    v_modulus_t: Modulus
-    vdot_modulus_x: Modulus
-    v_radius: float = 1e-12
 
     def __post_init__(self):
-        if self.xi <= 0:
+        for name in ("V", "f"):
+            coeffs = tuple(float(c) for c in getattr(self, name)) or (0.0,)
+            if not all(map(math.isfinite, coeffs)):
+                raise ArgumentError(f"{name} needs finite coefficients")
+            object.__setattr__(self, name, coeffs)
+        if not self.xi > 0:
             raise ArgumentError("xi must be positive")
 
 
 @dataclass(frozen=True)
 class CheckResult:
     verdict: str  # "certified" | "counterexample" | "undecided"
-    margin: float  # worst node margin; the slope surplus c_1 - xi for the growth check
+    margin: float  # see the module docstring; the slope surplus c_1 - xi for the growth check
     counterexample: object = None
-    covered_radius: Optional[float] = None  # annulus from which moduli cover gaps
     details: dict = field(default_factory=dict)
 
 
-def _origin_excluded_nodes(box: Hypercube, mesh_eps: float):
-    mesh = build_mesh(box, mesh_eps)
-    pts = mesh.points
-    norms = np.linalg.norm(pts, axis=1)
-    keep = norms > 0.0  # the origin node is structural equality, not data
-    return pts[keep], norms[keep]
+def _bernstein(coeffs: list, a: Fraction, b: Fraction) -> list:
+    """Bernstein coefficients on [a, b] of sum_i coeffs[i] r^i."""
+    c, n = list(coeffs), len(coeffs) - 1
+    for i in range(n):  # Taylor shift: the coefficients of p(a + r)
+        for j in range(n - 1, i - 1, -1):
+            c[j] += a * c[j + 1]
+    c = [cj * (b - a) ** j for j, cj in enumerate(c)]  # p(a + (b - a) t), t in [0, 1]
+    return [sum(Fraction(math.comb(k, j), math.comb(n, j)) * c[j] for j in range(k + 1))
+            for k in range(n + 1)]
 
 
-def _covered_radius(norms: np.ndarray, margins: np.ndarray, slack: float):
-    """Smallest annulus radius from which every node margin dominates the
-    inter-node slack; None when even the outermost nodes fail."""
-    order = np.argsort(norms)[::-1]
-    rho = None
-    for i in order:
-        if margins[i] >= slack:
-            rho = float(norms[i])
-        else:
-            break
-    return rho
+def _halve(bern: list) -> tuple[list, list]:
+    """de Casteljau at t = 1/2: the Bernstein coefficients of both halves."""
+    left, right, row = [bern[0]], [bern[-1]], bern
+    while len(row) > 1:
+        row = [(u + v) / 2 for u, v in zip(row, row[1:])]
+        left.append(row[0])
+        right.append(row[-1])
+    return left, right[::-1]
 
 
-def _two_sided_verdict(
-    pts, norms, margins, eval_radius, slack, box, inner_fraction=0.5, t_of=None
-):
-    bad = int(np.argmin(margins))
-    if margins[bad] < -eval_radius:
-        point = pts[bad]
-        ce = {"point": point, "margin": float(margins[bad])}
-        if t_of is not None:
-            ce["t"] = t_of[bad]
-        return CheckResult("counterexample", float(margins[bad]), ce)
-    if margins[bad] <= eval_radius:
-        # equality within the certificate radius: constructively undecided
-        return CheckResult(
-            "undecided",
-            float(margins[bad]),
-            details={"hint": "margin within evaluation radius; refine the mesh"},
-        )
-    rho = _covered_radius(norms, margins, slack)
-    inscribed = box.side / 2.0
-    if rho is None or rho > inner_fraction * inscribed:
-        return CheckResult(
-            "undecided",
-            float(margins[bad]),
-            covered_radius=rho,
-            details={"hint": f"mesh too coarse for margins; slack {slack}"},
-        )
-    return CheckResult("certified", float(margins[bad]), covered_radius=rho)
+def _decide(p: list, k: int, s: int, a: Fraction, b: Fraction):
+    """The sign of p(r) = sum_j p[j] r^j on [a, b], 0 <= a < b, where
+    p[k] is the lowest nonzero coefficient and x = s r.
+
+    Returns (verdict, value, x): certified with the lowest Bernstein
+    coefficient of the quotient p / r^k; counterexample at a float x where
+    the exact p is the negative value; undecided with the lowest
+    coefficient of the boxes left open, or 0 when p is 0 at a box end,
+    where it holds with equality (that box is dropped when no coefficient
+    is negative, since p >= 0 on it)."""
+    boxes = [(a, b, _bernstein(p[k:], a, b))]
+    leaves, touched, examined = [], False, 0
+    while boxes and examined < _BERNSTEIN_BOXES:
+        examined += 1
+        lo, hi, bern = boxes.pop()
+        m = min(bern)
+        if m > 0:
+            leaves.append(m)
+            continue
+        for r, q in ((lo, bern[0]), (hi, bern[-1])):  # the quotient at the ends
+            if q < 0:
+                x = float(s * r)
+                value = _horner(p, abs(Fraction(x)))
+                if value < 0:
+                    return "counterexample", value, x
+        if bern[0] == 0 or bern[-1] == 0:
+            touched = True
+            if m == 0:
+                continue
+        left, right = _halve(bern)
+        mid = (lo + hi) / 2
+        boxes += [(mid, hi, right), (lo, mid, left)]
+    if touched or boxes:
+        return "undecided", min([Fraction(0)] * touched + [min(bern) for _, _, bern in boxes]), None
+    return "certified", min(leaves), None
 
 
-def check_sandwich(data: LyapunovData, box: Hypercube, mesh_eps: float, t_samples) -> CheckResult:
-    """w1(x) <= V(x, t) <= w2(x) at mesh nodes and t-samples, with moduli
-    covering the gaps on the reported annulus."""
-    t_samples = list(t_samples)
-    if not t_samples:
-        raise ArgumentError("need at least one t sample")
-    if data.v_modulus_x is None or data.v_modulus_t is None:
-        raise ContractError("sandwich check needs V's x- and t-moduli")
-    if data.w1.modulus is None or data.w2.modulus is None:
-        raise ContractError("comparators need moduli for inter-node slack")
-    pts, norms = _origin_excluded_nodes(box, mesh_eps)
-    w1 = data.w1(pts)
-    w2 = data.w2(pts)
-    margins = np.full(pts.shape[0], np.inf)
-    worst_t = np.zeros(pts.shape[0])
-    for t in t_samples:
-        v = np.asarray(data.V(pts, t), dtype=float)
-        m = np.minimum(v - w1, w2 - v)
-        upd = m < margins
-        worst_t[upd] = t
-        margins = np.minimum(margins, m)
-    eval_r = data.v_radius + data.w1.eval_radius + data.w2.eval_radius
-    t_gap = max(
-        (b - a) for a, b in zip(sorted(t_samples), sorted(t_samples)[1:])
-    ) if len(t_samples) > 1 else 0.0
-    slack = (
-        data.v_modulus_x.forward_bound(mesh_eps)
-        + max(data.w1.modulus.forward_bound(mesh_eps), data.w2.modulus.forward_bound(mesh_eps))
-        + data.v_modulus_t.forward_bound(t_gap / 2.0)
-        + eval_r
-    )
-    return _two_sided_verdict(pts, norms, margins, eval_r, slack, box, t_of=worst_t)
+def _halves(box: Hypercube) -> list:
+    """(s, a, b) for each half of a 1-D box: x = s r with a <= r <= b."""
+    if box.dim != 1:
+        raise ArgumentError("the sandwich and decay checks take a one-dimensional box")
+    lo, hi = Fraction(float(box.lo[0])), Fraction(float(box.hi[0]))
+    halves = [(1, max(lo, Fraction(0)), hi)] if hi > 0 else []
+    return halves + ([(-1, max(-hi, Fraction(0)), -lo)] if lo < 0 else [])
 
 
-def check_decay(data: LyapunovData, box: Hypercube, mesh_eps: float, t_samples) -> CheckResult:
-    """Vdot(x, t) <= -w3(x) with the same margin semantics."""
-    t_samples = list(t_samples)
-    if not t_samples:
-        raise ArgumentError("need at least one t sample")
-    if data.vdot_modulus_x is None or data.w3.modulus is None:
-        raise ContractError("decay check needs Vdot's x-modulus and w3's modulus")
-    pts, norms = _origin_excluded_nodes(box, mesh_eps)
-    w3 = data.w3(pts)
-    margins = np.full(pts.shape[0], np.inf)
-    worst_t = np.zeros(pts.shape[0])
-    for t in t_samples:
-        vd = np.asarray(data.Vdot(pts, t), dtype=float)
-        m = -vd - w3
-        upd = m < margins
-        worst_t[upd] = t
-        margins = np.minimum(margins, m)
-    eval_r = data.v_radius + data.w3.eval_radius
-    slack = (
-        data.vdot_modulus_x.forward_bound(mesh_eps)
-        + data.w3.modulus.forward_bound(mesh_eps)
-        + eval_r
-    )
-    return _two_sided_verdict(pts, norms, margins, eval_r, slack, box, t_of=worst_t)
+def _check(conditions: list, box: Hypercube) -> CheckResult:
+    """Decide P(x) - W(|x|) >= 0 on the box for every (name, P, W): exact
+    coefficients of P in powers of x and of W in powers of |x|."""
+    orders, results = {}, []
+    for name, P, W in conditions:
+        orders[name] = {}
+        for s, a, b in _halves(box):
+            p = [c * s**j for j, c in enumerate(P)] + [Fraction(0)] * (len(W) - len(P))
+            for j, c in enumerate(W):
+                p[j] -= c
+            k = next((j for j, c in enumerate(p) if c), None)
+            orders[name]["+" if s > 0 else "-"] = k
+            # p identically 0 holds with equality everywhere: undecided
+            verdict = ("undecided", Fraction(0), None) if k is None else _decide(p, k, s, a, b)
+            results.append((name, *verdict))
+    details = {"orders": orders}
+    for name, verdict, value, x in results:
+        if verdict == "counterexample":
+            margin = _float_down(value)
+            ce = {"point": np.array([x]), "margin": margin, "condition": name}
+            return CheckResult("counterexample", margin, ce, details)
+    open_ = [value for _, verdict, value, _ in results if verdict == "undecided"]
+    if open_:
+        return CheckResult("undecided", _float_down(min(open_)), details=details)
+    return CheckResult("certified", _float_down(min(r[2] for r in results)), details=details)
+
+
+def check_sandwich(data: LyapunovData, box: Hypercube) -> CheckResult:
+    """w1(x) <= V(x) <= w2(x) on the box, decided exactly."""
+    V = [Fraction(c) for c in data.V]
+    return _check([
+        ("V - w1", V, data.w1.radial),
+        ("w2 - V", [-c for c in V], [-c for c in data.w2.radial]),
+    ], box)
+
+
+def check_decay(data: LyapunovData, box: Hypercube) -> CheckResult:
+    """V'(x) f(x) <= -w3(x) on the box, decided exactly."""
+    dV = [j * Fraction(c) for j, c in enumerate(data.V)][1:] or [Fraction(0)]
+    f = [Fraction(c) for c in data.f]
+    vdot = [Fraction(0)] * (len(dV) + len(f) - 1)
+    for i, u in enumerate(dV):
+        for j, v in enumerate(f):
+            vdot[i + j] += u * v
+    return _check([("-V'f - w3", [-c for c in vdot], data.w3.radial)], box)
 
 
 def check_linear_growth(w2: Comparator, xi: float, box: Hypercube) -> CheckResult:
@@ -267,15 +295,17 @@ def check_linear_growth(w2: Comparator, xi: float, box: Hypercube) -> CheckResul
 
 @dataclass(frozen=True)
 class SublevelSet:
-    """X0 = {x : w2(x) <= level}: forward-invariant by the comparison
-    argument (w2 <= min of w1 on a sphere about the origin inside the box)."""
+    """X0 = {x : w2(x) <= level} of a one-dimensional certificate:
+    forward-invariant by the comparison argument (level <= w1 on a sphere
+    about the origin inside the box)."""
 
     w2: Comparator
     level: float
 
     def contains(self, x) -> bool:
-        val = float(self.w2(np.atleast_2d(np.asarray(x, dtype=float)))[0])
-        return val + self.w2.eval_radius <= self.level
+        """Exact membership of a one-dimensional point."""
+        (r,) = np.atleast_1d(np.asarray(x, dtype=float))
+        return self.w2.exact(abs(Fraction(float(r)))) <= self.level
 
     def sample(self, rng: np.random.Generator, box: Hypercube, n: int) -> np.ndarray:
         out = []
@@ -294,54 +324,35 @@ class SublevelSet:
 class StabilityCertificate:
     verdict: str
     x0_set: Optional[SublevelSet]
-    mesh_eps: float
-    tolerances: dict
     checks: dict
     witness: object = None
     counterexample: object = None
 
 
-def certify(data: LyapunovData, box: Hypercube, mesh_eps: float, t_samples) -> StabilityCertificate:
+def certify(data: LyapunovData, box: Hypercube) -> StabilityCertificate:
     """Combine the three condition checks; on success construct
-    X0 = {w2 <= min of w1 on the largest sphere about the origin inside the
-    box} (one valid choice, not claimed maximal); undecided when the origin
-    is not strictly inside the box."""
+    X0 = {w2 <= w1(rho)}, rho = min(-lo, hi) the radius of the largest
+    sphere about the origin inside the box (one valid choice, not claimed
+    maximal), with the level w1(rho) computed exactly and rounded down;
+    undecided when the origin is not strictly inside the box."""
     checks = {
-        "sandwich": check_sandwich(data, box, mesh_eps, t_samples),
-        "decay": check_decay(data, box, mesh_eps, t_samples),
+        "sandwich": check_sandwich(data, box),
+        "decay": check_decay(data, box),
         "linear_growth": check_linear_growth(data.w2, data.xi, box),
     }
-    tolerances = {"mesh_eps": mesh_eps, "xi": data.xi}
     for name, res in checks.items():
         if res.verdict == "counterexample":
             return StabilityCertificate(
-                "counterexample", None, mesh_eps, tolerances, checks,
-                counterexample={"check": name, **(res.counterexample or {})},
+                "counterexample", None, checks, counterexample={"check": name, **res.counterexample}
             )
     if any(res.verdict == "undecided" for res in checks.values()):
-        return StabilityCertificate("undecided", None, mesh_eps, tolerances, checks)
-
-    # sublevel construction on the largest origin-centered sphere in the box
-    rho = float(np.minimum(-box.lo, box.hi).min())
-    if rho <= 0:
-        return StabilityCertificate("undecided", None, mesh_eps, tolerances, checks)
-    pts, norms = _origin_excluded_nodes(box, mesh_eps)
-    near = np.abs(norms - rho) <= mesh_eps
-    if not np.any(near):
-        return StabilityCertificate("undecided", None, mesh_eps, tolerances, checks)
-    w1_near = data.w1(pts[near])
-    level = float(w1_near.min()) - data.w1.modulus.forward_bound(mesh_eps) - data.w1.eval_radius
+        return StabilityCertificate("undecided", None, checks)
+    rho = min(-Fraction(float(box.lo[0])), Fraction(float(box.hi[0])))
+    level = _float_down(data.w1.exact(rho)) if rho > 0 else 0.0
     if level <= 0:
-        return StabilityCertificate("undecided", None, mesh_eps, tolerances, checks)
-    x0 = SublevelSet(data.w2, level)
-    witness = {
-        "level": level,
-        "sphere_radius": rho,
-        "annulus_radius": max(
-            r for r in (checks["sandwich"].covered_radius, checks["decay"].covered_radius) if r
-        ),
-    }
-    return StabilityCertificate("certified", x0, mesh_eps, tolerances, checks, witness=witness)
+        return StabilityCertificate("undecided", None, checks)
+    witness = {"level": level, "sphere_radius": float(rho)}
+    return StabilityCertificate("certified", SublevelSet(data.w2, level), checks, witness=witness)
 
 
 # ---------------------------------------------------------------------------

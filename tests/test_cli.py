@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from certctrl.cli import EXIT_CONFIG, EXIT_OK, EXIT_UNDECIDED, main, run
+from certctrl.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK, EXIT_UNDECIDED, main, run
 
 
 def _run_cli(tmp_path, task, config, extra=()):
@@ -34,8 +34,6 @@ CERTIFY_DECAY = {
     "w3": {"form": "radial_poly", "coeffs": [0.0, 1.0]},
     "xi": 1.0,
     "state_box": [-1, 1],
-    "mesh_eps": 0.002,
-    "t_samples": [0.0],
 }
 
 
@@ -66,39 +64,28 @@ def test_certify_growth_counterexample_exit(tmp_path):
     assert y == 0.0 and 0 < abs(x) <= 1 and 2.0 * x * x < abs(x)
 
 
-def _certify_data(monkeypatch, tmp_path, config):
-    """The LyapunovData the certify task hands to stability.certify."""
-    from certctrl import stability
-
-    seen = []
-    certify = stability.certify
-
-    def capture(data, *args, **kwargs):
-        seen.append(data)
-        return certify(data, *args, **kwargs)
-
-    monkeypatch.setattr(stability, "certify", capture)
-    _run_cli(tmp_path, "certify", config)
-    (data,) = seen
-    return data
-
-
-def test_certify_v_lipschitz_on_the_whole_state_box(tmp_path, monkeypatch):
-    # V = x^2 and V' f = -2 x^2 on [-0.2, 1.8]: sup |V'| = 3.6 and
-    # sup |(V' f)'| = 7.2, both at x = 1.8 (half the side gives 2 and 4)
-    data = _certify_data(monkeypatch, tmp_path, {**CERTIFY_DECAY, "state_box": [-0.2, 1.8]})
-    assert data.v_modulus_x.lipschitz_constant == pytest.approx(3.6)
-    assert data.vdot_modulus_x.lipschitz_constant == pytest.approx(7.2)
+def test_certify_example_margins_derived_by_hand(tmp_path):
+    # DERIVED: the quotients are 1/2 (V - w1 = r^2/2), 2 - r (w2 - V on
+    # [0, 1], lowest Bernstein coefficient 1) and 1 (-V'f - w3 = r^2); the
+    # X0 level is w1 on the unit sphere
+    config = json.loads((Path(__file__).parents[1] / "examples" / "certify.json").read_text())
+    code, record, _ = _run_cli(tmp_path, "certify", config)
+    assert code == EXIT_OK and record["verdict"] == "certified"
+    assert record["numeric"] == {"sandwich_margin": 0.5, "decay_margin": 1.0,
+                                 "growth_margin": 1.0, "x0_level": 0.5}
+    assert record["payload"]["orders"] == {
+        "sandwich": {"V - w1": {"+": 2, "-": 2}, "w2 - V": {"+": 1, "-": 1}},
+        "decay": {"-V'f - w3": {"+": 2, "-": 2}},
+    }
+    assert record["payload"]["witness"] == {"level": 0.5, "sphere_radius": 1.0}
 
 
-def test_certify_comparator_lipschitz_on_the_whole_state_box(tmp_path, monkeypatch):
-    # w1 = |x|^2 / 2 and w3 = |x|^2 on [-0.2, 1.8]: slopes |x| and 2 |x|
-    # peak at |x| = 1.8 (half the diameter gives 1 and 2); w2 = 2 |x| is
-    # 2-Lipschitz everywhere
-    data = _certify_data(monkeypatch, tmp_path, {**CERTIFY_DECAY, "state_box": [-0.2, 1.8]})
-    assert data.w1.modulus.lipschitz_constant == pytest.approx(1.8)
-    assert data.w2.modulus.lipschitz_constant == 2.0
-    assert data.w3.modulus.lipschitz_constant == pytest.approx(3.6)
+def test_certify_ignores_a_leftover_mesh_eps(tmp_path):
+    # configs written for the mesh-based checks still run, to the same numbers
+    _, plain, _ = _run_cli(tmp_path, "certify", CERTIFY_DECAY)
+    code, record, _ = _run_cli(tmp_path, "certify",
+                               {**CERTIFY_DECAY, "mesh_eps": 0.5, "t_samples": [0.0, 1.0]})
+    assert code == EXIT_OK and record["numeric"] == plain["numeric"]
 
 
 def test_certify_x0_stays_inside_an_off_center_box(tmp_path):
@@ -592,8 +579,8 @@ def test_audit_numeric_fields_pinned(tmp_path, seed, expected):
     numeric = json.loads((out / "certificate.json").read_text())["numeric"]
     assert numeric == {
         **expected,
-        "certify_decay_margin": 3.984047872267146e-06,
-        "certify_x0_level": 0.497999999999,
+        "certify_decay_margin": 1.0,
+        "certify_x0_level": 0.5,
         "danskin_derivative": 1.0,
         "danskin_slack": 2.000000000002,
         "danskin_spread": 2.0,
@@ -727,3 +714,19 @@ def test_shh_v_lipschitz_on_the_whole_state_box():
     assert _shh_problem(config).v_lipschitz == 6.0
     assert _shh_problem({**config, "state_box": [-3, 1]}).v_lipschitz == 6.0
     assert _shh_problem({**config, "state_box": [-2, 2]}).v_lipschitz == 4.0
+
+
+@pytest.mark.parametrize("error", ["InternalConsistencyError", "DomainExitError"])
+def test_internal_failure_exits_70_not_the_config_code(tmp_path, monkeypatch, capsys, error):
+    # a broken invariant, or a trajectory leaving its box outside the ode
+    # task, is a fault of the computation, not of the config
+    from certctrl import cli, core
+
+    def fail(config, seed, out):
+        raise getattr(core, error)("planted")
+
+    monkeypatch.setitem(cli._HANDLERS, "eig", fail)
+    code = main(["eig", "--config", EIG_EXAMPLE, "--out", str(tmp_path / "out")])
+    assert code == EXIT_INTERNAL == 70 and code != EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"internal error: {error}: planted"]

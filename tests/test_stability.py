@@ -10,7 +10,6 @@ from certctrl.core import (
     ContractError,
     DomainExitError,
     Hypercube,
-    Modulus,
     ResourceBudgetError,
     build_mesh,
 )
@@ -18,7 +17,6 @@ from certctrl.stability import (
     CLFProblem,
     Comparator,
     LyapunovData,
-    SublevelSet,
     certify,
     check_decay,
     check_linear_growth,
@@ -35,7 +33,7 @@ BOX = Hypercube(np.array([0.0]), 2.0)  # [-1, 1]
 
 
 def comparator(coeffs, name=""):
-    return build_comparator({"form": "radial_poly", "coeffs": coeffs}, BOX, name)
+    return build_comparator({"form": "radial_poly", "coeffs": coeffs}, name)
 
 
 W_HALF_SQ = comparator([0.0, 0.5], "x^2/2")
@@ -46,25 +44,25 @@ W_SQ = comparator([0.0, 1.0], "x^2")
 W_QUARTIC = comparator([0.0, 0.0, 0.0, 1.0], "x^4")
 
 
-def test_comparator_moduli_match_hand_derived():
-    # DERIVED: the Lipschitz constant of phi(|x|) on [-1, 1] is phi'(1)
-    ws = (W_HALF_SQ, W_TWO_SQ, W_TWO_ABS, W_ABS, W_SQ, W_QUARTIC)
-    assert [w.modulus.lipschitz_constant for w in ws] == [1.0, 4.0, 2.0, 1.0, 2.0, 4.0]
+def lyapunov(f, w1=W_HALF_SQ, w2=W_TWO_ABS, w3=W_SQ, V=(0.0, 0.0, 1.0)):
+    """V (x^2 by default) along x' = f(x), both by their coefficients."""
+    return LyapunovData(V=V, f=f, w1=w1, w2=w2, w3=w3, xi=1.0)
 
 
 def lyapunov_decay(vdot_factor=-2.0, w3=W_SQ):
     # V = x^2 along x' = (vdot_factor/2) x
-    return LyapunovData(
-        V=lambda xs, t: xs[:, 0] ** 2,
-        Vdot=lambda xs, t, c=vdot_factor: c * xs[:, 0] ** 2,
-        w1=W_HALF_SQ,
-        w2=W_TWO_ABS,
-        w3=w3,
-        xi=1.0,
-        v_modulus_x=Modulus.lipschitz(2.0),
-        v_modulus_t=Modulus.lipschitz(0.0),
-        vdot_modulus_x=Modulus.lipschitz(2.0 * abs(vdot_factor)),
-    )
+    return lyapunov((0.0, vdot_factor / 2.0), w3=w3)
+
+
+def _poly(coeffs, x):
+    return sum(Fraction(c) * x**k for k, c in enumerate(coeffs))
+
+
+def _conditions(data, x):
+    """V - w1, w2 - V and -V'f - w3 at the rational x, exactly."""
+    V, r = _poly(data.V, x), abs(x)
+    dV = _poly([k * Fraction(c) for k, c in enumerate(data.V)][1:], x)
+    return V - data.w1.exact(r), data.w2.exact(r) - V, -dV * _poly(data.f, x) - data.w3.exact(r)
 
 
 # ---------------------------------------------------------------------------
@@ -72,67 +70,64 @@ def lyapunov_decay(vdot_factor=-2.0, w3=W_SQ):
 # ---------------------------------------------------------------------------
 
 def test_sandwich_certified_quadratic():
-    data = LyapunovData(
-        V=lambda xs, t: xs[:, 0] ** 2,
-        Vdot=lambda xs, t: -2.0 * xs[:, 0] ** 2,
-        w1=W_HALF_SQ,
-        w2=W_TWO_SQ,
-        w3=W_SQ,
-        xi=1.0,
-        v_modulus_x=Modulus.lipschitz(2.0),
-        v_modulus_t=Modulus.lipschitz(0.0),
-        vdot_modulus_x=Modulus.lipschitz(4.0),
-    )
-    res = check_sandwich(data, BOX, 0.002, [0.0])
+    res = check_sandwich(lyapunov((0.0, -1.0), w2=W_TWO_SQ), BOX)
     assert res.verdict == "certified"
-    assert res.margin > 0
-    assert res.covered_radius is not None and res.covered_radius <= 0.5
+    # DERIVED: the quotients are 1/2 (V - w1 = r^2/2) and 1 (w2 - V = r^2)
+    assert res.margin == 0.5
+    assert res.details["orders"] == {"V - w1": {"+": 2, "-": 2}, "w2 - V": {"+": 2, "-": 2}}
 
 
 def test_sandwich_counterexample_lower_bound_too_big():
-    data = LyapunovData(
-        V=lambda xs, t: xs[:, 0] ** 2,
-        Vdot=lambda xs, t: -2.0 * xs[:, 0] ** 2,
-        w1=W_TWO_SQ,  # 2x^2 > x^2: violated at every nonzero node
-        w2=W_TWO_SQ,
-        w3=W_SQ,
-        xi=1.0,
-        v_modulus_x=Modulus.lipschitz(2.0),
-        v_modulus_t=Modulus.lipschitz(0.0),
-        vdot_modulus_x=Modulus.lipschitz(4.0),
-    )
-    res = check_sandwich(data, BOX, 0.01, [0.0])
+    data = lyapunov((0.0, -1.0), w1=W_TWO_SQ, w2=W_TWO_SQ)  # 2x^2 > x^2 away from 0
+    res = check_sandwich(data, BOX)
     assert res.verdict == "counterexample"
-    x = res.counterexample["point"]
-    # counterexample re-evaluated: violation exceeds 10x the radius
-    v = float(x[0] ** 2)
-    w1v = 2.0 * float(x[0] ** 2)
-    assert v - w1v < -10 * 1e-12
+    assert res.counterexample["condition"] == "V - w1"
+    (x,) = res.counterexample["point"]
+    assert x != 0 and BOX.contains(np.array([x]))
+    assert _conditions(data, Fraction(x))[0] < 0
+    assert res.margin == res.counterexample["margin"] < 0
 
 
-def test_sandwich_time_varying_family():
-    data = LyapunovData(
-        V=lambda xs, t: xs[:, 0] ** 2 * (1.0 + 0.1 * math.sin(t)),
-        Vdot=lambda xs, t: -2.0 * xs[:, 0] ** 2,
-        w1=comparator([0.0, 0.8], "0.8x^2"),
-        w2=comparator([0.0, 1.2], "1.2x^2"),
-        w3=W_SQ,
-        xi=1.0,
-        v_modulus_x=Modulus.lipschitz(2.2),
-        v_modulus_t=Modulus.lipschitz(0.1),
-        vdot_modulus_x=Modulus.lipschitz(4.0),
-    )
-    # DERIVED: extrema of sin bound the family within [0.9 x^2, 1.1 x^2]
-    t_samples = np.arange(0.0, 2 * math.pi + 0.05, 0.05)
-    res = check_sandwich(data, BOX, 0.002, t_samples)
-    assert res.verdict == "certified"
-
-
-def test_sandwich_undecided_on_coarse_mesh():
-    data = lyapunov_decay()
-    res = check_sandwich(data, BOX, 0.5, [0.0])
+def test_sandwich_double_root_at_a_dyadic_point_is_undecided():
+    # DERIVED: on [0, 1], V = 7x/4 + x^2 - x^3 gives w2 - V = r (r - 1/2)^2
+    # for w2 = 2|x|; the quotient is 0 at the bisection point 1/2, where
+    # the inequality holds with equality and nothing is violated
+    half = Hypercube(np.array([0.5]), 1.0)
+    data = lyapunov((0.0, -1.0), w3=comparator([0.0, 0.25]), V=(0.0, 1.75, 1.0, -1.0))
+    res = check_sandwich(data, half)
     assert res.verdict == "undecided"
-    assert "hint" in res.details
+    assert res.details["orders"]["w2 - V"] == {"+": 1}
+    assert _conditions(data, Fraction(1, 2))[1] == 0
+    assert all(min(_conditions(data, Fraction(i, 64))) >= 0 for i in range(65))
+    assert certify(data, half).verdict == "undecided"
+
+
+def test_sandwich_on_boxes_off_the_origin():
+    # w2 - V = r (2 - r) for w2 = 2|x| and V = x^2: the quotient 2 - r has
+    # Bernstein coefficients 3/2 and 1/2 on [1/2, 3/2], and is -1 at r = 3
+    data = lyapunov((0.0, -1.0))
+    res = check_sandwich(data, Hypercube(np.array([1.0]), 1.0))
+    assert res.verdict == "certified" and res.margin == 0.5
+    res = check_sandwich(data, Hypercube(np.array([-2.0]), 2.0))  # [-3, -1]
+    assert res.verdict == "counterexample" and res.counterexample["condition"] == "w2 - V"
+    assert res.counterexample["point"].tolist() == [-3.0] and res.margin == -3.0
+
+
+def test_sandwich_margin_is_rounded_down():
+    # on [0, 1], V - w1 = r^2 (1 - r + r^5) for V = 3x^2/2 - x^3 + x^7 and
+    # w1 = x^2/2; the quotient's lowest Bernstein coefficient is 1 - 4/5,
+    # and the nearest double to 1/5 lies above it
+    half = Hypercube(np.array([0.5]), 1.0)
+    res = check_sandwich(lyapunov((0.0, -1.0), V=(0.0, 0.0, 1.5, -1.0, 0.0, 0.0, 0.0, 1.0)), half)
+    assert res.verdict == "certified"
+    assert res.margin == math.nextafter(0.2, 0.0) and Fraction(res.margin) < Fraction(1, 5)
+
+
+def test_sandwich_identity_is_undecided():
+    # V = w1 exactly: V - w1 is identically 0
+    res = check_sandwich(lyapunov((0.0, -1.0), w1=W_SQ), BOX)
+    assert res.verdict == "undecided"
+    assert res.details["orders"]["V - w1"] == {"+": None, "-": None}
 
 
 # ---------------------------------------------------------------------------
@@ -140,30 +135,128 @@ def test_sandwich_undecided_on_coarse_mesh():
 # ---------------------------------------------------------------------------
 
 def test_decay_certified_linear_system():
-    res = check_decay(lyapunov_decay(-2.0, W_SQ), BOX, 0.002, [0.0])
+    res = check_decay(lyapunov_decay(-2.0, W_SQ), BOX)
     assert res.verdict == "certified"
+    assert res.margin == 1.0  # DERIVED: -V'f - w3 = 2r^2 - r^2
 
 
 def test_decay_counterexample_unstable_system():
-    res = check_decay(lyapunov_decay(+2.0, W_SQ), BOX, 0.01, [0.0])
+    res = check_decay(lyapunov_decay(+2.0, W_SQ), BOX)
     assert res.verdict == "counterexample"
 
 
 def test_decay_cubic_system_quartic_rate():
     # x' = -x^3, V = x^2: Vdot = -2x^4 <= -x^4 on [-1, 1]
-    data = LyapunovData(
-        V=lambda xs, t: xs[:, 0] ** 2,
-        Vdot=lambda xs, t: -2.0 * xs[:, 0] ** 4,
-        w1=W_HALF_SQ,
-        w2=W_TWO_ABS,
-        w3=W_QUARTIC,
-        xi=1.0,
-        v_modulus_x=Modulus.lipschitz(2.0),
-        v_modulus_t=Modulus.lipschitz(0.0),
-        vdot_modulus_x=Modulus.lipschitz(8.0),
-    )
-    res = check_decay(data, BOX, 0.002, [0.0])
+    res = check_decay(lyapunov((0.0, 0.0, 0.0, -1.0), w3=W_QUARTIC), BOX)
     assert res.verdict == "certified"
+    assert res.margin == 1.0
+    assert res.details["orders"] == {"-V'f - w3": {"+": 4, "-": 4}}
+
+
+def test_decay_growing_screen_shape_counterexample():
+    # x' = +(a x + b x^3): -V'f - w3 = -(2a + k3) r^2 - 2b r^4 < 0 for r > 0
+    data = lyapunov((0.0, 1.25, 0.0, 0.375), w3=comparator([0.0, 0.8125]))
+    res = check_decay(data, BOX)
+    assert res.verdict == "counterexample"
+    (x,) = res.counterexample["point"]
+    assert x != 0 and BOX.contains(np.array([x]))
+    assert _conditions(data, Fraction(x))[2] < 0
+    cert = certify(data, BOX)
+    assert cert.verdict == "counterexample" and cert.counterexample["check"] == "decay"
+
+
+def test_decider_undecided_once_the_box_budget_is_spent(monkeypatch):
+    # on [0, 1], V - w1 = r^2 ((r - 1/2)^2 + 1/16): the Bernstein coefficients
+    # of the quotient on [0, 1] are 5/16, -3/16, 5/16, so it needs a split
+    half = Hypercube(np.array([0.5]), 1.0)
+    data = lyapunov((0.0, -1.0), w1=comparator([0.0, 0.0625]), V=(0.0, 0.0, 0.375, -1.0, 1.0))
+    res = check_sandwich(data, half)
+    assert res.verdict == "certified" and 0 < res.margin <= 0.0625
+    monkeypatch.setattr(stability, "_BERNSTEIN_BOXES", 1)
+    res = check_sandwich(data, half)
+    assert res.verdict == "undecided" and res.margin == 0.0625  # the two open halves
+
+
+def test_lyapunov_data_rejects_bad_coefficients_and_xi():
+    for V, f in (((0.0, math.inf), (0.0, -1.0)), ((0.0, 0.0, 1.0), (math.nan,))):
+        with pytest.raises(ArgumentError):
+            LyapunovData(V, f, W_HALF_SQ, W_TWO_ABS, W_SQ, 1.0)
+    for xi in (0.0, math.nan):
+        with pytest.raises(ArgumentError):
+            LyapunovData((0.0, 0.0, 1.0), (0.0, -1.0), W_HALF_SQ, W_TWO_ABS, W_SQ, xi)
+
+
+def _dyadic(rng, lo, hi, n=1):
+    return [float(v) for v in np.round(rng.uniform(lo, hi, n) * 16) / 16]
+
+
+def _random_comparator(rng, *ranges):
+    coeffs = [v for lo, hi in ranges for v in _dyadic(rng, lo, hi)]
+    return comparator(coeffs if any(coeffs) else coeffs[:-1] + [0.0625])
+
+
+def _on_grid(coeffs, n, radial=False):
+    """p(x), or p(|x|), at x = i / n for i = -n..n, exactly: the dyadic
+    coefficients scaled to integers, so each value is an integer Horner
+    pass and one Fraction."""
+    cs = [Fraction(c) for c in coeffs]
+    d = max(c.denominator for c in cs)  # powers of two: the largest is a common multiple
+    ints = [int(c * d) * n ** (len(cs) - 1 - j) for j, c in enumerate(cs)]
+    out = []
+    for i in range(-n, n + 1):
+        acc = 0
+        for c in reversed(ints):
+            acc = acc * (abs(i) if radial else i) + c
+        out.append(Fraction(acc, d * n ** (len(cs) - 1)))
+    return out
+
+
+def _conditions_on_grid(data, n):
+    """(V - w1, w2 - V, -V'f - w3) at every x = i / n, exactly."""
+    V, f = _on_grid(data.V, n), _on_grid(data.f, n)
+    dV = _on_grid([k * Fraction(c) for k, c in enumerate(data.V)][1:], n)
+    w1, w2, w3 = (_on_grid(w.radial, n, radial=True) for w in (data.w1, data.w2, data.w3))
+    return [(v - a, b - v, -dv * fv - c) for v, dv, fv, a, b, c in zip(V, dV, f, w1, w2, w3)]
+
+
+def test_sandwich_and_decay_randomized_against_a_dyadic_grid():
+    # every certified check holds at every point of a 2^10 grid of [-1, 1],
+    # exactly, with the margin times r^k, and every counterexample is
+    # exactly negative
+    rng = np.random.default_rng(2026)
+    n = 512
+    grid = [Fraction(i, n) for i in range(-n, n + 1)]
+    seen = set()
+    for _ in range(60):
+        V = [0.0, 0.0, *_dyadic(rng, 0.25, 2.0), *_dyadic(rng, -0.5, 0.5, 2)]
+        f = [0.0, *_dyadic(rng, -2.0, 0.5), *_dyadic(rng, -0.5, 0.5, int(rng.integers(0, 3)))]
+        w1 = _random_comparator(rng, (0, 0), (0, 2))
+        w2 = _random_comparator(rng, (0, 1.5), (0, 2))
+        w3 = _random_comparator(rng, (0, 0), (0, 3), (0, 0.5))
+        data = lyapunov(f, w1, w2, w3, V=V)
+        values = None
+        for check, idx in ((check_sandwich, (0, 1)), (check_decay, (2,))):
+            res = check(data, BOX)
+            seen.add(res.verdict)
+            names = list(res.details["orders"])
+            if res.verdict == "counterexample":
+                (x,) = res.counterexample["point"]
+                assert BOX.contains(np.array([x]))
+                i = idx[names.index(res.counterexample["condition"])]
+                assert _conditions(data, Fraction(x))[i] < 0
+                continue
+            values = values or _conditions_on_grid(data, n)
+            if res.verdict == "certified":
+                # p >= margin r^k on each half, k the reported order
+                assert res.margin > 0
+                margin = Fraction(res.margin)
+                for x, vals in zip(grid, values):
+                    for name, i in zip(names, idx):
+                        k = res.details["orders"][name]["+" if x >= 0 else "-"]
+                        assert vals[i] >= margin * abs(x) ** k
+            else:  # here: the data touch a condition with equality
+                assert min(vals[i] for vals in values for i in idx) == 0
+    assert seen == {"certified", "counterexample", "undecided"}
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +317,7 @@ def test_linear_growth_randomized_radial_polynomials():
             coeffs[0] = 0.0
         if not any(coeffs):
             coeffs[-1] = 1.0
-        w = build_comparator({"form": "radial_poly", "coeffs": coeffs}, box)
+        w = build_comparator({"form": "radial_poly", "coeffs": coeffs})
         c1 = coeffs[0]
         for xi in (c1 + 0.25, c1 * 0.5 + 0.01, c1 - 0.125):
             if xi <= 0:
@@ -233,7 +326,7 @@ def test_linear_growth_randomized_radial_polynomials():
             seen.add(res.verdict)
             if res.verdict == "certified":
                 assert res.margin == c1 - xi > 0
-                vals = w(grid[:, None])
+                vals = np.array([float(w.exact(abs(Fraction(g)))) for g in grid])
                 r = np.abs(grid)
                 dr = r[:, None] - r[None, :]
                 dw = vals[:, None] - vals[None, :]
@@ -265,41 +358,32 @@ def test_linear_growth_refutation_needs_the_origin():
 # ---------------------------------------------------------------------------
 
 def test_certify_decay_instance_with_abs_upper_bound():
-    cert = certify(lyapunov_decay(-2.0), BOX, 0.002, [0.0])
+    cert = certify(lyapunov_decay(-2.0), BOX)
     assert cert.verdict == "certified"
-    # DERIVED: X0 level solves 2|x| <= min w1 on the unit sphere = 1/2
+    # DERIVED: X0 level is w1 on the unit sphere, 1/2
     assert cert.x0_set is not None
-    assert cert.x0_set.level == pytest.approx(0.5, abs=0.01)
+    assert cert.x0_set.level == 0.5
+    assert cert.witness == {"level": 0.5, "sphere_radius": 1.0}
     assert cert.x0_set.contains(np.array([0.24]))
+    assert cert.x0_set.contains(np.array([0.25]))  # 2 * 0.25 = 0.5 exactly
     assert not cert.x0_set.contains(np.array([0.26]))
 
 
 def test_certify_rejects_unstable_with_counterexample():
-    cert = certify(lyapunov_decay(+2.0), BOX, 0.01, [0.0])
+    cert = certify(lyapunov_decay(+2.0), BOX)
     assert cert.verdict == "counterexample"
     assert cert.counterexample["check"] == "decay"
 
 
 def test_certify_undecided_with_quadratic_w2_growth():
     # w2 = 2x^2 fails the linear-growth condition near 0 (counterexample)
-    data = LyapunovData(
-        V=lambda xs, t: xs[:, 0] ** 2,
-        Vdot=lambda xs, t: -2.0 * xs[:, 0] ** 2,
-        w1=W_HALF_SQ,
-        w2=W_TWO_SQ,
-        w3=W_SQ,
-        xi=1.0,
-        v_modulus_x=Modulus.lipschitz(2.0),
-        v_modulus_t=Modulus.lipschitz(0.0),
-        vdot_modulus_x=Modulus.lipschitz(4.0),
-    )
-    cert = certify(data, BOX, 0.002, [0.0])
+    cert = certify(lyapunov((0.0, -1.0), w2=W_TWO_SQ), BOX)
     assert cert.verdict == "counterexample"
     assert cert.counterexample["check"] == "linear_growth"
 
 
 def test_certified_instance_trajectories_decrease_v():
-    cert = certify(lyapunov_decay(-2.0), BOX, 0.002, [0.0])
+    cert = certify(lyapunov_decay(-2.0), BOX)
     rng = np.random.default_rng(6)
     x0s = cert.x0_set.sample(rng, BOX, 20)
     rhs = RegularRHS.single(lambda xs, ts: -xs, 1.0, BOX, 1.0, 1.0)
@@ -315,9 +399,9 @@ def test_certified_instance_trajectories_decrease_v():
 def test_comparator_rejects_bad_coefficients():
     for coeffs in ([1.0, -0.5], [float("nan"), 1.0], [0.0, float("inf")], [0.0, 0.0], []):
         with pytest.raises(ArgumentError):
-            Comparator(coeffs, Modulus.lipschitz(1.0), name="bad")
+            Comparator(coeffs, name="bad")
         with pytest.raises(ArgumentError):
-            build_comparator({"form": "radial_poly", "coeffs": coeffs}, BOX)
+            build_comparator({"form": "radial_poly", "coeffs": coeffs})
 
 
 # ---------------------------------------------------------------------------
@@ -544,24 +628,6 @@ def test_find_sampling_time_propagates_dynamics_faults():
     kappa = lambda x: clf_feedback(prob, x, 0.01)[0]
     with pytest.raises(TypeError, match="single state row"):
         find_sampling_time(prob, kappa, 1.0, 0.01, mesh_eps=0.1, resolution=1e-2)
-
-
-def test_checks_require_moduli():
-    data = LyapunovData(
-        V=lambda xs, t: xs[:, 0] ** 2,
-        Vdot=lambda xs, t: -2.0 * xs[:, 0] ** 2,
-        w1=W_HALF_SQ,
-        w2=W_TWO_ABS,
-        w3=W_SQ,
-        xi=1.0,
-        v_modulus_x=None,
-        v_modulus_t=Modulus.lipschitz(0.0),
-        vdot_modulus_x=None,
-    )
-    with pytest.raises(ContractError):
-        check_sandwich(data, BOX, 0.01, [0.0])
-    with pytest.raises(ContractError):
-        check_decay(data, BOX, 0.01, [0.0])
 
 
 # ---------------------------------------------------------------------------
