@@ -2,8 +2,9 @@
 with uniform JSON certificates and CSV data files.
 
 Exit codes: 0 certified/success, 1 counterexample/failure, 2 undecided,
-64 config error, 70 internal error (an invariant that should hold by
-construction failed, or a trajectory left its box outside the ode task).
+64 config error, 70 internal error (any other failure of the computation:
+an invariant that should hold by construction, a trajectory that left its
+box outside the ode task, an overflow).
 Certificates are reproducible: the numeric fields are bit-identical across
 runs with the same config and seed.
 """
@@ -28,7 +29,6 @@ from .core import (
     ContractError,
     DomainExitError,
     Hypercube,
-    InternalConsistencyError,
     Modulus,
     ResourceBudgetError,
     build_mesh,
@@ -69,7 +69,7 @@ def _interval(pair) -> Hypercube:
     lo, hi = float(pair[0]), float(pair[1])
     if not lo < hi:
         raise ArgumentError(f"degenerate interval {pair}")
-    return Hypercube(np.array([(lo + hi) / 2.0]), hi - lo)
+    return Hypercube.interval(lo, hi)
 
 
 def _sup_abs(form, box: Hypercube) -> float:
@@ -102,20 +102,24 @@ def _task_evt_min(config, seed, out):
         lip = _sup_abs(target.derivative, pclass.domain)
         rad = (pclass.lipschitz + lip) * gap / 2.0 + 1e-12
 
-        def ev(V):
-            return np.abs(V[:, :, 0] - tvals).max(axis=1), rad
+        def ev(env):
+            lo, hi = env
+            # distance from the target to [lo, hi]: |V - t| when lo is hi
+            dist = np.maximum(lo[:, :, 0] - tvals, 0.0) + np.maximum(tvals - hi[:, :, 0], 0.0)
+            return dist.max(axis=1), rad
 
         J = evt.Functional(ev, Modulus.lipschitz(1.0), grid, name="sup_distance")
     elif spec["kind"] == "mean":
-        def ev(V):
-            return V[:, :, 0].mean(axis=1), 1e-9
+        def ev(env):
+            return env[0][:, :, 0].mean(axis=1), 1e-9
 
         J = evt.Functional(ev, Modulus.lipschitz(1.0), grid, name="mean")
     else:
         raise ArgumentError(f"unknown functional kind {spec['kind']!r}: sup_distance, mean")
     eps = float(config["eps"])
     net = evt.enumerate_policy_net(pclass, J.modulus.step(eps / 2.0))
-    policy, cert = evt.epsilon_minimize(J, pclass, eps, net=net)
+    work = {}
+    policy, cert = evt.epsilon_minimize(J, pclass, eps, net=net, work=work)
     (out / "policy.txt").write_text(evt.policy_to_text(policy))
     numeric = {
         "value": cert.value,
@@ -125,7 +129,7 @@ def _task_evt_min(config, seed, out):
     }
     payload = {
         "policy_file": "policy.txt",
-        "net": {"members": len(net), "nodes": len(net.nodes), "grid_points": len(grid)},
+        "net": {"members": len(net), "nodes": len(net.nodes), "grid_points": len(grid), **work},
     }
     return "certified", numeric, payload
 
@@ -457,8 +461,9 @@ def _task_audit(config, seed, out):
     # evt: sup-norm minimization
     pclass = evt.PolicyClass(Hypercube(np.array([0.5]), 1.0), 1, 1.0, 1.0)
     grid = np.linspace(0, 1, 201).reshape(-1, 1)
+    # sup |k|: the distance from 0 to [lo, hi], |V| when lo is hi
     J = evt.Functional(
-        lambda V: (np.abs(V).max(axis=(1, 2)), 2.5e-3),
+        lambda env: ((np.maximum(env[0], 0.0) + np.maximum(-env[1], 0.0)).max(axis=(1, 2)), 2.5e-3),
         Modulus.lipschitz(1.0),
         grid,
         name="sup",
@@ -595,7 +600,9 @@ def main(argv=None) -> int:
         if (args.config is None) != (args.task == "audit"):
             raise ArgumentError("audit takes no --config, and every other task needs one")
         config = {} if args.config is None else json.loads(Path(args.config).read_text())
-    except (OSError, ArgumentError, json.JSONDecodeError) as exc:
+        if not isinstance(config, dict):
+            raise ArgumentError("the config must be a JSON object")
+    except (OSError, ArgumentError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -607,8 +614,10 @@ def main(argv=None) -> int:
     except ResourceBudgetError as exc:
         print(f"resource budget: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (InternalConsistencyError, DomainExitError) as exc:
-        # a fault of the computation, not of the config
+    except Exception as exc:
+        # any other failure (a broken invariant, a trajectory leaving its box
+        # outside the ode task, an overflow) is a fault of the computation,
+        # not of the config
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     print(f"{record['subcommand']}: {record['verdict']}")

@@ -11,7 +11,7 @@ construction and all operations are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -259,10 +259,16 @@ class Modulus:
 
 @dataclass(frozen=True)
 class Hypercube:
-    """Closed axis-aligned hypercube: center plus total side length."""
+    """Closed axis-aligned hypercube: center plus total side length.
+
+    The corners lo and hi are center -+ side / 2, except for a box built
+    by `interval`, which keeps the end points it is given.
+    """
 
     center: np.ndarray
     side: float
+    lo: np.ndarray = field(init=False, repr=False, compare=False)
+    hi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.atleast_1d(np.asarray(self.center, dtype=float)))
@@ -270,18 +276,25 @@ class Hypercube:
             raise ArgumentError(f"hypercube side must be positive and finite, got {self.side}")
         if self.center.ndim != 1 or self.center.size < 1:
             raise ArgumentError("hypercube center must be a 1-D point")
+        self._corners(self.center - 0.5 * self.side, self.center + 0.5 * self.side)
+
+    def _corners(self, lo: np.ndarray, hi: np.ndarray) -> None:
+        for name, corner in (("lo", lo), ("hi", hi)):
+            corner.setflags(write=False)
+            object.__setattr__(self, name, corner)
+
+    @classmethod
+    def interval(cls, lo: float, hi: float) -> "Hypercube":
+        """The 1-D box [lo, hi] with its end points exactly: the center
+        (lo + hi) / 2 and the side hi - lo may round, and center -+ side / 2
+        with them (for [-0.2, 1.8], lo would be -0.19999999999999996)."""
+        box = cls(np.array([(lo + hi) / 2.0]), hi - lo)
+        box._corners(np.array([lo], dtype=float), np.array([hi], dtype=float))
+        return box
 
     @property
     def dim(self) -> int:
         return self.center.size
-
-    @property
-    def lo(self) -> np.ndarray:
-        return self.center - 0.5 * self.side
-
-    @property
-    def hi(self) -> np.ndarray:
-        return self.center + 0.5 * self.side
 
     @property
     def diameter(self) -> float:

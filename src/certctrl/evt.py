@@ -9,9 +9,15 @@ uniformly continuous functional over that finite net yields a certified
 epsilon-optimizer.
 
 The net is one (members, nodes, m) value tensor (PolicyNet).  A
-Functional is evaluated on a fixed grid: epsilon_minimize streams blocks
-of members' grid values through `Functional.evaluate`, and only the
-minimizer is built as a PiecewisePolicy.
+Functional is evaluated on a fixed grid.  epsilon_minimize does not score
+every member: it walks the net's prefix tree (members sharing their values
+at nodes 0..j), gives each prefix a float envelope [lo, hi] that holds on
+the grid for every member below it, and asks `Functional.evaluate` for a
+lower bound on those members' values.  A prefix whose bound is strictly
+above the best value found so far is dropped with its subtree (branch and
+bound, Land and Doig 1960), so the minimizer, and the certificate, are the
+full scan's bit for bit.  Only the minimizer is built as a
+PiecewisePolicy.
 """
 
 from __future__ import annotations
@@ -44,7 +50,6 @@ __all__ = [
     "Functional",
     "enumerate_policy_net",
     "epsilon_minimize",
-    "net_values_on_grid",
     "policy_to_text",
     "policy_from_text",
     "DEFAULT_NET_BUDGET",
@@ -128,14 +133,20 @@ class Functional:
     """Uniformly continuous cost functional on a policy class, evaluated
     on a fixed grid of the domain.
 
-    evaluate maps a (c, G, m) block - the values of c net members at the G
-    points of `grid` - to ``(values, radius)``: the c values J[k] and one
-    radius with |J[k] - value| <= radius for every member of the block.
-    modulus bounds |J[k] - J[k']| in terms of the sup-norm distance of the
-    policies.
+    evaluate takes one argument, an envelope ``(lo, hi)`` of two (c, G, m)
+    arrays on the G points of `grid`, and returns ``(bounds, radius)``.
+    Row k of the envelope stands for a set of net members whose values
+    lie in [lo[k], hi[k]] at every grid point; bounds[k] must be at most
+    the value the evaluator computes for each of them, and the radius
+    must bound |J - computed value| for each of them.  A single member is
+    passed with lo and hi the same array, and its bound is its value, so
+    the evaluator has one path.  Monotone float formulas on the row give
+    such bounds: for sup_k |k - t| the distance from t to [lo, hi], for a
+    mean the mean of lo.  modulus bounds |J[k] - J[k']| in terms of the
+    sup-norm distance of the policies.
     """
 
-    evaluate: Callable[[np.ndarray], tuple]
+    evaluate: Callable[[tuple], tuple]
     modulus: Modulus
     grid: np.ndarray
     name: str = ""
@@ -274,47 +285,115 @@ def enumerate_policy_net(
     return PolicyNet(nodes, values[rows], Lc, K)
 
 
-# members per evaluation block: a (128, G, m) block of extended values and
-# the temporaries of its last node stay within a 2 MB L2 cache at G = 401
-# (256 measured slower)
-_CHUNK = 128
+# rows per envelope block: small blocks keep the temporaries in cache and
+# let a leaf found in one block prune the next; on the synthesis evt-min
+# jobs (G = 401) 32 ran fastest, 128 took 1.6 times as long
+_CHUNK = 32
 
 
-def _grid_blocks(net: PolicyNet, grid):
-    """Yield (start, block): the clamped lower McShane extensions of
-    members start .. start + c - 1 on `grid`, shape (c, G, m).
+class _PrefixTree:
+    """The prefix tree of a net, with a float envelope on a grid for every
+    prefix.
 
-    Same arithmetic as PiecewisePolicy.__call__ (the max over nodes is
-    exact in any order), with the grid-to-node distances computed once.
-    The partial maximum max_{i <= j} (v_i - L d(g, x_i)) depends only on
-    a member's values at nodes 0..j, so within a block it is computed
-    once per distinct prefix (consecutive members compared bit for bit),
-    and each prefix extends its parent's row by one np.maximum.  Members
-    come in lexicographic order, so prefixes are long runs.
+    A level-j prefix is a maximal run of consecutive members whose values
+    at nodes 0..j agree bit for bit (the integer view tells -0.0 from 0.0,
+    which != does not); the root is level -1.  In lexicographic order the
+    runs are the subtrees of the enumeration, and on any net they
+    partition every level, each run inside one run of the level above.
+
+    Every member below a prefix lies in its envelope [lo, hi] on the grid:
+    - lo is the clipped partial lower McShane maximum
+      max_{i <= j} (v_i - L d(g, x_i)), which the later nodes can only
+      raise.  Each level extends its parent's row by one np.maximum with
+      the operands of PiecewisePolicy.__call__, so at the last level lo is
+      the member's value row bit for bit;
+    - hi is the clipped maximum of that partial maximum and
+      max_{i > j} (cap_i - L d(g, x_i)), where cap_i is the largest value
+      any member of the prefix takes at node i, so cap_i >= v_i bounds
+      each later term, and float subtraction, maximum and clip are
+      monotone.  At the last level hi is lo.
     """
-    grid = np.asarray(grid, dtype=float).reshape(-1, net.nodes.dim)
-    dist = np.linalg.norm(grid[:, None, :] - net.nodes.points[None, :, :], axis=2)
-    drop = (net.coordinate_lipschitz * dist).T[:, :, None].copy()  # (N, G, 1)
-    N = net.values.shape[1]
-    for s in range(0, len(net), _CHUNK):
-        v = np.ascontiguousarray(net.values[s : s + _CHUNK], dtype=float)  # (c, N, m)
-        # new[k, j]: member k starts a prefix of length j + 1 (the integer
-        # view tells -0.0 from 0.0, which != does not)
-        bits = v.view(np.int64)
-        new = np.ones(v.shape[:2], dtype=bool)
+
+    def __init__(self, net: PolicyNet, grid: np.ndarray):
+        grid = np.asarray(grid, dtype=float).reshape(-1, net.nodes.dim)
+        dist = np.linalg.norm(grid[:, None, :] - net.nodes.points[None, :, :], axis=2)
+        self.drop = (net.coordinate_lipschitz * dist).T[:, :, None].copy()  # (N, G, 1)
+        self.values = np.ascontiguousarray(net.values, dtype=float)  # (M, N, m)
+        self.bound = net.bound
+        M, N, _ = self.values.shape
+        self.depth = N
+        bits = self.values.view(np.int64)
+        new = np.ones((M, N), dtype=bool)
         np.logical_or.accumulate((bits[1:] != bits[:-1]).any(axis=2), axis=1, out=new[1:])
-        # owner[k, j]: the row of the level-j partial maxima holding member
-        # k's prefix
-        owner = np.cumsum(new, axis=0) - 1
-        part = v[new[:, 0], None, 0, :] - drop[0]
-        for j in range(1, N):
-            rows = np.flatnonzero(new[:, j]) if j < N - 1 else slice(None)
-            step = v[rows, None, j, :] - drop[j]
-            np.maximum(part[owner[rows, j - 1]], step, out=step)
-            part = step
-        block = part if N > 1 else part[owner[:, 0]]
-        np.clip(block, -net.bound, net.bound, out=block)
-        yield s, block
+        # first[j][p]: the first member of level-j prefix p, with M appended,
+        # so its members are first[j][p] .. first[j][p + 1] - 1
+        self.first = [np.append(np.flatnonzero(new[:, j]), M) for j in range(N)]
+        # kids[j][p] .. kids[j][p + 1] - 1: the level-j children of
+        # level-(j - 1) prefix p
+        self.kids = [np.array([0, len(self.first[0]) - 1])]
+        self.kids += [np.searchsorted(self.first[j], self.first[j - 1]) for j in range(1, N)]
+        # cap[j][p, i]: the largest value at node j + 1 + i among the members
+        # of level-j prefix p, gathered from its children bottom up
+        self.cap = [None] * N
+        self.cap[N - 1] = np.empty((len(self.first[N - 1]) - 1, 0, self.values.shape[2]))
+        for j in range(N - 2, -1, -1):
+            below = np.concatenate(
+                [self.values[self.first[j + 1][:-1], j + 1 : j + 2], self.cap[j + 1]], axis=1
+            )
+            self.cap[j] = np.maximum.reduceat(below, self.kids[j + 1][:-1], axis=0)
+
+    def blocks(self, j: int, parents: np.ndarray):
+        """Yield (ids, owner): the level-j children of level-(j - 1)
+        prefixes `parents`, in order and at most _CHUNK at a time, and for
+        each child the position of its parent in `parents`."""
+        lo, hi = self.kids[j][parents], self.kids[j][parents + 1]
+        counts = hi - lo
+        owner = np.repeat(np.arange(len(parents)), counts)
+        ids = np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+        for s in range(0, len(ids), _CHUNK):
+            yield ids[s : s + _CHUNK], owner[s : s + _CHUNK]
+
+    def envelope(self, j: int, ids: np.ndarray, parents_part: Optional[np.ndarray], owner: np.ndarray):
+        """(part, lo, hi) of level-j prefixes `ids`, each (c, G, m): part
+        extends the unclipped partial maxima of their parents, row owner[k]
+        of parents_part (None at level 0)."""
+        part = self.values[self.first[j][ids], None, j, :] - self.drop[j]
+        if j:
+            np.maximum(parents_part[owner], part, out=part)
+        lo = np.clip(part, -self.bound, self.bound)
+        if j == self.depth - 1:
+            return part, lo, lo
+        cap = self.cap[j][ids]
+        hi = cap[:, None, 0, :] - self.drop[j + 1]
+        for i in range(1, cap.shape[1]):
+            np.maximum(hi, cap[:, None, i, :] - self.drop[j + 1 + i], out=hi)
+        np.maximum(hi, part, out=hi)
+        np.clip(hi, -self.bound, self.bound, out=hi)
+        return part, lo, hi
+
+
+def _descend(tree: _PrefixTree, score, j: int, parents, part, best: tuple) -> tuple:
+    """Branch and bound below level-(j - 1) prefixes `parents`, whose
+    partial maxima are `part`: the least (value, member index) among
+    `best` and the members below them.  A prefix whose bound is strictly
+    above the best value so far is dropped with its subtree."""
+    for ids, owner in tree.blocks(j, parents):
+        p, bounds = score(j, ids, part, owner)
+        if j == tree.depth - 1:
+            k = int(np.argmin(bounds))
+            best = min(best, (bounds[k], int(tree.first[j][ids[k]])))
+            continue
+        keep = np.ones(len(ids), dtype=bool)
+        if best[1] < 0:
+            # no leaf yet: the child of lowest bound first (a greedy dive),
+            # whose leaf becomes the incumbent
+            k = int(np.argmin(bounds))
+            best = _descend(tree, score, j + 1, ids[k : k + 1], p[k : k + 1], best)
+            keep[k] = False
+        keep &= bounds <= best[0]
+        if keep.any():
+            best = _descend(tree, score, j + 1, ids[keep], p[keep], best)
+    return best
 
 
 def epsilon_minimize(
@@ -323,50 +402,66 @@ def epsilon_minimize(
     eps: float,
     budget: int = DEFAULT_NET_BUDGET,
     net: Optional[PolicyNet] = None,
+    work: Optional[dict] = None,
 ) -> tuple[PiecewisePolicy, CertifiedReal]:
     """Certified eps-minimization: J[k*] - eps <= inf over the class.
 
-    Enumerates a delta-net with delta = J.modulus.step(eps/2),
-    evaluates it block by block through J.evaluate on J.grid and picks a
-    member of minimal value (ties by lowest enumeration index).  The
-    returned certificate radius covers both the evaluator radius and the
-    eps/2 net slack, so `value - radius <= inf` holds.
+    Enumerates a delta-net with delta = J.modulus.step(eps/2) and returns
+    a member of minimal value on J.grid (ties by lowest enumeration
+    index).  The returned certificate radius covers both the evaluator
+    radius and the eps/2 net slack, so `value - radius <= inf` holds.
+
+    The minimum is found by branch and bound on the net's prefix tree
+    (_PrefixTree): J.evaluate maps each prefix's envelope to a lower
+    bound on the value of every member below it.  The depth-first walk
+    (_descend) first follows the child of lowest bound down to a leaf,
+    whose value is the incumbent; from then on it drops every prefix
+    whose bound is strictly above the incumbent, subtree and all, and
+    lowers the incumbent at each better leaf.  Every member of minimal
+    value survives, so the result is the full scan's, bit for bit.
 
     A caller may pass a prebuilt `net` (from enumerate_policy_net at the
-    same delta) to amortize enumeration across functionals.
+    same delta) to amortize enumeration across functionals.  A `work`
+    dict receives `prefix_rows`, the envelope rows built, and `scored`,
+    the leaf rows whose value was computed.  The certificate takes the
+    largest radius J.evaluate returned, pruned envelopes included, so it
+    covers every member of the net.
     """
     if eps <= 0:
         raise ArgumentError("eps must be positive")
     delta = J.modulus.step(eps / 2.0)
     if net is None:
         net = enumerate_policy_net(pclass, delta, budget)
-    values = np.empty(len(net))
+    tree = _PrefixTree(net, J.grid)
     radius = 0.0
-    for s, block in _grid_blocks(net, J.grid):
-        vals, r = J.evaluate(block)
+    counts = {"prefix_rows": 0, "scored": 0}
+
+    def score(j, ids, parents_part, owner):
+        """Partial maxima and bounds of level-j prefixes `ids`."""
+        nonlocal radius
+        part, lo, hi = tree.envelope(j, ids, parents_part, owner)
+        bounds, r = J.evaluate((lo, hi))
         if not (math.isfinite(r) and r >= 0.0):
             raise ArgumentError(f"functional radius {r} must be finite and >= 0")
-        values[s : s + len(block)] = vals
+        if not np.isfinite(bounds).all():
+            raise ArgumentError("functional values must be finite")
         radius = max(radius, float(r))
-    if not np.isfinite(values).all():
-        raise ArgumentError("functional values must be finite")
-    best = int(np.argmin(values))  # first minimum: lowest enumeration index
+        counts["prefix_rows"] += len(ids)
+        counts["scored"] += len(ids) if j == tree.depth - 1 else 0
+        return part, bounds
+
+    # ties keep the lowest member index: (value, index) tuples compare so
+    root = np.zeros(1, dtype=np.intp)
+    value, index = _descend(tree, score, 0, root, None, (math.inf, -1))
     if radius > eps / 4.0:
         raise ContractError(
             f"functional evaluator radius {radius} exceeds eps/4 = {eps / 4.0}; "
             "tighten the evaluator to keep the certificate sound"
         )
-    cert = CertifiedReal(float(values[best]), radius + eps / 2.0)
-    return net[best], cert
-
-
-def net_values_on_grid(net: PolicyNet, grid: np.ndarray) -> np.ndarray:
-    """(members, G, m) array of the members' extended values on `grid`."""
-    grid = np.asarray(grid, dtype=float).reshape(-1, net.nodes.dim)
-    out = np.empty((len(net), grid.shape[0], net.values.shape[2]))
-    for s, block in _grid_blocks(net, grid):
-        out[s : s + len(block)] = block
-    return out
+    if work is not None:
+        work.update(counts)
+    cert = CertifiedReal(float(value), radius + eps / 2.0)
+    return net[index], cert
 
 
 # ---------------------------------------------------------------------------

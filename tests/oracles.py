@@ -40,3 +40,31 @@ def residual_recheck_mp(A, pair, dps: int = 34) -> float:
             s -= lam * v[i]
             total += (s.real ** 2 + s.imag ** 2)
         return float(mp.sqrt(total))
+
+
+def net_values_on_grid(net, grid, chunk: int = 128) -> np.ndarray:
+    """(members, G, m) grid values of every member of a PolicyNet: the
+    full scan that the pruned prefix walk of evt.epsilon_minimize must
+    agree with.  One subtract and one np.maximum per node, node 0 first,
+    then the clip, for every member in blocks of `chunk`."""
+    grid = np.asarray(grid, dtype=float).reshape(-1, net.nodes.dim)
+    dist = np.linalg.norm(grid[:, None, :] - net.nodes.points[None, :, :], axis=2)
+    drop = net.coordinate_lipschitz * dist
+    out = np.empty((len(net), grid.shape[0], net.values.shape[2]))
+    for s in range(0, len(net), chunk):
+        v = net.values[s : s + chunk]
+        block = v[:, None, 0, :] - drop[None, :, 0, None]
+        for i in range(1, v.shape[1]):
+            np.maximum(block, v[:, None, i, :] - drop[None, :, i, None], out=block)
+        np.clip(block, -net.bound, net.bound, out=block)
+        out[s : s + len(v)] = block
+    return out
+
+
+def full_scan_minimum(J, net):
+    """(member index, value, evaluator radius) of the first member of
+    minimal value, with every member scored as the envelope (row, row)."""
+    V = net_values_on_grid(net, J.grid)
+    values, radius = J.evaluate((V, V))
+    k = int(np.argmin(values))
+    return k, values[k], radius

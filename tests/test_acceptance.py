@@ -18,7 +18,7 @@ from certctrl import selector as sel
 from certctrl import stability as stab
 from certctrl import trajectories as traj
 from certctrl.forms import build_comparator
-from oracles import residual_recheck_mp
+from oracles import net_values_on_grid, residual_recheck_mp
 
 UNIT = Hypercube(np.array([0.5]), 1.0)
 GRID = np.linspace(0.0, 1.0, 401).reshape(-1, 1)
@@ -40,6 +40,10 @@ def _random_lipschitz(rng, L=1.0, K=1.0, n_knots=12):
     return np.interp(GRID[:, 0], xs, np.array(ys))
 
 
+def _dist(g, lo, hi):
+    return np.maximum(lo - g[None, :], 0.0) + np.maximum(g[None, :] - hi, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # 1. EVT guarantee (50 randomized functionals, certified comparison +
 #    exhaustive net-minimality, <= 60 s)
@@ -55,27 +59,32 @@ def test_acceptance_1_evt_guarantee():
     cache = {}
     for e in eps_pool:
         net = evt.enumerate_policy_net(pclass, e / 2.0)
-        cache[e] = (net, evt.net_values_on_grid(net, GRID)[:, :, 0])
+        cache[e] = (net, net_values_on_grid(net, GRID)[:, :, 0])
     rad = 2.0 * (1.0 / 400.0) / 2.0 + 1e-12
     ok = True
     for trial in range(50):
         eps = eps_pool[int(rng.integers(len(eps_pool)))]
         net, V = cache[eps]
         kind = trial % 3
+        # ev_values scores member rows; bounds scores envelopes [lo, hi] from
+        # below (the distance from g to [lo, hi] is |V - g| when lo is hi)
         if kind == 0:
             target = _random_lipschitz(rng)
             true_inf = 0.0  # the target is an admissible member
             ev_values = lambda M, g=target: np.abs(M - g[None, :]).max(axis=1)
+            bounds = lambda lo, hi, g=target: _dist(g, lo, hi).max(axis=1)
         elif kind == 1:
             true_inf = -1.0  # constant -K is admissible
             ev_values = lambda M: M.mean(axis=1)
+            bounds = lambda lo, hi: lo.mean(axis=1)
         else:
             target = _random_lipschitz(rng)
             true_inf = 0.0
             ev_values = lambda M, g=target: ((M - g[None, :]) ** 2).mean(axis=1) / 4.0
+            bounds = lambda lo, hi, g=target: (_dist(g, lo, hi) ** 2).mean(axis=1) / 4.0
 
-        def evaluate(block, ev=ev_values):
-            return ev(block[:, :, 0]), rad
+        def evaluate(env, bounds=bounds):
+            return bounds(env[0][:, :, 0], env[1][:, :, 0]), rad
 
         J = evt.Functional(evaluate, Modulus.lipschitz(1.0), GRID)
         policy, cert = evt.epsilon_minimize(J, pclass, eps, net=net)

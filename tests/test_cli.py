@@ -95,6 +95,8 @@ def test_certify_x0_stays_inside_an_off_center_box(tmp_path):
     assert code == EXIT_OK
     assert 0 < record["numeric"]["x0_level"] <= 2.0 * 0.2
     assert record["payload"]["witness"]["sphere_radius"] <= 0.2
+    # the box is the config's: its end point -0.2 is the sphere's radius
+    assert record["payload"]["witness"]["sphere_radius"] == 0.2
     # no sphere about the origin fits in a box with the origin on its boundary
     code, record, _ = _run_cli(tmp_path, "certify", dict(CERTIFY_DECAY, state_box=[0, 1]))
     assert code == EXIT_UNDECIDED
@@ -434,7 +436,13 @@ def test_evt_min_payload_reports_the_net(tmp_path):
     code, record, _ = _run_cli(tmp_path, "evt-min", config)
     assert code == EXIT_OK
     net = enumerate_policy_net(PolicyClass(Hypercube(np.array([0.5]), 1.0), 1, 1.0, 1.0), 0.65)
-    assert record["payload"]["net"] == {"members": len(net), "nodes": len(net.nodes), "grid_points": 401}
+    work = record["payload"]["net"]
+    assert {k: work[k] for k in ("members", "nodes", "grid_points")} == {
+        "members": len(net), "nodes": len(net.nodes), "grid_points": 401,
+    }
+    # envelope rows built and leaf rows scored by the pruned prefix walk
+    assert set(work) == {"members", "nodes", "grid_points", "prefix_rows", "scored"}
+    assert 0 < work["scored"] <= work["prefix_rows"] and work["scored"] < len(net)
     assert "net" not in record["numeric"]
 
 
@@ -730,3 +738,34 @@ def test_internal_failure_exits_70_not_the_config_code(tmp_path, monkeypatch, ca
     assert code == EXIT_INTERNAL == 70 and code != EXIT_CONFIG
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"internal error: {error}: planted"]
+
+
+def test_task_boxes_keep_the_config_end_points():
+    from certctrl.cli import _interval
+
+    box = _interval([-0.2, 1.8])
+    assert box.lo.tolist() == [-0.2] and box.hi.tolist() == [1.8]
+    assert box.contains([-0.2]) and box.contains([1.8])
+
+
+@pytest.mark.parametrize("error", [OverflowError, ZeroDivisionError, AttributeError])
+def test_any_other_exception_exits_70_with_one_line(tmp_path, monkeypatch, capsys, error):
+    # a failure no handler names is a fault of the computation: exit 70 and
+    # one stderr line, never a traceback
+    from certctrl import cli
+
+    def fail(config, seed, out):
+        raise error("planted")
+
+    monkeypatch.setitem(cli._HANDLERS, "eig", fail)
+    code = main(["eig", "--config", EIG_EXAMPLE, "--out", str(tmp_path / "out")])
+    assert code == EXIT_INTERNAL
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"internal error: {error.__name__}: planted"]
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "3", "\"eig\""])
+def test_a_config_that_is_not_an_object_exits_64(tmp_path, text):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    assert main(["eig", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG

@@ -238,6 +238,23 @@ def test_hypercube_rejects_bad_side(side):
     assert "side" in str(ei.value)
 
 
+def test_hypercube_interval_keeps_its_end_points():
+    # center -+ side / 2 rounds -0.2 up to -0.19999999999999996
+    plain = Hypercube(np.array([0.8]), 2.0)
+    assert not plain.contains([-0.2])
+    box = Hypercube.interval(-0.2, 1.8)
+    assert box.lo.tolist() == [-0.2] and box.hi.tolist() == [1.8]
+    assert box.contains([-0.2]) and box.contains([1.8])
+    assert not box.contains([np.nextafter(-0.2, -1.0)]) and not box.contains([np.nextafter(1.8, 2.0)])
+    assert box.center.tolist() == [0.8] and box.side == 2.0
+    with pytest.raises(ValueError):
+        box.lo[0] = 0.0  # the corners are read-only
+    # a dyadic symmetric box is the same either way
+    for lo, hi in [(-1.0, 1.0), (-2.0, 2.0), (0.0, 1.0)]:
+        exact, old = Hypercube.interval(lo, hi), Hypercube(np.array([(lo + hi) / 2.0]), hi - lo)
+        assert exact.lo.tobytes() == old.lo.tobytes() and exact.hi.tobytes() == old.hi.tobytes()
+
+
 def test_build_mesh_rejects_nonpositive_eps():
     with pytest.raises(ArgumentError):
         build_mesh(Hypercube(np.zeros(1), 1.0), 0.0)

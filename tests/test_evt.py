@@ -11,10 +11,10 @@ from certctrl.evt import (
     PolicyNet,
     enumerate_policy_net,
     epsilon_minimize,
-    net_values_on_grid,
     policy_from_text,
     policy_to_text,
 )
+from oracles import full_scan_minimum, net_values_on_grid
 
 UNIT = Hypercube(np.array([0.5]), 1.0)  # [0, 1]
 GRID = np.linspace(0.0, 1.0, 401).reshape(-1, 1)
@@ -24,11 +24,18 @@ def _sup_dist_functional(target):
     """J[k] = sup_x |k(x) - target(x)| on a fine grid, with certified radius."""
     tvals = target(GRID[:, 0])
 
-    def ev(V):
+    def ev(env):
         # grid gap 1/400; both functions 1-Lipschitz
-        return np.abs(V[:, :, 0] - tvals).max(axis=1), 2.0 * (1.0 / 400.0) / 2.0 + 1e-12
+        return _dist(tvals, env).max(axis=1), 2.0 * (1.0 / 400.0) / 2.0 + 1e-12
 
     return Functional(ev, Modulus.lipschitz(1.0), GRID, name="sup-dist")
+
+
+def _dist(t, env):
+    """(c, G) distance from t to the envelope [lo, hi]; |V - t| bit for bit
+    when lo is hi."""
+    lo, hi = env
+    return np.maximum(lo[:, :, 0] - t, 0.0) + np.maximum(t - hi[:, :, 0], 0.0)
 
 
 def _random_lipschitz(rng, L=1.0, K=1.0, n_knots=12):
@@ -49,8 +56,6 @@ def _random_lipschitz(rng, L=1.0, K=1.0, n_knots=12):
 # ---------------------------------------------------------------------------
 
 def test_net_is_epsilon_cover_of_random_members():
-    from certctrl.evt import net_values_on_grid
-
     pclass = PolicyClass(UNIT, 1, 1.0, 1.0)
     eps = 1.2
     net = enumerate_policy_net(pclass, eps)
@@ -219,41 +224,128 @@ def test_net_sequence_indexing():
 
 
 # ---------------------------------------------------------------------------
-# grid kernel: partial McShane maxima shared along member prefixes
+# prefix tree: envelopes, leaf rows and the pruned walk
 # ---------------------------------------------------------------------------
 
-def _per_node_blocks(net, grid, chunk):
-    """Reference kernel: one subtract and one np.maximum per node for every
-    member, in blocks of `chunk` members."""
-    grid = np.asarray(grid, dtype=float).reshape(-1, net.nodes.dim)
-    dist = np.linalg.norm(grid[:, None, :] - net.nodes.points[None, :, :], axis=2)
-    drop = net.coordinate_lipschitz * dist
-    for s in range(0, len(net), chunk):
-        v = net.values[s : s + chunk]
-        block = v[:, None, 0, :] - drop[None, :, 0, None]
-        for i in range(1, v.shape[1]):
-            np.maximum(block, v[:, None, i, :] - drop[None, :, i, None], out=block)
-        np.clip(block, -net.bound, net.bound, out=block)
-        yield s, block
+def _walk(tree):
+    """Every prefix of a _PrefixTree, level by level and unpruned:
+    yields (j, ids, lo, hi)."""
+    parents, part = np.zeros(1, dtype=np.intp), None
+    for j in range(tree.depth):
+        ids, owner = map(np.concatenate, zip(*tree.blocks(j, parents)))
+        part, lo, hi = tree.envelope(j, ids, part, owner)
+        yield j, ids, lo, hi
+        parents = ids
 
 
 def _assert_grid_values_exact(net, grid):
-    """net_values_on_grid is bit-identical to every member's own extension
-    and to the per-node reference kernel."""
+    """The oracle's grid values are every member's own extension bit for
+    bit, and the prefix tree's last-level rows are the oracle's."""
     V = net_values_on_grid(net, grid)
     for k in range(len(net)):
         assert V[k].tobytes() == net[k](grid).reshape(V.shape[1:]).tobytes(), k
-    ref = np.concatenate([b for _, b in _per_node_blocks(net, grid, evt._CHUNK)])
-    assert V.tobytes() == ref.tobytes()
+    tree = evt._PrefixTree(net, grid)
+    *_, (j, ids, lo, hi) = _walk(tree)
+    assert lo is hi and j == net.values.shape[1] - 1
+    first = tree.first[j]
+    assert first[ids].tolist() == first[:-1].tolist()
+    for row, a, b in zip(lo, first[:-1], first[1:]):
+        assert all(V[k].tobytes() == row.tobytes() for k in range(a, b))
     return V
+
+
+def _signed_zero_variants(net, rng):
+    """The net, a copy with some values replaced by +0.0 or -0.0, and that
+    copy in random member order (runs of equal prefixes broken up)."""
+    values = net.values.copy()
+    hit = rng.random(values.shape) < 0.15
+    values[hit] = np.where(rng.random(values.shape) < 0.5, 0.0, -0.0)[hit]
+    zeros = PolicyNet(net.nodes, values, net.coordinate_lipschitz, net.bound)
+    shuffled = PolicyNet(net.nodes, values[rng.permutation(len(values))], net.coordinate_lipschitz, net.bound)
+    return [net, zeros, shuffled]
+
+
+def _envelope_functionals(target):
+    """Lower bounds on the envelope (lo, hi) that are the value when lo is
+    hi: the shapes the tests minimize, as (name, bounds) pairs."""
+    return [
+        ("sup-dist", lambda env: _dist(target, env).max(axis=1)),
+        ("mean", lambda env: env[0][:, :, 0].mean(axis=1)),
+        ("quad", lambda env: np.mean(_dist(GRID[:, 0], env) ** 2, axis=1) / 4.0),
+        ("midpoint", lambda env: _dist(0.0, env)[:, 200]),
+        ("const", lambda env: np.full(len(env[0]), 3.25)),
+    ]
+
+
+def _assert_pruned_is_full_scan(net, target, eps=1.3):
+    pclass = PolicyClass(UNIT, 1, 1.0, 1.0)
+    for name, bounds in _envelope_functionals(target):
+        J = Functional(lambda env, b=bounds: (b(env), 1e-3), Modulus.lipschitz(1.0), GRID, name=name)
+        work = {}
+        policy, cert = epsilon_minimize(J, pclass, eps, net=net, work=work)
+        k, value, radius = full_scan_minimum(J, net)
+        assert policy.index == k, name
+        assert np.float64(cert.value).tobytes() == np.float64(value).tobytes(), name
+        assert cert.radius == radius + eps / 2.0
+        assert np.array_equal(policy.values, net.values[k])
+        assert 0 < work["scored"] <= work["prefix_rows"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pruned_walk_matches_full_scan(seed):
+    rng = np.random.default_rng(seed)
+    delta = [0.7, 0.8, 0.9, 1.0][seed]
+    net = enumerate_policy_net(PolicyClass(UNIT, 1, 1.0, 1.0), delta)
+    for variant in _signed_zero_variants(net, rng):
+        _assert_pruned_is_full_scan(variant, _random_lipschitz(rng)(GRID[:, 0]))
+
+
+def test_pruned_walk_skips_most_of_the_net():
+    net = enumerate_policy_net(PolicyClass(UNIT, 1, 1.0, 1.0), 0.7)
+    J = _sup_dist_functional(_random_lipschitz(np.random.default_rng(1)))
+    work = {}
+    epsilon_minimize(J, None, 1.4, net=net, work=work)
+    assert work["scored"] < len(net) // 10
+    # every member ties: nothing is pruned
+    J = Functional(lambda env: (np.zeros(len(env[0])), 0.0), Modulus.lipschitz(1.0), GRID)
+    epsilon_minimize(J, None, 1.4, net=net, work=work)
+    assert work["scored"] >= len(net) and work["prefix_rows"] > work["scored"]
+
+
+@pytest.mark.parametrize(
+    "pclass,eps,grid",
+    [
+        (PolicyClass(UNIT, 1, 1.0, 1.0), 0.8, GRID),
+        (PolicyClass(UNIT, 2, 1.0, 1.0), 1.4, np.linspace(-0.25, 1.25, 37).reshape(-1, 1)),
+        (
+            PolicyClass(Hypercube(np.zeros(2), 0.5), 1, 1.0, 1.0),
+            1.9,
+            np.random.default_rng(3).uniform(-0.5, 0.5, (29, 2)),
+        ),
+    ],
+)
+def test_prefix_envelopes_hold_every_member_below(pclass, eps, grid):
+    rng = np.random.default_rng(11)
+    for net in _signed_zero_variants(enumerate_policy_net(pclass, eps), rng):
+        V = net_values_on_grid(net, grid)
+        tree = evt._PrefixTree(net, grid)
+        for j, ids, lo, hi in _walk(tree):
+            # below[k]: the level-j prefix of member k
+            below = np.repeat(ids, np.diff(tree.first[j]))
+            assert np.all(lo <= hi)
+            assert np.all(lo[below] <= V) and np.all(V <= hi[below]), j
+            # the members below a prefix share its values at nodes 0..j
+            assert (net.values[:, : j + 1] == net.values[tree.first[j][below], : j + 1]).all()
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 7])
 def test_kernel_prefix_groups_split_across_blocks(monkeypatch, chunk):
+    # envelope blocks of 1, 3 or 7 rows split the children of a prefix
     monkeypatch.setattr(evt, "_CHUNK", chunk)
     net = enumerate_policy_net(PolicyClass(UNIT, 1, 1.0, 1.0), 0.74)
     assert net.values.shape[1] > 2
     _assert_grid_values_exact(net, GRID)
+    _assert_pruned_is_full_scan(net, 0.3 * np.sin(3.0 * GRID[:, 0]))
 
 
 @pytest.mark.parametrize(
@@ -289,7 +381,9 @@ def test_kernel_unordered_net_with_repeated_rows(monkeypatch, chunk):
     values = np.concatenate([rows, rows[::-1], rows[:5], rows[:5]])
     values = values[rng.permutation(len(values))]
     assert len(np.unique(values, axis=0)) < len(values)
-    _assert_grid_values_exact(_hand_built_net(values), GRID)
+    net = _hand_built_net(values)
+    _assert_grid_values_exact(net, GRID)
+    _assert_pruned_is_full_scan(net, 0.3 * np.sin(3.0 * GRID[:, 0]))
 
 
 def test_kernel_tells_signed_zeros_apart():
@@ -306,19 +400,20 @@ def test_kernel_tells_signed_zeros_apart():
     grid = np.array([[0.0], [0.5], [1.0]])
     V = _assert_grid_values_exact(net, grid)
     assert [math.copysign(1.0, x) for x in V[:, 0, 0]] == [-1.0, 1.0, -1.0, -1.0, 1.0]
+    assert len(evt._PrefixTree(net, grid).first[0]) - 1 == 4
 
 
 _TARGET = 0.3 * np.sin(3.0 * GRID[:, 0])
 _BRUTE_FUNCTIONALS = {
     "sup-dist": (
-        lambda V: np.abs(V[:, :, 0] - _TARGET).max(axis=1),
+        lambda env: _dist(_TARGET, env).max(axis=1),
         lambda p: float(np.abs(p(GRID)[:, 0] - _TARGET).max()),
     ),
-    "mean": (lambda V: V[:, :, 0].mean(axis=1), lambda p: float(p(GRID)[:, 0].mean())),
+    "mean": (lambda env: env[0][:, :, 0].mean(axis=1), lambda p: float(p(GRID)[:, 0].mean())),
     # |k(1/2)| takes few distinct values on the net: ties go to the lowest index
-    "midpoint": (lambda V: np.abs(V[:, 200, 0]), lambda p: abs(float(p(GRID)[200, 0]))),
+    "midpoint": (lambda env: _dist(0.0, env)[:, 200], lambda p: abs(float(p(GRID)[200, 0]))),
     "quad": (
-        lambda V: np.mean((V[:, :, 0] - GRID[:, 0]) ** 2, axis=1) / 4.0,
+        lambda env: np.mean(_dist(GRID[:, 0], env) ** 2, axis=1) / 4.0,
         lambda p: float(np.mean((p(GRID)[:, 0] - GRID[:, 0]) ** 2)) / 4.0,
     ),
 }
@@ -326,10 +421,10 @@ _BRUTE_FUNCTIONALS = {
 
 @pytest.mark.parametrize("kind", sorted(_BRUTE_FUNCTIONALS))
 def test_minimize_matches_per_member_brute_force(kind):
-    block_values, member_value = _BRUTE_FUNCTIONALS[kind]
+    bounds, member_value = _BRUTE_FUNCTIONALS[kind]
     pclass = PolicyClass(UNIT, 1, 1.0, 1.0)
     eps = 1.3
-    J = Functional(lambda V: (block_values(V), 1e-3), Modulus.lipschitz(1.0), GRID, name=kind)
+    J = Functional(lambda env: (bounds(env), 1e-3), Modulus.lipschitz(1.0), GRID, name=kind)
     policy, cert = epsilon_minimize(J, pclass, eps)
     net = enumerate_policy_net(pclass, eps / 2.0)
     vals = [member_value(p) for p in net]
@@ -371,8 +466,8 @@ def test_minimize_quadratic_tracking_objective():
     pclass = PolicyClass(UNIT, 1, 1.0, 1.0)
     tvals = GRID[:, 0]
 
-    def ev(V):
-        return np.mean((V[:, :, 0] - tvals) ** 2, axis=1) / 4.0, (1.0 / 400.0) / 2.0 + 1e-12
+    def ev(env):
+        return np.mean(_dist(tvals, env) ** 2, axis=1) / 4.0, (1.0 / 400.0) / 2.0 + 1e-12
 
     J = Functional(ev, Modulus.lipschitz(1.0), GRID, name="quad")
     eps = 1.2
@@ -388,7 +483,7 @@ def test_minimize_quadratic_tracking_objective():
 def test_minimize_constant_functional_returns_any_member():
     pclass = PolicyClass(UNIT, 1, 1.0, 1.0)
     c = 3.25
-    J = Functional(lambda V: (np.full(len(V), c), 1e-12), Modulus.lipschitz(1e-9), GRID, name="const")
+    J = Functional(lambda env: (np.full(len(env[0]), c), 1e-12), Modulus.lipschitz(1e-9), GRID, name="const")
     policy, cert = epsilon_minimize(J, pclass, 0.5)
     assert abs(cert.value - c) <= 0.5
 
@@ -426,8 +521,6 @@ def test_policy_text_round_trip_bit_exact():
 def test_net_covering_other_class_constants(L, K, eps):
     pclass = PolicyClass(UNIT, 1, L, K)
     net = enumerate_policy_net(pclass, eps)
-    from certctrl.evt import net_values_on_grid
-
     V = net_values_on_grid(net, GRID)[:, :, 0]
     rng = np.random.default_rng(77)
     for _ in range(40):
@@ -439,8 +532,6 @@ def test_net_covering_other_class_constants(L, K, eps):
 
 def test_net_covering_vector_output():
     # m = 2: vector-valued members, covering in the vector sup-norm
-    from certctrl.evt import net_values_on_grid
-
     pclass = PolicyClass(UNIT, 2, 1.0, 1.0)
     eps = 1.4
     net = enumerate_policy_net(pclass, eps)
