@@ -39,7 +39,7 @@ from . import evt
 from . import selector as sel
 from . import stability as stab
 from . import trajectories as traj
-from .forms import build_comparator, build_scalar_form, parse_complex_matrix
+from .forms import ScalarForm, build_comparator, build_scalar_form, parse_complex_matrix
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -316,13 +316,15 @@ def _task_ode(config, seed, out):
     return "certified", numeric, payload
 
 
-def _shh_problem(config) -> stab.CLFProblem:
+def _shh_problem(config) -> tuple[stab.CLFProblem, ScalarForm]:
+    """The shh problem and its V, whose derivative is the problem's grad_V."""
     if config.get("dynamics", "integrator") != "integrator":
         raise ArgumentError("shh dynamics registry: integrator")
     state_box = _interval(config.get("state_box", [-2, 2]))
     control_box = _interval(config["control_box"])
+    V = build_scalar_form(config.get("V", {"form": "polynomial", "coeffs": [0, 0, 1]}))
     dyn = traj.ControlledDynamics(
-        f=lambda xs, us: us.copy(),
+        f=stab.integrator,
         state_box=state_box,
         lip_x=0.0,
         lip_u=1.0,
@@ -330,47 +332,36 @@ def _shh_problem(config) -> stab.CLFProblem:
         sup_bound=_sup_abs(build_scalar_form({"form": "polynomial", "coeffs": [0, 1]}),
                            control_box),
     )
-    vform = build_scalar_form(config.get("V", {"form": "polynomial", "coeffs": [0, 0, 1]}))
-    return stab.CLFProblem(
+    problem = stab.CLFProblem(
         dynamics=dyn,
         control_box=control_box,
-        V=lambda xs, f=vform: f(xs[:, 0]),
-        grad_V=lambda xs, f=vform.derivative: f(xs[:, :1]),
-        v_lipschitz=_sup_abs(vform.derivative, state_box),
+        grad_V=V.derivative,
         target_radius=float(config["target_radius"]),
         overshoot_radius=float(config["overshoot_radius"]),
     )
+    return problem, V
 
 
 def _task_shh(config, seed, out):
-    problem = _shh_problem(config)
+    problem, V = _shh_problem(config)
     eta_max = float(config.get("eta_max", 1.0))
-    mesh_eps = float(config.get("mesh_eps", 0.1))
     sweep = [float(e) for e in config.get("sweep", [])]
     eps = float(config["optimizer_eps"])
     rows = []
-
-    def run_one(e):
-        kappa = lambda x: stab.clf_feedback(problem, x, e)[0]
-        return stab.find_sampling_time(
-            problem, kappa, eta_max, e, mesh_eps=mesh_eps,
-            resolution=float(config.get("resolution", eta_max / 512.0)),
-        )
-
     for e in sweep:
-        r = run_one(e)
+        r = stab.find_sampling_time(problem, V, eta_max, e)
         rows.append((e, r.eta if r.eta is not None else math.nan,
                      r.margin if r.margin is not None else math.nan))
     if rows:
         _write_csv(out / "sweep.csv", "optimizer_eps,eta,margin", rows)
-    res = run_one(eps)
+    res = stab.find_sampling_time(problem, V, eta_max, eps)
     numeric = {
         "optimizer_eps": eps,
         "eta": res.eta if res.eta is not None else -1.0,
         "margin": res.margin if res.margin is not None else -1.0,
     }
     payload = {"diagnosis": res.diagnosis} if res.diagnosis else {}
-    payload["search"] = res.details
+    payload["bound"] = res.details
     if rows:
         payload["sweep_file"] = "sweep.csv"
     if res.ok:
@@ -384,7 +375,7 @@ def _task_shh(config, seed, out):
         )
         (out / "closed_loop.csv").write_text(traj.solution_to_csv(loop))
         payload["closed_loop_file"] = "closed_loop.csv"
-    return ("certified" if res.ok else "failure"), numeric, payload
+    return res.verdict, numeric, payload
 
 
 def _task_certify(config, seed, out):
@@ -511,7 +502,7 @@ def _task_audit(config, seed, out):
     numeric["ode_endpoint_error"] = abs(float(solped.endpoint[0]) - math.exp(-1.0))
     numeric["ode_error_bound"] = solped.error_bound.value
 
-    # stability: certify the decay instance and search a sampling time
+    # stability: certify the decay instance and a sampling time
     cfg = {
         "dynamics": {"form": "polynomial", "coeffs": [0.0, -1.0]},
         "V": {"form": "polynomial", "coeffs": [0.0, 0.0, 1.0]},

@@ -98,6 +98,11 @@ def _float_up(q: Fraction) -> float:
     return f if Fraction(f) >= q else _up(f)
 
 
+def _float_down(q: Fraction) -> float:
+    """The greatest float <= the rational q (0.0, not -0.0, for q = 0)."""
+    return -_float_up(-q) + 0.0
+
+
 def snap_dyadic(x) -> np.ndarray:
     """Round every entry of x to the dyadic lattice 2^-SNAP_BITS (exact in
     binary64 at desk scale), so node equality is exactly decidable.

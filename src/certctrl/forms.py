@@ -6,8 +6,8 @@ definitions auditable.  Every form encloses its own range on an interval:
 ``enclose(lo, hi)`` gives floats lower <= f(x) <= upper on [lo, hi], worked
 out in exact rationals and rounded outward once.  A task reads the sup of
 |f| from ``f.enclose`` and the Lipschitz constant from
-``f.derivative.enclose``, on the set it uses (the ode task also sup|f''|
-from ``f.derivative.derivative.enclose``).  A polynomial encloses as
+``f.derivative.enclose``, on the set it uses (the ode and shh tasks also
+sup|f''| from ``f.derivative.derivative.enclose``).  A polynomial encloses as
 c_0 -+ sum_{k>=1} |c_k| r^k with r = max(|lo|, |hi|); pwl exactly, from the
 knots inside [lo, hi] and the interpolated ends, and its derivative is the
 step function of its slopes, which has no derivative; trig as -+ sum |a|;
@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ArgumentError, _float_up, poly_eval
+from .core import ArgumentError, _float_down, _float_up, poly_eval
 from .stability import Comparator
 
 __all__ = [
@@ -57,7 +57,7 @@ class ScalarForm:
     def enclose(self, lo, hi) -> tuple[float, float]:
         """Floats (lower, upper) with lower <= f(x) <= upper on [lo, hi]."""
         lower, upper = self.exact_range(Fraction(lo), Fraction(hi))
-        return -_float_up(-lower), _float_up(upper)
+        return _float_down(lower), _float_up(upper)
 
 
 def _exact(values) -> list:

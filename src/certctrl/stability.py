@@ -1,5 +1,5 @@
-"""Lyapunov certificate checking, CLF optimization feedback and certified
-sample-and-hold sampling-time search.
+"""Lyapunov certificate checking, CLF optimization feedback and a certified
+sample-and-hold sampling time.
 
 Margin semantics: the sandwich w1(x) <= V(x) <= w2(x) and the decay
 V'(x) f(x) <= -w3(x) are decided exactly for one-dimensional polynomial
@@ -16,14 +16,15 @@ counterexample is a point where the exact p is negative (the origin only
 when p(0) itself is).  A quotient that is exactly 0 somewhere, p
 identically 0, or a spent budget leaves the check undecided.
 
-The sampling-time search is a bisection certified at the annulus mesh
-nodes only: a candidate eta is certified when every annulus mesh node,
-under the sample-and-hold closed loop, decreases the Lyapunov function
-each interval by more than the solver slack plus a reserve of eta * eps
-(the optimizer tolerance per unit time) until it enters the target ball
-with the same reserve.  The reserve is what makes certified sampling
-times shrink as the optimizer tolerance grows, and fail once the
-tolerance eats the decay margin.
+The sampling time of the integrator x' = u comes in closed form (see
+find_sampling_time): from every state of the annulus r <= |x| <= R, every
+eps-optimal control held for any t <= eta lowers V by at least t * eps
+and keeps the state inside |x| <= R, so the sample-and-hold loop enters
+the target ball.  The decay bound alpha and the sign of x V'(x) are
+decided from V''s exact coefficients as above; the reserve eps is what
+makes the certified eta shrink as the optimizer tolerance grows, and
+vanish once the tolerance eats the decay margin.  A problem with other
+dynamics, or whose grad_V is not V's own derivative, is refused.
 """
 
 from __future__ import annotations
@@ -38,15 +39,13 @@ import numpy as np
 from .core import (
     ArgumentError,
     CertifiedReal,
-    ContractError,
-    DomainExitError,
     Hypercube,
-    ResourceBudgetError,
+    _float_down,
     _float_up,
     build_mesh,
     mesh_divisions,
 )
-from .trajectories import ControlledDynamics, RegularRHS, picard_plan, picard_rows
+from .trajectories import ControlledDynamics
 
 __all__ = [
     "Comparator",
@@ -62,6 +61,7 @@ __all__ = [
     "certify",
     "clf_feedback",
     "find_sampling_time",
+    "integrator",
 ]
 
 # Bernstein boxes examined per quotient before its sign is left undecided
@@ -73,10 +73,6 @@ def _horner(coeffs, r):
     for c in reversed(coeffs):
         acc = acc * r + c
     return acc
-
-
-def _float_down(q: Fraction) -> float:
-    return -_float_up(-q) + 0.0  # 0.0, not -0.0, for q = 0
 
 
 @dataclass(frozen=True)
@@ -307,18 +303,6 @@ class SublevelSet:
         (r,) = np.atleast_1d(np.asarray(x, dtype=float))
         return self.w2.exact(abs(Fraction(float(r)))) <= self.level
 
-    def sample(self, rng: np.random.Generator, box: Hypercube, n: int) -> np.ndarray:
-        out = []
-        guard = 0
-        while len(out) < n and guard < 2000 * n:
-            guard += 1
-            x = box.sample(rng, 1)[0]
-            if self.contains(x):
-                out.append(x)
-        if len(out) < n:
-            raise ContractError("sublevel set too small to sample; raise the level")
-        return np.array(out)
-
 
 @dataclass(frozen=True)
 class StabilityCertificate:
@@ -364,30 +348,29 @@ class CLFProblem:
     """The annulus r <= |x| <= R is centred at the origin, so the state box
     must contain [-R, R]^n.  control_meshes holds the control-box mesh nodes
     of each division count clf_feedback has used (they depend on the box and
-    the count only), so every search and closed loop on this problem builds
-    each mesh once."""
+    the count only), so every feedback call on this problem builds each
+    mesh once."""
 
     dynamics: ControlledDynamics
     control_box: Hypercube
-    V: Callable[[np.ndarray], np.ndarray]  # (B, n) -> (B,)
     grad_V: Callable[[np.ndarray], np.ndarray]  # (B, n) -> (B, n)
-    v_lipschitz: float
     target_radius: float  # r
     overshoot_radius: float  # R
-    v_radius: float = 1e-12
     control_meshes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0 < self.target_radius < self.overshoot_radius):
             raise ArgumentError("need 0 < r < R")
         box, R = self.dynamics.state_box, self.overshoot_radius
-        if np.any(box.lo > -R + 1e-12) or np.any(box.hi < R - 1e-12):
+        if np.any(box.lo > -R) or np.any(box.hi < R):
             raise ArgumentError("the state box must contain [-R, R]^n")
 
 
 # (state, control node) pairs per dynamics evaluation in clf_feedback; bounds
 # the memory a batch of fine control meshes takes
 _FEEDBACK_PAIRS = 1 << 13
+# relative rounding radius of a clf_feedback value
+_FEEDBACK_ROUNDING = 1e-12
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -450,7 +433,7 @@ def clf_feedback(problem: CLFProblem, x, eps: float):
         f = problem.dynamics.f(np.repeat(xs[lo:hi], cnt, axis=0), nodes)
         vals = _rowdot(np.repeat(g[lo:hi], cnt, axis=0), np.asarray(f, dtype=float))
         starts = np.concatenate(([0], np.cumsum(cnt)[:-1]))
-        r_g = 1e-12 * (1.0 + np.maximum.reduceat(np.abs(vals), starts))
+        r_g = _FEEDBACK_ROUNDING * (1.0 + np.maximum.reduceat(np.abs(vals), starts))
         cut = np.minimum.reduceat(vals, starts) + eps / 2.0 - 2.0 * r_g
         # first node at or below the cut; the first node when none is
         hit = np.where(vals <= np.repeat(cut, cnt), np.arange(vals.size), vals.size)
@@ -468,242 +451,126 @@ def clf_feedback(problem: CLFProblem, x, eps: float):
 
 @dataclass(frozen=True)
 class SamplingTimeResult:
-    verdict: str  # "certified" | "failure"
+    verdict: str  # "certified" | "failure" | "undecided"
     eta: Optional[float]
-    margin: Optional[float]
+    margin: Optional[float]  # the decrease-rate surplus over eps at eta
     diagnosis: str = ""
-    details: dict = field(default_factory=dict)  # resolution and work counters
+    details: dict = field(default_factory=dict)  # the constants of the bound
 
     @property
     def ok(self) -> bool:
         return self.verdict == "certified"
 
 
-def _annulus_nodes(problem: CLFProblem, mesh_eps: float) -> np.ndarray:
-    """The nodes with r <= |x| <= R of the mesh of [-R, R]^n."""
-    R = problem.overshoot_radius
-    mesh = build_mesh(Hypercube(np.zeros(problem.dynamics.state_box.dim), 2.0 * R), mesh_eps)
-    norms = np.linalg.norm(mesh.points, axis=1)
-    keep = (norms >= problem.target_radius) & (norms <= R + 1e-12)
-    return mesh.points[keep]
+def _lower_bound(p: list, s: int, a: Fraction, b: Fraction) -> Fraction:
+    """A lower bound on p(r) = sum_j p[j] r^j over 0 < a <= r <= b, where
+    x = s r: positive exactly when _decide certifies p > 0 there.  The box
+    misses the origin, so p is its own quotient (k = 0)."""
+    verdict, value, _ = _decide(p, 0, s, a, b)
+    if verdict == "certified":
+        return value
+    return min(_bernstein(p, a, b))  # <= 0, or _decide would certify
 
 
-def _simulate_closed_loop(
-    problem: CLFProblem,
-    kappa,
-    x0: np.ndarray,
-    eta: float,
-    eps: float,
-    eps_loc: float,
-    max_steps: int,
-    kappa_x0=None,
-):
-    """Run the SH loop from every row of x0 (B, n) in lockstep; a 1-D x0
-    is one node.  A node succeeds by entering the target ball with reserve
-    while V decreases each interval by more than the reserve plus solver
-    slack.  The run stops at the first interval in which a node fails.
-    Returns (ok, margin, samples): on success the worst node margin;
-    otherwise the margin of the lowest-index node that fails in that
-    interval, -inf when it left the state box, its Picard step exceeded the
-    budget or contract, or it ran out of steps.  samples lists the states
-    after each interval of the nodes that completed it (1-D states for a
-    1-D x0).
-
-    One kappa call (kappa maps (b, n) states to (b, p) controls) and one
-    batched Picard step per interval serve all running nodes.  kappa_x0,
-    when given, returns the (B, p) controls kappa gives the rows of x0; the
-    first interval takes the rows of its running nodes instead of calling
-    kappa.  Any error other than the DomainExitError, ResourceBudgetError
-    and ContractError of a Picard step is a fault and propagates."""
-    dyn = problem.dynamics
-    box = dyn.state_box
-    one = np.ndim(x0) == 1
-    xs = np.atleast_2d(np.asarray(x0, dtype=float))
-    n = xs.shape[1]
-    reserve = eta * eps
-    entry_cut = problem.target_radius - reserve - 2.0 * eps_loc
-    samples = [xs.copy()]
-    if entry_cut <= 0:
-        return False, -math.inf, [xs[0]] if one else samples
-    try:
-        # the plan reads only the Lipschitz and sup data; each node's held
-        # control enters through the field of its Picard step
-        plan = picard_plan(
-            RegularRHS.single(dyn.f, eta, box, dyn.lip_x, dyn.sup_bound), eta, eps_loc
-        )
-    except ResourceBudgetError:
-        plan = None  # every Picard step of this eta exceeds its budget
-    node = np.arange(xs.shape[0])  # node index of each running row
-    margins = np.full(xs.shape[0], math.inf)
-    fail_margin = None
-    for step in range(max_steps):
-        running = ~(_row_norms(xs) <= entry_cut)
-        xs, node = xs[running], node[running]
-        if not node.size:
-            break
-        if step == 0 and kappa_x0 is not None:
-            us = kappa_x0()[node]
-        else:
-            us = np.asarray(kappa(xs), dtype=float).reshape(node.size, -1)
-        stepped = np.all(xs >= box.lo, axis=1) & np.all(xs <= box.hi, axis=1)
-        x_new = xs.copy()
-        err = np.zeros(node.size)
-        if plan is None:
-            stepped[:] = False
-        elif stepped.any():
-            rows = np.flatnonzero(stepped)
-            held = us[rows]
-            sol = picard_rows(
-                plan, xs[rows],
-                field=lambda blk, s, ts, k: np.reshape(
-                    dyn.f(s.reshape(-1, n), np.repeat(held[k], s.shape[1], axis=0)), s.shape
-                ),
-            )
-            stepped[rows] = [f is None for f in sol.failures]
-            x_new[rows] = sol.endpoints
-            err[rows] = sol.error_bound
-        fails = ~stepped
-        step_margin = np.full(node.size, -math.inf)
-        if stepped.any():
-            v0 = np.asarray(problem.V(xs[stepped]), dtype=float)
-            v1 = np.asarray(problem.V(x_new[stepped]), dtype=float)
-            slack = problem.v_lipschitz * err[stepped] + 2.0 * problem.v_radius
-            entered = _row_norms(x_new[stepped]) <= entry_cut
-            dec = v0 - v1
-            need = reserve + slack
-            short = ~entered & (dec < need)
-            rows = np.flatnonzero(stepped)
-            fails[rows[short]] = True
-            step_margin[rows[short]] = (dec - need)[short]
-            on = ~entered & ~short
-            m, at = (dec - need)[on], node[rows[on]]
-            margins[at] = np.where(m < margins[at], m, margins[at])
-            samples.append(x_new[stepped])
-        if fails.any():  # rows are in node order
-            fail_margin = float(step_margin[int(np.argmax(fails))])
-            break
-        xs = x_new
-    else:
-        if node.size:  # still outside the ball after max_steps intervals
-            fail_margin = -math.inf
-    if one:
-        samples = [s[0] for s in samples]
-    if fail_margin is not None:
-        return False, fail_margin, samples
-    worst = math.inf
-    for m in margins:  # node order, as a one-by-one loop
-        worst = min(worst, float(m))
-    return True, worst, samples
+def integrator(xs: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """x' = u: the dynamics find_sampling_time decides."""
+    return us.copy()
 
 
-def find_sampling_time(
-    problem: CLFProblem,
-    kappa,
-    eta_max: float,
-    eps: float,
-    mesh_eps: float = 0.1,
-    resolution: Optional[float] = None,
-    eps_loc: Optional[float] = None,
-) -> SamplingTimeResult:
-    """Largest sampling time certified at the annulus mesh nodes, by a
-    downward geometric probe and bisection.
+def find_sampling_time(problem: CLFProblem, V, eta_max: float, eps: float) -> SamplingTimeResult:
+    """One sampling time for every state of the annulus and every
+    eps-optimal control, in closed form, for the integrator x' = u with u
+    in the control box [a, b] and the polynomial V (a polynomial form from
+    `forms`).  The problem must be that one: its dynamics.f is `integrator`
+    on a one-dimensional state box, with lip_u >= 1, and its grad_V is
+    V.derivative itself, so clf_feedback minimizes V'(x) u.  Any other
+    problem is an ArgumentError.
 
-    The certificate covers the mesh nodes only, not the states between
-    them: kappa is discontinuous, so no modulus carries a node's decrease
-    to its neighbours (an annulus-wide one-step decrease bound is an open
-    item of the ROADMAP).
+    Hold an eps-optimal u from an annulus state x for a time t <= eta: by
+    Taylor's theorem V(x + t u) - V(x) <= t (D(x) + eps') + t^2 S2 M^2 / 2,
+    where D(x) = min(a V'(x), b V'(x)), eps' bounds V'(x) u - D(x) for
+    every eps-optimal u in the box, clf_feedback's among them (eps plus
+    twice clf_feedback's largest rounding radius), S2 >= |V''| on the state
+    box and M = max(|a|, |b|).  With alpha <= -D on r <= |x| <= R, decided
+    from V''s exact coefficients, V falls by at least t eps whenever
 
-    kappa is the (eps-tolerance) feedback, typically built from
-    clf_feedback, mapping (B, n) states to (B, p) controls, each row
-    depending on that row alone.  All annulus nodes run in lockstep (see
-    _simulate_closed_loop), and every probe starts at the same nodes, so
-    kappa runs on the whole node array once per search, when a probe first
-    needs it.  eps enters the certificates as the per-unit-time reserve the
-    observed decrease must dominate.  On failure the diagnosis
-    distinguishes an inadequate CLF (no certified decay direction at some
-    node even with a fine optimizer) from a too-large optimizer tolerance.
-    details counts the work: probes (closed-loop simulations), lockstep
-    intervals, kappa calls and the control meshes built in
-    problem.control_meshes.
+        eta = min(eta_max, 2 (alpha - eps' - eps) / (S2 M^2),
+                  (R + r) / M, (box end - R) / M),
+
+    computed exactly and rounded down (Clarke, Ledyaev, Sontag and
+    Subbotin 1997, IEEE TAC 42(10), with the optimizer error explicit as
+    in Osinenko, Beckenbach and Streif 2018, IEEE CSL 2(4)).  The last cap
+    keeps every step inside the state box.  x V'(x) > 0, decided for
+    r <= |x| <= the box end on each side, makes V grow with |x| there, so
+    a step that falls in V and stays on its side ends inside |x| <= R; the
+    (R + r) / M cap keeps a step that crosses the origin inside it too.
+
+    The verdict is certified when eta > 0 and x V' > 0 is decided;
+    failure when u = 0 is in the box and eps-optimal (-D(x) <= eps) at an
+    annulus state |x| > r (sought at the float above r and at R on each
+    side), so that no eta makes V fall there; undecided otherwise.
+    details holds alpha, eps', S2 and M, and, when alpha does not exceed
+    eps' + eps, the missing margin.
     """
     if eta_max <= 0:
         raise ArgumentError("eta_max must be positive")
-    if resolution is None:
-        resolution = eta_max / 256.0
-    nodes = _annulus_nodes(problem, mesh_eps)
-    if nodes.shape[0] == 0:
-        raise ArgumentError("annulus mesh empty; refine mesh_eps")
-    work = {"resolution": resolution, "probes": 0, "intervals": 0, "kappa_calls": 0}
-    meshes_before = len(problem.control_meshes)
-    at_nodes = []
-
-    def counted_kappa(xs):
-        work["intervals"] += 1
-        work["kappa_calls"] += 1
-        return kappa(xs)
-
-    def kappa_at_nodes():
-        work["intervals"] += 1
-        if not at_nodes:
-            work["kappa_calls"] += 1
-            at_nodes.append(np.asarray(kappa(nodes), dtype=float).reshape(len(nodes), -1))
-        return at_nodes[0]
-
-    def certified(eta: float):
-        work["probes"] += 1
-        max_steps = max(20, math.ceil(6.0 * problem.overshoot_radius / eta))
-        # solver tolerance well under the eta*eps reserve it must not mask
-        el = eps_loc if eps_loc is not None else max(1e-12, eta * eps / 100.0)
-        ok, margin, _ = _simulate_closed_loop(
-            problem, counted_kappa, nodes, eta, eps, el, max_steps, kappa_at_nodes
-        )
-        return ok, margin
-
-    def result(verdict, eta, margin, diagnosis=""):
-        work["control_meshes_built"] = len(problem.control_meshes) - meshes_before
-        return SamplingTimeResult(verdict, eta, margin, diagnosis, details=work)
-
-    # geometric probe downward for a certifiable eta
-    eta_lo, margin_lo = None, None
-    probe = eta_max
-    while probe >= resolution:
-        ok, margin = certified(probe)
-        if ok:
-            eta_lo, margin_lo = probe, margin
-            break
-        probe /= 2.0
-    if eta_lo is None:
-        return result("failure", None, None, _diagnose(problem, nodes, eps))
-    if eta_lo == eta_max:
-        return result("certified", eta_max, margin_lo)
-    lo, hi = eta_lo, min(2.0 * eta_lo, eta_max)
-    best_margin = margin_lo
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        ok, margin = certified(mid)
-        if ok:
-            lo, best_margin = mid, margin
-        else:
-            hi = mid
-    return result("certified", lo, best_margin)
-
-
-def _diagnose(problem: CLFProblem, nodes: np.ndarray, eps: float) -> str:
-    """Separate CLF inadequacy from optimizer-tolerance starvation.
-
-    The probe only needs the sign of the best certified decay rate, so a
-    moderate optimizer tolerance suffices.
-    """
-    fine = min(eps, 1e-3)
-    worst_rate = -math.inf
-    for val in clf_feedback(problem, nodes, fine)[1]:
-        worst_rate = max(worst_rate, val.value + val.radius)
-    if worst_rate >= 0:
-        return (
-            f"clf_inadequate: no certified decay direction at some annulus node "
-            f"(best certified rate {worst_rate:+.3g})"
-        )
-    return (
-        f"optimizer_tolerance: decay exists (worst certified rate {worst_rate:+.3g}) "
-        f"but the optimizer tolerance eps={eps} consumes the decrease reserve"
+    if eps <= 0:
+        raise ArgumentError("eps must be positive")
+    dyn = problem.dynamics
+    if (V.spec or {}).get("form") != "polynomial":
+        raise ArgumentError("the sampling time takes a polynomial V")
+    if not (dyn.f is integrator and dyn.state_box.dim == 1 and problem.control_box.dim == 1
+            and dyn.lip_u >= 1 and problem.grad_V is V.derivative):
+        raise ArgumentError("the sampling time takes x' = u (stability.integrator) on "
+                            "one-dimensional boxes, with grad_V = V.derivative")
+    lo, hi = dyn.state_box.lo[0], dyn.state_box.hi[0]
+    a, b = Fraction(float(problem.control_box.lo[0])), Fraction(float(problem.control_box.hi[0]))
+    r, R, e = Fraction(problem.target_radius), Fraction(problem.overshoot_radius), Fraction(eps)
+    dV = [j * Fraction(c) for j, c in enumerate(V.spec["coeffs"])][1:] or [Fraction(0)]
+    M = max(abs(a), abs(b))
+    G = Fraction(max(map(abs, V.derivative.enclose(lo, hi))))
+    S2 = Fraction(max(map(abs, V.derivative.derivative.enclose(lo, hi))))
+    eps_p = e + 2 * Fraction(_FEEDBACK_ROUNDING) * (1 + G * M)
+    ends = {1: Fraction(float(hi)), -1: -Fraction(float(lo))}
+    # -u V'(s r) for the inward end u of the box on the half x = s r
+    alpha = min(_lower_bound([-u * c * s**j for j, c in enumerate(dV)], s, r, R)
+                for s, u in ((1, a), (-1, b)))
+    inward = all(
+        _lower_bound([Fraction(0)] + [c * s ** (j + 1) for j, c in enumerate(dV)], s, r, ends[s]) > 0
+        for s in (1, -1)
     )
+    surplus = alpha - eps_p - e
+    caps = [Fraction(eta_max), (R + r) / M, (min(ends.values()) - R) / M]
+    if S2:
+        caps.append(2 * surplus / (S2 * M * M))
+    eta = _float_down(min(caps))
+    details = {"alpha": _float_down(alpha), "eps_prime": _float_up(eps_p),
+               "curvature": _float_up(S2), "control_bound": float(M)}
+    if surplus > 0 and inward and eta > 0:
+        margin = _float_down(surplus - Fraction(eta) * S2 * M * M / 2)
+        return SamplingTimeResult("certified", eta, margin, details=details)
+    if surplus <= 0:
+        details["missing_margin"] = _float_up(-surplus)
+    if a <= 0 <= b:
+        r_above = math.nextafter(problem.target_radius, math.inf)
+        for x in (r_above, problem.overshoot_radius, -r_above, -problem.overshoot_radius):
+            slope = _horner(dV, Fraction(x))
+            rate = max(-a * slope, -b * slope)  # -D(x)
+            if rate <= e:
+                details["witness"] = x
+                return SamplingTimeResult("failure", None, None, (
+                    f"optimizer_tolerance: u = 0 is eps-optimal at x = {x!r} "
+                    f"(-D(x) = {float(rate):.3g} <= eps = {eps}), so V need not fall there"
+                ), details)
+    if alpha <= 0:
+        diagnosis = (f"clf_inadequate: no certified decay direction on the annulus "
+                     f"(alpha >= {float(alpha):+.3g})")
+    elif not inward:
+        diagnosis = ("clf_inadequate: x V'(x) > 0 is not decided on r <= |x| <= the box end, "
+                     "so a falling V need not keep the state inside |x| <= R")
+    elif surplus <= 0:
+        diagnosis = (f"optimizer_tolerance: the decay rate alpha >= {float(alpha):.3g} "
+                     f"does not exceed eps' + eps = {float(eps_p + e):.3g}")
+    else:
+        diagnosis = "state_box: the state box ends at R, leaving no room for a step"
+    return SamplingTimeResult("undecided", None, None, diagnosis, details)

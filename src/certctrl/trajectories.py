@@ -177,17 +177,6 @@ class ExtendedSolution:
     grid_step: Optional[float] = None  # the step the Picard defect was sized for
     defect_order: Optional[list] = None  # per time block: 1 or 2, see picard_plan
 
-    def at(self, t: float) -> np.ndarray:
-        t = float(np.clip(t, self.grid[0], self.grid[-1]))
-        i = int(np.searchsorted(self.grid, t))
-        if i == 0:
-            return self.values[0]
-        if self.grid[i - 1] == t:
-            return self.values[i - 1]
-        t0, t1 = self.grid[i - 1], self.grid[i]
-        w = (t - t0) / (t1 - t0)
-        return (1 - w) * self.values[i - 1] + w * self.values[i]
-
     @property
     def endpoint(self) -> np.ndarray:
         return self.values[-1]
@@ -556,7 +545,6 @@ class SampleHoldPolicy:
 
     policy: Callable[[np.ndarray], np.ndarray]
     eta: float
-    lipschitz: Optional[float] = None  # policy Lipschitz constant, if known
 
     def __post_init__(self):
         if self.eta <= 0:
@@ -585,10 +573,8 @@ def sample_hold_trajectory(
 ) -> ExtendedSolution:
     """Closed-loop trajectory under sample-and-hold feedback.
 
-    Per-interval solver errors accumulate through the Grönwall factor; if
-    the policy carries a Lipschitz constant, the control error induced by
-    sampling a perturbed state is folded in as well (otherwise the bound
-    certifies the trajectory of the computed control sequence).
+    Per-interval solver errors accumulate through the Grönwall factor: the
+    bound certifies the trajectory of the computed control sequence.
     """
     if eps <= 0:
         raise ArgumentError("eps must be positive")
@@ -600,10 +586,9 @@ def sample_hold_trajectory(
     # split the budget so the accumulated recursion stays below eps
     amp = 1.0
     amps = []
-    lk = sh.lipschitz if sh.lipschitz is not None else 0.0
     for _ in range(n_int):
         amps.append(amp)
-        amp = amp * growth * (1.0 + eta * dyn.lip_u * lk)
+        amp = amp * growth
     eps_loc = eps / (sum(amps) + 1e-300) * 0.9
 
     grid = [np.array([0.0])]
@@ -639,9 +624,8 @@ def sample_hold_trajectory(
         if res.failures[0] is not None:
             raise res.failures[0]
         g, v, _, _ = _stitch(plan, res)
-        # transport: prior state error grows, plus control error from the
-        # perturbed sample, plus the local solver error
-        err = err * growth * (1.0 + span * dyn.lip_u * lk) + float(res.error_bound[0])
+        # transport: prior state error grows, plus the local solver error
+        err = err * growth + float(res.error_bound[0])
         grid.append(g[1:] + t0)
         vals.append(v[1:])
         errs.append(np.full(g.size - 1, err))  # end-of-interval bound

@@ -1,6 +1,8 @@
 """Independent re-checks that tests compare certctrl's certificates
 against; no task uses them, so they live with the tests."""
 
+from fractions import Fraction
+
 import mpmath as mp
 import numpy as np
 
@@ -68,3 +70,55 @@ def full_scan_minimum(J, net):
     values, radius = J.evaluate((V, V))
     k = int(np.argmin(values))
     return k, values[k], radius
+
+
+def solution_at(sol, t: float) -> np.ndarray:
+    """The grid polygon of an ExtendedSolution at time t, clipped to its
+    grid."""
+    t = float(np.clip(t, sol.grid[0], sol.grid[-1]))
+    i = int(np.searchsorted(sol.grid, t))
+    if i == 0:
+        return sol.values[0]
+    if sol.grid[i - 1] == t:
+        return sol.values[i - 1]
+    t0, t1 = sol.grid[i - 1], sol.grid[i]
+    w = (t - t0) / (t1 - t0)
+    return (1 - w) * sol.values[i - 1] + w * sol.values[i]
+
+
+def sample_sublevel(x0_set, rng, box, n: int) -> np.ndarray:
+    """n states of the box inside a certificate's X0 set, by rejection."""
+    out = []
+    for _ in range(2000 * n):
+        if len(out) == n:
+            break
+        x = box.sample(rng, 1)[0]
+        if x0_set.contains(x):
+            out.append(x)
+    assert len(out) == n, "sublevel set too small to sample"
+    return np.array(out)
+
+
+def sample_hold_step(coeffs, control_box, R, eta, eps, x, u_feedback) -> list:
+    """The one-step claims of a sampling time for x' = u, u in
+    control_box = (a, b), V = sum_k coeffs[k] x^k, in exact arithmetic.
+
+    For both ends of the eps-optimal interval {u in [a, b] : V'(x) u <=
+    min(a V'(x), b V'(x)) + eps} and for u_feedback, each held from x for
+    eta, returns (V(x) - V(x + eta u) - eta eps, |x + eta u| <= R)."""
+    V = [Fraction(c) for c in coeffs]
+    a, b = (Fraction(float(v)) for v in control_box)
+    x, eta, eps, R = (Fraction(float(v)) for v in (x, eta, eps, R))
+
+    def value(y):
+        return sum(c * y**k for k, c in enumerate(V))
+
+    g = sum(k * c * x ** (k - 1) for k, c in enumerate(V) if k)
+    if g > 0:
+        ends = (a, min(b, a + eps / g))
+    elif g < 0:
+        ends = (max(a, b + eps / g), b)
+    else:
+        ends = (a, b)
+    steps = [x + eta * u for u in (*ends, Fraction(float(u_feedback)))]
+    return [(value(x) - value(y) - eta * eps, abs(y) <= R) for y in steps]

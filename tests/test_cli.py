@@ -543,7 +543,6 @@ def test_shh_subcommand_with_sweep(tmp_path):
         "optimizer_eps": 0.01,
         "eta_max": 1.0,
         "sweep": [0.01, 0.1],
-        "resolution": 0.002,
     }
     code, record, out = _run_cli(tmp_path, "shh", config)
     assert code == EXIT_OK
@@ -600,7 +599,7 @@ def test_audit_numeric_fields_pinned(tmp_path, seed, expected):
         "ode_error_bound": 4.188890670539512e-06,
         "selector_max_distance": 0.031250000000000014,
         "selector_pieces": 2.0,
-        "shh_eta": 0.216796875,
+        "shh_eta": 0.09999999999,
     }
 
 
@@ -629,7 +628,6 @@ def test_shh_failure_exit_one_with_diagnosis(tmp_path):
         "overshoot_radius": 1.0,
         "optimizer_eps": 0.5,
         "eta_max": 1.0,
-        "resolution": 0.004,
     }
     code, record, _ = _run_cli(tmp_path, "shh", config)
     assert code == 1
@@ -652,7 +650,7 @@ SHH_INTEGRATOR = {
     [
         (
             {"optimizer_eps": 0.05},
-            {"eta": 0.216796875, "margin": 0.09374771117964062},
+            {"eta": 0.09999999999, "margin": 8.274037101920373e-19},
             None,
         ),
         (
@@ -664,19 +662,21 @@ SHH_INTEGRATOR = {
                 "mesh_eps": 0.05,
                 "sweep": [0.01, 0.04, 0.12],
             },
-            {"eta": 0.392578125, "margin": 0.11187023764963212},
+            {"eta": 0.18749999998687494, "margin": 1.1797249363390196e-17},
             [
-                "0.01,0.5078125,0.00013363486643062222",
-                "0.04,0.390625,0.10823139391248167",
-                "0.12,0.302734375,0.05113497282129805",
+                "0.01,0.24999999998687494,4.719577581404823e-18",
+                "0.04,0.15624999998687494,1.0131914826452462e-17",
+                "0.12,nan,nan",
             ],
         ),
         ({"optimizer_eps": 2.2}, {"eta": -1.0, "margin": -1.0}, None),
     ],
 )
 def test_shh_numeric_fields_pinned(tmp_path, config, expected, sweep):
-    # recorded from the sampling-time search that ran the annulus nodes one
-    # by one with one clf_feedback and one picard_solve per interval
+    # recorded from the closed form eta = 2 (alpha - eps' - eps) / (S2 M^2),
+    # rounded down: alpha = 2 r min(|a|, b), S2 = 2, M = max(|a|, b) and
+    # eps' = eps + 2e-12 (1 + 4 M); the margin is what is left of the rate
+    # surplus at the rounded eta.  At eps = 0.12 alpha = 0.18 < 2 eps.
     config = {**SHH_INTEGRATOR, **config}
     code, record, out = _run_cli(tmp_path, "shh", config)
     assert record["numeric"] == {**expected, "optimizer_eps": config["optimizer_eps"]}
@@ -685,8 +685,8 @@ def test_shh_numeric_fields_pinned(tmp_path, config, expected, sweep):
     else:
         assert code == 1
         assert record["payload"]["diagnosis"] == (
-            "optimizer_tolerance: decay exists (worst certified rate -0.545) but the "
-            "optimizer tolerance eps=2.2 consumes the decrease reserve"
+            "optimizer_tolerance: u = 0 is eps-optimal at x = 0.10000000000000002 "
+            "(-D(x) = 0.2 <= eps = 2.2), so V need not fall there"
         )
     if sweep is None:
         assert not (out / "sweep.csv").exists()
@@ -694,15 +694,28 @@ def test_shh_numeric_fields_pinned(tmp_path, config, expected, sweep):
         assert (out / "sweep.csv").read_text().splitlines() == ["optimizer_eps,eta,margin", *sweep]
 
 
-def test_shh_payload_reports_the_search_work(tmp_path):
+def test_shh_payload_reports_the_bound(tmp_path):
     config = {**SHH_INTEGRATOR, "optimizer_eps": 0.05, "sweep": [0.1]}
     code, record, _ = _run_cli(tmp_path, "shh", config)
     assert code == EXIT_OK
-    search = record["payload"]["search"]
-    assert set(search) == {"resolution", "probes", "intervals", "kappa_calls",
-                           "control_meshes_built"}
-    assert search["probes"] > 1 and 1 <= search["kappa_calls"] < search["intervals"]
-    assert "search" not in record["numeric"]
+    assert record["payload"]["bound"] == {"alpha": 0.2, "eps_prime": 0.050000000010000004,
+                                          "curvature": 2.0, "control_bound": 1.0}
+    assert "bound" not in record["numeric"]
+    # eps = 0.1 leaves alpha - eps' - eps < 0: undecided, with the missing margin
+    code, record, _ = _run_cli(tmp_path, "shh", {**config, "optimizer_eps": 0.1})
+    assert code == EXIT_UNDECIDED and record["verdict"] == "undecided"
+    assert record["payload"]["diagnosis"].startswith("optimizer_tolerance")
+    assert 0 < record["payload"]["bound"]["missing_margin"] < 1e-10
+
+
+def test_shh_ignores_a_leftover_mesh_eps(tmp_path):
+    # configs written for the node search still run, to the same numbers
+    config = {**SHH_INTEGRATOR, "optimizer_eps": 0.05}
+    _, plain, _ = _run_cli(tmp_path, "shh", config)
+    code, record, _ = _run_cli(tmp_path, "shh", {**config, "mesh_eps": 0.05, "resolution": 0.004})
+    assert code == EXIT_OK
+    assert record["numeric"] == plain["numeric"]
+    assert record["payload"] == plain["payload"]
 
 
 def test_shh_rejects_a_state_box_without_the_annulus(tmp_path):
@@ -711,17 +724,20 @@ def test_shh_rejects_a_state_box_without_the_annulus(tmp_path):
               "optimizer_eps": 0.05}
     code, _, _ = _run_cli(tmp_path, "shh", config)
     assert code == EXIT_CONFIG
+    # the box ends are compared exactly: 5e-13 short of -R is short
+    config = {**SHH_INTEGRATOR, "state_box": [-0.9999999999995, 2], "optimizer_eps": 0.05}
+    code, _, _ = _run_cli(tmp_path, "shh", config)
+    assert code == EXIT_CONFIG
 
 
-def test_shh_v_lipschitz_on_the_whole_state_box():
-    from certctrl.cli import _shh_problem
-
-    # V = x^2 on [-1, 3]: sup |V'| = 6, at x = 3
+def test_shh_curvature_on_the_whole_state_box(tmp_path):
+    # V = x^2 + x^4 on [-1, 3]: |V''| = |2 + 12 x^2| encloses as 2 + 12 * 3^2
     config = {**SHH_INTEGRATOR, "state_box": [-1, 3], "overshoot_radius": 0.8,
-              "optimizer_eps": 0.05}
-    assert _shh_problem(config).v_lipschitz == 6.0
-    assert _shh_problem({**config, "state_box": [-3, 1]}).v_lipschitz == 6.0
-    assert _shh_problem({**config, "state_box": [-2, 2]}).v_lipschitz == 4.0
+              "optimizer_eps": 0.05, "V": {"form": "polynomial", "coeffs": [0, 0, 1, 0, 1]}}
+    for box, curvature in (([-1, 3], 110.0), ([-3, 1], 110.0), ([-2, 2], 50.0)):
+        code, record, _ = _run_cli(tmp_path, "shh", {**config, "state_box": box})
+        assert code == EXIT_OK
+        assert record["payload"]["bound"]["curvature"] == curvature
 
 
 @pytest.mark.parametrize("error", ["InternalConsistencyError", "DomainExitError"])

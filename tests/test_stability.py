@@ -1,18 +1,15 @@
+import json
 import math
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import certctrl.stability as stability
-from certctrl.core import (
-    ArgumentError,
-    ContractError,
-    DomainExitError,
-    Hypercube,
-    ResourceBudgetError,
-    build_mesh,
-)
+from certctrl import cli
+from certctrl.core import ArgumentError, Hypercube, build_mesh, mesh_divisions
 from certctrl.stability import (
     CLFProblem,
     Comparator,
@@ -23,11 +20,11 @@ from certctrl.stability import (
     check_sandwich,
     clf_feedback,
     find_sampling_time,
-    _annulus_nodes,
-    _simulate_closed_loop,
+    integrator,
 )
-from certctrl.forms import build_comparator
+from certctrl.forms import build_comparator, build_scalar_form
 from certctrl.trajectories import ControlledDynamics, RegularRHS, picard_solve
+from oracles import sample_hold_step, sample_sublevel
 
 BOX = Hypercube(np.array([0.0]), 2.0)  # [-1, 1]
 
@@ -385,7 +382,7 @@ def test_certify_undecided_with_quadratic_w2_growth():
 def test_certified_instance_trajectories_decrease_v():
     cert = certify(lyapunov_decay(-2.0), BOX)
     rng = np.random.default_rng(6)
-    x0s = cert.x0_set.sample(rng, BOX, 20)
+    x0s = sample_sublevel(cert.x0_set, rng, BOX, 20)
     rhs = RegularRHS.single(lambda xs, ts: -xs, 1.0, BOX, 1.0, 1.0)
     for x0 in x0s:
         sol = picard_solve(rhs, x0, 1.0, 1e-4)
@@ -408,9 +405,13 @@ def test_comparator_rejects_bad_coefficients():
 # CLF feedback
 # ---------------------------------------------------------------------------
 
-def integrator_problem(r=0.1, R=1.0, state_box=Hypercube(np.array([0.0]), 4.0)):
+V_SQ = build_scalar_form({"form": "polynomial", "coeffs": [0.0, 0.0, 1.0]})
+
+
+def integrator_problem(r=0.1, R=1.0, state_box=Hypercube(np.array([0.0]), 4.0), V=V_SQ):
+    """x' = u with u in [-1, 1] and grad_V = V', V = x^2 by default."""
     dyn = ControlledDynamics(
-        f=lambda xs, u: np.broadcast_to(u, xs.shape).copy(),
+        f=integrator,
         state_box=state_box,
         lip_x=0.0,
         lip_u=1.0,
@@ -419,9 +420,7 @@ def integrator_problem(r=0.1, R=1.0, state_box=Hypercube(np.array([0.0]), 4.0)):
     return CLFProblem(
         dynamics=dyn,
         control_box=Hypercube(np.array([0.0]), 2.0),  # [-1, 1]
-        V=lambda xs: xs[:, 0] ** 2,
-        grad_V=lambda x: 2.0 * x,
-        v_lipschitz=4.0,
+        grad_V=V.derivative,
         target_radius=r,
         overshoot_radius=R,
     )
@@ -453,9 +452,7 @@ def test_clf_feedback_control_affine_example():
     prob = CLFProblem(
         dynamics=dyn,
         control_box=Hypercube(np.array([-2.0]), 4.0),  # [-4, 0]
-        V=lambda xs: xs[:, 0] ** 2,
         grad_V=lambda x: 2.0 * x,
-        v_lipschitz=4.0,
         target_radius=0.1,
         overshoot_radius=1.0,
     )
@@ -471,163 +468,6 @@ def test_clf_feedback_consistency_in_eps():
     _, v1 = clf_feedback(prob, x, 0.4)
     _, v2 = clf_feedback(prob, x, 0.05)
     assert v2.value <= v1.value + 1e-9
-
-
-# ---------------------------------------------------------------------------
-# sampling time
-# ---------------------------------------------------------------------------
-
-def test_find_sampling_time_integrator_certifies():
-    prob = integrator_problem()
-    eps = 0.01
-    kappa = lambda x: clf_feedback(prob, x, eps)[0]
-    res = find_sampling_time(prob, kappa, 1.0, eps, mesh_eps=0.1, resolution=1e-3)
-    assert res.ok
-    assert res.eta is not None and res.eta > 0
-    assert res.margin is not None
-
-
-def test_find_sampling_time_uncontrollable_failure():
-    dyn = ControlledDynamics(
-        f=lambda xs, u: xs.copy(),  # x' = x regardless of control
-        state_box=Hypercube(np.array([0.0]), 4.0),
-        lip_x=1.0,
-        lip_u=0.0,
-        sup_bound=2.0,
-    )
-    prob = CLFProblem(
-        dynamics=dyn,
-        control_box=Hypercube(np.array([0.0]), 1e-6),
-        V=lambda xs: xs[:, 0] ** 2,
-        grad_V=lambda x: 2.0 * x,
-        v_lipschitz=4.0,
-        target_radius=0.1,
-        overshoot_radius=1.0,
-    )
-    kappa = lambda x: clf_feedback(prob, x, 0.01)[0]
-    res = find_sampling_time(prob, kappa, 0.5, 0.01, mesh_eps=0.1, resolution=1e-2)
-    assert not res.ok
-    assert res.diagnosis.startswith("clf_inadequate")
-
-
-def test_find_sampling_time_certified_loop_enters_ball():
-    prob = integrator_problem()
-    eps = 0.01
-    kappa = lambda x: clf_feedback(prob, x, eps)[0]
-    res = find_sampling_time(prob, kappa, 1.0, eps, mesh_eps=0.1, resolution=1e-3)
-    assert res.ok
-    for x0 in _annulus_nodes(prob, 0.1):
-        ok, _, samples = _simulate_closed_loop(
-            prob, kappa, x0, res.eta, eps, 1e-9, max_steps=200
-        )
-        assert ok
-        assert min(np.linalg.norm(s) for s in samples) <= 0.1 + 1e-6
-
-
-def test_annulus_is_meshed_around_the_origin():
-    # the state box [-1, 3] is centred at 1; the annulus 0.1 <= |x| <= 0.8
-    # is centred at the origin
-    prob = integrator_problem(0.1, 0.8, Hypercube(np.array([1.0]), 4.0))
-    mesh_eps = 0.1
-    nodes = _annulus_nodes(prob, mesh_eps)[:, 0]
-    assert np.all((np.abs(nodes) >= 0.1) & (np.abs(nodes) <= 0.8 + 1e-12))
-    assert sorted(nodes) == sorted(-nodes)
-    xs = np.linspace(-0.8, 0.8, 3201)
-    xs = xs[np.abs(xs) >= 0.1]
-    dist = np.abs(xs[:, None] - nodes[None, :]).min(axis=1)
-    # within mesh_eps of the inner sphere the nearest mesh node may lie in
-    # the target ball, where no node runs
-    assert np.all(dist[np.abs(xs) >= 0.1 + mesh_eps] <= mesh_eps)
-
-
-def test_clf_problem_needs_the_origin_centred_cube_in_the_state_box():
-    with pytest.raises(ArgumentError, match=r"\[-R, R\]"):
-        integrator_problem(0.1, 1.5, Hypercube(np.array([2.5]), 4.0))  # [0.5, 4.5]
-    with pytest.raises(ArgumentError):
-        integrator_problem(0.1, 1.2, Hypercube(np.array([1.0]), 4.0))  # [-1, 3]
-    integrator_problem(0.1, 1.0, Hypercube(np.array([1.0]), 4.0))
-
-
-def _counting_search(monkeypatch, prob, kappa, *args, **kwargs):
-    """find_sampling_time with every build_mesh call and kappa call
-    recorded: returns (result, control mesh division counts, kappa inputs)."""
-    divisions, inputs = [], []
-
-    def counted_mesh(box, eps, *a, **k):
-        if box == prob.control_box:
-            divisions.append(stability.mesh_divisions(box, eps))
-        return build_mesh(box, eps, *a, **k)
-
-    def counted_kappa(x):
-        inputs.append(np.array(x, copy=True))
-        return kappa(x)
-
-    monkeypatch.setattr(stability, "build_mesh", counted_mesh)
-    res = find_sampling_time(prob, counted_kappa, *args, **kwargs)
-    return res, divisions, inputs
-
-
-@pytest.mark.parametrize("eps", [0.01, 0.5])
-def test_sampling_time_search_reuses_meshes_and_kappa_at_the_nodes(monkeypatch, eps):
-    prob = integrator_problem(0.1, 0.9)  # the annulus mesh box is not the control box
-    kappa = lambda x: clf_feedback(prob, x, eps)[0]
-    res, divisions, inputs = _counting_search(
-        monkeypatch, prob, kappa, 1.0, eps, mesh_eps=0.1, resolution=5e-4
-    )
-    assert res.ok == (eps < 0.5)  # the failure runs the diagnosis as well
-    assert len(divisions) == len(set(divisions)) == len(prob.control_meshes) > 1
-    nodes = _annulus_nodes(prob, 0.1)
-    assert sum(x.shape == nodes.shape and np.array_equal(x, nodes) for x in inputs) == 1
-    assert res.details["probes"] > 1
-    assert res.details["kappa_calls"] == len(inputs) < res.details["intervals"]
-    assert res.details["control_meshes_built"] == len(divisions)
-    # a second search on the same problem builds no control mesh
-    again, divisions, _ = _counting_search(
-        monkeypatch, prob, kappa, 1.0, eps, mesh_eps=0.1, resolution=5e-4
-    )
-    assert (again.verdict, again.eta, again.margin) == (res.verdict, res.eta, res.margin)
-    assert divisions == [] and again.details["control_meshes_built"] == 0
-
-
-def test_sampling_time_search_skips_kappa_when_no_probe_starts():
-    # the reserve eta * eps exceeds the target radius for every probe eta
-    prob = integrator_problem()
-    calls = []
-    kappa = lambda x: calls.append(x) or clf_feedback(prob, x, 20.0)[0]
-    res = find_sampling_time(prob, kappa, 1.0, 20.0, mesh_eps=0.1, resolution=1e-2)
-    assert not res.ok and calls == []
-    assert res.details["probes"] == 7
-    assert res.details["kappa_calls"] == res.details["intervals"] == 0
-
-
-def test_find_sampling_time_propagates_dynamics_faults():
-    # clf_feedback evaluates f on all (state, control node) rows at once and
-    # the Picard step on whole grids: a dynamics that breaks on more than one
-    # row is a bug, not a failed eta
-    def one_state_only(xs, us):
-        if xs.shape[0] != 1:
-            raise TypeError("dynamics written for a single state row")
-        return us.copy()
-
-    dyn = ControlledDynamics(
-        f=one_state_only,
-        state_box=Hypercube(np.array([0.0]), 4.0),
-        lip_x=1.0,  # an overestimate for the integrator; gives a multi-node grid
-        lip_u=1.0,
-        sup_bound=1.0,
-    )
-    prob = CLFProblem(
-        dynamics=dyn,
-        control_box=Hypercube(np.array([0.0]), 2.0),
-        V=lambda xs: xs[:, 0] ** 2,
-        grad_V=lambda x: 2.0 * x,
-        v_lipschitz=4.0,
-        target_radius=0.1,
-        overshoot_radius=1.0,
-    )
-    kappa = lambda x: clf_feedback(prob, x, 0.01)[0]
-    with pytest.raises(TypeError, match="single state row"):
-        find_sampling_time(prob, kappa, 1.0, 0.01, mesh_eps=0.1, resolution=1e-2)
 
 
 # ---------------------------------------------------------------------------
@@ -653,6 +493,22 @@ def _feedback_one_by_one(problem, x, eps):
     return mesh.points[idx], vals[idx], eps / 2.0 + 2.0 * r_g
 
 
+def test_clf_feedback_builds_each_control_mesh_once(monkeypatch):
+    # the demo closed loop calls clf_feedback once per interval: states whose
+    # meshes have the same divisions share one build across calls
+    prob, eps = integrator_problem(), 0.05
+    xs = [0.9, -0.9, 0.5, 0.3, 0.5, -0.3, 0.0]
+    fresh = [clf_feedback(integrator_problem(), np.array([x]), eps) for x in xs]
+    built = []
+    monkeypatch.setattr(stability, "build_mesh", lambda box, res: built.append(res) or build_mesh(box, res))
+    for _ in range(2):
+        for x, (u, cert) in zip(xs, fresh):
+            u1, cert1 = clf_feedback(prob, np.array([x]), eps)
+            assert u1.tobytes() == u.tobytes() and cert1 == cert
+    divisions = {mesh_divisions(prob.control_box, r) for r in built}
+    assert len(built) == len(divisions) == len(prob.control_meshes) == 4
+
+
 def planar_problem():
     # x1' = x2 + u1 x1, x2' = -x1 + u2 + 0.3 u1 x2 on [-1, 1]^2, V = x1^2 + 2 x2^2
     def f(xs, us):
@@ -667,9 +523,7 @@ def planar_problem():
     return CLFProblem(
         dynamics=dyn,
         control_box=Hypercube(np.array([0.0, 0.25]), 1.5),
-        V=lambda xs: xs[:, 0] ** 2 + 2.0 * xs[:, 1] ** 2,
         grad_V=lambda xs: np.stack([2.0 * xs[:, 0], 4.0 * xs[:, 1]], axis=1),
-        v_lipschitz=6.0,
         target_radius=0.1,
         overshoot_radius=1.0,
     )
@@ -705,243 +559,151 @@ def test_clf_feedback_batch_matches_per_node_loop(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# lockstep closed loop against the node-by-node reference
+# sampling time
 # ---------------------------------------------------------------------------
 
-def _one_node(problem, kappa, x0, eta, eps, eps_loc, max_steps):
-    """The closed loop of one node with one picard_solve per interval;
-    returns (ok, margin, steps taken)."""
-    dyn = problem.dynamics
-    reserve = eta * eps
-    entry_cut = problem.target_radius - reserve - 2.0 * eps_loc
-    if entry_cut <= 0:
-        return False, -math.inf, 0
-    x = np.asarray(x0, dtype=float).copy()
-    margin = math.inf
-    for step in range(max_steps):
-        if np.linalg.norm(x) <= entry_cut:
-            return True, margin, step
-        u = np.atleast_1d(np.asarray(kappa(x), dtype=float))
-        rhs = RegularRHS.single(
-            lambda xs, ts, u=u: dyn.f(xs, np.repeat(u[None, :], xs.shape[0], axis=0)),
-            eta, dyn.state_box, dyn.lip_x, dyn.sup_bound,
-        )
-        try:
-            sol = picard_solve(rhs, x, eta, eps_loc)
-        except (DomainExitError, ResourceBudgetError, ContractError):
-            return False, -math.inf, step
-        x_new = sol.endpoint
-        v0 = float(problem.V(x[None, :])[0])
-        v1 = float(problem.V(x_new[None, :])[0])
-        slack = problem.v_lipschitz * sol.error_bound.value + 2.0 * problem.v_radius
-        entered = np.linalg.norm(x_new) <= entry_cut
-        dec = v0 - v1
-        if not entered:
-            need = reserve + slack
-            if dec < need:
-                return False, dec - need, step
-            margin = min(margin, dec - need)
-        x = x_new
-    return False, -math.inf, max_steps
+def test_clf_problem_needs_the_origin_centred_cube_in_the_state_box():
+    with pytest.raises(ArgumentError, match=r"\[-R, R\]"):
+        integrator_problem(0.1, 1.5, Hypercube(np.array([2.5]), 4.0))  # [0.5, 4.5]
+    with pytest.raises(ArgumentError):
+        integrator_problem(0.1, 1.2, Hypercube(np.array([1.0]), 4.0))  # [-1, 3]
+    with pytest.raises(ArgumentError):  # the box ends are compared exactly
+        integrator_problem(0.1, 1.0, Hypercube.interval(-0.9999999999995, 2.0))
+    integrator_problem(0.1, 1.0, Hypercube(np.array([1.0]), 4.0))
+    integrator_problem(0.1, 1.0, Hypercube.interval(-1.0, 1.0))
 
 
-def _nodes_one_by_one(problem, kappa, nodes, eta, eps, eps_loc, max_steps):
-    """On failure the margin of the lowest-index node among those failing
-    at the earliest failing step; otherwise the worst margin."""
-    outcomes = [_one_node(problem, kappa, x0, eta, eps, eps_loc, max_steps) for x0 in nodes]
-    failing = [(steps, i) for i, (ok, _, steps) in enumerate(outcomes) if not ok]
-    if failing:
-        return False, outcomes[min(failing)[1]][1]
-    worst = math.inf
-    for _, margin, _ in outcomes:
-        worst = min(worst, margin)
-    return True, worst
+def test_find_sampling_time_integrator_certifies():
+    res = find_sampling_time(integrator_problem(), V_SQ, 1.0, 0.01)
+    assert res.ok
+    # alpha = 2 r = 0.2, S2 = 2 and M = 1: eta = alpha - eps' - eps, with
+    # eps' = eps + 2e-12 (1 + sup|V'| M) = 0.01 + 1e-11
+    assert res.details == {"alpha": 0.2, "eps_prime": 0.010000000010000001,
+                           "curvature": 2.0, "control_bound": 1.0}
+    assert res.eta == 0.17999999999 and res.margin >= 0.0
 
 
-def _sampling_time_one_by_one(problem, kappa, eta_max, eps, mesh_eps, resolution, eps_loc=None):
-    """find_sampling_time running the annulus nodes one by one and probing
-    the diagnosis one node at a time."""
-    nodes = _annulus_nodes(problem, mesh_eps)
-
-    def certified(eta):
-        max_steps = max(20, math.ceil(6.0 * problem.overshoot_radius / eta))
-        el = eps_loc if eps_loc is not None else max(1e-12, eta * eps / 100.0)
-        return _nodes_one_by_one(problem, kappa, nodes, eta, eps, el, max_steps)
-
-    eta_lo = margin_lo = None
-    probe = eta_max
-    while probe >= resolution:
-        ok, margin = certified(probe)
-        if ok:
-            eta_lo, margin_lo = probe, margin
-            break
-        probe /= 2.0
-    if eta_lo is None:
-        worst_rate = -math.inf
-        for x0 in nodes:
-            _, val = clf_feedback(problem, x0, min(eps, 1e-3))
-            worst_rate = max(worst_rate, val.value + val.radius)
-        if worst_rate >= 0:
-            diagnosis = (
-                f"clf_inadequate: no certified decay direction at some annulus node "
-                f"(best certified rate {worst_rate:+.3g})"
-            )
-        else:
-            diagnosis = (
-                f"optimizer_tolerance: decay exists (worst certified rate {worst_rate:+.3g}) "
-                f"but the optimizer tolerance eps={eps} consumes the decrease reserve"
-            )
-        return "failure", None, None, diagnosis
-    if eta_lo == eta_max:
-        return "certified", eta_max, margin_lo, ""
-    lo, hi = eta_lo, min(2.0 * eta_lo, eta_max)
-    best_margin = margin_lo
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        ok, margin = certified(mid)
-        if ok:
-            lo, best_margin = mid, margin
-        else:
-            hi = mid
-    return "certified", lo, best_margin, ""
-
-
-def _same_sampling_time(prob, kappa, eta_max, eps, mesh_eps, resolution, eps_loc=None):
-    res = find_sampling_time(prob, kappa, eta_max, eps, mesh_eps=mesh_eps,
-                             resolution=resolution, eps_loc=eps_loc)
-    ref = _sampling_time_one_by_one(prob, kappa, eta_max, eps, mesh_eps, resolution, eps_loc)
-    assert (res.verdict, res.eta, res.margin, res.diagnosis) == ref
-    return res
-
-
-def _same_closed_loop(prob, kappa, nodes, eta, eps, eps_loc, max_steps):
-    ok, margin, samples = _simulate_closed_loop(prob, kappa, nodes, eta, eps, eps_loc, max_steps)
-    assert (ok, margin) == _nodes_one_by_one(prob, kappa, nodes, eta, eps, eps_loc, max_steps)
-    return ok, margin
-
-
-@pytest.mark.parametrize("eps", [0.01, 0.1, 0.5])
-def test_lockstep_sampling_time_integrator(eps):
-    prob = integrator_problem()
-    kappa = lambda x: clf_feedback(prob, x, eps)[0]
-    res = _same_sampling_time(prob, kappa, 1.0, eps, 0.1, 5e-4)
-    assert res.ok == (eps < 0.5)
-    nodes = _annulus_nodes(prob, 0.1)
-    for eta in (1.0, 0.3, 0.05):
-        _same_closed_loop(prob, kappa, nodes, eta, eps, max(1e-12, eta * eps / 100.0), 200)
-
-
-def affine_problem(r):
-    # x' = x + u x |x| on [-1.5, 1.5], U = [-6, 0]: lip_x = 1, so every
-    # Picard step iterates, and the rows stop at different iterations; the
-    # field is odd, so the nodes below 0 mirror those above it
-    dyn = ControlledDynamics(
-        f=lambda xs, us: xs + us[:, :1] * xs * np.abs(xs),
-        state_box=Hypercube(np.array([0.0]), 3.0),
-        lip_x=1.0,
-        lip_u=2.25,
-        sup_bound=15.0,
-    )
-    return CLFProblem(
-        dynamics=dyn,
-        control_box=Hypercube(np.array([-3.0]), 6.0),
-        V=lambda xs: xs[:, 0] ** 2,
-        grad_V=lambda xs: 2.0 * xs,
-        v_lipschitz=3.0,
-        target_radius=r,
-        overshoot_radius=0.75,
-    )
-
-
-@pytest.mark.parametrize("r,verdict", [(0.25, "certified"), (0.2, "failure")])
-def test_lockstep_sampling_time_control_affine(r, verdict):
-    prob = affine_problem(r)
-    eps = 0.02
-    kappa = lambda x: clf_feedback(prob, x, eps)[0]
-    res = _same_sampling_time(prob, kappa, 1.0, eps, 0.05, 4e-3, eps_loc=1e-3)
-    assert res.verdict == verdict
-    nodes = _annulus_nodes(prob, 0.05)
-    for eta in (1.0, 0.5, 0.125):
-        _same_closed_loop(prob, kappa, nodes, eta, eps, 1e-3, 40)
-
-
-def _stalling_kappa(zones):
-    """-0.3 sign(x), except a near-zero push inside the given intervals,
-    where V cannot fall by the reserve."""
-    def kappa(x):
-        x = np.asarray(x, dtype=float)
-        u = -0.3 * np.sign(x)
-        for lo, hi in zones:
-            u = np.where((lo <= x) & (x <= hi), -1e-4 * np.sign(x) * (1.0 + x * x), u)
-        return u
-    return kappa
-
-
-def test_lockstep_reports_lowest_node_of_earliest_failing_interval():
-    prob = integrator_problem()
-    nodes = _annulus_nodes(prob, 0.1)
-    kappa = _stalling_kappa([(-0.62, -0.5), (0.95, 1.0)])
-    eta, eps, el = 0.2, 1e-3, 2e-6
-    outcomes = [_one_node(prob, kappa, x0, eta, eps, el, 200) for x0 in nodes]
-    # the last node fails at once, alone; the first one only after several
-    # steps, with a different margin
-    assert [i for i, (ok, _, steps) in enumerate(outcomes) if not ok and steps == 0] == [
-        len(nodes) - 1
-    ]
-    assert not outcomes[0][0] and outcomes[0][2] > 2
-    assert outcomes[0][1] != outcomes[-1][1]
-    # the loop stops in the first interval, so it reports the last node
-    ok, margin = _same_closed_loop(prob, kappa, nodes, eta, eps, el, 200)
-    assert (ok, margin) == (False, outcomes[-1][1])
-    calls = []
-    counted = lambda x: calls.append(len(x)) or kappa(x)
-    assert _simulate_closed_loop(prob, counted, nodes, eta, eps, el, 200)[:2] == (ok, margin)
-    assert calls == [len(nodes)]  # no interval after the failing one
-    for eta in (1.0, 0.5, 0.35, 0.1):
-        _same_closed_loop(prob, kappa, nodes, eta, eps, el, 200)
-    _same_sampling_time(prob, kappa, 1.0, eps, 0.1, 1e-2)
-
-
-def test_lockstep_domain_exit():
-    dyn = ControlledDynamics(
-        f=lambda xs, us: xs + us,
-        state_box=Hypercube(np.array([0.0]), 4.0),
-        lip_x=1.0,
-        lip_u=1.0,
-        sup_bound=2.1,
-    )
-    prob = CLFProblem(
-        dynamics=dyn,
-        control_box=Hypercube(np.array([0.0]), 0.2),
-        V=lambda xs: xs[:, 0] ** 2,
-        grad_V=lambda xs: 2.0 * xs,
-        v_lipschitz=4.0,
-        target_radius=0.1,
-        overshoot_radius=1.0,
-    )
-    eps = 0.01
-    kappa = lambda x: clf_feedback(prob, x, eps)[0]
-    nodes = _annulus_nodes(prob, 0.1)
-    u0 = kappa(nodes[0])
-    rhs = RegularRHS.single(lambda xs, ts: xs + u0, 1.0, dyn.state_box, 1.0, 2.1)
-    with pytest.raises(DomainExitError):  # the first node leaves the box
-        picard_solve(rhs, nodes[0], 1.0, 1e-4)
-    assert _same_closed_loop(prob, kappa, nodes, 1.0, eps, 1e-4, 20) == (False, -math.inf)
-    for eta in (0.5, 0.2):
-        _same_closed_loop(prob, kappa, nodes, eta, eps, 1e-4, 20)
-    res = _same_sampling_time(prob, kappa, 1.0, eps, 0.1, 1e-2)
+def test_find_sampling_time_uncontrollable_failure():
+    # u in [0.5, 1] cannot push a state x > 0 toward the origin: no decay
+    # direction there, and no eps-optimal u = 0 to refute with (undecided)
+    prob = replace(integrator_problem(), control_box=Hypercube.interval(0.5, 1.0))
+    res = find_sampling_time(prob, V_SQ, 0.5, 0.01)
+    assert res.verdict == "undecided" and res.eta is None
     assert res.diagnosis.startswith("clf_inadequate")
+    assert res.details["alpha"] < 0 and res.details["missing_margin"] > 0
 
 
-def test_lockstep_max_steps_exhaustion():
-    prob = integrator_problem()
-    nodes = _annulus_nodes(prob, 0.1)
-    kappa = lambda x: -0.02 * np.sign(np.asarray(x, dtype=float))
-    eps = 1e-4
-    # V falls by more than the reserve every interval, but too slowly to
-    # reach the target ball within the step budget
-    assert _same_closed_loop(prob, kappa, nodes, 0.25, eps, 1e-9, 24) == (False, -math.inf)
-    assert _same_closed_loop(prob, kappa, nodes, 0.25, eps, 1e-9, 400)[0]
-    assert _same_closed_loop(prob, kappa, nodes[:1], 0.25, eps, 1e-9, 0) == (False, -math.inf)
-    res = _same_sampling_time(prob, kappa, 1.0, eps, 0.1, 1e-2)
-    assert not res.ok
+def test_find_sampling_time_rejects_a_problem_it_does_not_prove():
+    # the bound is for x' = u with grad_V = V' only: x' = x (no control),
+    # the control-affine x' = x + u x|x|, a grad_V that is not V.derivative,
+    # a mesh Lipschitz constant below |df/du| = 1 and a planar state box
+    # are all refused rather than answered for the integrator
+    base = integrator_problem()
+    others = [
+        replace(base, dynamics=replace(base.dynamics, f=lambda xs, us: xs.copy(), lip_u=0.0)),
+        replace(base, dynamics=replace(base.dynamics, f=lambda xs, us: xs + us * xs * np.abs(xs))),
+        replace(base, grad_V=lambda xs: 2.0 * xs),
+        replace(base, grad_V=build_scalar_form({"form": "polynomial", "coeffs": [0, 0, 1]}).derivative),
+        replace(base, dynamics=replace(base.dynamics, lip_u=0.5)),
+        planar_problem(),
+    ]
+    for prob in others:
+        with pytest.raises(ArgumentError, match="integrator"):
+            find_sampling_time(prob, V_SQ, 0.5, 0.01)
+    with pytest.raises(ArgumentError, match="polynomial V"):
+        V = build_scalar_form({"form": "trig", "terms": [[1.0, 1.0, 0.0]]})
+        find_sampling_time(replace(base, grad_V=V.derivative), V, 0.5, 0.01)
+
+
+def test_find_sampling_time_refutes_with_an_eps_optimal_zero_control():
+    # eps = 0.5 > 2 r: u = 0 is eps-optimal just outside the target ball,
+    # so the state may stay there forever
+    res = find_sampling_time(integrator_problem(), V_SQ, 1.0, 0.5)
+    assert res.verdict == "failure" and res.diagnosis.startswith("optimizer_tolerance")
+    x = res.details["witness"]
+    assert abs(x) > 0.1
+    # -D(x) = 2 |x| over u in [-1, 1]: holding u = 0 is within eps of the best rate
+    assert 2 * abs(Fraction(x)) <= Fraction(0.5)
+
+
+def test_find_sampling_time_needs_V_to_grow_out_to_the_box_end():
+    # V = -x^2 has no decay direction; V = x^2 - x^4 / 4 decays on the
+    # annulus 0.1 <= |x| <= 1, but V' = 2x - x^3 turns negative beyond
+    # sqrt(2) < 2, where a falling V would let the state drift outward
+    for coeffs in ([0.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0, -0.25]):
+        V = build_scalar_form({"form": "polynomial", "coeffs": coeffs})
+        res = find_sampling_time(integrator_problem(V=V), V, 1.0, 0.01)
+        assert res.verdict == "undecided" and res.diagnosis.startswith("clf_inadequate")
+    assert res.details["alpha"] > 0.19
+
+
+def test_find_sampling_time_certified_loop_enters_ball():
+    # x' = u is solved exactly by x + eta u: from dyadic states of the
+    # annulus the loop under clf_feedback loses at least eta eps of V per
+    # interval, stays inside |x| <= R and enters the target ball
+    prob, eps = integrator_problem(), 0.01
+    eta = Fraction(find_sampling_time(prob, V_SQ, 1.0, eps).eta)
+    r = Fraction(prob.target_radius)
+    for k in range(-256, 257):
+        x = Fraction(k, 256)
+        for _ in range(20):
+            if abs(x) < r:
+                break
+            u = Fraction(float(clf_feedback(prob, np.array([float(x)]), eps)[0][0]))
+            y = x + eta * u
+            assert x * x - y * y >= eta * Fraction(eps) and abs(y) <= 1
+            x = y
+        assert abs(x) < r
+
+
+def _shh_config(name):
+    base = {"dynamics": "integrator", "control_box": [-1, 1], "state_box": [-2, 2],
+            "target_radius": 0.1, "overshoot_radius": 1.0, "eta_max": 1.0}
+    if name == "example":
+        return json.loads((Path(__file__).parents[1] / "examples" / "shh.json").read_text())
+    if name == "asymmetric":
+        return {**base, "control_box": [-0.8, 0.6], "target_radius": 0.15,
+                "overshoot_radius": 0.9, "optimizer_eps": 0.03}
+    return {**base, "optimizer_eps": 0.05}  # the audit's
+
+
+def _shh_sampling_time(config, eps=None):
+    problem, V = cli._shh_problem(config)
+    eps = config["optimizer_eps"] if eps is None else eps
+    return problem, V, find_sampling_time(problem, V, config["eta_max"], eps)
+
+
+def test_shh_example_decreases_at_the_inner_rim():
+    # x = 0.1 + 2^-20 lies just outside the target ball, where no annulus
+    # mesh node is; clf_feedback holds u = -1 there
+    config = _shh_config("example")
+    problem, _, res = _shh_sampling_time(config)
+    eps, x = config["optimizer_eps"], 0.1 + 2.0**-20
+    u = clf_feedback(problem, np.array([x]), eps)[0][0]
+    assert u == -1.0
+    X, eta = Fraction(x), Fraction(res.eta)
+    assert (X + eta * Fraction(u)) ** 2 - X**2 <= -eta * Fraction(eps)
+
+
+@pytest.mark.parametrize("name", ["example", "asymmetric", "audit"])
+def test_sampling_time_holds_at_every_dyadic_annulus_state(name):
+    config = _shh_config(name)
+    problem, V, res = _shh_sampling_time(config)
+    assert res.ok
+    eps, r, R = config["optimizer_eps"], config["target_radius"], config["overshoot_radius"]
+    radii = {r, math.nextafter(r, math.inf), r + 2.0**-20}
+    radii |= {k / 512 for k in range(513) if r <= k / 512 <= R}
+    xs = np.array(sorted(s * rho for rho in radii for s in (1.0, -1.0)))
+    us = clf_feedback(problem, xs[:, None], eps)[0][:, 0]
+    box = (problem.control_box.lo[0], problem.control_box.hi[0])
+    for x, u in zip(xs, us):
+        for surplus, inside in sample_hold_step(V.spec["coeffs"], box, R, res.eta, eps, x, u):
+            assert surplus >= 0 and inside, (x, u)
+
+
+@pytest.mark.parametrize("name", ["example", "asymmetric", "audit"])
+def test_sampling_time_does_not_grow_with_eps(name):
+    config = _shh_config(name)
+    etas = [_shh_sampling_time(config, e)[2].eta or 0.0 for e in np.linspace(1e-3, 0.2, 41)]
+    assert etas[0] > 0 and etas[-1] == 0.0
+    assert all(b <= a for a, b in zip(etas, etas[1:]))

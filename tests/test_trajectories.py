@@ -27,7 +27,7 @@ from certctrl.trajectories import (
     sample_hold_trajectory,
     _window_plan,
 )
-from oracles import residual_check
+from oracles import residual_check, solution_at
 
 BOX2 = Hypercube(np.array([0.0]), 4.0)  # [-2, 2]
 
@@ -57,7 +57,7 @@ def test_tent_piecewise_rhs():
     rhs = RegularRHS(blocks, BOX2)
     sol = picard_solve(rhs, np.array([0.0]), 2.0, 1e-9)
     # DERIVED: piecewise closed form x(1) = 1, x(2) = 0
-    assert abs(sol.at(1.0)[0] - 1.0) <= 1e-9
+    assert abs(solution_at(sol, 1.0)[0] - 1.0) <= 1e-9
     assert abs(sol.endpoint[0] - 0.0) <= 1e-9
     # validity excludes a neighborhood of the internal boundary t = 1
     J = sol.validity.exception(Fraction(1, 100))
@@ -156,12 +156,12 @@ def test_sample_hold_matches_exact_recursion():
     # x' = u, u held at -x(k eta): exact recursion x_{k+1} = x_k (1 - eta)
     dyn = integrator()
     eta = 0.1
-    sh = SampleHoldPolicy(lambda x: -x, eta, lipschitz=1.0)
+    sh = SampleHoldPolicy(lambda x: -x, eta)
     sol = sample_hold_trajectory(dyn, sh, np.array([1.0]), 1.0, 1e-8)
     xk = 1.0
     for k in range(1, 11):
         xk *= 1.0 - eta
-        assert abs(sol.at(k * eta)[0] - xk) <= 1e-8 + sol.error_bound.value
+        assert abs(solution_at(sol, k * eta)[0] - xk) <= 1e-8 + sol.error_bound.value
 
 
 def test_sample_hold_zero_policy_constant():
@@ -182,7 +182,7 @@ def test_sample_hold_eta_beyond_horizon_single_interval():
 
 def test_sample_hold_records_controls():
     dyn = integrator()
-    sh = SampleHoldPolicy(lambda x: -x, 0.5, lipschitz=1.0)
+    sh = SampleHoldPolicy(lambda x: -x, 0.5)
     sol = sample_hold_trajectory(dyn, sh, np.array([1.0]), 1.0, 1e-8)
     assert sol.controls is not None
     assert sol.controls.shape[0] == sol.grid.size
@@ -193,7 +193,7 @@ def test_solution_csv_includes_controls_and_cumulative_error():
     from certctrl.trajectories import solution_to_csv
 
     dyn = integrator()
-    sh = SampleHoldPolicy(lambda x: -x, 0.25, lipschitz=1.0)
+    sh = SampleHoldPolicy(lambda x: -x, 0.25)
     sol = sample_hold_trajectory(dyn, sh, np.array([1.0]), 1.0, 1e-8)
     text = solution_to_csv(sol)
     lines = text.strip().splitlines()
@@ -559,11 +559,10 @@ def _sample_hold_reference(dyn, sh, x0, T, eps):
     eta = sh.eta
     n_int = max(1, math.ceil(T / eta - 1e-12))
     growth = math.exp(dyn.lip_x * eta)
-    lk = sh.lipschitz if sh.lipschitz is not None else 0.0
     amp, amps = 1.0, []
     for _ in range(n_int):
         amps.append(amp)
-        amp = amp * growth * (1.0 + eta * dyn.lip_u * lk)
+        amp = amp * growth
     eps_loc = eps / (sum(amps) + 1e-300) * 0.9
     grid, vals, ctrl, errs = [np.array([0.0])], [x0[None, :]], [], [np.array([0.0])]
     x, err, t0 = x0.copy(), 0.0, 0.0
@@ -578,7 +577,7 @@ def _sample_hold_reference(dyn, sh, x0, T, eps):
             span, dyn.state_box, dyn.lip_x, dyn.sup_bound,
         )
         sol = picard_solve(rhs, x, span, eps_loc)
-        err = err * growth * (1.0 + span * dyn.lip_u * lk) + sol.error_bound.value
+        err = err * growth + sol.error_bound.value
         grid.append(sol.grid[1:] + t0)
         vals.append(sol.values[1:])
         errs.append(np.full(sol.grid.size - 1, err))
@@ -609,9 +608,9 @@ def test_sample_hold_matches_per_interval_solves():
         return -xs + us
 
     dyn = ControlledDynamics(f, BOX2, lip_x=1.5, lip_u=1.0, sup_bound=3.0)
-    sh = SampleHoldPolicy(lambda x: -0.5 * x, 0.7, lipschitz=0.5)
+    sh = SampleHoldPolicy(lambda x: -0.5 * x, 0.7)
     _assert_sample_hold_matches_reference(dyn, sh, np.array([1.2]), 2.0, 1e-4)
-    _assert_sample_hold_matches_reference(integrator(), SampleHoldPolicy(lambda x: -x, 0.1, 1.0),
+    _assert_sample_hold_matches_reference(integrator(), SampleHoldPolicy(lambda x: -x, 0.1),
                                           np.array([1.0]), 1.0, 1e-8)
 
 
@@ -637,7 +636,7 @@ def test_shh_closed_loop_csv_matches_per_interval_solves(tmp_path):
     assert cli.main(["shh", "--config", str(cfg), "--out", str(tmp_path / "out")]) == cli.EXIT_OK
     eta = json.loads((tmp_path / "out" / "certificate.json").read_text())["numeric"]["eta"]
     # the demo closed loop of the shh task, one picard_solve per interval
-    problem = cli._shh_problem(config)
+    problem, _ = cli._shh_problem(config)
     eps = config["optimizer_eps"]
     sh = SampleHoldPolicy(lambda x: stab.clf_feedback(problem, x, eps)[0], eta)
     horizon = math.ceil(4.0 * problem.overshoot_radius / eta) * eta
