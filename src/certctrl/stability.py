@@ -427,7 +427,9 @@ def clf_feedback(problem: CLFProblem, x, eps: float):
             hi += 1
         for i in range(lo, hi):
             if ks[i] not in meshes:
-                meshes[ks[i]] = build_mesh(box, res[i]).points
+                # the mesh is snapped to a dyadic lattice; the control must
+                # stay in the box that M and S2 are taken on
+                meshes[ks[i]] = np.clip(build_mesh(box, res[i]).points, box.lo, box.hi)
         nodes = np.concatenate([meshes[k] for k in ks[lo:hi]])
         cnt = np.array([len(meshes[k]) for k in ks[lo:hi]])
         f = problem.dynamics.f(np.repeat(xs[lo:hi], cnt, axis=0), nodes)

@@ -29,12 +29,15 @@ midpoint y_k.  At t in cell k, y(t) - P(y)(t) collects
 
 Why |s_k| <= S = M + L g: the last iterate lies in the state box (it is
 checked, up to a rounding margin), and y'_k is within g of y_k.  Where y'_k
-is in the box, |s_k| <= M; where it is not, |f(y'_k)| <= |f(y_k)| + L g,
-with the Lipschitz data taken across the gap, as the box check's margin
-already takes them.  A row is kept only if q / (1 - q) g <= the tail
-budget, which bounds g a priori.  Summed over at most span / h cells, the
-first-order residual is span L S h / 4, which the historical
-span L M h / 2 covers while S <= 2 M; the second-order one is
+is in the box, |s_k| <= M; where it is not, |f(y'_k)| <= |f(y_k)| + L g.
+A window is kept only if q / (1 - q) g <= the tail budget, which bounds g
+a priori.  The bound is checked, not assumed: after the box check, the
+last sweep's slopes are compared with S wherever S enters the defect
+(L > 0, or the second-order term), and a slope above S is a ContractError
+naming the sup bound, as a failed contraction names the Lipschitz data.
+Summed over at most span / h cells, the first-order residual is
+span L S h / 4, which the historical span L M h / 2 covers while
+S <= 2 M; the second-order one is
 span sup|f''| S^2 h^2 / 24 + L S h^2 / 4, whose open-cell term does not
 accumulate.  So the defect of a window is
 
@@ -91,9 +94,7 @@ __all__ = [
     "SampleHoldPolicy",
     "ControlledDynamics",
     "PicardPlan",
-    "PicardRows",
     "picard_plan",
-    "picard_rows",
     "picard_solve",
     "sample_hold_trajectory",
 ]
@@ -104,6 +105,9 @@ DEFAULT_GRID_BUDGET = 20_000_000
 # COARSE_INTERVALS intervals first converges on a grid of COARSE_INTERVALS.
 COARSE_INTERVALS = 4096
 WARM_RATIO = 4
+
+# Picard sweeps a window may take before its tail is judged
+MAX_PICARD = 80
 
 
 @dataclass(frozen=True)
@@ -217,18 +221,18 @@ def _window_plan(rhs: RegularRHS, T: float, grid_budget: int) -> list:
 
 
 def _defect(blk: TimeBlockRHS, span: float, h: float, tail_budget: float):
-    """Residual bound of a window's last polygon at grid step h, and the
-    order (1 or 2) of the quadrature term that gives it (module
-    docstring)."""
+    """Residual bound of a window's last polygon at grid step h, the order
+    (1 or 2) of the quadrature term that gives it, and the slope bound S
+    it assumes (module docstring)."""
     L, M = blk.lip_x, blk.sup_bound
     q = min(0.5, L * span)
     slope = M + (L * tail_budget * (1.0 - q) / q if q > 0 else 0.0)  # S = M + L g
     w = blk.t_modulus.forward_bound(h / 2.0)
     first = span * (L * max(M, slope / 2.0) * h / 2.0 + w)
     if slope == 0.0 or blk.sup_f2 == math.inf:  # constant polygon, or no f''
-        return first, 1
+        return first, 1, slope
     second = span * (blk.sup_f2 * slope * slope * h * h / 24.0 + w) + L * slope * h * h / 4.0
-    return (second, 2) if second < first else (first, 1)
+    return (second, 2, slope) if second < first else (first, 1, slope)
 
 
 @dataclass(frozen=True)
@@ -244,6 +248,7 @@ class PicardWindow:
     defect: float
     growth: float  # Grönwall factor exp(L_x span)
     order: int  # 1 or 2: the quadrature term behind the defect
+    slope: float  # S, the bound on the polygon's slopes the defect assumes
 
 
 @dataclass(frozen=True)
@@ -255,7 +260,7 @@ class PicardPlan:
     windows: tuple  # tuple[PicardWindow], positive spans only
     state_box: Hypercube
     tail_budget: float  # Picard tail a window may leave unconverged
-    stop_tail: float  # tail at which a row stops iterating
+    stop_tail: float  # tail at which a window stops iterating
     grid_step: float  # the step h the defect was sized for
 
 
@@ -309,43 +314,16 @@ def picard_plan(
         m = max(2, math.ceil(span / h) + 1)
         t = np.linspace(a, b, m)
         hw = t[1] - t[0]
-        defect, order = _defect(blk, span, hw, tail_budget)
+        defect, order, slope = _defect(blk, span, hw, tail_budget)
         planned.append(PicardWindow(
             blk, t, 0.5 * (t[1:] + t[:-1]), hw,
-            min(0.5, blk.lip_x * span), defect, math.exp(blk.lip_x * span), order,
+            min(0.5, blk.lip_x * span), defect, math.exp(blk.lip_x * span), order, slope,
         ))
     return PicardPlan(tuple(planned), rhs.state_box, tail_budget, tail_budget / growth_T, h)
 
 
-@dataclass(frozen=True)
-class PicardRows:
-    """Result of picard_rows for B initial states.
-
-    values[j], errors[j] and sweeps[j] hold, for the rows still running
-    after window j, their (b_j, m_j, n) grid values, (b_j,) certified sup
-    error at the window end and (b_j, 2) coarse and fine Picard sweep
-    counts (coarse 0: the window started cold).  endpoints and error_bound
-    are (B, n) and (B,); they are meaningful only for rows whose failures
-    entry is None.
-    """
-
-    values: list
-    errors: list
-    endpoints: np.ndarray
-    error_bound: np.ndarray
-    failures: list  # per row: None, or the error a one-row solve raises
-    sweeps: list
-
-
-def _block_field(block, xs, ts, rows):
-    """Every row follows the block's own f(states, times)."""
-    b, k, n = xs.shape
-    f = block.f(xs.reshape(b * k, n), ts if b == 1 else np.tile(ts, b))
-    return np.reshape(f, xs.shape)
-
-
 def _exit_error(box: Hypercube, t: np.ndarray, x: np.ndarray, ok: np.ndarray) -> DomainExitError:
-    """The error for a row whose grid values x leave the box first at the
+    """The error for grid values x (m, n) that leave the box first at the
     first False of ok, with the time and state where the polygon crosses
     the box boundary."""
     bad = int(np.argmin(ok))
@@ -367,137 +345,99 @@ def _exit_error(box: Hypercube, t: np.ndarray, x: np.ndarray, ok: np.ndarray) ->
     )
 
 
-def _iterate(field, block, rows, starts, x, mid_t, hw, q, stop_tail, max_picard):
-    """Picard sweeps x <- starts + cumsum(hw * field(midpoints of x)) on
-    one window grid, in the time-contiguous (b, n, m) layout, from the
-    iterates x (overwritten).  A row stops once its tail gap * q / (1 - q)
-    is at most stop_tail, or after max_picard sweeps.  Returns the last
-    iterates, the (b,) tails and the (b,) sweep counts."""
-    b, n, _ = x.shape
-    tail = np.full(b, math.inf)
-    sweeps = np.zeros(b, dtype=int)
-    cur, pos, cur_starts = x, np.arange(b), starts
-    for _ in range(max_picard):
-        mid = cur[:, :, 1:] + cur[:, :, :-1]
+def _sup_norm(d: np.ndarray) -> float:
+    """The sup over the grid of the Euclidean norm of d (n, m);
+    sqrt(d * d) = |d|, so n = 1 takes |d|."""
+    return np.abs(d[0]).max() if d.shape[0] == 1 else np.sqrt((d * d).sum(axis=0)).max()
+
+
+def _iterate(field, start, x, mid_t, hw, q, stop_tail):
+    """Picard sweeps x <- start + cumsum(hw * field(midpoints of x)) on one
+    window grid, in the time-contiguous (n, m) layout, from the iterate x.
+    Stops once the tail gap * q / (1 - q) is at most stop_tail, or after
+    MAX_PICARD sweeps.  Returns the last iterate, its tail, the sweep
+    count and the sup of the last sweep's slopes |f|."""
+    for sweeps in range(1, MAX_PICARD + 1):
+        mid = x[:, 1:] + x[:, :-1]
         mid *= 0.5
-        f = np.swapaxes(field(block, mid.transpose(0, 2, 1), mid_t, rows[pos]), 1, 2)
-        x_new = np.empty_like(cur)
-        x_new[:, :, 0] = 0.0
-        np.cumsum(f * hw, axis=2, out=x_new[:, :, 1:])
-        x_new += cur_starts
-        d = x_new - cur
-        # the sup over the grid of the Euclidean gap; sqrt(d * d) = |d|
-        gap = np.abs(d[:, 0]).max(axis=1) if n == 1 else np.sqrt((d * d).sum(axis=1)).max(axis=1)
-        sweeps[pos] += 1
-        cur = x_new
-        if q == 0.0:
-            tail[pos] = 0.0
-            done = np.ones(pos.size, dtype=bool)
-        else:
-            tail[pos] = gap * q / (1.0 - q)
-            done = tail[pos] <= stop_tail
-        if done.all() and pos.size == b:  # all stop together: no copy
-            return cur, tail, sweeps
-        if done.any():
-            x[pos[done]] = cur[done]
-            cur, pos, cur_starts = cur[~done], pos[~done], cur_starts[~done]
-            if not pos.size:
-                return x, tail, sweeps
-    x[pos] = cur  # out of sweeps: kept only if the tail is within budget
-    return x, tail, sweeps
+        f = np.reshape(field(mid.T, mid_t), mid.T.shape).T
+        x_new = np.empty_like(x)
+        x_new[:, 0] = 0.0
+        np.cumsum(f * hw, axis=1, out=x_new[:, 1:])
+        x_new += start
+        d = x_new - x  # kept to the next sweep: freeing it here raised peak RSS
+        gap = _sup_norm(d)
+        x = x_new
+        tail = 0.0 if q == 0.0 else gap * q / (1.0 - q)
+        if tail <= stop_tail:
+            break
+    return x, tail, sweeps, _sup_norm(f)
 
 
-def _warm_start(field, w: PicardWindow, rows, starts, stop_tail, max_picard):
-    """First iterates (b, n, m) of a window: the constant start, or, on a
-    fine grid with at least WARM_RATIO times COARSE_INTERVALS intervals,
-    the converged iterate of a cold coarse grid on the same window
-    interpolated onto the fine nodes.  A row whose coarse pass misses
-    stop_tail starts cold.  Returns the iterates and the (b,) coarse
-    sweep counts."""
-    x = np.repeat(starts, w.t.size, axis=2)
-    coarse = np.zeros(starts.shape[0], dtype=int)
+def _warm_start(field, w: PicardWindow, start, stop_tail):
+    """First iterate (n, m) of a window from start (n, 1): the constant
+    start, or, on a fine grid with at least WARM_RATIO times
+    COARSE_INTERVALS intervals, the converged iterate of a cold coarse grid
+    on the same window interpolated onto the fine nodes.  If the coarse
+    pass misses stop_tail the window starts cold.  Returns the iterate and
+    the coarse sweep count."""
+    x = np.repeat(start, w.t.size, axis=1)
     if w.contraction == 0.0 or w.t.size - 1 < WARM_RATIO * COARSE_INTERVALS:
-        return x, coarse
+        return x, 0
     tc = np.linspace(w.t[0], w.t[-1], COARSE_INTERVALS + 1)
-    xc, tail, coarse = _iterate(
-        field, w.block, rows, starts, np.repeat(starts, tc.size, axis=2),
-        0.5 * (tc[1:] + tc[:-1]), tc[1] - tc[0], w.contraction, stop_tail, max_picard,
+    xc, tail, coarse, _ = _iterate(
+        field, start, np.repeat(start, tc.size, axis=1),
+        0.5 * (tc[1:] + tc[:-1]), tc[1] - tc[0], w.contraction, stop_tail,
     )
-    for p in np.flatnonzero(tail <= stop_tail):
-        for d in range(x.shape[1]):
-            x[p, d] = np.interp(w.t, tc, xc[p, d])
+    if tail <= stop_tail:
+        for d in range(x.shape[0]):
+            x[d] = np.interp(w.t, tc, xc[d])
     return x, coarse
 
 
-def picard_rows(
-    plan: PicardPlan,
-    x0s: np.ndarray,
-    field: Optional[Callable] = None,
-    max_picard: int = 80,
-) -> PicardRows:
-    """Run a plan's windows from every row of x0s (B, n) at once.
+def _run_plan(plan: PicardPlan, x0: np.ndarray, f: Optional[Callable] = None):
+    """Run a plan's windows from x0 (n,).
 
-    field(block, states (b, k, n), times (k,), rows (b,)) -> (b, k, n) is
-    the right-hand side at the quadrature nodes of rows `rows` (indices
-    into x0s); by default every row follows the block's own f.  Each row
-    stops iterating at its own tolerance and carries its own tail and
-    error bound, so its numbers are those of a one-row solve.  A row whose
-    iterate fails to contract or leaves the state box stops there, with
-    the ContractError or DomainExitError a one-row solve would raise.
-    Long windows start from a coarse-grid solution (see _warm_start).
+    f(states (k, n), times (k,)) -> (k, n) is the right-hand side at the
+    quadrature nodes; by default each window's block.f.  Returns the grid,
+    the (m, n) values, the error profile, the (windows, 2) coarse and fine
+    Picard sweep counts (coarse 0: the window started cold) and the
+    certified sup error at the end.  Raises ContractError at the window
+    whose iterate fails to contract or whose slopes exceed the slope bound
+    the defect was sized for, and DomainExitError at the window whose last
+    iterate leaves the state box.
     """
-    field = field if field is not None else _block_field
     box = plan.state_box
-    x0s = np.asarray(x0s, dtype=float)
-    B = x0s.shape[0]
-    failures = [None] * B
-    live = np.arange(B)  # rows still running
-    x_start = x0s.copy()
-    err = np.zeros(B)  # certified sup error at the current window start
     margin = 1e-12 * (1.0 + box.side)
     lo, hi = box.lo - margin, box.hi + margin
-    values, errors, sweeps = [], [], []
-    for w in plan.windows:
-        if not live.size:
-            break
-        starts = x_start[live][:, :, None]
-        x, coarse = _warm_start(field, w, live, starts, plan.stop_tail, max_picard)
-        x, tail, fine = _iterate(
-            field, w.block, live, starts, x, w.mid_t, w.hw, w.contraction, plan.stop_tail, max_picard
-        )
-        ok_rows = ~(tail > plan.tail_budget)
-        for p in np.flatnonzero(~ok_rows):
-            failures[live[p]] = ContractError(
-                "Picard iteration failed to contract; Lipschitz data unsound"
-            )
+    start = np.asarray(x0, dtype=float)[:, None]
+    err = 0.0
+    grid, values, profile, sweeps = [], [], [], []
+    for j, w in enumerate(plan.windows):
+        field = f if f is not None else w.block.f
+        x, coarse = _warm_start(field, w, start, plan.stop_tail)
+        x, tail, fine, steepest = _iterate(field, start, x, w.mid_t, w.hw, w.contraction, plan.stop_tail)
+        if tail > plan.tail_budget:
+            raise ContractError("Picard iteration failed to contract; Lipschitz data unsound")
         # hard domain check on the final fine iterate, no extrapolation
-        inside = np.all(x.min(axis=2) >= lo, axis=1) & np.all(x.max(axis=2) <= hi, axis=1)
-        for p in np.flatnonzero(ok_rows & ~inside):
-            at = np.all(x[p] >= lo[:, None], axis=0) & np.all(x[p] <= hi[:, None], axis=0)
-            failures[live[p]] = _exit_error(box, w.t, x[p].T, at)
-            ok_rows[p] = False
+        if not (np.all(x.min(axis=1) >= lo) and np.all(x.max(axis=1) <= hi)):
+            at = np.all(x >= lo[:, None], axis=0) & np.all(x <= hi[:, None], axis=0)
+            raise _exit_error(box, w.t, x.T, at)
+        # the defect holds only while every slope is within S (module docstring)
+        if (w.block.lip_x > 0 or w.order == 2) and not steepest <= w.slope:
+            raise ContractError(
+                f"Picard polygon slope {steepest:.6g} exceeds the slope bound {w.slope:.6g}; "
+                "sup bound unsound"
+            )
         # window defect: quadrature + Picard tail, then Grönwall transport
-        rows = live[ok_rows]
-        err[rows] = err[rows] * w.growth + (w.defect + tail[ok_rows]) * w.growth
-        x = x if ok_rows.all() else x[ok_rows]
-        live = rows
-        x_start[live] = x[:, :, -1]
-        values.append(x.transpose(0, 2, 1))
-        errors.append(err[live])
-        sweeps.append(np.stack([coarse, fine], axis=1)[ok_rows])
-    return PicardRows(values, errors, x_start, err, failures, sweeps)
-
-
-def _stitch(plan: PicardPlan, res: PicardRows):
-    """Grid, (m, n) values, error profile and (windows, 2) sweep counts of
-    row 0 of a picard_rows result over all windows of its plan."""
-    grid = np.concatenate([w.t[1:] if j else w.t for j, w in enumerate(plan.windows)])
-    values = np.vstack([v[0, 1:] if j else v[0] for j, v in enumerate(res.values)])
-    profile = np.concatenate([
-        np.full(w.t.size - 1 if j else w.t.size, e[0])
-        for j, (w, e) in enumerate(zip(plan.windows, res.errors))
-    ])
-    return grid, values, profile, np.array([s[0] for s in res.sweeps])
+        err = err * w.growth + (w.defect + tail) * w.growth
+        start = x[:, -1:]
+        first = 1 if j else 0  # the node shared with the previous window
+        grid.append(w.t[first:])
+        values.append(x.T[first:])
+        profile.append(np.full(w.t.size - first, err))
+        sweeps.append((coarse, fine))
+    return np.concatenate(grid), np.vstack(values), np.concatenate(profile), np.array(sweeps), err
 
 
 def picard_solve(
@@ -506,22 +446,18 @@ def picard_solve(
     T: float,
     eps: float,
     grid_budget: int = DEFAULT_GRID_BUDGET,
-    max_picard: int = 80,
 ) -> ExtendedSolution:
     """Certified solve of x' = f(x, t), x(0) = x0 up to time T (see
     picard_plan for the grid and tolerance split).
 
-    Raises DomainExitError the moment an iterate leaves the state box.
+    Raises DomainExitError the moment an iterate leaves the state box,
+    and ContractError when the Lipschitz or sup data prove unsound.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if not rhs.state_box.contains(x0):
         raise DomainExitError("initial state outside the state box", exit_time=0.0, state=x0)
     plan = picard_plan(rhs, T, eps, grid_budget)
-    res = picard_rows(plan, x0[None, :], max_picard=max_picard)
-    if res.failures[0] is not None:
-        raise res.failures[0]
-
-    grid, values, profile, sweeps = _stitch(plan, res)
+    grid, values, profile, sweeps, err = _run_plan(plan, x0)
     orders = [max(w.order for w in ws) for _, ws in groupby(plan.windows, key=lambda w: id(w.block))]
     T = float(T)
     time_blocks = tuple(
@@ -530,7 +466,7 @@ def picard_solve(
         if float(a) < T
     )
     validity = RepresentableDomain(time_blocks, _facet_exception_generator(time_blocks))
-    return ExtendedSolution(grid, values, CertifiedReal(float(res.error_bound[0]), 0.0), validity,
+    return ExtendedSolution(grid, values, CertifiedReal(float(err), 0.0), validity,
                             error_profile=profile, sweeps=sweeps,
                             grid_step=plan.grid_step, defect_order=orders)
 
@@ -596,7 +532,6 @@ def sample_hold_trajectory(
     ctrl = []
     errs = [np.array([0.0])]
     x = x0.copy()
-    n = x.size
     err = 0.0
     t0 = 0.0
     plans = {}  # one plan per distinct interval length; f enters as the field
@@ -613,25 +548,17 @@ def sample_hold_trajectory(
                 RegularRHS.single(dyn.f, span, dyn.state_box, dyn.lip_x, dyn.sup_bound),
                 span, eps_loc, grid_budget,
             )
-        plan = plans[span]
-        res = picard_rows(
-            plan, x[None, :],
-            field=lambda blk, s, ts, rows, u=u: np.reshape(
-                dyn.f(s.reshape(-1, n), np.repeat(u[None, :], s.shape[0] * s.shape[1], axis=0)),
-                s.shape,
-            ),
+        g, v, _, _, local = _run_plan(
+            plans[span], x, lambda s, ts, u=u: dyn.f(s, np.repeat(u[None, :], s.shape[0], axis=0))
         )
-        if res.failures[0] is not None:
-            raise res.failures[0]
-        g, v, _, _ = _stitch(plan, res)
         # transport: prior state error grows, plus the local solver error
-        err = err * growth + float(res.error_bound[0])
+        err = err * growth + float(local)
         grid.append(g[1:] + t0)
         vals.append(v[1:])
         errs.append(np.full(g.size - 1, err))  # end-of-interval bound
         rows = g.size if k == 0 else g.size - 1
         ctrl.append(np.repeat(u[None, :], rows, axis=0))
-        x = res.endpoints[0].copy()
+        x = v[-1].copy()
         t0 = t1
 
     grid = np.concatenate(grid)

@@ -462,6 +462,17 @@ def test_clf_feedback_control_affine_example():
     assert val.value == pytest.approx(0.5 + 0.25 * -4.0, abs=1e-9)
 
 
+def test_clf_feedback_stays_in_a_non_dyadic_control_box():
+    # the mesh is snapped to the 2^-44 lattice, whose nearest points to -0.8
+    # and 0.6 lie outside [-0.8, 0.6]; the optimal controls sit at the ends
+    prob = replace(integrator_problem(), control_box=Hypercube.interval(-0.8, 0.6))
+    for x, end in ((0.5, -0.8), (-0.5, 0.6)):
+        u, _ = clf_feedback(prob, np.array([x]), 0.05)
+        assert u[0] == end
+    us, _ = clf_feedback(prob, np.linspace(-1.0, 1.0, 41)[:, None], 0.05)
+    assert np.all(us >= -0.8) and np.all(us <= 0.6)
+
+
 def test_clf_feedback_consistency_in_eps():
     prob = integrator_problem()
     x = np.array([0.7])

@@ -16,15 +16,17 @@ from certctrl.core import (
 from certctrl.trajectories import (
     COARSE_INTERVALS,
     DEFAULT_GRID_BUDGET,
+    MAX_PICARD,
     WARM_RATIO,
     ControlledDynamics,
     RegularRHS,
     SampleHoldPolicy,
     TimeBlockRHS,
     picard_plan,
-    picard_rows,
     picard_solve,
     sample_hold_trajectory,
+    _defect,
+    _run_plan,
     _window_plan,
 )
 from oracles import residual_check, solution_at
@@ -323,154 +325,119 @@ def test_error_bound_sound_against_affine_closed_forms():
         assert sol.error_bound.value <= eps
 
 
-def _row_outcomes(rhs, x0s, T, eps):
-    """picard_rows on all rows against one picard_solve per row."""
-    res = picard_rows(picard_plan(rhs, T, eps), x0s)
-    for i, x0 in enumerate(x0s):
-        try:
-            sol = picard_solve(rhs, x0, T, eps)
-        except (DomainExitError, ContractError) as exc:
-            got = res.failures[i]
-            assert type(got) is type(exc) and str(got) == str(exc)
-            assert getattr(got, "exit_time", None) == getattr(exc, "exit_time", None)
-            yield type(exc).__name__
-            continue
-        assert res.failures[i] is None
-        assert res.endpoints[i].tobytes() == sol.endpoint.tobytes()
-        assert res.error_bound[i] == sol.error_bound.value
-        yield "ok"
-
-
-def test_picard_rows_match_one_row_solves():
-    # two blocks and five windows; the rows stop iterating at different
-    # iterations (x0 = 0 is a fixed point of the first block and stops
-    # after one), and x0 = 1.99 leaves the box in the second block
-    blocks = (
-        TimeBlockRHS(Fraction(0), Fraction(1, 3), lambda xs, ts: -2.0 * xs + 0.5 * np.sin(3.0 * xs),
-                     3.5, Modulus.lipschitz(0.0), 5.0),
-        TimeBlockRHS(Fraction(1, 3), Fraction(2), lambda xs, ts: 0.4 * xs + 0.3 * np.cos(ts)[:, None],
-                     0.4, Modulus.lipschitz(0.3), 1.1),
-    )
-    rhs = RegularRHS(blocks, BOX2)
-    x0s = np.array([[0.0], [0.3], [-1.2], [1.99], [1.0], [-0.05]])
-    outcomes = list(_row_outcomes(rhs, x0s, 2.0, 0.05))
-    assert outcomes == ["ok", "ok", "ok", "DomainExitError", "ok", "ok"]
-    # an understated Lipschitz constant: the rows at rest converge, the
-    # moving one fails to contract
-    fast = RegularRHS.single(lambda xs, ts: 40.0 * xs, 1.0, Hypercube(np.array([0.0]), 1e9), 0.1, 10.0)
-    outcomes = list(_row_outcomes(fast, np.array([[0.0], [1.0], [0.0]]), 1.0, 1e-2))
-    assert outcomes == ["ok", "ContractError", "ok"]
-
-
 # ---------------------------------------------------------------------------
-# Picard kernel: time-contiguous layout and coarse-grid warm start
+# Picard runner: time-contiguous layout and coarse-grid warm start
 # ---------------------------------------------------------------------------
 
-def _reference_picard_rows(plan, x0s, field=None, max_picard=80):
-    """The cold-start kernel in the (rows, m, n) layout: every window starts
-    from the constant initial state.  Returns the values, errors, endpoints,
-    error bounds and failures of picard_rows."""
-    from certctrl.trajectories import _block_field, _exit_error
+def _reference_picard_row(plan, x0):
+    """The cold-start kernel for one state in the (m, n) layout: every
+    window starts from the constant initial state.  Returns the values,
+    error profile and error bound of _run_plan, or raises its contraction
+    or domain-exit error."""
+    from certctrl.trajectories import _exit_error
 
-    field = field if field is not None else _block_field
     box = plan.state_box
-    x0s = np.asarray(x0s, dtype=float)
-    B, n = x0s.shape
-    failures = [None] * B
-    live = np.arange(B)
-    x_start = x0s.copy()
-    err = np.zeros(B)
+    start = np.asarray(x0, dtype=float)
+    n = start.size
     margin = 1e-12 * (1.0 + box.side)
-    lo, hi = box.lo[None, None, :] - margin, box.hi[None, None, :] + margin
-    values, errors = [], []
-    for w in plan.windows:
-        if not live.size:
-            break
-        starts = x_start[live][:, None, :]
-        x = np.repeat(starts, w.t.size, axis=1)
-        tail = np.full(live.size, math.inf)
-        cur, pos, cur_starts = x, np.arange(live.size), starts
-        for _ in range(max_picard):
-            mid_x = 0.5 * (cur[:, 1:] + cur[:, :-1])
-            f = field(w.block, mid_x, w.mid_t, live[pos])
-            inc = np.concatenate([np.zeros((pos.size, 1, n)), np.cumsum(f * w.hw, axis=1)], axis=1)
-            x_new = cur_starts + inc
-            gap = np.linalg.norm(x_new - cur, axis=2).max(axis=1)
-            cur = x_new
-            if w.contraction == 0.0:
-                tail[pos] = 0.0
-                done = np.ones(pos.size, dtype=bool)
-            else:
-                tail[pos] = gap * w.contraction / (1.0 - w.contraction)
-                done = tail[pos] <= plan.stop_tail
-            if done.all() and pos.size == live.size:
-                x = cur
-                pos = pos[:0]
+    lo, hi = box.lo[None, :] - margin, box.hi[None, :] + margin
+    err = 0.0
+    values, profile = [], []
+    for j, w in enumerate(plan.windows):
+        x = np.repeat(start[None, :], w.t.size, axis=0)
+        for _ in range(MAX_PICARD):
+            mid_x = 0.5 * (x[1:] + x[:-1])
+            f = w.block.f(mid_x, w.mid_t)
+            x_new = start + np.concatenate([np.zeros((1, n)), np.cumsum(f * w.hw, axis=0)])
+            gap = np.linalg.norm(x_new - x, axis=1).max()
+            x = x_new
+            tail = 0.0 if w.contraction == 0.0 else gap * w.contraction / (1.0 - w.contraction)
+            if tail <= plan.stop_tail:
                 break
-            if done.any():
-                x[pos[done]] = cur[done]
-                cur, pos, cur_starts = cur[~done], pos[~done], cur_starts[~done]
-                if not pos.size:
-                    break
-        if pos.size:
-            x[pos] = cur
-        ok_rows = ~(tail > plan.tail_budget)
-        for p in np.flatnonzero(~ok_rows):
-            failures[live[p]] = ContractError("Picard iteration failed to contract; Lipschitz data unsound")
-        inside = np.all(x >= lo, axis=2) & np.all(x <= hi, axis=2)
-        for p in np.flatnonzero(ok_rows & ~inside.all(axis=1)):
-            failures[live[p]] = _exit_error(box, w.t, x[p], inside[p])
-            ok_rows[p] = False
-        rows = live[ok_rows]
-        err[rows] = err[rows] * w.growth + (w.defect + tail[ok_rows]) * w.growth
-        x = x if ok_rows.all() else x[ok_rows]
-        live = rows
-        x_start[live] = x[:, -1]
-        values.append(x)
-        errors.append(err[live])
-    return values, errors, x_start, err, failures
+        if tail > plan.tail_budget:
+            raise ContractError("Picard iteration failed to contract; Lipschitz data unsound")
+        inside = np.all(x >= lo, axis=1) & np.all(x <= hi, axis=1)
+        if not inside.all():
+            raise _exit_error(box, w.t, x, inside)
+        err = err * w.growth + (w.defect + tail) * w.growth
+        start = x[-1]
+        values.append(x[1:] if j else x)
+        profile.append(np.full(w.t.size - 1 if j else w.t.size, err))
+    return np.vstack(values), np.concatenate(profile), err
 
 
 def _is_warm(w):
     return w.t.size - 1 >= WARM_RATIO * COARSE_INTERVALS
 
 
-def _assert_rows_bit_identical(plan, x0s):
-    res = picard_rows(plan, x0s)
-    values, errors, endpoints, error_bound, failures = _reference_picard_rows(plan, x0s)
-    assert len(res.values) == len(values)
-    for got, want in zip(res.values, values):
-        assert got.shape == want.shape and np.array_equal(got, want)
-        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
-    for got, want in zip(res.errors, errors):
-        assert got.tobytes() == want.tobytes()
-    assert res.endpoints.tobytes() == endpoints.tobytes()
-    assert res.error_bound.tobytes() == error_bound.tobytes()
-    for got, want in zip(res.failures, failures):
-        assert type(got) is type(want) and str(got) == str(want)
-        assert getattr(got, "exit_time", None) == getattr(want, "exit_time", None)
-    # below the warm threshold every window starts cold
-    assert all(not s[:, 0].any() for s in res.sweeps)
-    return res
+def _row_outcomes(plan, x0s):
+    """_run_plan against the cold reference, row by row: "ok", or the name
+    of the error both raise.  On a cold plan every number, message and exit
+    time agrees bit for bit; on a warm one both certify the same solution,
+    so their endpoints lie within the sum of their bounds."""
+    warm = any(_is_warm(w) for w in plan.windows)
+    for x0 in x0s:
+        try:
+            values, profile, bound = _reference_picard_row(plan, x0)
+        except (DomainExitError, ContractError) as exc:
+            with pytest.raises(type(exc)) as got:
+                _run_plan(plan, x0)
+            assert type(got.value) is type(exc)
+            if not warm:
+                assert str(got.value) == str(exc)
+                assert getattr(got.value, "exit_time", None) == getattr(exc, "exit_time", None)
+            yield type(exc).__name__
+            continue
+        grid, got_values, got_profile, sweeps, got_bound = _run_plan(plan, x0)
+        assert grid.size == values.shape[0] == got_values.shape[0]
+        assert sweeps.shape == (len(plan.windows), 2)
+        if warm:
+            assert np.linalg.norm(got_values[-1] - values[-1]) <= got_bound + bound
+        else:
+            assert np.ascontiguousarray(got_values).tobytes() == values.tobytes()
+            assert got_profile.tobytes() == profile.tobytes()
+            assert got_bound == bound
+            assert not sweeps[:, 0].any()  # below the warm threshold every window starts cold
+        yield "ok"
 
 
-def test_picard_rows_cold_bit_identical_to_reference_1d():
+TWO_BLOCKS = (
+    TimeBlockRHS(Fraction(0), Fraction(1, 3), lambda xs, ts: -2.0 * xs + 0.5 * np.sin(3.0 * xs),
+                 3.5, Modulus.lipschitz(0.0), 5.0),
+    TimeBlockRHS(Fraction(1, 3), Fraction(2), lambda xs, ts: 0.4 * xs + 0.3 * np.cos(ts)[:, None],
+                 0.4, Modulus.lipschitz(0.3), 1.1),
+)
+
+
+def test_picard_runner_matches_cold_reference_row_by_row():
+    # two blocks and five windows; the rows stop iterating at different
+    # sweeps (x0 = 0 is a fixed point of the first block and stops after
+    # one), and x0 = 1.99 leaves the box in the second block
+    rhs = RegularRHS(TWO_BLOCKS, BOX2)
+    plan = picard_plan(rhs, 2.0, 0.05)
+    assert len(plan.windows) == 5 and all(_is_warm(w) for w in plan.windows)
+    x0s = np.array([[0.0], [0.3], [-1.2], [1.99], [1.0], [-0.05]])
+    assert list(_row_outcomes(plan, x0s)) == ["ok", "ok", "ok", "DomainExitError", "ok", "ok"]
+    sweeps = picard_solve(rhs, x0s[0], 2.0, 0.05).sweeps
+    first_block = np.array([w.block is TWO_BLOCKS[0] for w in plan.windows])
+    # coarse and fine pass each stop after one sweep at rest, not after it
+    assert np.all(sweeps[first_block] == 1) and np.all(sweeps[~first_block, 0] > 1)
+    # an understated Lipschitz constant: the states at rest converge, the
+    # moving one fails to contract
+    fast = RegularRHS.single(lambda xs, ts: 40.0 * xs, 1.0, Hypercube(np.array([0.0]), 1e9), 0.1, 10.0)
+    fast_plan = picard_plan(fast, 1.0, 1e-2)
+    assert list(_row_outcomes(fast_plan, np.array([[0.0], [1.0], [0.0]]))) == ["ok", "ContractError", "ok"]
+
+
+def test_picard_runner_cold_bit_identical_to_reference_1d():
     # two blocks, a time-dependent f, one row that leaves the box
-    blocks = (
-        TimeBlockRHS(Fraction(0), Fraction(1, 3), lambda xs, ts: -2.0 * xs + 0.5 * np.sin(3.0 * xs),
-                     3.5, Modulus.lipschitz(0.0), 5.0),
-        TimeBlockRHS(Fraction(1, 3), Fraction(2), lambda xs, ts: 0.4 * xs + 0.3 * np.cos(ts)[:, None],
-                     0.4, Modulus.lipschitz(0.3), 1.1),
-    )
-    rhs = RegularRHS(blocks, BOX2)
-    plan = picard_plan(rhs, 2.0, 0.5)
+    plan = picard_plan(RegularRHS(TWO_BLOCKS, BOX2), 2.0, 0.5)
     assert not any(_is_warm(w) for w in plan.windows)
     x0s = np.array([[0.0], [0.3], [-1.2], [1.99], [1.0], [-0.05]])
-    res = _assert_rows_bit_identical(plan, x0s)
-    assert [type(f).__name__ for f in res.failures] == ["NoneType"] * 3 + ["DomainExitError"] + ["NoneType"] * 2
+    assert list(_row_outcomes(plan, x0s)) == ["ok"] * 3 + ["DomainExitError"] + ["ok"] * 2
 
 
-def test_picard_rows_cold_bit_identical_to_reference_2d():
+def test_picard_runner_cold_bit_identical_to_reference_2d():
     box = Hypercube(np.zeros(2), 4.0)
 
     def f1(xs, ts):
@@ -486,10 +453,7 @@ def test_picard_rows_cold_bit_identical_to_reference_2d():
     plan = picard_plan(RegularRHS(blocks, box), 1.5, 2e-3)
     assert not any(_is_warm(w) for w in plan.windows)
     x0s = np.array([[1.0, 0.0], [0.0, 0.0], [-0.4, 1.3], [1.9, 1.9], [0.7, -0.2]])
-    res = _assert_rows_bit_identical(plan, x0s)
-    assert [type(f).__name__ for f in res.failures] == ["NoneType"] * 3 + ["DomainExitError", "NoneType"]
-
-
+    assert list(_row_outcomes(plan, x0s)) == ["ok"] * 3 + ["DomainExitError", "ok"]
 
 
 def test_warm_start_rotation_within_error_bound():
@@ -508,8 +472,8 @@ def test_warm_start_rotation_within_error_bound():
     assert sol.error_bound.value <= 1e-4
     assert np.all(sol.sweeps[:, 0] > 0) and np.all(sol.sweeps[:, 1] <= 2)
     # the warm bound is not looser than the cold reference's
-    _, _, _, cold_bound, _ = _reference_picard_rows(plan, x0[None, :])
-    assert sol.error_bound.value <= cold_bound[0]
+    _, _, cold_bound = _reference_picard_row(plan, x0)
+    assert sol.error_bound.value <= cold_bound
 
 
 def test_warm_start_affine_closed_forms_within_cold_tail():
@@ -528,15 +492,15 @@ def test_warm_start_affine_closed_forms_within_cold_tail():
         plan = picard_plan(rhs, 1.0, eps)
         assert len(plan.windows) == 1 and all(_is_warm(w) for w in plan.windows)
         w = plan.windows[0]
-        res = picard_rows(plan, np.array([[x0]]))
-        assert res.failures[0] is None and res.sweeps[0][0, 0] > 0
-        _, _, cold_end, cold_bound, _ = _reference_picard_rows(plan, np.array([[x0]]))
-        warm_tail = res.error_bound[0] / w.growth - w.defect
-        cold_tail = cold_bound[0] / w.growth - w.defect
-        assert abs(res.endpoints[0, 0] - cold_end[0, 0]) <= warm_tail + cold_tail
+        _, values, _, sweeps, bound = _run_plan(plan, np.array([x0]))
+        assert sweeps[0, 0] > 0
+        cold_values, _, cold_bound = _reference_picard_row(plan, np.array([x0]))
+        warm_tail = bound / w.growth - w.defect
+        cold_tail = cold_bound / w.growth - w.defect
+        assert abs(values[-1, 0] - cold_values[-1, 0]) <= warm_tail + cold_tail
         exact = (x0 + b / a) * math.exp(a) - b / a
-        assert abs(res.endpoints[0, 0] - exact) <= res.error_bound[0]
-        assert res.error_bound[0] <= eps
+        assert abs(values[-1, 0] - exact) <= bound
+        assert bound <= eps
 
 
 def test_warm_start_lying_lipschitz_still_contract_error():
@@ -545,10 +509,34 @@ def test_warm_start_lying_lipschitz_still_contract_error():
     rhs = RegularRHS.single(lambda xs, ts: 40.0 * xs, 1.0, Hypercube(np.array([0.0]), 1e9), 0.1, 200.0)
     plan = picard_plan(rhs, 1.0, 1e-3)
     assert all(_is_warm(w) for w in plan.windows)
-    res = picard_rows(plan, np.array([[0.0], [1.0]]))
-    assert res.failures[0] is None and type(res.failures[1]) is ContractError
+    _, values, _, sweeps, _ = _run_plan(plan, np.array([0.0]))
+    assert np.all(values == 0.0) and np.all(sweeps[:, 0] > 0)
+    with pytest.raises(ContractError, match="failed to contract"):
+        _run_plan(plan, np.array([1.0]))
     with pytest.raises(ContractError):
         picard_solve(rhs, np.array([1.0]), 1.0, 1e-3)
+
+
+def test_slope_above_the_sup_bound_is_a_contract_error():
+    # f = x + 5 from 0 reaches slope 5 e ~ 13.6; a sup bound of 1e-3 sizes a
+    # grid whose error bound (4.8e-4) misses the endpoint by 0.07
+    box = Hypercube(np.array([0.0]), 40.0)
+    lying = RegularRHS.single(lambda xs, ts: xs + 5.0, 1.0, box, lip_x=1.0, sup_bound=1e-3)
+    with pytest.raises(ContractError, match="sup bound"):
+        picard_solve(lying, [0.0], 1.0, 1e-3)
+    # a true sup bound certifies the closed form 5 (e - 1)
+    honest = RegularRHS.single(lambda xs, ts: xs + 5.0, 1.0, box, lip_x=1.0, sup_bound=25.0)
+    sol = picard_solve(honest, [0.0], 1.0, 1e-3)
+    assert abs(sol.endpoint[0] - 5.0 * math.expm1(1.0)) <= sol.error_bound.value <= 1e-3
+    # leaving the box comes first: the verdict stays a domain exit
+    small = RegularRHS.single(lambda xs, ts: xs + 5.0, 1.0, BOX2, lip_x=1.0, sup_bound=1e-3)
+    with pytest.raises(DomainExitError):
+        picard_solve(small, [0.0], 1.0, 1e-3)
+    # every window stores the S its defect was sized with
+    plan = picard_plan(lying, 1.0, 1e-3)
+    windows = _window_plan(lying, 1.0, DEFAULT_GRID_BUDGET)
+    for w, (_, _, span, blk) in zip(plan.windows, windows):
+        assert w.slope > 1e-3 and w.slope == _defect(blk, span, w.hw, plan.tail_budget)[2]
 
 
 def _sample_hold_reference(dyn, sh, x0, T, eps):
