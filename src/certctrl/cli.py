@@ -496,8 +496,12 @@ def _task_audit(config, seed, out):
     numeric["eigen_worst_residual"] = max(bounds)
     numeric["eigen_all_achieved"] = float(all(achieved for _, achieved in results))
 
-    # trajectories: exponential decay
-    rhs = traj.RegularRHS.single(lambda xs, ts: -xs, 1.0, Hypercube(np.array([0.0]), 4.0), 1.0, 2.0)
+    # trajectories: exponential decay, x' = -x on [-2, 2]: Lipschitz 1,
+    # |f| <= 2 and f'' = 0, so the grid is sized by the second-order defect
+    rhs = traj.RegularRHS(
+        (traj.TimeBlockRHS(0, 1, lambda xs, ts: -xs, 1.0, Modulus.lipschitz(0.0), 2.0, 0.0),),
+        Hypercube(np.array([0.0]), 4.0),
+    )
     solped = traj.picard_solve(rhs, np.array([1.0]), 1.0, 1e-5)
     numeric["ode_endpoint_error"] = abs(float(solped.endpoint[0]) - math.exp(-1.0))
     numeric["ode_error_bound"] = solped.error_bound.value

@@ -35,7 +35,6 @@ import numpy as np
 
 from .core import (
     ArgumentError,
-    CertifiedReal,
     ContractError,
     InternalConsistencyError,
     Modulus,
@@ -51,7 +50,6 @@ __all__ = [
     "RegularSVF",
     "SimpleSVF",
     "Selector",
-    "volume",
     "countable_reduction",
     "simple_approx",
     "extract_selector",
@@ -163,11 +161,10 @@ class Block:
 
 @dataclass(frozen=True)
 class GeneralizedBlock:
-    """Union of blocks; proper when the pieces are pairwise
-    interior-disjoint (decided exactly) and locally finitely enumerable."""
+    """Finite union of blocks; proper when the pieces are pairwise
+    interior-disjoint (decided exactly)."""
 
     blocks: tuple
-    infinite: bool = False  # descriptor for generator-backed sequences
 
     @classmethod
     def of(cls, *blocks) -> "GeneralizedBlock":
@@ -175,8 +172,6 @@ class GeneralizedBlock:
 
     @property
     def proper(self) -> bool:
-        if self.infinite:
-            return False
         bs = [b for b in self.blocks if not b.is_empty]
         for i in range(len(bs)):
             for j in range(i + 1, len(bs)):
@@ -189,17 +184,6 @@ class GeneralizedBlock:
 
     def contains(self, x) -> bool:
         return any(b.contains(x) for b in self.blocks)
-
-
-def volume(gb: GeneralizedBlock) -> CertifiedReal:
-    """Exact rational volume; radius covers only the float conversion
-    (zero for dyadic sums)."""
-    if gb.infinite and not gb.proper:
-        raise ContractError("volume of a non-proper infinite generalized block is undefined")
-    exact = gb.volume_exact()
-    v = float(exact)
-    gap = abs(Fraction(v) - exact)
-    return CertifiedReal(v, float(gap) * (1.0 + 1e-12))
 
 
 def countable_reduction(gbs: Sequence) -> list:

@@ -353,7 +353,7 @@ class CLFProblem:
 
     dynamics: ControlledDynamics
     control_box: Hypercube
-    grad_V: Callable[[np.ndarray], np.ndarray]  # (B, n) -> (B, n)
+    grad_V: Callable[[np.ndarray], np.ndarray]  # (1, n) -> (1, n)
     target_radius: float  # r
     overshoot_radius: float  # R
     control_meshes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -366,89 +366,47 @@ class CLFProblem:
             raise ArgumentError("the state box must contain [-R, R]^n")
 
 
-# (state, control node) pairs per dynamics evaluation in clf_feedback; bounds
-# the memory a batch of fine control meshes takes
-_FEEDBACK_PAIRS = 1 << 13
 # relative rounding radius of a clf_feedback value
 _FEEDBACK_ROUNDING = 1e-12
 
 
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a[i] @ b[i] for every row: a stacked matmul runs the same BLAS dot
-    per row, so each value equals the one-row product bit for bit."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
-def _row_norms(xs: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of every row, bit for bit (it is sqrt(x @ x))."""
-    return np.sqrt(_rowdot(xs, xs))
-
-
 def clf_feedback(problem: CLFProblem, x, eps: float):
-    """eps-minimize u -> <grad V(x), f(x, u)> over the control box mesh.
+    """eps-minimize u -> <grad V(x), f(x, u)> over the control box mesh at
+    one state x (n,).
 
-    x is one state (n,) or a batch of states (B, n).  For each state the
-    result is the lowest-index mesh node whose certified value reaches the
-    certified minimum within eps (any such node is a legitimate
+    The result is the lowest-index mesh node whose certified value reaches
+    the certified minimum within eps (any such node is a legitimate
     eps-optimizer; the deterministic tie-break makes runs reproducible and
     realizes the worst-case freedom an approximate optimizer has).
-    Returns (u (p,), CertifiedReal) for one state and (U (B, p), list of
-    B CertifiedReal) for a batch.
+    Returns (u (p,), CertifiedReal).
 
-    The mesh resolution depends on |grad V(x)|; states whose meshes have
-    the same divisions share one mesh, kept in problem.control_meshes, and
-    dynamics.f runs once over the (state, mesh node) pairs of as many
-    states as fit in _FEEDBACK_PAIRS pairs.  Each row's result depends on
-    that row alone, bit for bit, whatever the batch around it: the
-    reductions run per row (_rowdot, reduceat segments), so a feedback
-    evaluated once on a batch may be reused on any subset of its rows.
+    The mesh resolution depends on |grad V(x)|; each division count's mesh
+    is built once and kept in problem.control_meshes.
     """
     if eps <= 0:
         raise ArgumentError("eps must be positive")
-    x = np.asarray(x, dtype=float)
-    xs = x.reshape(1, -1) if x.ndim <= 1 else x
-    g = np.asarray(problem.grad_V(xs), dtype=float).reshape(xs.shape)
-    lip_g = _row_norms(g) * problem.dynamics.lip_u
+    x, n = np.asarray(x, dtype=float), problem.dynamics.state_box.dim
+    if x.shape != (n,):
+        raise ArgumentError(f"clf_feedback takes one state of shape ({n},), not {x.shape}")
+    g = np.asarray(problem.grad_V(x[None, :]), dtype=float).reshape(x.shape)
+    lip_g = float(np.linalg.norm(g)) * problem.dynamics.lip_u
     box = problem.control_box
-    with np.errstate(divide="ignore"):
-        res = np.where(lip_g == 0.0, box.diameter, (eps / 2.0) / lip_g).tolist()
-    ks = [mesh_divisions(box, r) for r in res]
-    sizes = [(k + 1) ** box.dim for k in ks]
-    B = xs.shape[0]
-    us = np.empty((B, box.dim))
-    vals_at = np.empty(B)
-    radii = np.empty(B)
-    meshes = problem.control_meshes
-    lo = 0
-    while lo < B:
-        hi, pairs = lo + 1, sizes[lo]
-        while hi < B and pairs + sizes[hi] <= _FEEDBACK_PAIRS:
-            pairs += sizes[hi]
-            hi += 1
-        for i in range(lo, hi):
-            if ks[i] not in meshes:
-                # the mesh is snapped to a dyadic lattice; the control must
-                # stay in the box that M and S2 are taken on
-                meshes[ks[i]] = np.clip(build_mesh(box, res[i]).points, box.lo, box.hi)
-        nodes = np.concatenate([meshes[k] for k in ks[lo:hi]])
-        cnt = np.array([len(meshes[k]) for k in ks[lo:hi]])
-        f = problem.dynamics.f(np.repeat(xs[lo:hi], cnt, axis=0), nodes)
-        vals = _rowdot(np.repeat(g[lo:hi], cnt, axis=0), np.asarray(f, dtype=float))
-        starts = np.concatenate(([0], np.cumsum(cnt)[:-1]))
-        r_g = _FEEDBACK_ROUNDING * (1.0 + np.maximum.reduceat(np.abs(vals), starts))
-        cut = np.minimum.reduceat(vals, starts) + eps / 2.0 - 2.0 * r_g
-        # first node at or below the cut; the first node when none is
-        hit = np.where(vals <= np.repeat(cut, cnt), np.arange(vals.size), vals.size)
-        first = np.minimum.reduceat(hit, starts)
-        idx = np.where(first < vals.size, first, starts)
-        us[lo:hi] = nodes[idx]
-        vals_at[lo:hi] = vals[idx]
-        radii[lo:hi] = eps / 2.0 + 2.0 * r_g
-        lo = hi
-    certs = [CertifiedReal(float(v), float(r)) for v, r in zip(vals_at, radii)]
-    if x.ndim <= 1:
-        return us[0], certs[0]
-    return us, certs
+    res = box.diameter if lip_g == 0.0 else (eps / 2.0) / lip_g
+    k = mesh_divisions(box, res)
+    if k not in problem.control_meshes:
+        # the mesh is snapped to a dyadic lattice; the control must stay in
+        # the box that M and S2 are taken on
+        problem.control_meshes[k] = np.clip(build_mesh(box, res).points, box.lo, box.hi)
+    nodes = problem.control_meshes[k]
+    f = np.asarray(problem.dynamics.f(np.repeat(x[None, :], len(nodes), axis=0), nodes), dtype=float)
+    # one dot per node, as the per-node g @ f[j] computes it (f @ g, a
+    # gemv, can differ in the last bit)
+    vals = np.matmul(f[:, None, :], g[:, None])[:, 0, 0]
+    r_g = _FEEDBACK_ROUNDING * (1.0 + float(np.abs(vals).max()))
+    cut = vals.min() + eps / 2.0 - 2.0 * r_g
+    idx = int(np.argmax(vals <= cut))  # the first node at or below the cut; 0 when none is
+    # a copy: the caller must not reach the cached mesh
+    return nodes[idx].copy(), CertifiedReal(float(vals[idx]), eps / 2.0 + 2.0 * r_g)
 
 
 @dataclass(frozen=True)

@@ -580,7 +580,9 @@ def test_audit_deterministic_numeric_fields(tmp_path):
 )
 def test_audit_numeric_fields_pinned(tmp_path, seed, expected):
     # recorded from the Fraction-by-Fraction soundness loop and the
-    # member-by-member EVT kernel; mesh_cover_worst pins the next rng draws
+    # member-by-member EVT kernel; mesh_cover_worst pins the next rng draws.
+    # The ode fields come from the second-order defect (x' = -x declares
+    # f'' = 0): 1,025 grid nodes, the endpoint error within the bound
     out = tmp_path / "out"
     assert main(["audit", "--seed", str(seed), "--out", str(out)]) == EXIT_OK
     numeric = json.loads((out / "certificate.json").read_text())["numeric"]
@@ -595,8 +597,8 @@ def test_audit_numeric_fields_pinned(tmp_path, seed, expected):
         "eigen_worst_residual": 3.418680061825021e-14,
         "evt_radius": 0.6525,
         "evt_value": 0.10000000000002274,
-        "ode_endpoint_error": 7.690386660819115e-10,
-        "ode_error_bound": 4.188890670539512e-06,
+        "ode_endpoint_error": 2.301862100928531e-08,
+        "ode_error_bound": 2.4426220321285453e-06,
         "selector_max_distance": 0.031250000000000014,
         "selector_pieces": 2.0,
         "shh_eta": 0.09999999999,

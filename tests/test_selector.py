@@ -19,7 +19,6 @@ from certctrl.selector import (
     countable_reduction,
     extract_selector,
     simple_approx,
-    volume,
 )
 
 F12 = Fraction(1, 2)
@@ -59,13 +58,12 @@ def identity_chunk():
 
 def test_volume_two_disjoint_unit_intervals():
     gb = GeneralizedBlock.of(Block.interval(0, 1), Block.interval(2, 3))
-    v = volume(gb)
-    assert v.value == 2.0 and v.radius == 0.0
+    assert gb.volume_exact() == 2
 
 
 def test_volume_empty_block_is_zero():
     gb = GeneralizedBlock.of(Block.interval(1, 0))
-    assert volume(gb).value == 0.0
+    assert gb.volume_exact() == 0
 
 
 def test_volume_dyadic_sum_exact():
@@ -74,15 +72,7 @@ def test_volume_dyadic_sum_exact():
         Block.make((1, 1 + Fraction(1, 4))),
         Block.make((2, 2 + Fraction(1, 8))),
     )
-    v = volume(gb)
-    assert v.value == 7.0 / 8.0 and v.radius == 0.0
     assert gb.volume_exact() == Fraction(7, 8)
-
-
-def test_volume_nonproper_infinite_rejected():
-    gb = GeneralizedBlock((Block.interval(0, 1),), infinite=True)
-    with pytest.raises(ContractError):
-        volume(gb)
 
 
 def test_block_subtract_carves_exactly():

@@ -469,8 +469,9 @@ def test_clf_feedback_stays_in_a_non_dyadic_control_box():
     for x, end in ((0.5, -0.8), (-0.5, 0.6)):
         u, _ = clf_feedback(prob, np.array([x]), 0.05)
         assert u[0] == end
-    us, _ = clf_feedback(prob, np.linspace(-1.0, 1.0, 41)[:, None], 0.05)
-    assert np.all(us >= -0.8) and np.all(us <= 0.6)
+    for x in np.linspace(-1.0, 1.0, 41):
+        u, _ = clf_feedback(prob, np.array([x]), 0.05)
+        assert -0.8 <= u[0] <= 0.6
 
 
 def test_clf_feedback_consistency_in_eps():
@@ -481,8 +482,19 @@ def test_clf_feedback_consistency_in_eps():
     assert v2.value <= v1.value + 1e-9
 
 
+def test_clf_feedback_rejects_a_batch_of_states():
+    # one state (n,) per call: a batch, or a state of the wrong length, is
+    # refused rather than reshaped
+    prob = integrator_problem()
+    for x in (np.array([[0.5], [-0.5]]), np.array([[0.5]]), np.array([0.5, 0.5]), np.array(0.5)):
+        with pytest.raises(ArgumentError, match="one state"):
+            clf_feedback(prob, x, 0.05)
+    with pytest.raises(ArgumentError, match="one state"):
+        clf_feedback(planar_problem(), np.zeros((3, 2)), 0.05)
+
+
 # ---------------------------------------------------------------------------
-# batched clf_feedback against the per-control-node loop
+# clf_feedback against the per-control-node loop
 # ---------------------------------------------------------------------------
 
 def _feedback_one_by_one(problem, x, eps):
@@ -540,7 +552,7 @@ def planar_problem():
     )
 
 
-def test_clf_feedback_batch_matches_per_node_loop(monkeypatch):
+def test_clf_feedback_matches_per_node_loop():
     prob = planar_problem()
     rng = np.random.default_rng(17)
     xs = np.vstack([
@@ -556,13 +568,6 @@ def test_clf_feedback_batch_matches_per_node_loop(monkeypatch):
     mesh = build_mesh(prob.control_box, (eps / 2.0) / (1.2 * 1.5)).points
     ties = np.flatnonzero(mesh[:, 0] == u_tie[0])
     assert ties.size > 1 and mesh[ties[0], 1] == u_tie[1]  # lowest index of the tie
-    for pairs in (stability._FEEDBACK_PAIRS, 7, 1):  # one block, several, one row each
-        monkeypatch.setattr(stability, "_FEEDBACK_PAIRS", pairs)
-        us, certs = clf_feedback(prob, xs, eps)
-        assert us.shape == (len(xs), 2) and len(certs) == len(xs)
-        for (u, value, radius), ub, cert in zip(ref, us, certs):
-            assert ub.tobytes() == u.tobytes()
-            assert (cert.value, cert.radius) == (value, radius)
     for x, (u, value, radius) in zip(xs, ref):
         u1, cert = clf_feedback(prob, x, eps)
         assert u1.tobytes() == u.tobytes()
@@ -705,9 +710,9 @@ def test_sampling_time_holds_at_every_dyadic_annulus_state(name):
     radii = {r, math.nextafter(r, math.inf), r + 2.0**-20}
     radii |= {k / 512 for k in range(513) if r <= k / 512 <= R}
     xs = np.array(sorted(s * rho for rho in radii for s in (1.0, -1.0)))
-    us = clf_feedback(problem, xs[:, None], eps)[0][:, 0]
     box = (problem.control_box.lo[0], problem.control_box.hi[0])
-    for x, u in zip(xs, us):
+    for x in xs:
+        u = clf_feedback(problem, np.array([x]), eps)[0][0]
         for surplus, inside in sample_hold_step(V.spec["coeffs"], box, R, res.eta, eps, x, u):
             assert surplus >= 0 and inside, (x, u)
 
