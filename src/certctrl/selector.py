@@ -172,11 +172,17 @@ class GeneralizedBlock:
 
     @property
     def proper(self) -> bool:
-        bs = [b for b in self.blocks if not b.is_empty]
-        for i in range(len(bs)):
-            for j in range(i + 1, len(bs)):
-                if bs[i].interior_overlaps(bs[j]):
+        """Sweep along the first axis: with the non-empty blocks sorted by
+        their first lower end, a block can only overlap the later blocks
+        whose first lower end lies below its first upper end."""
+        bs = sorted((b for b in self.blocks if not b.is_empty), key=lambda b: b.intervals[0][0])
+        for i, a in enumerate(bs):
+            a_hi = a.intervals[0][1]
+            j = i + 1
+            while j < len(bs) and bs[j].intervals[0][0] < a_hi:
+                if a.interior_overlaps(bs[j]):
                     return False
+                j += 1
         return True
 
     def volume_exact(self) -> Fraction:
@@ -355,16 +361,6 @@ class SimpleSVF:
                 return i
         return None
 
-    @staticmethod
-    def interval_distance(r: Fraction, intervals) -> Fraction:
-        best = None
-        for lo, hi in intervals:
-            d = max(Fraction(0), lo - r, r - hi)
-            best = d if best is None else min(best, d)
-        if best is None:
-            raise ContractError("simple SVF piece with empty value set")
-        return best
-
 
 @dataclass(frozen=True)
 class Selector:
@@ -481,18 +477,48 @@ def _run_stages(fhat: SimpleSVF, n_stages: int):
     constant per piece, so each piece keeps its block and takes the first
     qualifying mesh value; pieces are listed mesh value first, then in
     their previous order, as countable reduction of the C & D sets lists
-    them."""
-    # current pieces: (block, value, frozen chunk intervals)
-    pieces = [(b, Fraction(1, 2), tuple(map(_clip_unit, vals))) for b, vals in fhat.pieces if b.volume() > 0]
+    them.
+
+    Every number is held exactly as a Python int numerator over one
+    common denominator D, the least common multiple of 2^(n_stages +
+    STRICTNESS_MARGIN_SHIFT) and the denominators of the clipped frozen
+    chunk ends (a power of two, 2^M, for the dyadic ends simple_approx
+    writes).  The mesh step is D / 2^(k+1), so the stage value is j times
+    the step; t_c and t_d are differences of D / 2^i; and the mesh value
+    r qualifies for an interval [lo, hi] when max(0, lo - r, r - hi) <=
+    t_c, that is when r lies in [lo - t_c, hi + t_c].  The first
+    qualifying index is then a floor or ceiling division by the step per
+    interval.  Python ints never overflow, so a 61-stage recursion on a
+    65-bit D runs the same way as a 3-stage one.
+    """
+    clipped = [(b, tuple(map(_clip_unit, vals))) for b, vals in fhat.pieces if b.volume() > 0]
+    D = math.lcm(1 << (n_stages + STRICTNESS_MARGIN_SHIFT),
+                 *(end.denominator for _, fvals in clipped for iv in fvals for end in iv))
+
+    def over_d(q: Fraction) -> int:
+        return q.numerator * (D // q.denominator)
+
+    # current pieces: (block, frozen chunk intervals, their ends over D),
+    # and their values over D
+    pieces = [(b, fvals, [(over_d(lo), over_d(hi)) for lo, hi in fvals]) for b, fvals in clipped]
+    values = [D // 2] * len(pieces)
+    margin = D >> STRICTNESS_MARGIN_SHIFT
     for k in range(1, n_stages + 1):
         n = 1 << (k + 1)
-        t_c = Fraction(1, 1 << k) - Fraction(1, 1 << (k + STRICTNESS_MARGIN_SHIFT))
-        t_d = Fraction(1, 1 << (k - 1)) - Fraction(1, 1 << (k + STRICTNESS_MARGIN_SHIFT))
+        step = D >> (k + 1)
+        t_c = (D >> k) - (margin >> k)
+        t_d = (D >> (k - 1)) - (margin >> k)
         chosen = []
-        for b, fval, fvals in pieces:
-            # mesh indices j with |j / n - fval| <= t_d, in increasing order
-            js = range(max(0, math.ceil((fval - t_d) * n)), min(n, math.floor((fval + t_d) * n)) + 1)
-            j = next((j for j in js if SimpleSVF.interval_distance(Fraction(j, n), fvals) <= t_c), None)
+        for (b, _, ivs), fval in zip(pieces, values):
+            # mesh indices j in [0, n] with |j step - fval| <= t_d
+            js_lo = max(0, -((t_d - fval) // step))
+            js_hi = min(n, (fval + t_d) // step)
+            j = None
+            for lo, hi in ivs:
+                # the first j with lo - t_c <= j step <= hi + t_c
+                first = max(js_lo, -((t_c - lo) // step))
+                if first <= min(js_hi, (hi + t_c) // step) and (j is None or first < j):
+                    j = first
             if j is None:
                 raise InternalConsistencyError(
                     f"stage {k} lost domain volume {b.volume()}: a piece meets no mesh "
@@ -500,8 +526,9 @@ def _run_stages(fhat: SimpleSVF, n_stages: int):
                 )
             chosen.append(j)
         order = sorted(range(len(pieces)), key=chosen.__getitem__)
-        pieces = [(pieces[i][0], Fraction(chosen[i], n), pieces[i][2]) for i in order]
-    return pieces
+        pieces = [pieces[i] for i in order]
+        values = [chosen[i] * step for i in order]
+    return [(b, Fraction(v, D), fvals) for (b, fvals, _), v in zip(pieces, values)]
 
 
 def extract_selector(F: RegularSVF, eps: float) -> Selector:

@@ -580,7 +580,9 @@ def test_audit_deterministic_numeric_fields(tmp_path):
 )
 def test_audit_numeric_fields_pinned(tmp_path, seed, expected):
     # recorded from the Fraction-by-Fraction soundness loop and the
-    # member-by-member EVT kernel; mesh_cover_worst pins the next rng draws.
+    # member-by-member EVT kernel, and unchanged by the one-pass numpy
+    # product battery and the EVT branch and bound; mesh_cover_worst pins
+    # the next rng draws.
     # The ode fields come from the second-order defect (x' = -x declares
     # f'' = 0): 1,025 grid nodes, the endpoint error within the bound
     out = tmp_path / "out"
@@ -603,6 +605,23 @@ def test_audit_numeric_fields_pinned(tmp_path, seed, expected):
         "selector_pieces": 2.0,
         "shh_eta": 0.09999999999,
     }
+
+
+@pytest.mark.parametrize("seed", [3, 11, 101, 2024])
+def test_audit_products_match_the_certified_real_chain(seed):
+    from certctrl.cli import _audit_products
+    from certctrl.core import CertifiedReal
+
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    a, b, c, r = (x.tolist() for x in _audit_products(rng, 2000))
+    for i in range(2000):
+        x = CertifiedReal(float(ref_rng.uniform(-3, 3)), 0.0)
+        y = CertifiedReal(float(ref_rng.uniform(-3, 3)), 0.0)
+        z = (x * y + x) * y - x
+        got = (a[i], b[i], c[i], r[i])
+        want = (x.value, y.value, z.value, z.radius)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert rng.uniform() == ref_rng.uniform()
 
 
 def test_soundness_gap_is_exact():

@@ -85,6 +85,53 @@ def test_block_subtract_carves_exactly():
     assert gb.proper
 
 
+def pairwise_proper(blocks):
+    """Every pair of non-empty blocks tested for interior overlap: the
+    reference for the sweep in GeneralizedBlock.proper."""
+    bs = [b for b in blocks if not b.is_empty]
+    return not any(bs[i].interior_overlaps(bs[j]) for i in range(len(bs)) for j in range(i + 1, len(bs)))
+
+
+def random_block_family(rng, dim):
+    """A grid partition of [0, 4]^dim (so shared facets), edited at random
+    with zero-width, empty (lo > hi), duplicated, shifted and free blocks,
+    in shuffled order."""
+    cuts = [sorted({0, 4, *rng.integers(1, 4, 2).tolist()}) for _ in range(dim)]
+    cells = [()]
+    for c in cuts:
+        cells = [cell + ((Fraction(lo), Fraction(hi)),) for cell in cells for lo, hi in zip(c, c[1:])]
+    blocks = [Block(cell) for cell in cells]
+    for _ in range(int(rng.integers(0, 4))):
+        kind, axis = int(rng.integers(5)), int(rng.integers(dim))
+        ivs = list(blocks[int(rng.integers(len(blocks)))].intervals)
+        lo, hi = ivs[axis]
+        if kind == 0:  # zero width
+            mid = (lo + hi) / 2
+            ivs[axis] = (mid, mid)
+        elif kind == 1:  # empty
+            ivs[axis] = (hi, lo)
+        elif kind == 3:  # shifted by a multiple of 1/2
+            d = Fraction(int(rng.integers(-2, 3)), 2)
+            ivs[axis] = (lo + d, hi + d)
+        elif kind == 4:  # anywhere, in quarters
+            a, b = sorted(Fraction(int(v), 4) for v in rng.integers(-2, 19, 2))
+            ivs[axis] = (a, b)
+        blocks.append(Block(tuple(ivs)))  # kind 2 duplicates the block
+    rng.shuffle(blocks)
+    return blocks
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_proper_sweep_matches_pairwise_reference(dim):
+    rng = np.random.default_rng(40 + dim)
+    verdicts = []
+    for _ in range(400):
+        blocks = random_block_family(rng, dim)
+        verdicts.append(GeneralizedBlock(tuple(blocks)).proper)
+        assert verdicts[-1] == pairwise_proper(blocks)
+    assert 50 < sum(verdicts) < 350  # both verdicts well represented
+
+
 # ---------------------------------------------------------------------------
 # countable reduction
 # ---------------------------------------------------------------------------
@@ -440,9 +487,14 @@ SVFS = [
 SVF_IDS = [name for name, _, _ in SVFS]
 
 
+def interval_distance(r, intervals):
+    """Exact distance from r to the union of the intervals [lo, hi]."""
+    return min(max(Fraction(0), lo - r, r - hi) for lo, hi in intervals)
+
+
 def reference_stages(fhat, n_stages, snapshot=None):
-    """The staged recursion as it ran through countable reduction, kept as
-    the reference for _run_stages."""
+    """The staged recursion as it ran through countable reduction, in
+    Fraction arithmetic, kept as the reference for _run_stages."""
     pieces = [
         (b, Fraction(1, 2), tuple((min(max(lo, 0), 1), min(max(hi, 0), 1)) for lo, hi in vals))
         for b, vals in fhat.pieces
@@ -454,7 +506,7 @@ def reference_stages(fhat, n_stages, snapshot=None):
         t_d = Fraction(1, 1 << (k - 1)) - Fraction(1, 1 << (k + STRICTNESS_MARGIN_SHIFT))
         qualifying = [
             [i for i, (b, fval, fvals) in enumerate(pieces)
-             if SimpleSVF.interval_distance(r, fvals) <= t_c and abs(r - fval) <= t_d]
+             if interval_distance(r, fvals) <= t_c and abs(r - fval) <= t_d]
             for r in mesh
         ]
         q_sets = countable_reduction(
@@ -490,6 +542,44 @@ def test_run_stages_matches_countable_reduction_reference(name, F, eps):
         for k, ref_pieces in ref_snaps:
             assert _run_stages(fhat, k) == ref_pieces
         assert _run_stages(fhat, n_stages) == ref
+
+
+def scan_stages(fhat, n_stages):
+    """The staged recursion piece by piece in Fraction arithmetic, scanning
+    only the mesh indices within t_d of the piece's value: the reference
+    for recursions too deep for reference_stages' full mesh."""
+    pieces = [
+        (b, Fraction(1, 2), tuple((min(max(lo, 0), 1), min(max(hi, 0), 1)) for lo, hi in vals))
+        for b, vals in fhat.pieces if b.volume() > 0
+    ]
+    for k in range(1, n_stages + 1):
+        n = 1 << (k + 1)
+        t_c = Fraction(1, 1 << k) - Fraction(1, 1 << (k + STRICTNESS_MARGIN_SHIFT))
+        t_d = Fraction(1, 1 << (k - 1)) - Fraction(1, 1 << (k + STRICTNESS_MARGIN_SHIFT))
+        chosen = []
+        for b, fval, fvals in pieces:
+            js = range(max(0, math.ceil((fval - t_d) * n)), min(n, math.floor((fval + t_d) * n)) + 1)
+            chosen.append(next(j for j in js if interval_distance(Fraction(j, n), fvals) <= t_c))
+        order = sorted(range(len(pieces)), key=chosen.__getitem__)
+        pieces = [(pieces[i][0], Fraction(chosen[i], n), pieces[i][2]) for i in order]
+    return pieces
+
+
+def test_deep_constant_chunk_selector_runs_on_python_ints():
+    # eps = 1e-18 takes 61 stages, and the margin 2^-(61 + 4) puts the
+    # common denominator at 2^65: no 64-bit integer holds the stage numbers
+    F = RegularSVF((IM10, I01), ((const_chunk(0.3, 0.3),), (const_chunk(0.7, 0.9), const_chunk(0.1, 0.1))))
+    s = extract_selector(F, 1e-18)
+    assert s.stage >= 61 and s.stage + STRICTNESS_MARGIN_SHIFT > 64
+    verdict, bound, witness = certify_selector(F, s, Fraction(1, 100))
+    assert verdict == "certified" and bound <= 1e-18 and witness is None
+    fhat, _ = simple_approx(_rescaled(F)[0], 1e-18 / 2.0)
+    pieces = _run_stages(fhat, s.stage)
+    assert pieces == scan_stages(fhat, s.stage)
+    assert [(b, r) for b, r, _ in pieces] == list(s.pieces)
+    assert max(r.denominator for _, r, _ in pieces) == 1 << (s.stage + 1)
+    for k in range(1, 9):  # the scan agrees with countable reduction where both run
+        assert scan_stages(fhat, k) == reference_stages(fhat, k)
 
 
 def test_run_stages_raises_when_a_piece_meets_no_mesh_value():
