@@ -28,6 +28,7 @@ from .core import (
     ContractError,
     DomainExitError,
     Hypercube,
+    InternalConsistencyError,
     Modulus,
     ResourceBudgetError,
     _RADIUS_SAFETY,
@@ -365,16 +366,24 @@ def _task_shh(config, seed, out):
     if rows:
         payload["sweep_file"] = "sweep.csv"
     if res.ok:
-        # demo closed loop from the outer annulus edge at the certified eta
+        # demo closed loop from the outer annulus edge at the certified eta,
+        # until the sampled state is in the target ball: within N* steps
         kappa = lambda x: stab.clf_feedback(problem, x, eps)[0]
         sh = traj.SampleHoldPolicy(kappa, res.eta)
         x0 = np.array([problem.overshoot_radius])
-        horizon = math.ceil(4.0 * problem.overshoot_radius / res.eta) * res.eta
+        n_star = stab.reaching_steps(problem, V, res, eps, problem.overshoot_radius)
         loop = traj.sample_hold_trajectory(
-            problem.dynamics, sh, x0, horizon, max(1e-9, eps * res.eta / 100.0)
+            problem.dynamics, sh, x0, n_star * res.eta, max(1e-9, eps * res.eta / 100.0),
+            problem.target_radius,
         )
+        if loop.entry_step is None or loop.entry_step > n_star:
+            raise InternalConsistencyError(
+                f"the sampled state is outside |x| <= {problem.target_radius!r} after "
+                f"N* = {n_star} held steps of eta = {res.eta!r}, against the certificate"
+            )
         (out / "closed_loop.csv").write_text(traj.solution_to_csv(loop))
         payload["closed_loop_file"] = "closed_loop.csv"
+        payload["reach"] = {"step": loop.entry_step, "time": float(loop.grid[-1]), "bound_steps": n_star}
     return res.verdict, numeric, payload
 
 

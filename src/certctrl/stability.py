@@ -20,8 +20,9 @@ The sampling time of the integrator x' = u comes in closed form (see
 find_sampling_time): from every state of the annulus r <= |x| <= R, every
 eps-optimal control held for any t <= eta lowers V by at least t * eps
 and keeps the state inside |x| <= R, so the sample-and-hold loop enters
-the target ball.  The decay bound alpha and the sign of x V'(x) are
-decided from V''s exact coefficients as above; the reserve eps is what
+the target ball, within the step count of reaching_steps.  The decay
+bound alpha and the sign of x V'(x) are decided from V''s exact
+coefficients as above; the reserve eps is what
 makes the certified eta shrink as the optimizer tolerance grows, and
 vanish once the tolerance eats the decay margin.  A problem with other
 dynamics, or whose grad_V is not V's own derivative, is refused.
@@ -61,6 +62,7 @@ __all__ = [
     "certify",
     "clf_feedback",
     "find_sampling_time",
+    "reaching_steps",
     "integrator",
 ]
 
@@ -534,3 +536,32 @@ def find_sampling_time(problem: CLFProblem, V, eta_max: float, eps: float) -> Sa
     else:
         diagnosis = "state_box: the state box ends at R, leaving no room for a step"
     return SamplingTimeResult("undecided", None, None, diagnosis, details)
+
+
+def reaching_steps(problem: CLFProblem, V, res: SamplingTimeResult, eps: float, x0: float) -> int:
+    """N*, the number of held steps within which the sample-and-hold loop
+    certified by res (find_sampling_time on problem, V and eps) takes the
+    sampled state from x0, |x0| <= R, into |x| <= r:
+
+        N* = ceil((V(x0) - min(V(r), V(-r))) / (eta (eps + margin))),
+
+    and 0 when V(x0) is already below the minimum, computed exactly from
+    V's coefficients and the floats x0, eta, eps and margin.
+
+    Each held step from an annulus state lowers V by at least
+    eta (eps + margin): the Taylor bound of find_sampling_time at t = eta
+    is -eta (alpha - eps' - eta S2 M^2 / 2), and the margin is that
+    surplus over eps rounded down.  The step ends inside |x| <= R.
+    x V'(x) > 0 is decided from r out to each box end, so V(x) > V(+-r)
+    for r < |x| <= R on each side, and a state with |x| <= R and
+    V <= min(V(r), V(-r)) lies in |x| <= r.  So V cannot fall N* times in
+    the annulus without the state reaching the ball.
+    """
+    if not res.ok:
+        raise ArgumentError("the reaching bound needs a certified sampling time")
+    if not abs(x0) <= problem.overshoot_radius:
+        raise ArgumentError("the reaching bound starts inside |x| <= R")
+    coeffs = [Fraction(c) for c in V.spec["coeffs"]]
+    r = Fraction(problem.target_radius)
+    drop = _horner(coeffs, Fraction(x0)) - min(_horner(coeffs, r), _horner(coeffs, -r))
+    return max(0, math.ceil(drop / (Fraction(res.eta) * (Fraction(eps) + Fraction(res.margin)))))

@@ -84,6 +84,7 @@ from .core import (
     Hypercube,
     Modulus,
     ResourceBudgetError,
+    _up,
 )
 from .selector import Block, RepresentableDomain, _facet_exception_generator
 
@@ -180,6 +181,7 @@ class ExtendedSolution:
     sweeps: Optional[np.ndarray] = None  # (windows, 2) coarse and fine Picard sweeps
     grid_step: Optional[float] = None  # the step the Picard defect was sized for
     defect_order: Optional[list] = None  # per time block: 1 or 2, see picard_plan
+    entry_step: Optional[int] = None  # sample-and-hold: the interval that ended in the target ball
 
     @property
     def endpoint(self) -> np.ndarray:
@@ -191,8 +193,8 @@ def _window_plan(rhs: RegularRHS, T: float, grid_budget: int) -> list:
     exact rational ends: contraction L dt <= 1/2, split exactly at the
     rational block boundaries.  Each window needs at least two grid nodes,
     so a plan with more than grid_budget / 2 windows is refused before any
-    window is built."""
-    T_q = Fraction(T).limit_denominator(10 ** 12)
+    window is built.  The last window ends at T itself."""
+    T_q = Fraction(T)
     used = [b for b in rhs.blocks if float(b.t_lo) < T]
     least = 0.0  # a lower bound on the number of windows before T
     for b in used:
@@ -461,7 +463,7 @@ def picard_solve(
     orders = [max(w.order for w in ws) for _, ws in groupby(plan.windows, key=lambda w: id(w.block))]
     T = float(T)
     time_blocks = tuple(
-        Block.interval(a, min(b.t_hi, Fraction(T).limit_denominator(10 ** 12)))
+        Block.interval(a, min(b.t_hi, Fraction(T)))
         for a, b in [(blk.t_lo, blk) for blk in rhs.blocks]
         if float(a) < T
     )
@@ -505,35 +507,48 @@ def sample_hold_trajectory(
     x0,
     T: float,
     eps: float,
+    target_radius: float,
     grid_budget: int = DEFAULT_GRID_BUDGET,
 ) -> ExtendedSolution:
-    """Closed-loop trajectory under sample-and-hold feedback.
+    """Closed-loop trajectory under sample-and-hold feedback, up to T or
+    to the end of the first interval whose sampled state x_k has its
+    enclosure in the target ball, |x_k| + err_k <= target_radius in the
+    sup norm, whichever comes first; entry_step is that interval's count,
+    or None when the loop ran to T without entering.
 
-    Per-interval solver errors accumulate through the Grönwall factor: the
-    bound certifies the trajectory of the computed control sequence.
+    Per-interval solver errors accumulate through the Grönwall factor,
+    err_k = err_(k-1) e^(L eta) + local_k, rounded outward (an exact 0
+    stays 0): the bound certifies the trajectory of the computed control
+    sequence.  The tolerance is split over the horizon's n intervals so
+    that eps_loc (1 + g + ... + g^(n-1)) <= 0.9 eps, g = e^(L eta); the
+    reserve covers the outward roundings.
     """
     if eps <= 0:
         raise ArgumentError("eps must be positive")
+    if not target_radius >= 0:
+        raise ArgumentError("the target radius must be >= 0")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     T = float(T)
     eta = sh.eta
     n_int = max(1, math.ceil(T / eta - 1e-12))
-    growth = math.exp(dyn.lip_x * eta)
-    # split the budget so the accumulated recursion stays below eps
-    amp = 1.0
-    amps = []
-    for _ in range(n_int):
-        amps.append(amp)
-        amp = amp * growth
-    eps_loc = eps / (sum(amps) + 1e-300) * 0.9
+    a = dyn.lip_x * eta
+    if a * n_int > 700.0:  # e^(L T) > 1e304
+        raise ResourceBudgetError(f"Grönwall factor e^(L T) = e^{a * n_int:.4g} is out of float range")
+    growth = _up(math.exp(a)) if a else 1.0
+    # 1 + g + ... + g^(n-1) = expm1(n a) / expm1(a), rounded up
+    amplification = float(n_int) if a == 0 else _up(
+        _up(math.expm1(_up(n_int * a))) / math.nextafter(math.expm1(a), 0.0))
+    eps_loc = eps / amplification * 0.9
 
     grid = [np.array([0.0])]
     vals = [x0[None, :]]
     ctrl = []
     errs = [np.array([0.0])]
+    blocks = []
     x = x0.copy()
     err = 0.0
     t0 = 0.0
+    entry = None
     plans = {}  # one plan per distinct interval length; f enters as the field
     for k in range(n_int):
         t1 = min((k + 1) * eta, T)
@@ -552,27 +567,28 @@ def sample_hold_trajectory(
             plans[span], x, lambda s, ts, u=u: dyn.f(s, np.repeat(u[None, :], s.shape[0], axis=0))
         )
         # transport: prior state error grows, plus the local solver error
-        err = err * growth + float(local)
+        err = _up(err * growth + float(local)) if err or local else 0.0
         grid.append(g[1:] + t0)
         vals.append(v[1:])
         errs.append(np.full(g.size - 1, err))  # end-of-interval bound
         rows = g.size if k == 0 else g.size - 1
         ctrl.append(np.repeat(u[None, :], rows, axis=0))
+        blocks.append(Block.interval(Fraction(t0), Fraction(t1)))
         x = v[-1].copy()
         t0 = t1
+        reach = float(np.abs(x).max()) + err
+        if (_up(reach) if err else reach) <= target_radius:
+            entry = k + 1
+            break
 
     grid = np.concatenate(grid)
     values = np.vstack(vals)
     controls = np.vstack(ctrl)
     profile = np.concatenate(errs)
-    eta_q = Fraction(eta).limit_denominator(10 ** 9)
-    T_q = Fraction(T).limit_denominator(10 ** 9)
-    boundaries = tuple(
-        Block.interval(k * eta_q, min((k + 1) * eta_q, T_q)) for k in range(n_int)
-    )
-    validity = RepresentableDomain(boundaries, _facet_exception_generator(boundaries))
+    blocks = tuple(blocks)
+    validity = RepresentableDomain(blocks, _facet_exception_generator(blocks))
     return ExtendedSolution(grid, values, CertifiedReal(err, 0.0), validity,
-                            controls=controls, error_profile=profile)
+                            controls=controls, error_profile=profile, entry_step=entry)
 
 
 def solution_to_csv(sol: ExtendedSolution, max_rows: int = 2000) -> str:

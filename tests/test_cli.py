@@ -806,3 +806,54 @@ def test_a_config_that_is_not_an_object_exits_64(tmp_path, text):
     cfg = tmp_path / "config.json"
     cfg.write_text(text)
     assert main(["eig", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("name", ["example", "quartic", "asymmetric"])
+def test_shh_closed_loop_enters_the_ball_within_the_reaching_bound(tmp_path, name):
+    # the demo loop stops at the first sampled state whose enclosure is in
+    # |x| <= r, within N* = ceil((V(R) - min V(+-r)) / (eta (eps + margin)))
+    # held steps; on the asymmetric box the old horizon of ceil(4 R / eta)
+    # steps ended outside the ball
+    from fractions import Fraction
+
+    config = {
+        "example": json.loads((Path(__file__).parents[1] / "examples" / "shh.json").read_text()),
+        "quartic": {**SHH_INTEGRATOR, "state_box": [-1, 3], "overshoot_radius": 0.8, "optimizer_eps": 0.05,
+                    "V": {"form": "polynomial", "coeffs": [0, 0, 1, 0, 1]}},
+        "asymmetric": {**SHH_INTEGRATOR, "control_box": [-0.2, 1], "overshoot_radius": 0.8,
+                       "target_radius": 0.15, "optimizer_eps": 0.01},
+    }[name]
+    code, record, out = _run_cli(tmp_path, "shh", config)
+    assert code == EXIT_OK
+    eta, margin, eps = (record["numeric"][k] for k in ("eta", "margin", "optimizer_eps"))
+    reach = record["payload"]["reach"]
+    assert set(record["numeric"]) == {"eta", "margin", "optimizer_eps"}
+    V = [Fraction(c) for c in config.get("V", {"coeffs": [0, 0, 1]})["coeffs"]]
+    value = lambda x: sum(c * Fraction(x) ** k for k, c in enumerate(V))
+    r, R = config["target_radius"], config["overshoot_radius"]
+    drop = (value(R) - min(value(r), value(-r))) / (Fraction(eta) * (Fraction(eps) + Fraction(margin)))
+    assert reach["bound_steps"] == math.ceil(drop)
+    assert 1 <= reach["step"] <= reach["bound_steps"]
+    lines = (out / "closed_loop.csv").read_text().splitlines()[1:]
+    rows = [[float(v) for v in line.split(",")] for line in lines]
+    assert len(rows) == reach["step"] + 1 and rows[-1][0] == reach["time"]
+    assert abs(rows[-1][1]) + rows[-1][-1] <= r
+    assert all(abs(x) > r for _, x, _, _ in rows[:-1])
+    expected = {"example": (6, 551), "quartic": (371, 10995), "asymmetric": (82, 1544)}[name]
+    assert (reach["step"], reach["bound_steps"]) == expected
+    if name == "asymmetric":
+        assert reach["step"] > math.ceil(4.0 * R / eta)
+
+
+def test_shh_closed_loop_that_misses_the_ball_exits_70(tmp_path, monkeypatch, capsys):
+    # a feedback that holds u = 0 never lowers V: after N* steps outside
+    # the ball the run contradicts the certificate, and no CSV is written
+    from certctrl import stability as stab
+
+    monkeypatch.setattr(stab, "clf_feedback", lambda problem, x, eps: (np.zeros(1), None))
+    code, record, out = _run_cli(tmp_path, "shh", {**SHH_INTEGRATOR, "optimizer_eps": 0.05})
+    assert code == EXIT_INTERNAL and record is None
+    assert not (out / "closed_loop.csv").exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("internal error: InternalConsistencyError: ")
+    assert "N* = " in err[0]

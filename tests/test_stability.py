@@ -21,6 +21,7 @@ from certctrl.stability import (
     clf_feedback,
     find_sampling_time,
     integrator,
+    reaching_steps,
 )
 from certctrl.forms import build_comparator, build_scalar_form
 from certctrl.trajectories import ControlledDynamics, RegularRHS, picard_solve
@@ -723,3 +724,34 @@ def test_sampling_time_does_not_grow_with_eps(name):
     etas = [_shh_sampling_time(config, e)[2].eta or 0.0 for e in np.linspace(1e-3, 0.2, 41)]
     assert etas[0] > 0 and etas[-1] == 0.0
     assert all(b <= a for a, b in zip(etas, etas[1:]))
+
+
+@pytest.mark.parametrize("name", ["example", "asymmetric", "audit"])
+def test_reaching_bound_covers_the_exact_closed_loop(name):
+    # from dyadic states of |x| <= R, the loop x <- x + eta u under
+    # clf_feedback, in exact arithmetic, is inside |x| <= r within
+    # reaching_steps steps; 0 steps from inside the ball
+    config = _shh_config(name)
+    problem, V, res = _shh_sampling_time(config)
+    eps, r, R = config["optimizer_eps"], config["target_radius"], config["overshoot_radius"]
+    eta = Fraction(res.eta)
+    starts = [s * k / 64 for k in range(65) if k / 64 <= R for s in (1.0, -1.0)] + [R, -R]
+    for x0 in starts:
+        bound = reaching_steps(problem, V, res, eps, x0)
+        x, steps = Fraction(x0), 0
+        while abs(x) > Fraction(r):
+            u = clf_feedback(problem, np.array([float(x)]), eps)[0][0]
+            x, steps = x + eta * Fraction(float(u)), steps + 1
+            assert steps <= bound and abs(x) <= R, (x0, steps, bound)
+        if abs(x0) <= r:
+            assert bound == 0
+
+
+def test_reaching_bound_needs_a_certified_eta_and_a_start_within_R():
+    config = _shh_config("audit")
+    problem, V, res = _shh_sampling_time(config)
+    with pytest.raises(ArgumentError):
+        reaching_steps(problem, V, res, 0.05, math.nextafter(1.0, 2.0))
+    _, _, refuted = _shh_sampling_time(config, 0.5)
+    with pytest.raises(ArgumentError):
+        reaching_steps(problem, V, refuted, 0.5, 1.0)

@@ -159,7 +159,7 @@ def test_sample_hold_matches_exact_recursion():
     dyn = integrator()
     eta = 0.1
     sh = SampleHoldPolicy(lambda x: -x, eta)
-    sol = sample_hold_trajectory(dyn, sh, np.array([1.0]), 1.0, 1e-8)
+    sol = sample_hold_trajectory(dyn, sh, np.array([1.0]), 1.0, 1e-8, 0.0)
     xk = 1.0
     for k in range(1, 11):
         xk *= 1.0 - eta
@@ -169,14 +169,14 @@ def test_sample_hold_matches_exact_recursion():
 def test_sample_hold_zero_policy_constant():
     dyn = integrator()
     sh = SampleHoldPolicy(lambda x: np.zeros(1), 0.25)
-    sol = sample_hold_trajectory(dyn, sh, np.array([0.3]), 1.0, 1e-9)
+    sol = sample_hold_trajectory(dyn, sh, np.array([0.3]), 1.0, 1e-9, 0.0)
     assert np.all(np.abs(sol.values - 0.3) <= 1e-12)
 
 
 def test_sample_hold_eta_beyond_horizon_single_interval():
     dyn = integrator()
     sh = SampleHoldPolicy(lambda x: -np.sign(x), 5.0)
-    sol = sample_hold_trajectory(dyn, sh, np.array([1.0]), 1.0, 1e-9)
+    sol = sample_hold_trajectory(dyn, sh, np.array([1.0]), 1.0, 1e-9, 0.0)
     # one held control over the whole horizon: x(t) = 1 - t
     assert abs(sol.endpoint[0] - 0.0) <= 1e-9
     assert np.unique(sol.controls).size == 1
@@ -185,7 +185,7 @@ def test_sample_hold_eta_beyond_horizon_single_interval():
 def test_sample_hold_records_controls():
     dyn = integrator()
     sh = SampleHoldPolicy(lambda x: -x, 0.5)
-    sol = sample_hold_trajectory(dyn, sh, np.array([1.0]), 1.0, 1e-8)
+    sol = sample_hold_trajectory(dyn, sh, np.array([1.0]), 1.0, 1e-8, 0.0)
     assert sol.controls is not None
     assert sol.controls.shape[0] == sol.grid.size
     assert sol.controls[0, 0] == pytest.approx(-1.0)
@@ -196,7 +196,7 @@ def test_solution_csv_includes_controls_and_cumulative_error():
 
     dyn = integrator()
     sh = SampleHoldPolicy(lambda x: -x, 0.25)
-    sol = sample_hold_trajectory(dyn, sh, np.array([1.0]), 1.0, 1e-8)
+    sol = sample_hold_trajectory(dyn, sh, np.array([1.0]), 1.0, 1e-8, 0.0)
     text = solution_to_csv(sol)
     lines = text.strip().splitlines()
     assert lines[0] == "t,x1,u1,error_bound"
@@ -539,21 +539,23 @@ def test_slope_above_the_sup_bound_is_a_contract_error():
         assert w.slope > 1e-3 and w.slope == _defect(blk, span, w.hw, plan.tail_budget)[2]
 
 
-def _sample_hold_reference(dyn, sh, x0, T, eps):
-    """sample_hold_trajectory with one picard_solve per sampling interval."""
-    from certctrl.core import CertifiedReal
+def _sample_hold_reference(dyn, sh, x0, T, eps, target_radius):
+    """sample_hold_trajectory with one picard_solve per sampling interval:
+    the tolerance split eps_loc (1 + g + ... + g^(n-1)) <= 0.9 eps in closed
+    form, the Grönwall recursion rounded up, and the stop at the first
+    sampled state with |x_k| + err_k <= target_radius."""
+    from certctrl.core import CertifiedReal, _up
 
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     eta = sh.eta
     n_int = max(1, math.ceil(T / eta - 1e-12))
-    growth = math.exp(dyn.lip_x * eta)
-    amp, amps = 1.0, []
-    for _ in range(n_int):
-        amps.append(amp)
-        amp = amp * growth
-    eps_loc = eps / (sum(amps) + 1e-300) * 0.9
+    a = dyn.lip_x * eta
+    growth = _up(math.exp(a)) if a else 1.0
+    amplification = float(n_int) if a == 0 else _up(
+        _up(math.expm1(_up(n_int * a))) / math.nextafter(math.expm1(a), 0.0))
+    eps_loc = eps / amplification * 0.9
     grid, vals, ctrl, errs = [np.array([0.0])], [x0[None, :]], [], [np.array([0.0])]
-    x, err, t0 = x0.copy(), 0.0, 0.0
+    x, err, t0, entry = x0.copy(), 0.0, 0.0, None
     for k in range(n_int):
         t1 = min((k + 1) * eta, T)
         span = t1 - t0
@@ -565,28 +567,35 @@ def _sample_hold_reference(dyn, sh, x0, T, eps):
             span, dyn.state_box, dyn.lip_x, dyn.sup_bound,
         )
         sol = picard_solve(rhs, x, span, eps_loc)
-        err = err * growth + sol.error_bound.value
+        local = sol.error_bound.value
+        err = _up(err * growth + local) if err or local else 0.0
         grid.append(sol.grid[1:] + t0)
         vals.append(sol.values[1:])
         errs.append(np.full(sol.grid.size - 1, err))
         ctrl.append(np.repeat(u[None, :], sol.grid.size if k == 0 else sol.grid.size - 1, axis=0))
         x = sol.endpoint.copy()
         t0 = t1
-    return np.concatenate(grid), np.vstack(vals), np.vstack(ctrl), np.concatenate(errs), CertifiedReal(err, 0.0)
+        if Fraction(float(np.abs(x).max())) + Fraction(err) <= Fraction(target_radius):
+            entry = k + 1
+            break
+    return (np.concatenate(grid), np.vstack(vals), np.vstack(ctrl), np.concatenate(errs),
+            CertifiedReal(err, 0.0), entry)
 
 
-def _assert_sample_hold_matches_reference(dyn, sh, x0, T, eps):
+def _assert_sample_hold_matches_reference(dyn, sh, x0, T, eps, target_radius=0.0):
     from certctrl.trajectories import solution_to_csv
 
-    sol = sample_hold_trajectory(dyn, sh, x0, T, eps)
-    grid, values, controls, profile, bound = _sample_hold_reference(dyn, sh, x0, T, eps)
+    sol = sample_hold_trajectory(dyn, sh, x0, T, eps, target_radius)
+    grid, values, controls, profile, bound, entry = _sample_hold_reference(dyn, sh, x0, T, eps, target_radius)
     assert sol.grid.tobytes() == grid.tobytes()
     assert sol.values.tobytes() == values.tobytes()
     assert sol.controls.tobytes() == controls.tobytes()
     assert sol.error_profile.tobytes() == profile.tobytes()
     assert sol.error_bound == bound
+    assert sol.entry_step == entry
     ref = type(sol)(grid, values, bound, sol.validity, controls=controls, error_profile=profile)
     assert solution_to_csv(sol) == solution_to_csv(ref)
+    return sol
 
 
 def test_sample_hold_matches_per_interval_solves():
@@ -597,15 +606,65 @@ def test_sample_hold_matches_per_interval_solves():
 
     dyn = ControlledDynamics(f, BOX2, lip_x=1.5, lip_u=1.0, sup_bound=3.0)
     sh = SampleHoldPolicy(lambda x: -0.5 * x, 0.7)
-    _assert_sample_hold_matches_reference(dyn, sh, np.array([1.2]), 2.0, 1e-4)
-    _assert_sample_hold_matches_reference(integrator(), SampleHoldPolicy(lambda x: -x, 0.1),
-                                          np.array([1.0]), 1.0, 1e-8)
+    assert _assert_sample_hold_matches_reference(dyn, sh, np.array([1.2]), 2.0, 1e-4).entry_step is None
+    # the same plant stops at the ball, with a nonzero error in the test
+    sol = _assert_sample_hold_matches_reference(dyn, sh, np.array([1.2]), 2.0, 1e-4, 0.5)
+    assert sol.entry_step == 1 and 0 < sol.error_bound.value <= 1e-4
+    integ = SampleHoldPolicy(lambda x: -x, 0.1)
+    sol = _assert_sample_hold_matches_reference(integrator(), integ, np.array([1.0]), 1.0, 1e-8)
+    assert sol.entry_step is None
+    # 0.9^7 = 0.478... is the first sampled state within 0.5
+    sol = _assert_sample_hold_matches_reference(integrator(), integ, np.array([1.0]), 1.0, 1e-8, 0.5)
+    assert sol.entry_step == 7 and sol.grid[-1] == 7 * 0.1
+
+
+def test_sample_hold_stops_at_the_ball_with_the_rows_of_the_full_horizon():
+    # the stop changes nothing before it: the rows up to the entry are
+    # those of the run that never stops, and no earlier sampled state is in
+    # the ball; the integrator's error column keeps its exact zeros
+    sh = SampleHoldPolicy(lambda x: np.where(x > 0, -1.0, 1.0), 0.28)
+    full = sample_hold_trajectory(integrator(), sh, np.array([1.0]), 3.0, 1e-8, 0.0)
+    sol = sample_hold_trajectory(integrator(), sh, np.array([1.0]), 3.0, 1e-8, 0.15)
+    assert full.entry_step is None and sol.entry_step == 4
+    m = sol.grid.size
+    assert m < full.grid.size
+    assert sol.grid.tobytes() == full.grid[:m].tobytes()
+    assert sol.values.tobytes() == full.values[:m].tobytes()
+    assert sol.controls.tobytes() == full.controls[:m].tobytes()
+    assert sol.error_profile.tobytes() == full.error_profile[:m].tobytes()
+    assert np.all(sol.error_profile == 0.0) and sol.error_bound.value == 0.0
+    assert abs(sol.values[-1, 0]) <= 0.15 and np.all(np.abs(sol.values[:-1, 0]) > 0.15)
+    # past the entry the chattering state leaves the ball again
+    assert abs(full.values[m, 0]) > 0.15
+
+
+def test_sample_hold_validity_blocks_end_at_the_sampling_instants():
+    # one block per interval run, whose ends are the sampling instants
+    # min(k eta, T) of the grid, exactly: a plant with several Picard nodes
+    # per interval and a shorter last one, and the integrator stopped at
+    # the ball
+    def f(xs, us):
+        return -xs + us
+
+    dyn = ControlledDynamics(f, BOX2, lip_x=1.5, lip_u=1.0, sup_bound=3.0)
+    cases = [
+        (sample_hold_trajectory(dyn, SampleHoldPolicy(lambda x: -0.5 * x, 0.7),
+                                np.array([1.2]), 2.0, 1e-4, 0.0), 0.7, 2.0, 3),
+        (sample_hold_trajectory(integrator(), SampleHoldPolicy(lambda x: -x, 0.1),
+                                np.array([1.0]), 1.0, 1e-8, 0.5), 0.1, 1.0, 7),
+    ]
+    for sol, eta, T, steps in cases:
+        instants = [min(k * eta, T) for k in range(steps + 1)]
+        assert set(instants) <= set(sol.grid.tolist()) and sol.grid[-1] == instants[-1]
+        ends = [b.intervals[0] for b in sol.validity.base]
+        assert ends == [(Fraction(a), Fraction(b)) for a, b in zip(instants, instants[1:])]
+    assert cases[0][0].grid.size > 2 * cases[0][3]
 
 
 def test_sample_hold_initial_state_outside_box():
     sh = SampleHoldPolicy(lambda x: -x, 0.1)
     with pytest.raises(DomainExitError) as ei:
-        sample_hold_trajectory(integrator(), sh, np.array([2.5]), 1.0, 1e-6)
+        sample_hold_trajectory(integrator(), sh, np.array([2.5]), 1.0, 1e-6, 0.0)
     assert ei.value.exit_time == 0.0
 
 
@@ -622,14 +681,17 @@ def test_shh_closed_loop_csv_matches_per_interval_solves(tmp_path):
     cfg = tmp_path / "shh.json"
     cfg.write_text(json.dumps(config))
     assert cli.main(["shh", "--config", str(cfg), "--out", str(tmp_path / "out")]) == cli.EXIT_OK
-    eta = json.loads((tmp_path / "out" / "certificate.json").read_text())["numeric"]["eta"]
-    # the demo closed loop of the shh task, one picard_solve per interval
+    record = json.loads((tmp_path / "out" / "certificate.json").read_text())
+    eta, reach = record["numeric"]["eta"], record["payload"]["reach"]
+    # the demo closed loop of the shh task, one picard_solve per interval,
+    # over N* intervals and stopped at the same entry test
     problem, _ = cli._shh_problem(config)
     eps = config["optimizer_eps"]
     sh = SampleHoldPolicy(lambda x: stab.clf_feedback(problem, x, eps)[0], eta)
-    horizon = math.ceil(4.0 * problem.overshoot_radius / eta) * eta
-    grid, values, controls, profile, bound = _sample_hold_reference(
-        problem.dynamics, sh, np.array([problem.overshoot_radius]), horizon, max(1e-9, eps * eta / 100.0)
+    grid, values, controls, profile, bound, entry = _sample_hold_reference(
+        problem.dynamics, sh, np.array([problem.overshoot_radius]), reach["bound_steps"] * eta,
+        max(1e-9, eps * eta / 100.0), problem.target_radius,
     )
+    assert entry == reach["step"] and grid[-1] == reach["time"]
     ref = ExtendedSolution(grid, values, bound, None, controls=controls, error_profile=profile)
     assert (tmp_path / "out" / "closed_loop.csv").read_text() == solution_to_csv(ref)
