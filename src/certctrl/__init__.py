@@ -17,11 +17,9 @@ from .core import (
     FiniteMesh,
     Hypercube,
     InternalConsistencyError,
-    LocatedSet,
     Modulus,
     ResourceBudgetError,
     build_mesh,
-    located_distance,
 )
 
 __all__ = [
@@ -33,9 +31,7 @@ __all__ = [
     "FiniteMesh",
     "Hypercube",
     "InternalConsistencyError",
-    "LocatedSet",
     "Modulus",
     "ResourceBudgetError",
     "build_mesh",
-    "located_distance",
 ]

@@ -329,9 +329,8 @@ def _shh_problem(config) -> tuple[stab.CLFProblem, ScalarForm]:
         state_box=state_box,
         lip_x=0.0,
         lip_u=1.0,
-        # f(x, u) = u: its sup is the enclosure of u on the control box
-        sup_bound=_sup_abs(build_scalar_form({"form": "polynomial", "coeffs": [0, 1]}),
-                           control_box),
+        # f(x, u) = u: its sup over the control box is at an end point
+        sup_bound=float(max(abs(control_box.lo[0]), abs(control_box.hi[0]))),
     )
     problem = stab.CLFProblem(
         dynamics=dyn,

@@ -1,5 +1,5 @@
-"""Certified scalar/vector arithmetic, continuity moduli, finite meshes
-and located-set distances.
+"""Certified scalar/vector arithmetic, continuity moduli and finite
+meshes.
 
 Everything downstream consumes these primitives: a real number is a float
 together with an explicit error radius, a continuous function carries a
@@ -27,10 +27,8 @@ __all__ = [
     "Modulus",
     "Hypercube",
     "FiniteMesh",
-    "LocatedSet",
     "build_mesh",
     "mesh_divisions",
-    "located_distance",
     "poly_eval",
     "snap_dyadic",
     "DEFAULT_MESH_BUDGET",
@@ -338,12 +336,6 @@ class FiniteMesh:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def nearest(self, x) -> tuple[int, float]:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        d = np.linalg.norm(self.points - x[None, :], axis=1)
-        i = int(np.argmin(d))
-        return i, float(d[i])
-
     def min_distance(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized distance from each row of xs to the mesh."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -402,43 +394,4 @@ def build_mesh(box: Hypercube, eps: float, budget: int = DEFAULT_MESH_BUDGET) ->
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
     return FiniteMesh(pts, eps, box)
-
-
-@dataclass(frozen=True)
-class LocatedSet:
-    """A set whose distance function is computable to any precision,
-    realized by a mesh generator eps -> FiniteMesh."""
-
-    mesh_generator: Callable[[float], FiniteMesh]
-    description: str = ""
-
-    @classmethod
-    def from_ball(cls, center, radius: float, budget: int = DEFAULT_MESH_BUDGET) -> "LocatedSet":
-        """Ball as a circumscribed hypercube mesh filtered by the norm
-        predicate.  Meshing the cube at eps/2 keeps the filtered net a
-        sound eps-cover of the ball."""
-        center = np.atleast_1d(np.asarray(center, dtype=float))
-        box = Hypercube(center, 2.0 * radius)
-
-        def gen(eps: float) -> FiniteMesh:
-            cube = build_mesh(box, eps / 2.0, budget)
-            keep = np.linalg.norm(cube.points - center[None, :], axis=1) <= radius
-            pts = cube.points[keep]
-            if pts.shape[0] == 0:
-                pts = snap_dyadic(center)[None, :]
-            return FiniteMesh(pts, eps, None)
-
-        return cls(gen, f"ball(r={radius})")
-
-    def mesh(self, eps: float) -> FiniteMesh:
-        return self.mesh_generator(eps)
-
-
-def located_distance(A: LocatedSet, x, eps: float) -> CertifiedReal:
-    """Distance from x to the located set A, certified to radius eps."""
-    if eps <= 0:
-        raise ArgumentError("located_distance requires eps > 0")
-    mesh = A.mesh(eps)
-    _, d = mesh.nearest(x)
-    return CertifiedReal(d, _inflate(d, eps))
 

@@ -37,7 +37,6 @@ from .core import (
     ContractError,
     FiniteMesh,
     Hypercube,
-    LocatedSet,
     Modulus,
     ResourceBudgetError,
     build_mesh,
@@ -122,11 +121,6 @@ class PiecewisePolicy:
             return out[0]
         return out
 
-    def sup_distance(self, other: "PiecewisePolicy", grid: np.ndarray) -> float:
-        a = self(grid)
-        b = other(grid)
-        return float(np.linalg.norm(a - b, axis=-1).max())
-
 
 @dataclass(frozen=True)
 class Functional:
@@ -188,10 +182,11 @@ def _value_mesh(pclass: PolicyClass, spacing: float, budget: int) -> np.ndarray:
     if K == 0.0:
         return np.zeros((1, m))
     # covering the circumscribed cube with spacing h corresponds to
-    # resolution h sqrt(m) / 2; from_ball meshes the cube at eps/2
-    eps = spacing * math.sqrt(m)
-    ball = LocatedSet.from_ball(np.zeros(m), K, budget)
-    return ball.mesh(eps).points
+    # resolution h sqrt(m) / 2; the nodes outside the ball are dropped, and
+    # the origin stands in when none is left
+    cube = build_mesh(Hypercube(np.zeros(m), 2.0 * K), spacing * math.sqrt(m) / 2.0, budget)
+    pts = cube.points[np.linalg.norm(cube.points, axis=1) <= K]
+    return pts if len(pts) else np.zeros((1, m))
 
 
 def enumerate_policy_net(

@@ -166,10 +166,6 @@ class GeneralizedBlock:
 
     blocks: tuple
 
-    @classmethod
-    def of(cls, *blocks) -> "GeneralizedBlock":
-        return cls(tuple(blocks))
-
     @property
     def proper(self) -> bool:
         """Sweep along the first axis: with the non-empty blocks sorted by
@@ -354,12 +350,6 @@ class SimpleSVF:
     piece of a proper partition."""
 
     pieces: tuple  # tuple[(Block, tuple[(Fraction, Fraction), ...])]
-
-    def piece_index(self, x) -> Optional[int]:
-        for i, (b, _) in enumerate(self.pieces):
-            if b.contains(x):
-                return i
-        return None
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,6 @@ from .core import (
     _float_down,
     _float_up,
     build_mesh,
-    mesh_divisions,
 )
 from .trajectories import ControlledDynamics
 
@@ -348,17 +347,13 @@ def certify(data: LyapunovData, box: Hypercube) -> StabilityCertificate:
 @dataclass(frozen=True)
 class CLFProblem:
     """The annulus r <= |x| <= R is centred at the origin, so the state box
-    must contain [-R, R]^n.  control_meshes holds the control-box mesh nodes
-    of each division count clf_feedback has used (they depend on the box and
-    the count only), so every feedback call on this problem builds each
-    mesh once."""
+    must contain [-R, R]^n."""
 
     dynamics: ControlledDynamics
     control_box: Hypercube
     grad_V: Callable[[np.ndarray], np.ndarray]  # (1, n) -> (1, n)
     target_radius: float  # r
     overshoot_radius: float  # R
-    control_meshes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0 < self.target_radius < self.overshoot_radius):
@@ -380,10 +375,8 @@ def clf_feedback(problem: CLFProblem, x, eps: float):
     the certified minimum within eps (any such node is a legitimate
     eps-optimizer; the deterministic tie-break makes runs reproducible and
     realizes the worst-case freedom an approximate optimizer has).
-    Returns (u (p,), CertifiedReal).
-
-    The mesh resolution depends on |grad V(x)|; each division count's mesh
-    is built once and kept in problem.control_meshes.
+    Returns (u (p,), CertifiedReal).  The mesh resolution depends on
+    |grad V(x)|.
     """
     if eps <= 0:
         raise ArgumentError("eps must be positive")
@@ -394,12 +387,9 @@ def clf_feedback(problem: CLFProblem, x, eps: float):
     lip_g = float(np.linalg.norm(g)) * problem.dynamics.lip_u
     box = problem.control_box
     res = box.diameter if lip_g == 0.0 else (eps / 2.0) / lip_g
-    k = mesh_divisions(box, res)
-    if k not in problem.control_meshes:
-        # the mesh is snapped to a dyadic lattice; the control must stay in
-        # the box that M and S2 are taken on
-        problem.control_meshes[k] = np.clip(build_mesh(box, res).points, box.lo, box.hi)
-    nodes = problem.control_meshes[k]
+    # the mesh is snapped to a dyadic lattice; the control must stay in the
+    # box that M and S2 are taken on
+    nodes = np.clip(build_mesh(box, res).points, box.lo, box.hi)
     f = np.asarray(problem.dynamics.f(np.repeat(x[None, :], len(nodes), axis=0), nodes), dtype=float)
     # one dot per node, as the per-node g @ f[j] computes it (f @ g, a
     # gemv, can differ in the last bit)
@@ -407,8 +397,7 @@ def clf_feedback(problem: CLFProblem, x, eps: float):
     r_g = _FEEDBACK_ROUNDING * (1.0 + float(np.abs(vals).max()))
     cut = vals.min() + eps / 2.0 - 2.0 * r_g
     idx = int(np.argmax(vals <= cut))  # the first node at or below the cut; 0 when none is
-    # a copy: the caller must not reach the cached mesh
-    return nodes[idx].copy(), CertifiedReal(float(vals[idx]), eps / 2.0 + 2.0 * r_g)
+    return nodes[idx], CertifiedReal(float(vals[idx]), eps / 2.0 + 2.0 * r_g)
 
 
 @dataclass(frozen=True)

@@ -61,9 +61,9 @@ defect a field with a small sup|f''| needs a few thousand nodes, so the
 warm start runs only for first-order blocks and for fields whose f'' is
 large: a window needs at least WARM_RATIO * COARSE_INTERVALS intervals.
 
-Solutions are extended-sense: the differential equation is certified off
-arbitrarily thin neighborhoods of the block boundaries, produced by the
-validity domain's exception generator.
+Solutions are extended-sense: the differential equation holds inside each
+time block, whose ends are the right-hand side's block boundaries or the
+sampling instants, and the field may jump at those ends.
 """
 
 from __future__ import annotations
@@ -86,7 +86,6 @@ from .core import (
     ResourceBudgetError,
     _up,
 )
-from .selector import Block, RepresentableDomain, _facet_exception_generator
 
 __all__ = [
     "TimeBlockRHS",
@@ -170,12 +169,11 @@ class RegularRHS:
 @dataclass(frozen=True)
 class ExtendedSolution:
     """Trajectory on a grid with a certified sup-norm error bound; the
-    differential equation holds off the validity domain's exceptions."""
+    differential equation holds inside each time block."""
 
     grid: np.ndarray  # (m,)
     values: np.ndarray  # (m, n)
     error_bound: CertifiedReal
-    validity: RepresentableDomain
     controls: Optional[np.ndarray] = None  # (m, p) for sample-and-hold runs
     error_profile: Optional[np.ndarray] = None  # (m,) cumulative certified bound
     sweeps: Optional[np.ndarray] = None  # (windows, 2) coarse and fine Picard sweeps
@@ -461,14 +459,7 @@ def picard_solve(
     plan = picard_plan(rhs, T, eps, grid_budget)
     grid, values, profile, sweeps, err = _run_plan(plan, x0)
     orders = [max(w.order for w in ws) for _, ws in groupby(plan.windows, key=lambda w: id(w.block))]
-    T = float(T)
-    time_blocks = tuple(
-        Block.interval(a, min(b.t_hi, Fraction(T)))
-        for a, b in [(blk.t_lo, blk) for blk in rhs.blocks]
-        if float(a) < T
-    )
-    validity = RepresentableDomain(time_blocks, _facet_exception_generator(time_blocks))
-    return ExtendedSolution(grid, values, CertifiedReal(float(err), 0.0), validity,
+    return ExtendedSolution(grid, values, CertifiedReal(float(err), 0.0),
                             error_profile=profile, sweeps=sweeps,
                             grid_step=plan.grid_step, defect_order=orders)
 
@@ -544,7 +535,6 @@ def sample_hold_trajectory(
     vals = [x0[None, :]]
     ctrl = []
     errs = [np.array([0.0])]
-    blocks = []
     x = x0.copy()
     err = 0.0
     t0 = 0.0
@@ -573,7 +563,6 @@ def sample_hold_trajectory(
         errs.append(np.full(g.size - 1, err))  # end-of-interval bound
         rows = g.size if k == 0 else g.size - 1
         ctrl.append(np.repeat(u[None, :], rows, axis=0))
-        blocks.append(Block.interval(Fraction(t0), Fraction(t1)))
         x = v[-1].copy()
         t0 = t1
         reach = float(np.abs(x).max()) + err
@@ -585,9 +574,7 @@ def sample_hold_trajectory(
     values = np.vstack(vals)
     controls = np.vstack(ctrl)
     profile = np.concatenate(errs)
-    blocks = tuple(blocks)
-    validity = RepresentableDomain(blocks, _facet_exception_generator(blocks))
-    return ExtendedSolution(grid, values, CertifiedReal(err, 0.0), validity,
+    return ExtendedSolution(grid, values, CertifiedReal(err, 0.0),
                             controls=controls, error_profile=profile, entry_step=entry)
 
 

@@ -9,11 +9,9 @@ from certctrl.core import (
     ArgumentError,
     CertifiedReal,
     Hypercube,
-    LocatedSet,
     Modulus,
     ResourceBudgetError,
     build_mesh,
-    located_distance,
     snap_dyadic,
 )
 
@@ -258,59 +256,3 @@ def test_hypercube_interval_keeps_its_end_points():
 def test_build_mesh_rejects_nonpositive_eps():
     with pytest.raises(ArgumentError):
         build_mesh(Hypercube(np.zeros(1), 1.0), 0.0)
-
-
-# ---------------------------------------------------------------------------
-# Located sets
-# ---------------------------------------------------------------------------
-
-def test_located_distance_interval():
-    A = LocatedSet(lambda eps: build_mesh(Hypercube(np.array([0.5]), 1.0), eps))  # [0, 1]
-    d = located_distance(A, np.array([2.0]), 0.01)
-    assert 0.99 <= d.value <= 1.01
-    assert d.radius >= 0.01
-
-
-def test_located_distance_inside_is_small():
-    A = LocatedSet(lambda eps: build_mesh(Hypercube(np.array([0.5]), 1.0), eps))
-    d = located_distance(A, np.array([0.3]), 0.05)
-    assert d.value <= 0.05
-
-
-def test_located_distance_unit_circle():
-    # DERIVED: exact distance from the origin to the unit circle is 1
-    def gen(eps):
-        k = max(8, int(math.ceil(2 * math.pi / eps)))
-        ang = 2 * math.pi * np.arange(k) / k
-        pts = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        from certctrl.core import FiniteMesh
-
-        return FiniteMesh(pts, eps, None)
-
-    circle = LocatedSet(gen, "unit circle")
-    d = located_distance(circle, np.zeros(2), 0.05)
-    assert 0.95 <= d.value <= 1.05
-
-
-def test_located_distance_refinement_monotone_and_nested():
-    A = LocatedSet(lambda eps: build_mesh(Hypercube(np.array([0.0, 0.0]), 2.0), eps))
-    x = np.array([3.0, 0.0])
-    prev = None
-    for eps in (0.5, 0.1, 0.02):
-        d = located_distance(A, x, eps)
-        if prev is not None:
-            assert d.radius <= prev.radius
-            # nested certificates intersect
-            assert d.lower <= prev.upper and prev.lower <= d.upper
-        prev = d
-
-
-def test_ball_mesh_stays_in_ball_and_covers():
-    ball = LocatedSet.from_ball(np.zeros(2), 1.0)
-    mesh = ball.mesh(0.2)
-    assert np.all(np.linalg.norm(mesh.points, axis=1) <= 1.0 + 1e-12)
-    # sampled covering of the ball at resolution 0.2
-    rng = np.random.default_rng(3)
-    pts = rng.uniform(-1, 1, size=(20_000, 2))
-    pts = pts[np.linalg.norm(pts, axis=1) <= 1.0][:5000]
-    assert float(mesh.min_distance(pts).max()) <= 0.2

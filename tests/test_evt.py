@@ -116,6 +116,19 @@ def test_net_budget_error_names_counts():
     assert "|K0|^N" in msg and "budget" in msg
 
 
+def test_value_mesh_stays_in_ball_and_covers():
+    from certctrl.evt import DEFAULT_NET_BUDGET, _value_mesh
+
+    # spacing h covers the ball of radius K at resolution h sqrt(m)
+    spacing = 0.1
+    values = _value_mesh(PolicyClass(UNIT, 2, 1.0, 1.0), spacing, DEFAULT_NET_BUDGET)
+    assert np.all(np.linalg.norm(values, axis=1) <= 1.0)
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-1, 1, size=(20_000, 2))
+    pts = pts[np.linalg.norm(pts, axis=1) <= 1.0][:5000]
+    assert float(FiniteMesh(values, 0.0).min_distance(pts).max()) <= spacing * math.sqrt(2)
+
+
 def _reference_net(pclass, eps):
     """Node points and (members, N, m) values of the depth-first recursive
     enumeration, one node at a time: the reference the array enumeration

@@ -57,21 +57,21 @@ def identity_chunk():
 # ---------------------------------------------------------------------------
 
 def test_volume_two_disjoint_unit_intervals():
-    gb = GeneralizedBlock.of(Block.interval(0, 1), Block.interval(2, 3))
+    gb = GeneralizedBlock((Block.interval(0, 1), Block.interval(2, 3)))
     assert gb.volume_exact() == 2
 
 
 def test_volume_empty_block_is_zero():
-    gb = GeneralizedBlock.of(Block.interval(1, 0))
+    gb = GeneralizedBlock((Block.interval(1, 0),))
     assert gb.volume_exact() == 0
 
 
 def test_volume_dyadic_sum_exact():
-    gb = GeneralizedBlock.of(
+    gb = GeneralizedBlock((
         Block.make((0, F12)),
         Block.make((1, 1 + Fraction(1, 4))),
         Block.make((2, 2 + Fraction(1, 8))),
-    )
+    ))
     assert gb.volume_exact() == Fraction(7, 8)
 
 
@@ -139,8 +139,8 @@ def test_proper_sweep_matches_pairwise_reference(dim):
 def test_reduction_overlapping_intervals():
     # DERIVED by hand: [0,2] and [1,3] reduce to a partition of total mu 3
     out = countable_reduction([
-        GeneralizedBlock.of(Block.interval(0, 2)),
-        GeneralizedBlock.of(Block.interval(1, 3)),
+        GeneralizedBlock((Block.interval(0, 2),)),
+        GeneralizedBlock((Block.interval(1, 3),)),
     ])
     assert out[0].volume_exact() == 2
     assert out[1].volume_exact() == 1
@@ -152,14 +152,14 @@ def test_reduction_overlapping_intervals():
 def test_reduction_disjoint_input_unchanged():
     a = Block.interval(0, 1)
     b = Block.interval(2, 3)
-    out = countable_reduction([GeneralizedBlock.of(a), GeneralizedBlock.of(b)])
+    out = countable_reduction([GeneralizedBlock((a,)), GeneralizedBlock((b,))])
     assert out[0].blocks == (a,)
     assert out[1].blocks == (b,)
 
 
 def test_reduction_duplicate_block_single_copy():
     a = Block.interval(0, 1)
-    out = countable_reduction([GeneralizedBlock.of(a), GeneralizedBlock.of(a)])
+    out = countable_reduction([GeneralizedBlock((a,)), GeneralizedBlock((a,))])
     assert out[0].volume_exact() == 1
     assert out[1].volume_exact() == 0
     total = GeneralizedBlock(out[0].blocks + out[1].blocks)
@@ -168,9 +168,9 @@ def test_reduction_duplicate_block_single_copy():
 
 def test_reduction_2d_overlaps_proper():
     gbs = [
-        GeneralizedBlock.of(Block.make((0, 2), (0, 2))),
-        GeneralizedBlock.of(Block.make((1, 3), (1, 3))),
-        GeneralizedBlock.of(Block.make((0, 3), (0, 3))),
+        GeneralizedBlock((Block.make((0, 2), (0, 2)),)),
+        GeneralizedBlock((Block.make((1, 3), (1, 3)),)),
+        GeneralizedBlock((Block.make((0, 3), (0, 3)),)),
     ]
     out = countable_reduction(gbs)
     merged = GeneralizedBlock(tuple(b for gb in out for b in gb.blocks))
@@ -205,10 +205,10 @@ def test_simple_approx_linear_chunk_hausdorff():
     # DERIVED oracle: direct evaluation on 10^3 samples
     for _ in range(1000):
         x = rng.uniform(0, 1)
-        idx = fhat.piece_index([Fraction(x)])
-        if idx is None:
+        vals = next((v for b, v in fhat.pieces if b.contains([Fraction(x)])), None)
+        if vals is None:
             continue
-        lo, hi = fhat.pieces[idx][1][0]
+        lo, hi = vals[0]
         # Hausdorff between [0, x] and the frozen interval
         h = max(abs(float(lo) - 0.0), abs(float(hi) - x))
         assert h <= delta + 1e-12
@@ -231,8 +231,7 @@ def test_simple_approx_two_chunk_preserves_count():
     # sampled Hausdorff per chunk
     for _ in range(1000):
         x = rng.uniform(0, 1)
-        idx = fhat.piece_index([Fraction(x)])
-        (l0, h0), (l1, h1) = fhat.pieces[idx][1]
+        (l0, h0), (l1, h1) = next(v for b, v in fhat.pieces if b.contains([Fraction(x)]))
         assert max(abs(float(l0)), abs(float(h0))) <= delta
         assert max(abs(float(l1) - x), abs(float(h1) - 1.0)) <= delta + 1e-12
 

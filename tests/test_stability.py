@@ -9,7 +9,7 @@ import pytest
 
 import certctrl.stability as stability
 from certctrl import cli
-from certctrl.core import ArgumentError, Hypercube, build_mesh, mesh_divisions
+from certctrl.core import ArgumentError, Hypercube, build_mesh
 from certctrl.stability import (
     CLFProblem,
     Comparator,
@@ -515,22 +515,6 @@ def _feedback_one_by_one(problem, x, eps):
     cut = vals.min() + eps / 2.0 - 2.0 * r_g
     idx = int(np.argmax(vals <= cut))
     return mesh.points[idx], vals[idx], eps / 2.0 + 2.0 * r_g
-
-
-def test_clf_feedback_builds_each_control_mesh_once(monkeypatch):
-    # the demo closed loop calls clf_feedback once per interval: states whose
-    # meshes have the same divisions share one build across calls
-    prob, eps = integrator_problem(), 0.05
-    xs = [0.9, -0.9, 0.5, 0.3, 0.5, -0.3, 0.0]
-    fresh = [clf_feedback(integrator_problem(), np.array([x]), eps) for x in xs]
-    built = []
-    monkeypatch.setattr(stability, "build_mesh", lambda box, res: built.append(res) or build_mesh(box, res))
-    for _ in range(2):
-        for x, (u, cert) in zip(xs, fresh):
-            u1, cert1 = clf_feedback(prob, np.array([x]), eps)
-            assert u1.tobytes() == u.tobytes() and cert1 == cert
-    divisions = {mesh_divisions(prob.control_box, r) for r in built}
-    assert len(built) == len(divisions) == len(prob.control_meshes) == 4
 
 
 def planar_problem():

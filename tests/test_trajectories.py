@@ -61,25 +61,6 @@ def test_tent_piecewise_rhs():
     # DERIVED: piecewise closed form x(1) = 1, x(2) = 0
     assert abs(solution_at(sol, 1.0)[0] - 1.0) <= 1e-9
     assert abs(sol.endpoint[0] - 0.0) <= 1e-9
-    # validity excludes a neighborhood of the internal boundary t = 1
-    J = sol.validity.exception(Fraction(1, 100))
-    assert J.contains([Fraction(1)])
-    assert J.volume_exact() <= Fraction(1, 100)
-
-
-def test_validity_exception_width_does_not_move_endpoints():
-    blocks = (
-        TimeBlockRHS(0, 1, lambda xs, ts: np.ones_like(xs), 0.0, Modulus.lipschitz(0.0), 1.0),
-        TimeBlockRHS(1, 2, lambda xs, ts: -np.ones_like(xs), 0.0, Modulus.lipschitz(0.0), 1.0),
-    )
-    rhs = RegularRHS(blocks, BOX2)
-    sol = picard_solve(rhs, np.array([0.0]), 2.0, 1e-9)
-    e1 = sol.endpoint[0]
-    # halving the excluded width is a descriptive change only
-    J1 = sol.validity.exception(Fraction(1, 64))
-    J2 = sol.validity.exception(Fraction(1, 128))
-    assert J2.volume_exact() <= J1.volume_exact()
-    assert sol.endpoint[0] == e1
 
 
 def test_residual_reintegration_within_bound():
@@ -593,7 +574,7 @@ def _assert_sample_hold_matches_reference(dyn, sh, x0, T, eps, target_radius=0.0
     assert sol.error_profile.tobytes() == profile.tobytes()
     assert sol.error_bound == bound
     assert sol.entry_step == entry
-    ref = type(sol)(grid, values, bound, sol.validity, controls=controls, error_profile=profile)
+    ref = type(sol)(grid, values, bound, controls=controls, error_profile=profile)
     assert solution_to_csv(sol) == solution_to_csv(ref)
     return sol
 
@@ -639,10 +620,10 @@ def test_sample_hold_stops_at_the_ball_with_the_rows_of_the_full_horizon():
 
 
 def test_sample_hold_validity_blocks_end_at_the_sampling_instants():
-    # one block per interval run, whose ends are the sampling instants
-    # min(k eta, T) of the grid, exactly: a plant with several Picard nodes
-    # per interval and a shorter last one, and the integrator stopped at
-    # the ball
+    # the time blocks on which the ODE holds end at the sampling instants
+    # min(k eta, T), and the grid holds each of them exactly: a plant with
+    # several Picard nodes per interval and a shorter last one, and the
+    # integrator stopped at the ball
     def f(xs, us):
         return -xs + us
 
@@ -656,8 +637,6 @@ def test_sample_hold_validity_blocks_end_at_the_sampling_instants():
     for sol, eta, T, steps in cases:
         instants = [min(k * eta, T) for k in range(steps + 1)]
         assert set(instants) <= set(sol.grid.tolist()) and sol.grid[-1] == instants[-1]
-        ends = [b.intervals[0] for b in sol.validity.base]
-        assert ends == [(Fraction(a), Fraction(b)) for a, b in zip(instants, instants[1:])]
     assert cases[0][0].grid.size > 2 * cases[0][3]
 
 
@@ -693,5 +672,5 @@ def test_shh_closed_loop_csv_matches_per_interval_solves(tmp_path):
         max(1e-9, eps * eta / 100.0), problem.target_radius,
     )
     assert entry == reach["step"] and grid[-1] == reach["time"]
-    ref = ExtendedSolution(grid, values, bound, None, controls=controls, error_profile=profile)
+    ref = ExtendedSolution(grid, values, bound, controls=controls, error_profile=profile)
     assert (tmp_path / "out" / "closed_loop.csv").read_text() == solution_to_csv(ref)
