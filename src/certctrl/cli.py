@@ -73,11 +73,6 @@ def _interval(pair) -> Hypercube:
     return Hypercube.interval(lo, hi)
 
 
-def _sup_abs(form, box: Hypercube) -> float:
-    """Upper bound on |form| over a 1-D box, from the form's enclosure."""
-    return max(map(abs, form.enclose(box.lo[0], box.hi[0])))
-
-
 def _write_csv(path: Path, header: str, rows) -> None:
     with path.open("w") as fh:
         fh.write(header + "\n")
@@ -100,7 +95,7 @@ def _task_evt_min(config, seed, out):
         target = build_scalar_form(spec["target"])
         tvals = target(grid[:, 0])
         gap = float(grid[1, 0] - grid[0, 0])
-        lip = _sup_abs(target.derivative, pclass.domain)
+        lip = target.derivative.sup_abs(pclass.domain.lo[0], pclass.domain.hi[0])
         rad = (pclass.lipschitz + lip) * gap / 2.0 + 1e-12
 
         def ev(env):
@@ -215,7 +210,7 @@ def _task_selector(config, seed, out):
         for ch in chunk_list:
             alpha = build_scalar_form(ch["alpha"])
             beta = build_scalar_form(ch["beta"])
-            L = max(map(abs, alpha.derivative.enclose(lo, hi) + beta.derivative.enclose(lo, hi)))
+            L = max(alpha.derivative.sup_abs(lo, hi), beta.derivative.sup_abs(lo, hi))
             here.append(sel.Chunk(
                 alpha=lambda x, f=alpha: float(f(np.atleast_1d(x)[0])),
                 beta=lambda x, f=beta: float(f(np.atleast_1d(x)[0])),
@@ -254,7 +249,7 @@ def _task_eig(config, seed, out):
     else:
         A = np.array(config["matrix"], dtype=complex)
     eps = float(config.get("eps", 1e-8))
-    verdict = eig.hurwitz_verdict(A, eps)
+    verdict = eig.hurwitz_verdict(A)
     pairs, achieved = eig.approx_eigenpairs(A, eps)
     _write_csv(
         out / "roots.csv",
@@ -274,6 +269,7 @@ def _task_eig(config, seed, out):
 
 def _ode_rhs_from_config(config) -> traj.RegularRHS:
     box = _interval(config["state_box"])
+    lo, hi = box.lo[0], box.hi[0]
     blocks = []
     for b in config["blocks"]:
         form = build_scalar_form(b["f"])
@@ -281,8 +277,8 @@ def _ode_rhs_from_config(config) -> traj.RegularRHS:
         blocks.append(traj.TimeBlockRHS(
             Fraction(str(b["t_lo"])), Fraction(str(b["t_hi"])),
             lambda xs, ts, f=form: f(xs),
-            _sup_abs(form.derivative, box), Modulus.lipschitz(0.0), _sup_abs(form, box),
-            _sup_abs(f2, box) if f2 else math.inf,
+            form.derivative.sup_abs(lo, hi), Modulus.lipschitz(0.0), form.sup_abs(lo, hi),
+            f2.sup_abs(lo, hi) if f2 else math.inf,
         ))
     return traj.RegularRHS(tuple(blocks), box)
 
@@ -388,13 +384,9 @@ def _task_shh(config, seed, out):
 
 def _task_certify(config, seed, out):
     box = _interval(config["state_box"])
-    f = build_scalar_form(config["dynamics"])
-    V = build_scalar_form(config["V"])
-    if f.spec["form"] != "polynomial" or V.spec["form"] != "polynomial":
-        raise ArgumentError("certify takes polynomial dynamics and V")
     data = stab.LyapunovData(
-        V=V.spec["coeffs"],
-        f=f.spec["coeffs"],
+        f=build_scalar_form(config["dynamics"]),
+        V=build_scalar_form(config["V"]),
         w1=build_comparator(config["w1"], "w1"),
         w2=build_comparator(config["w2"], "w2"),
         w3=build_comparator(config["w3"], "w3"),

@@ -29,7 +29,6 @@ __all__ = [
     "FiniteMesh",
     "build_mesh",
     "mesh_divisions",
-    "poly_eval",
     "snap_dyadic",
     "DEFAULT_MESH_BUDGET",
     "SNAP_BITS",
@@ -192,14 +191,6 @@ class CertifiedReal:
 
     def __repr__(self):
         return f"CertifiedReal({self.value!r} ± {self.radius!r})"
-
-
-def poly_eval(coeffs, x):
-    """Horner evaluation of sum_k coeffs[k] x^k, elementwise on arrays."""
-    out = np.zeros_like(np.asarray(x, dtype=float))
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
 
 
 class Modulus:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -78,8 +78,6 @@ class DeltaOptimizerSet:
     delta-optimizer."""
 
     x: np.ndarray
-    delta: float
-    mesh_eps: float
     points: np.ndarray  # (k, p)
     psi_hat: CertifiedReal
 
@@ -88,10 +86,15 @@ class DeltaOptimizerSet:
 
     @property
     def diameter(self) -> float:
-        if len(self) <= 1:
+        """The largest distance between two members, in O(k) memory."""
+        pts = self.points
+        if len(pts) <= 1:
             return 0.0
-        d = np.linalg.norm(self.points[:, None, :] - self.points[None, :, :], axis=2)
-        return float(d.max())
+        if pts.shape[1] == 1:  # rounding is monotone, and sqrt(fl(d * d)) == |d| unless
+            return float(pts.max() - pts.min())  # d * d underflows: the pairwise maximum
+        rows = max(1, (1 << 16) // len(pts))  # rows of pairwise differences at once
+        return float(max(np.linalg.norm(pts[i:i + rows, None, :] - pts[None, :, :], axis=2).max()
+                         for i in range(0, len(pts), rows)))
 
 
 def _as_point(x) -> np.ndarray:
@@ -134,7 +137,7 @@ def delta_optimizers(
     psi_hat = CertifiedReal(v, obj.modulus_theta.forward_bound(eps) + obj.eval_radius)
     cut = psi_hat.value - psi_hat.radius - delta
     keep = vals + obj.eval_radius >= cut
-    return DeltaOptimizerSet(x, delta, eps, mesh.points[keep], psi_hat)
+    return DeltaOptimizerSet(x, mesh.points[keep], psi_hat)
 
 
 def _member_gradients(obj, dset: DeltaOptimizerSet, v: np.ndarray) -> np.ndarray:
@@ -150,7 +153,6 @@ def directional_derivative(
     x,
     v,
     delta: float,
-    mesh_eps: Optional[float] = None,
 ) -> CertifiedReal:
     """max over the delta-optimizer set of <grad_x phi(x, theta), v>.
 
@@ -166,12 +168,11 @@ def directional_derivative(
     vnorm = float(np.linalg.norm(v))
     if vnorm == 0.0:
         return CertifiedReal(0.0, 0.0)
-    if mesh_eps is None:
-        mesh_eps = min(
-            obj.grad_modulus.step(delta / 4.0),
-            obj.modulus_theta.step(delta / 4.0),
-            theta_dom.box.diameter / 8.0,
-        )
+    mesh_eps = min(
+        obj.grad_modulus.step(delta / 4.0),
+        obj.modulus_theta.step(delta / 4.0),
+        theta_dom.box.diameter / 8.0,
+    )
     dset = delta_optimizers(obj, theta_dom, x, delta, mesh_eps)
     dirs = _member_gradients(obj, dset, v)
     val = float(dirs.max())
@@ -197,9 +198,6 @@ def member_spread(obj: ParametricObjective, dset: DeltaOptimizerSet, v) -> tuple
 
 @dataclass(frozen=True)
 class AuditReport:
-    x: np.ndarray
-    v: np.ndarray
-    delta: float
     derivative: CertifiedReal
     rows: list  # (h, quotient, lower, upper)
 
@@ -256,4 +254,4 @@ def finite_difference_audit(
         upper = D.value + D.radius + segment + noise
         lower = D.value - delta - D.radius - segment - noise
         rows.append((h, q, lower, upper))
-    return AuditReport(x, v, delta, D, rows)
+    return AuditReport(D, rows)

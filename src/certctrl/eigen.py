@@ -56,8 +56,6 @@ class RootCluster:
     center: complex
     radius: float
     multiplicity: int
-    converged: bool = True
-    members: tuple = ()
 
 
 def _overlap_components(centers: np.ndarray, radii: np.ndarray, pad: float) -> list[list[int]]:
@@ -84,7 +82,6 @@ class ApproxEigenPair:
     lambda_hat: complex
     v_hat: np.ndarray
     residual: CertifiedReal
-    cluster: RootCluster = None
 
 
 def _residual_certified(a: np.ndarray, v: np.ndarray, lam: complex) -> CertifiedReal:
@@ -97,13 +94,13 @@ def _residual_certified(a: np.ndarray, v: np.ndarray, lam: complex) -> Certified
     return CertifiedReal(val, rad)
 
 
-def _eig_clusters(a: np.ndarray, eps: float):
+def _eig_clusters(a: np.ndarray):
     """LAPACK eigenpairs lam, X and certified clusters of the spectrum of A.
 
     Returns (lam, X, clusters, groups): disjoint disks sorted by center, each
     holding exactly len(groups[k]) eigenvalues, those the pairs groups[k]
-    approximate; clusters wider than eps have converged=False.  With u =
-    2^-53, gamma_k = k u/(1 - k u), eta = 2^-1074, R = inv(X), ~ = computed:
+    approximate.  With u = 2^-53, gamma_k = k u/(1 - k u), eta = 2^-1074,
+    R = inv(X), ~ = computed:
 
     1. The real and imaginary parts of an entry of a complex product P Q of
        inner dimension n are sums of 2n real products, so in any order,
@@ -131,8 +128,6 @@ def _eig_clusters(a: np.ndarray, eps: float):
     Otherwise (delta >= 1, X singular, overflow) the disk |z| <= ||A||inf
     holds the spectrum.
     """
-    if eps <= 0:
-        raise ArgumentError("eps must be positive")
     n = a.shape[0]
     lam, X = np.linalg.eig(a)
     g = 6 * n * _U / (1.0 - 2 * n * _U)
@@ -152,7 +147,7 @@ def _eig_clusters(a: np.ndarray, eps: float):
         rho = up * (np.where(eye > 0, 0.0, absB).sum(axis=1) + E + delta * beta / (1.0 - delta))
     if not (delta < 1.0 and np.all(np.isfinite(rho))):
         radius = float(up * np.abs(a).sum(axis=1).max())
-        return lam, X, [RootCluster(0j, radius, n, radius <= eps, tuple(lam))], [list(range(n))]
+        return lam, X, [RootCluster(0j, radius, n)], [list(range(n))]
     centers = np.diag(B)
     groups = [[i] for i in range(n)]
     while True:
@@ -164,8 +159,7 @@ def _eig_clusters(a: np.ndarray, eps: float):
             break
         groups = [sorted(i for c in comp for i in groups[c]) for comp in merged]
     order = np.lexsort((mid.imag, mid.real))
-    clusters = [RootCluster(complex(mid[k]), float(rad[k]), len(groups[k]), bool(rad[k] <= eps),
-                            tuple(lam[groups[k]])) for k in order]
+    clusters = [RootCluster(complex(mid[k]), float(rad[k]), len(groups[k])) for k in order]
     return lam, X, clusters, [groups[k] for k in order]
 
 
@@ -174,11 +168,13 @@ def approx_eigenpairs(A, eps: float, tau: float = 1e-6) -> tuple[list[ApproxEige
     cluster, kept while the running Gram matrix stays tau-independent;
     returns (pairs, achieved) where achieved is False when some kept pair
     misses the residual target or fewer than n pairs are kept."""
+    if eps <= 0:
+        raise ArgumentError("eps must be positive")
     a = _coerce(A).entries
-    lam, X, clusters, groups = _eig_clusters(a, eps)
+    lam, X, _, groups = _eig_clusters(a)
     pairs: list[ApproxEigenPair] = []
     achieved = True
-    for cl, idxs in zip(clusters, groups):
+    for idxs in groups:
         for i in idxs:
             # independence: smallest eigenvalue of the Gram matrix of the
             # candidate set must stay above tau
@@ -188,7 +184,7 @@ def approx_eigenpairs(A, eps: float, tau: float = 1e-6) -> tuple[list[ApproxEige
             cert = _residual_certified(a, X[:, i], lam[i])
             if cert.value + cert.radius > eps:
                 achieved = False
-            pairs.append(ApproxEigenPair(complex(lam[i]), X[:, i], cert, cl))
+            pairs.append(ApproxEigenPair(complex(lam[i]), X[:, i], cert))
     return pairs, achieved and len(pairs) == a.shape[0]
 
 
@@ -196,18 +192,17 @@ def approx_eigenpairs(A, eps: float, tau: float = 1e-6) -> tuple[list[ApproxEige
 class StabilityVerdict:
     verdict: str  # "stable" | "unstable" | "undecided"
     margin: CertifiedReal  # certified max real part
-    epsilon_used: float
     clusters: tuple = ()
 
 
-def hurwitz_verdict(A, eps: float) -> StabilityVerdict:
+def hurwitz_verdict(A) -> StabilityVerdict:
     """Eigenvalue stability criterion on the certified eigenvalue clusters.
 
     stable: every cluster strictly in the open left half-plane; unstable:
     some cluster strictly in the right half-plane; otherwise undecided (a
-    cluster touches the imaginary axis).  eps only sets `converged`.
+    cluster touches the imaginary axis).
     """
-    clusters = _eig_clusters(_coerce(A).entries, eps)[2]
+    clusters = _eig_clusters(_coerce(A).entries)[2]
     # the margin's center and radius come from one cluster so the verdict
     # inequalities hold against it: the rightmost certified disk for
     # unstable, the disk bounding the maximum real part otherwise
@@ -218,4 +213,4 @@ def hurwitz_verdict(A, eps: float) -> StabilityVerdict:
         worst = max(clusters, key=lambda c: c.center.real + c.radius)
         verdict = "stable" if worst.center.real + worst.radius < 0 else "undecided"
     margin = CertifiedReal(worst.center.real, worst.radius)
-    return StabilityVerdict(verdict, margin, eps, tuple(clusters))
+    return StabilityVerdict(verdict, margin, tuple(clusters))

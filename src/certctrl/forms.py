@@ -1,18 +1,21 @@
-"""Declarative function-form registry for config-driven runs.
+"""Declarative function-form registry for config-driven runs, and the one
+owner of polynomial data.
 
 Configs reference built-in forms (polynomial, piecewise-linear, trig, and
 affine composition) instead of arbitrary expressions, which keeps problem
 definitions auditable.  Every form encloses its own range on an interval:
 ``enclose(lo, hi)`` gives floats lower <= f(x) <= upper on [lo, hi], worked
-out in exact rationals and rounded outward once.  A task reads the sup of
-|f| from ``f.enclose`` and the Lipschitz constant from
-``f.derivative.enclose``, on the set it uses (the ode and shh tasks also
-sup|f''| from ``f.derivative.derivative.enclose``).  A polynomial encloses as
+out in exact rationals and rounded outward once.  A task reads sup|f|, the
+Lipschitz constant and (ode, shh) sup|f''| from ``sup_abs`` of f, f' and
+f'' on the set it uses.  A polynomial encloses as
 c_0 -+ sum_{k>=1} |c_k| r^k with r = max(|lo|, |hi|); pwl exactly, from the
 knots inside [lo, hi] and the interpolated ends, and its derivative is the
 step function of its slopes, which has no derivative; trig as -+ sum |a|;
 affine_of scales and shifts the inner enclosure.  Scalar forms act on the
 first state coordinate (the config-driven demos are one-dimensional).
+A polynomial form keeps its exact coefficients in ``coeffs`` (None for
+every other form); the radial comparators, the exact Horner rule and the
+Bernstein sign decider (_decide) that stability uses live here too.
 """
 
 from __future__ import annotations
@@ -26,10 +29,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ArgumentError, _float_down, _float_up, poly_eval
-from .stability import Comparator
+from .core import ArgumentError, _float_down, _float_up
 
 __all__ = [
+    "Comparator",
     "ScalarForm",
     "build_scalar_form",
     "build_comparator",
@@ -37,15 +40,123 @@ __all__ = [
 ]
 
 
+# Bernstein boxes examined per quotient before its sign is left undecided
+_BERNSTEIN_BOXES = 512
+
+
+def _horner(coeffs, r):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * r + c
+    return acc
+
+
+def _bernstein(coeffs: list, a: Fraction, b: Fraction) -> list:
+    """Bernstein coefficients on [a, b] of sum_i coeffs[i] r^i."""
+    c, n = list(coeffs), len(coeffs) - 1
+    for i in range(n):  # Taylor shift: the coefficients of p(a + r)
+        for j in range(n - 1, i - 1, -1):
+            c[j] += a * c[j + 1]
+    c = [cj * (b - a) ** j for j, cj in enumerate(c)]  # p(a + (b - a) t), t in [0, 1]
+    return [sum(Fraction(math.comb(k, j), math.comb(n, j)) * c[j] for j in range(k + 1))
+            for k in range(n + 1)]
+
+
+def _halve(bern: list) -> tuple[list, list]:
+    """de Casteljau at t = 1/2: the Bernstein coefficients of both halves."""
+    left, right, row = [bern[0]], [bern[-1]], bern
+    while len(row) > 1:
+        row = [(u + v) / 2 for u, v in zip(row, row[1:])]
+        left.append(row[0])
+        right.append(row[-1])
+    return left, right[::-1]
+
+
+def _decide(p: list, k: int, s: int, a: Fraction, b: Fraction):
+    """The sign of p(r) = sum_j p[j] r^j on [a, b], 0 <= a < b, where
+    p[k] is the lowest nonzero coefficient and x = s r.
+
+    Returns (verdict, value, x): certified with the lowest Bernstein
+    coefficient of the quotient p / r^k; counterexample at a float x where
+    the exact p is the negative value; undecided with the lowest
+    coefficient of the boxes left open, or 0 when p is 0 at a box end,
+    where it holds with equality (that box is dropped when no coefficient
+    is negative, since p >= 0 on it)."""
+    boxes = [(a, b, _bernstein(p[k:], a, b))]
+    leaves, touched, examined = [], False, 0
+    while boxes and examined < _BERNSTEIN_BOXES:
+        examined += 1
+        lo, hi, bern = boxes.pop()
+        m = min(bern)
+        if m > 0:
+            leaves.append(m)
+            continue
+        for r, q in ((lo, bern[0]), (hi, bern[-1])):  # the quotient at the ends
+            if q < 0:
+                x = float(s * r)
+                value = _horner(p, abs(Fraction(x)))
+                if value < 0:
+                    return "counterexample", value, x
+        if bern[0] == 0 or bern[-1] == 0:
+            touched = True
+            if m == 0:
+                continue
+        left, right = _halve(bern)
+        mid = (lo + hi) / 2
+        boxes += [(mid, hi, right), (lo, mid, left)]
+    if touched or boxes:
+        return "undecided", min([Fraction(0)] * touched + [min(bern) for _, _, bern in boxes]), None
+    return "certified", min(leaves), None
+
+
+def _lower_bound(p: list, s: int, a: Fraction, b: Fraction) -> Fraction:
+    """A lower bound on p(r) = sum_j p[j] r^j over 0 < a <= r <= b, where
+    x = s r: positive exactly when _decide certifies p > 0 there.  The box
+    misses the origin, so p is its own quotient (k = 0)."""
+    verdict, value, _ = _decide(p, 0, s, a, b)
+    if verdict == "certified":
+        return value
+    return min(_bernstein(p, a, b))  # <= 0, or _decide would certify
+
+
+@dataclass(frozen=True)
+class Comparator:
+    """Radial polynomial comparator w(x) = sum_k coeffs[k-1] |x|^k (k >= 1)
+    with finite, non-negative coefficients, not all zero: positive definite
+    and strictly increasing in |x|."""
+
+    coeffs: tuple
+    name: str = ""
+
+    def __post_init__(self):
+        coeffs = tuple(float(c) for c in self.coeffs)
+        if not all(math.isfinite(c) and c >= 0 for c in coeffs) or not any(coeffs):
+            raise ArgumentError(
+                f"comparator {self.name!r} needs finite non-negative coefficients, not all zero"
+            )
+        object.__setattr__(self, "coeffs", coeffs)
+
+    @property
+    def radial(self) -> list:
+        """The exact coefficients of w in powers of |x|, from |x|^0."""
+        return [Fraction(0)] + [Fraction(c) for c in self.coeffs]
+
+    def exact(self, r: Fraction) -> Fraction:
+        """w at |x| = r, in exact rational arithmetic."""
+        return _horner(self.radial, r)
+
+
 @dataclass(frozen=True)
 class ScalarForm:
     """A scalar function of one variable that encloses its own range:
-    exact_range(lo, hi) bounds it on [lo, hi] by two rationals."""
+    exact_range(lo, hi) bounds it on [lo, hi] by two rationals.  coeffs
+    holds a polynomial's exact coefficients, from x^0, and is None for
+    every other form."""
 
     fn: Callable[[np.ndarray], np.ndarray]
     exact_range: Callable[[Fraction, Fraction], tuple]
     derive: Optional[Callable[[], "ScalarForm"]] = None
-    spec: dict = None
+    coeffs: Optional[tuple] = None
 
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))
@@ -58,6 +169,14 @@ class ScalarForm:
         """Floats (lower, upper) with lower <= f(x) <= upper on [lo, hi]."""
         lower, upper = self.exact_range(Fraction(lo), Fraction(hi))
         return _float_down(lower), _float_up(upper)
+
+    def sup_abs(self, lo, hi) -> float:
+        """A float upper bound on |f| over [lo, hi], from the enclosure."""
+        return max(map(abs, self.enclose(lo, hi)))
+
+    def exact(self, x: Fraction) -> Fraction:
+        """A polynomial form at the rational x, in exact arithmetic."""
+        return _horner(self.coeffs, x)
 
 
 def _exact(values) -> list:
@@ -77,12 +196,17 @@ def _poly_form(coeffs: list, floats: list) -> ScalarForm:
         s = sum(abs(c) * r**k for k, c in enumerate(coeffs) if k)
         return coeffs[0] - s, coeffs[0] + s
 
+    def fn(x):  # Horner in floats, elementwise
+        out = np.zeros_like(x)
+        for c in reversed(floats):
+            out = out * x + c
+        return out
+
     def derive():
         return _poly_form([k * c for k, c in enumerate(coeffs)][1:],
                           [k * c for k, c in enumerate(floats)][1:])
 
-    return ScalarForm(lambda x: poly_eval(floats, x), exact_range, derive,
-                      {"form": "polynomial", "coeffs": floats})
+    return ScalarForm(fn, exact_range, derive, tuple(coeffs))
 
 
 def _pwl_form(X: list, Y: list) -> ScalarForm:
@@ -110,7 +234,6 @@ def _pwl_form(X: list, Y: list) -> ScalarForm:
     return ScalarForm(
         lambda x: np.interp(x, xs, ys), exact_range,
         lambda: ScalarForm(lambda x: step[np.searchsorted(xs, x, side="right") - 1], slope_range),
-        {"form": "pwl", "xs": xs, "ys": ys},
     )
 
 
@@ -133,19 +256,18 @@ def _trig_form(terms: list) -> ScalarForm:
     return ScalarForm(
         fn, lambda lo, hi: (-amplitude, amplitude),
         lambda: _trig_form([(a * Fraction(b), b, c + math.pi / 2.0) for a, b, c in terms]),
-        {"form": "trig", "terms": [[a, b, c] for a, (_, b, c) in zip(floats, terms)]},
     )
 
 
-def _affine_form(inner: ScalarForm, s: Fraction, b: Fraction, spec: dict) -> ScalarForm:
+def _affine_form(inner: ScalarForm, s: Fraction, b: Fraction) -> ScalarForm:
     def exact_range(lo, hi):
         ends = [s * v + b for v in inner.exact_range(lo, hi)]
         return min(ends), max(ends)
 
     def derive():
-        return inner.derivative and _affine_form(inner.derivative, s, Fraction(0), None)
+        return inner.derivative and _affine_form(inner.derivative, s, Fraction(0))
 
-    return ScalarForm(lambda x: float(s) * inner(x) + float(b), exact_range, derive, spec)
+    return ScalarForm(lambda x: float(s) * inner(x) + float(b), exact_range, derive)
 
 
 def build_scalar_form(spec: dict) -> ScalarForm:
@@ -164,7 +286,7 @@ def build_scalar_form(spec: dict) -> ScalarForm:
                            for a, (_, b, c) in zip(_exact([t[0] for t in terms]), terms)])
     if kind == "affine_of":
         s, b = _exact([spec.get("scale", 1.0), spec.get("shift", 0.0)])
-        return _affine_form(build_scalar_form(spec["inner"]), s, b, spec)
+        return _affine_form(build_scalar_form(spec["inner"]), s, b)
     raise ArgumentError(
         f"unknown function form {kind!r}; registry: polynomial, pwl, trig, affine_of"
     )

@@ -249,6 +249,14 @@ class RepresentableDomain:
         return np.array(out)
 
 
+def _ceil_log2(q: Fraction) -> int:
+    """ceil(log2 q) for a rational q > 0, exactly: with m the difference of
+    the bit lengths of numerator and denominator, 2^(m-1) < q < 2^(m+1)."""
+    n, d = q.numerator, q.denominator
+    m = n.bit_length() - d.bit_length()
+    return m if (n <= d << m if m >= 0 else n << -m <= d) else m + 1
+
+
 def _facet_exception_generator(blocks: Sequence[Block]) -> Callable[[Fraction], GeneralizedBlock]:
     """J(eps) = thin boxes around every block facet, width chosen so the
     total volume stays within eps (dyadic floor)."""
@@ -270,8 +278,9 @@ def _facet_exception_generator(blocks: Sequence[Block]) -> Callable[[Fraction], 
         if not facets:
             return GeneralizedBlock(())
         w = eps / (2 * total_area)
-        # dyadic floor keeps vertices rational with small denominators
-        shift = max(0, math.ceil(-math.log2(float(w)))) + 1 if w > 0 else 1
+        # dyadic floor keeps vertices rational with small denominators;
+        # ceil(-log2 w) is worked out exactly, as w may underflow a float
+        shift = max(0, _ceil_log2(1 / w)) + 1 if w > 0 else 1
         w = Fraction(math.floor(w * (1 << shift)), 1 << shift)
         if w == 0:
             w = eps / (4 * total_area)

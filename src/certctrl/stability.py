@@ -4,17 +4,18 @@ sample-and-hold sampling time.
 Margin semantics: the sandwich w1(x) <= V(x) <= w2(x) and the decay
 V'(x) f(x) <= -w3(x) are decided exactly for one-dimensional polynomial
 data.  On each half of the box, x = s r with s = +-1 and r = |x|, a
-condition reads p(r) >= 0 for a polynomial p whose coefficients are the
-exact rationals of the given floats, V'f included.  Positive-definite data
-vanishes at the origin, so p is divided by its lowest power r^k (the order
-k is reported in the check's details) and the quotient's sign is decided
-from its Bernstein coefficients on the half, bisecting up to
-_BERNSTEIN_BOXES boxes (Garloff 1986, LNCS 212).  A certified check holds
-on the whole box, origin included: p(r) >= m r^k, where the margin m > 0
-is the lowest Bernstein coefficient of the quotient, rounded down.  A
-counterexample is a point where the exact p is negative (the origin only
-when p(0) itself is).  A quotient that is exactly 0 somewhere, p
-identically 0, or a spent budget leaves the check undecided.
+condition reads p(r) >= 0 for a polynomial p built from the forms' exact
+coefficients (V.coeffs, V.derivative.coeffs and f.coeffs), V'f included.
+Positive-definite data vanishes at the origin, so p is divided by its
+lowest power r^k (the order k is reported in the check's details) and the
+quotient's sign is decided from its Bernstein coefficients on the half by
+forms._decide, bisecting up to forms._BERNSTEIN_BOXES boxes (Garloff 1986,
+LNCS 212).  A certified check holds on the whole box, origin included:
+p(r) >= m r^k, where the margin m > 0 is the lowest Bernstein coefficient
+of the quotient, rounded down.  A counterexample is a point where the
+exact p is negative (the origin only when p(0) itself is).  A quotient
+that is exactly 0 somewhere, p identically 0, or a spent budget leaves the
+check undecided.
 
 The sampling time of the integrator x' = u comes in closed form (see
 find_sampling_time): from every state of the annulus r <= |x| <= R, every
@@ -45,10 +46,10 @@ from .core import (
     _float_up,
     build_mesh,
 )
+from .forms import Comparator, ScalarForm, _decide, _lower_bound
 from .trajectories import ControlledDynamics
 
 __all__ = [
-    "Comparator",
     "LyapunovData",
     "CheckResult",
     "StabilityCertificate",
@@ -65,64 +66,22 @@ __all__ = [
     "integrator",
 ]
 
-# Bernstein boxes examined per quotient before its sign is left undecided
-_BERNSTEIN_BOXES = 512
-
-
-def _horner(coeffs, r):
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * r + c
-    return acc
-
-
-@dataclass(frozen=True)
-class Comparator:
-    """Radial polynomial comparator w(x) = sum_k coeffs[k-1] |x|^k (k >= 1)
-    with finite, non-negative coefficients, not all zero: positive definite
-    and strictly increasing in |x|."""
-
-    coeffs: tuple
-    name: str = ""
-
-    def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coeffs)
-        if not all(math.isfinite(c) and c >= 0 for c in coeffs) or not any(coeffs):
-            raise ArgumentError(
-                f"comparator {self.name!r} needs finite non-negative coefficients, not all zero"
-            )
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def radial(self) -> list:
-        """The exact coefficients of w in powers of |x|, from |x|^0."""
-        return [Fraction(0)] + [Fraction(c) for c in self.coeffs]
-
-    def exact(self, r: Fraction) -> Fraction:
-        """w at |x| = r, in exact rational arithmetic."""
-        return _horner(self.radial, r)
-
-
 @dataclass(frozen=True)
 class LyapunovData:
-    """One-dimensional polynomial data: V(x) = sum_k V[k] x^k for
-    x' = f(x) = sum_k f[k] x^k, the comparators w1, w2, w3 and the
-    linear-growth constant xi.  The coefficients are finite floats, read as
-    the rationals they are."""
+    """One-dimensional polynomial data: the polynomial forms V and f of
+    x' = f(x), read through their exact coefficients, the comparators w1,
+    w2, w3 and the linear-growth constant xi."""
 
-    V: tuple
-    f: tuple
+    V: ScalarForm
+    f: ScalarForm
     w1: Comparator
     w2: Comparator
     w3: Comparator
     xi: float
 
     def __post_init__(self):
-        for name in ("V", "f"):
-            coeffs = tuple(float(c) for c in getattr(self, name)) or (0.0,)
-            if not all(map(math.isfinite, coeffs)):
-                raise ArgumentError(f"{name} needs finite coefficients")
-            object.__setattr__(self, name, coeffs)
+        if self.V.coeffs is None or self.f.coeffs is None:
+            raise ArgumentError("the Lyapunov checks take polynomial dynamics and V")
         if not self.xi > 0:
             raise ArgumentError("xi must be positive")
 
@@ -133,64 +92,6 @@ class CheckResult:
     margin: float  # see the module docstring; the slope surplus c_1 - xi for the growth check
     counterexample: object = None
     details: dict = field(default_factory=dict)
-
-
-def _bernstein(coeffs: list, a: Fraction, b: Fraction) -> list:
-    """Bernstein coefficients on [a, b] of sum_i coeffs[i] r^i."""
-    c, n = list(coeffs), len(coeffs) - 1
-    for i in range(n):  # Taylor shift: the coefficients of p(a + r)
-        for j in range(n - 1, i - 1, -1):
-            c[j] += a * c[j + 1]
-    c = [cj * (b - a) ** j for j, cj in enumerate(c)]  # p(a + (b - a) t), t in [0, 1]
-    return [sum(Fraction(math.comb(k, j), math.comb(n, j)) * c[j] for j in range(k + 1))
-            for k in range(n + 1)]
-
-
-def _halve(bern: list) -> tuple[list, list]:
-    """de Casteljau at t = 1/2: the Bernstein coefficients of both halves."""
-    left, right, row = [bern[0]], [bern[-1]], bern
-    while len(row) > 1:
-        row = [(u + v) / 2 for u, v in zip(row, row[1:])]
-        left.append(row[0])
-        right.append(row[-1])
-    return left, right[::-1]
-
-
-def _decide(p: list, k: int, s: int, a: Fraction, b: Fraction):
-    """The sign of p(r) = sum_j p[j] r^j on [a, b], 0 <= a < b, where
-    p[k] is the lowest nonzero coefficient and x = s r.
-
-    Returns (verdict, value, x): certified with the lowest Bernstein
-    coefficient of the quotient p / r^k; counterexample at a float x where
-    the exact p is the negative value; undecided with the lowest
-    coefficient of the boxes left open, or 0 when p is 0 at a box end,
-    where it holds with equality (that box is dropped when no coefficient
-    is negative, since p >= 0 on it)."""
-    boxes = [(a, b, _bernstein(p[k:], a, b))]
-    leaves, touched, examined = [], False, 0
-    while boxes and examined < _BERNSTEIN_BOXES:
-        examined += 1
-        lo, hi, bern = boxes.pop()
-        m = min(bern)
-        if m > 0:
-            leaves.append(m)
-            continue
-        for r, q in ((lo, bern[0]), (hi, bern[-1])):  # the quotient at the ends
-            if q < 0:
-                x = float(s * r)
-                value = _horner(p, abs(Fraction(x)))
-                if value < 0:
-                    return "counterexample", value, x
-        if bern[0] == 0 or bern[-1] == 0:
-            touched = True
-            if m == 0:
-                continue
-        left, right = _halve(bern)
-        mid = (lo + hi) / 2
-        boxes += [(mid, hi, right), (lo, mid, left)]
-    if touched or boxes:
-        return "undecided", min([Fraction(0)] * touched + [min(bern) for _, _, bern in boxes]), None
-    return "certified", min(leaves), None
 
 
 def _halves(box: Hypercube) -> list:
@@ -231,7 +132,7 @@ def _check(conditions: list, box: Hypercube) -> CheckResult:
 
 def check_sandwich(data: LyapunovData, box: Hypercube) -> CheckResult:
     """w1(x) <= V(x) <= w2(x) on the box, decided exactly."""
-    V = [Fraction(c) for c in data.V]
+    V = data.V.coeffs
     return _check([
         ("V - w1", V, data.w1.radial),
         ("w2 - V", [-c for c in V], [-c for c in data.w2.radial]),
@@ -240,8 +141,7 @@ def check_sandwich(data: LyapunovData, box: Hypercube) -> CheckResult:
 
 def check_decay(data: LyapunovData, box: Hypercube) -> CheckResult:
     """V'(x) f(x) <= -w3(x) on the box, decided exactly."""
-    dV = [j * Fraction(c) for j, c in enumerate(data.V)][1:] or [Fraction(0)]
-    f = [Fraction(c) for c in data.f]
+    dV, f = data.V.derivative.coeffs, data.f.coeffs
     vdot = [Fraction(0)] * (len(dV) + len(f) - 1)
     for i, u in enumerate(dV):
         for j, v in enumerate(f):
@@ -278,7 +178,7 @@ def check_linear_growth(w2: Comparator, xi: float, box: Hypercube) -> CheckResul
     r = float(max(box.hi[0], -box.lo[0]))
     while r > 0:
         q = Fraction(r)
-        surplus = sum(Fraction(c) * q ** k for k, c in enumerate(w2.coeffs)) - Fraction(xi)
+        surplus = w2.exact(q) / q - Fraction(xi)
         if surplus < 0:  # phi(r) - xi r = r * surplus
             y = np.zeros(box.dim)
             y[0] = sign * r
@@ -413,16 +313,6 @@ class SamplingTimeResult:
         return self.verdict == "certified"
 
 
-def _lower_bound(p: list, s: int, a: Fraction, b: Fraction) -> Fraction:
-    """A lower bound on p(r) = sum_j p[j] r^j over 0 < a <= r <= b, where
-    x = s r: positive exactly when _decide certifies p > 0 there.  The box
-    misses the origin, so p is its own quotient (k = 0)."""
-    verdict, value, _ = _decide(p, 0, s, a, b)
-    if verdict == "certified":
-        return value
-    return min(_bernstein(p, a, b))  # <= 0, or _decide would certify
-
-
 def integrator(xs: np.ndarray, us: np.ndarray) -> np.ndarray:
     """x' = u: the dynamics find_sampling_time decides."""
     return us.copy()
@@ -468,7 +358,7 @@ def find_sampling_time(problem: CLFProblem, V, eta_max: float, eps: float) -> Sa
     if eps <= 0:
         raise ArgumentError("eps must be positive")
     dyn = problem.dynamics
-    if (V.spec or {}).get("form") != "polynomial":
+    if V.coeffs is None:
         raise ArgumentError("the sampling time takes a polynomial V")
     if not (dyn.f is integrator and dyn.state_box.dim == 1 and problem.control_box.dim == 1
             and dyn.lip_u >= 1 and problem.grad_V is V.derivative):
@@ -477,10 +367,10 @@ def find_sampling_time(problem: CLFProblem, V, eta_max: float, eps: float) -> Sa
     lo, hi = dyn.state_box.lo[0], dyn.state_box.hi[0]
     a, b = Fraction(float(problem.control_box.lo[0])), Fraction(float(problem.control_box.hi[0]))
     r, R, e = Fraction(problem.target_radius), Fraction(problem.overshoot_radius), Fraction(eps)
-    dV = [j * Fraction(c) for j, c in enumerate(V.spec["coeffs"])][1:] or [Fraction(0)]
+    dV = V.derivative.coeffs
     M = max(abs(a), abs(b))
-    G = Fraction(max(map(abs, V.derivative.enclose(lo, hi))))
-    S2 = Fraction(max(map(abs, V.derivative.derivative.enclose(lo, hi))))
+    G = Fraction(V.derivative.sup_abs(lo, hi))
+    S2 = Fraction(V.derivative.derivative.sup_abs(lo, hi))
     eps_p = e + 2 * Fraction(_FEEDBACK_ROUNDING) * (1 + G * M)
     ends = {1: Fraction(float(hi)), -1: -Fraction(float(lo))}
     # -u V'(s r) for the inward end u of the box on the half x = s r
@@ -505,7 +395,7 @@ def find_sampling_time(problem: CLFProblem, V, eta_max: float, eps: float) -> Sa
     if a <= 0 <= b:
         r_above = math.nextafter(problem.target_radius, math.inf)
         for x in (r_above, problem.overshoot_radius, -r_above, -problem.overshoot_radius):
-            slope = _horner(dV, Fraction(x))
+            slope = V.derivative.exact(Fraction(x))
             rate = max(-a * slope, -b * slope)  # -D(x)
             if rate <= e:
                 details["witness"] = x
@@ -550,7 +440,6 @@ def reaching_steps(problem: CLFProblem, V, res: SamplingTimeResult, eps: float, 
         raise ArgumentError("the reaching bound needs a certified sampling time")
     if not abs(x0) <= problem.overshoot_radius:
         raise ArgumentError("the reaching bound starts inside |x| <= R")
-    coeffs = [Fraction(c) for c in V.spec["coeffs"]]
     r = Fraction(problem.target_radius)
-    drop = _horner(coeffs, Fraction(x0)) - min(_horner(coeffs, r), _horner(coeffs, -r))
+    drop = V.exact(Fraction(x0)) - min(V.exact(r), V.exact(-r))
     return max(0, math.ceil(drop / (Fraction(res.eta) * (Fraction(eps) + Fraction(res.margin)))))

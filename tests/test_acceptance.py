@@ -313,7 +313,7 @@ def test_acceptance_4_eigen_residuals():
     agreed = 0
     for _ in range(300):
         A = rng.uniform(-2, 2, (2, 2))
-        v = eig.hurwitz_verdict(A, 1e-9)
+        v = eig.hurwitz_verdict(A)
         if v.verdict == "undecided":
             continue
         oracle = "stable" if (np.trace(A) < 0 and np.linalg.det(A) > 0) else "unstable"
@@ -387,8 +387,8 @@ def _lyap(vdot_sign):
         return build_comparator({"form": "radial_poly", "coeffs": coeffs}, name)
 
     return stab.LyapunovData(
-        V=(0.0, 0.0, 1.0),
-        f=(0.0, vdot_sign),
+        V=build_scalar_form({"form": "polynomial", "coeffs": [0.0, 0.0, 1.0]}),
+        f=build_scalar_form({"form": "polynomial", "coeffs": [0.0, vdot_sign]}),
         w1=comp([0.0, 0.5], "w1"),
         w2=comp([2.0], "w2"),
         w3=comp([0.0, 1.0], "w3"),

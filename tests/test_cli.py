@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from certctrl.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK, EXIT_UNDECIDED, main, run
+from certctrl.cli import EXIT_CONFIG, EXIT_COUNTEREXAMPLE, EXIT_INTERNAL, EXIT_OK, EXIT_UNDECIDED, main, run
 
 
 def _run_cli(tmp_path, task, config, extra=()):
@@ -103,6 +103,41 @@ def test_certify_x0_stays_inside_an_off_center_box(tmp_path):
     assert record["verdict"] == "undecided" and record["numeric"]["x0_level"] == -1.0
 
 
+CERTIFY_EXAMPLE = json.loads((Path(__file__).parents[1] / "examples" / "certify.json").read_text())
+ORDERS_EVEN = {
+    "sandwich": {"V - w1": {"+": 2, "-": 2}, "w2 - V": {"+": 1, "-": 1}},
+    "decay": {"-V'f - w3": {"+": 2, "-": 2}},
+}
+
+
+@pytest.mark.parametrize("config, code, expected, orders", [
+    (CERTIFY_EXAMPLE, EXIT_OK,
+     {"sandwich_margin": 0.5, "decay_margin": 1.0, "growth_margin": 1.0, "x0_level": 0.5},
+     ORDERS_EVEN),
+    # a growing cubic, x' = 1.25 x + 0.5 x^3, as the benchmark's screen slot
+    ({**CERTIFY_EXAMPLE, "dynamics": {"form": "polynomial", "coeffs": [0.0, 1.25, 0.0, 0.5]},
+      "xi": 0.75}, EXIT_COUNTEREXAMPLE,
+     {"sandwich_margin": 0.5, "decay_margin": -4.5, "growth_margin": 1.25, "x0_level": -1.0},
+     ORDERS_EVEN),
+    ({**CERTIFY_EXAMPLE, "state_box": [-0.2, 1.8]}, EXIT_OK,
+     {"sandwich_margin": 0.19999999999999996, "decay_margin": 1.0, "growth_margin": 1.0,
+      "x0_level": 0.02},
+     ORDERS_EVEN),
+    # V - w1 = r^2 ((r - 1/2)^2 + 1/16) on [0, 1] needs a Bernstein split
+    ({**CERTIFY_EXAMPLE, "V": {"form": "polynomial", "coeffs": [0.0, 0.0, 0.375, -1.0, 1.0]},
+      "w1": {"form": "radial_poly", "coeffs": [0.0, 0.0625]},
+      "w3": {"form": "radial_poly", "coeffs": [0.0, 0.0625]}, "state_box": [0, 1]}, EXIT_UNDECIDED,
+     {"sandwich_margin": 0.0625, "decay_margin": 0.0625, "growth_margin": 1.0, "x0_level": -1.0},
+     {"sandwich": {"V - w1": {"+": 2}, "w2 - V": {"+": 1}}, "decay": {"-V'f - w3": {"+": 2}}}),
+])
+def test_certify_numeric_fields_pinned(tmp_path, config, code, expected, orders):
+    # recorded from the Bernstein decider over the exact coefficients
+    got, record, _ = _run_cli(tmp_path, "certify", config)
+    assert got == code
+    assert record["numeric"] == expected
+    assert record["payload"]["orders"] == orders
+
+
 def test_eig_rotation_matrix_file_undecided(tmp_path):
     mat = tmp_path / "rot.txt"
     mat.write_text("0,0 -1,0\n1,0 0,0\n")
@@ -116,6 +151,12 @@ def test_eig_stable_matrix_exit_zero(tmp_path):
     code, record, _ = _run_cli(tmp_path, "eig", {"matrix": [[-1.0, 0.0], [0.0, -2.0]]})
     assert code == EXIT_OK
     assert record["numeric"]["max_residual"] <= 1e-8
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-8])
+def test_eig_with_a_nonpositive_eps_exits_64(tmp_path, eps):
+    code, _, _ = _run_cli(tmp_path, "eig", {"matrix": [[-1.0, 0.0], [0.0, -2.0]], "eps": eps})
+    assert code == EXIT_CONFIG
 
 
 def test_eig_n32_exits_zero_with_certificate(tmp_path):
@@ -531,6 +572,15 @@ def test_selector_numeric_fields_pinned(tmp_path, config, expected):
         assert code == EXIT_OK and record["verdict"] == "certified"
         records.append(record["numeric"])
     assert records[0] == records[1] == expected
+
+
+def test_selector_budget_below_the_smallest_float(tmp_path):
+    # "1e-330" underflows a float; the example still certifies, with every
+    # pinned field but the exception volume unchanged
+    code, record, _ = _run_cli(tmp_path, "selector", {**SELECTOR_QUADRATIC, "exception_budget": "1e-330"})
+    assert code == EXIT_OK and record["verdict"] == "certified"
+    assert record["numeric"] == {"eps": 0.06, "n_pieces": 24, "max_distance": 0.023419953392578165,
+                                 "exception_volume": 0.0, "proper": 1}
 
 
 def test_shh_subcommand_with_sweep(tmp_path):

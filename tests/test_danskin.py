@@ -1,8 +1,17 @@
+import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from certctrl.core import ArgumentError, Hypercube, Modulus
+import certctrl.danskin as danskin
+from certctrl.core import ArgumentError, CertifiedReal, Hypercube, Modulus
 from certctrl.danskin import (
+    DeltaOptimizerSet,
     ParametricObjective,
     ThetaDomain,
     delta_optimizers,
@@ -117,6 +126,44 @@ def test_delta_optimizers_bilinear_threshold():
     mesh = THETA_11.mesh(eps).points[:, 0]
     true_opt = mesh[mesh >= 1.0 - delta]
     assert set(np.round(true_opt, 12)) <= set(np.round(ds.points[:, 0], 12))
+
+
+def _pairwise_diameter(points):
+    if len(points) <= 1:
+        return 0.0
+    return float(np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2).max())
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_diameter_equals_the_pairwise_maximum(dim):
+    # the 1-D range and the row chunks (two of them at k = 333) give the
+    # pairwise maximum bit for bit
+    rng = np.random.default_rng(dim)
+    for k in (0, 1, 2, 7, 100, 333):
+        for scale in (1e-3, 1.0, 3.0):
+            points = rng.uniform(-scale, scale, (k, dim))
+            dset = DeltaOptimizerSet(np.zeros(1), points, CertifiedReal(0.0, 0.0))
+            assert dset.diameter == _pairwise_diameter(points)
+
+
+def test_danskin_with_every_theta_optimal_runs_in_bounded_memory(tmp_path):
+    # at x = 0 every theta of the bilinear objective is delta-optimal: 40,002
+    # members, whose k x k distance tensor would need 11.9 GiB; the task
+    # runs under a 4 GB address-space limit
+    cfg = tmp_path / "danskin.json"
+    cfg.write_text(json.dumps({"objective": "bilinear", "x": 0.0, "v": 1.0, "delta": 2e-4}))
+    src = str(Path(danskin.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    limit = 4_000_000 * 1024
+    out = subprocess.run(
+        [sys.executable, "-m", "certctrl.cli", "danskin",
+         "--config", str(cfg), "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert out.returncode == 0, out.stderr
+    record = json.loads((tmp_path / "out" / "certificate.json").read_text())
+    assert record["verdict"] == "certified" and record["numeric"]["n_members"] == 20002
 
 
 def test_delta_optimizers_huge_delta_returns_all():

@@ -78,20 +78,20 @@ def test_eigenpairs_residual_sound_vs_mp():
 # ---------------------------------------------------------------------------
 
 def test_hurwitz_stable_diagonal():
-    v = hurwitz_verdict(np.diag([-1.0, -2.0]), 1e-8)
+    v = hurwitz_verdict(np.diag([-1.0, -2.0]))
     assert v.verdict == "stable"
     assert v.margin.value + v.margin.radius < 0
 
 
 def test_hurwitz_rotation_undecided():
-    v = hurwitz_verdict(ROT, 1e-8)
+    v = hurwitz_verdict(ROT)
     assert v.verdict == "undecided"
 
 
 def test_hurwitz_companion_unstable():
     # companion of lambda^2 - 0.1 lambda + 1: roots 0.05 +- ~0.9987i
     A = np.array([[0.0, -1.0], [1.0, 0.1]])
-    v = hurwitz_verdict(A, 1e-8)
+    v = hurwitz_verdict(A)
     assert v.verdict == "unstable"
     assert v.margin.value == pytest.approx(0.05, abs=1e-6)
 
@@ -102,7 +102,7 @@ def test_hurwitz_agrees_with_2x2_closed_form():
     checked = 0
     for _ in range(200):
         A = rng.uniform(-2, 2, (2, 2))
-        v = hurwitz_verdict(A, 1e-9)
+        v = hurwitz_verdict(A)
         if v.verdict == "undecided":
             continue
         tr, det = np.trace(A), np.linalg.det(A)
@@ -120,7 +120,7 @@ def test_hurwitz_similarity_invariance():
         A = rng.standard_normal((n, n))
         S = np.eye(n) + 0.2 * rng.standard_normal((n, n))
         B = S @ A @ np.linalg.inv(S)
-        va, vb = hurwitz_verdict(A, 1e-8), hurwitz_verdict(B, 1e-8)
+        va, vb = hurwitz_verdict(A), hurwitz_verdict(B)
         if "undecided" in (va.verdict, vb.verdict):
             continue
         assert va.verdict == vb.verdict
@@ -143,7 +143,7 @@ def test_hurwitz_margin_invariants_random():
     for _ in range(100):
         n = int(rng.integers(2, 6))
         A = rng.standard_normal((n, n))
-        v = hurwitz_verdict(A, 1e-9)
+        v = hurwitz_verdict(A)
         if v.verdict == "stable":
             assert v.margin.value + v.margin.radius < 0
         elif v.verdict == "unstable":
@@ -163,7 +163,7 @@ def _symmetric_with_spectrum(rng, spectrum):
 def test_symmetric_stable_spectrum_is_decided_with_every_pair(n):
     rng = np.random.default_rng(n)
     A = _symmetric_with_spectrum(rng, rng.uniform(-2.0, -1.0, n))
-    v = hurwitz_verdict(A, 1e-8)
+    v = hurwitz_verdict(A)
     assert v.verdict == "stable"
     assert sum(c.multiplicity for c in v.clusters) == n
     pairs, achieved = approx_eigenpairs(A, 1e-8)
@@ -172,7 +172,7 @@ def test_symmetric_stable_spectrum_is_decided_with_every_pair(n):
 
 def test_graded_diagonal_is_decided_with_every_pair():
     A = np.diag(-1.0 - 0.1 * np.arange(10))
-    v = hurwitz_verdict(A, 1e-8)
+    v = hurwitz_verdict(A)
     assert v.verdict == "stable"
     assert v.margin.value + v.margin.radius < 0
     pairs, achieved = approx_eigenpairs(A, 1e-8)
@@ -229,7 +229,7 @@ def test_clusters_hold_exactly_the_mp_eigenvalues():
     mats.extend(_near_defective(rng))
     mats.append(_frank(12))
     for A in mats:
-        _assert_clusters_hold_mp_eigenvalues(A, hurwitz_verdict(A, 1e-8).clusters)
+        _assert_clusters_hold_mp_eigenvalues(A, hurwitz_verdict(A).clusters)
 
 
 def test_enclosure_holds_for_a_perturbed_basis(monkeypatch):
@@ -247,7 +247,7 @@ def test_enclosure_holds_for_a_perturbed_basis(monkeypatch):
     for _ in range(10):
         n = int(rng.integers(2, 9))
         A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        clusters = hurwitz_verdict(A, 1e-8).clusters
+        clusters = hurwitz_verdict(A).clusters
         assert max(c.radius for c in clusters) > 1e-6
         _assert_clusters_hold_mp_eigenvalues(A, clusters)
 
@@ -262,14 +262,14 @@ def test_boundary_spectrum_is_undecided():
         d[0, 0] = d[1, 1] = 0.0
         d[0, 1], d[1, 0] = -w, w
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        assert hurwitz_verdict(q @ d @ q.T, 1e-8).verdict == "undecided"
+        assert hurwitz_verdict(q @ d @ q.T).verdict == "undecided"
 
 
 def test_near_defective_verdicts_are_never_wrong():
     rng = np.random.default_rng(67)
     truths = ["stable", "stable", "unstable", "unstable", "stable", "unstable"]
     for A, truth in zip(_near_defective(rng), truths):
-        assert hurwitz_verdict(A, 1e-8).verdict in (truth, "undecided")
+        assert hurwitz_verdict(A).verdict in (truth, "undecided")
 
 
 @pytest.mark.parametrize(
@@ -279,7 +279,7 @@ def test_jordan_block_verdict_and_single_direction(lam, n, decided):
     # the 4x4 block at 0 has no provably invertible eigenvector basis, so
     # its one cluster is the norm disk |z| <= ||A||_inf
     A = lam * np.eye(n) + np.diag(np.ones(n - 1), 1)
-    v = hurwitz_verdict(A, 1e-8)
+    v = hurwitz_verdict(A)
     assert v.verdict in (decided, "undecided")
     assert sum(c.multiplicity for c in v.clusters) == n
     assert any(abs(lam - c.center) <= c.radius for c in v.clusters)
@@ -292,9 +292,9 @@ def test_jordan_block_verdict_and_single_direction(lam, n, decided):
 def test_frank_matrix_without_a_provable_basis_keeps_the_norm_disk():
     # at n = 16 the enclosure still proves instability; at n = 20 the row
     # sums of |I - R X| exceed 1, so only |z| <= ||A||_inf is certified
-    assert hurwitz_verdict(_frank(16), 1e-8).verdict == "unstable"
+    assert hurwitz_verdict(_frank(16)).verdict == "unstable"
     A = _frank(20)
-    v = hurwitz_verdict(A, 1e-8)
+    v = hurwitz_verdict(A)
     assert v.verdict == "undecided"
     (cluster,) = v.clusters
     assert cluster.center == 0 and cluster.multiplicity == 20

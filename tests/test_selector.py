@@ -297,7 +297,10 @@ def test_extract_singleton_graph_staircase():
 def test_extract_exception_volume_within_budget():
     F = RegularSVF((Block.interval(0, 1),), ((identity_chunk(),),))
     sel = extract_selector(F, 0.25)
-    for budget in (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000)):
+    # 10^-330 and 2^-1100 underflow a float to 0: the generator's dyadic
+    # width comes from the exact budget
+    for budget in (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000),
+                   Fraction(1, 10**330), Fraction(1, 2**1100), Fraction(3, 2**1100)):
         J = sel.domain.exception(budget)
         assert J.volume_exact() <= budget
 

@@ -7,12 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import certctrl.stability as stability
+import certctrl.forms as forms
 from certctrl import cli
 from certctrl.core import ArgumentError, Hypercube, build_mesh
 from certctrl.stability import (
     CLFProblem,
-    Comparator,
     LyapunovData,
     certify,
     check_decay,
@@ -23,7 +22,7 @@ from certctrl.stability import (
     integrator,
     reaching_steps,
 )
-from certctrl.forms import build_comparator, build_scalar_form
+from certctrl.forms import Comparator, build_comparator, build_scalar_form
 from certctrl.trajectories import ControlledDynamics, RegularRHS, picard_solve
 from oracles import sample_hold_step, sample_sublevel
 
@@ -42,9 +41,13 @@ W_SQ = comparator([0.0, 1.0], "x^2")
 W_QUARTIC = comparator([0.0, 0.0, 0.0, 1.0], "x^4")
 
 
+def poly(coeffs):
+    return build_scalar_form({"form": "polynomial", "coeffs": list(coeffs)})
+
+
 def lyapunov(f, w1=W_HALF_SQ, w2=W_TWO_ABS, w3=W_SQ, V=(0.0, 0.0, 1.0)):
     """V (x^2 by default) along x' = f(x), both by their coefficients."""
-    return LyapunovData(V=V, f=f, w1=w1, w2=w2, w3=w3, xi=1.0)
+    return LyapunovData(V=poly(V), f=poly(f), w1=w1, w2=w2, w3=w3, xi=1.0)
 
 
 def lyapunov_decay(vdot_factor=-2.0, w3=W_SQ):
@@ -58,9 +61,9 @@ def _poly(coeffs, x):
 
 def _conditions(data, x):
     """V - w1, w2 - V and -V'f - w3 at the rational x, exactly."""
-    V, r = _poly(data.V, x), abs(x)
-    dV = _poly([k * Fraction(c) for k, c in enumerate(data.V)][1:], x)
-    return V - data.w1.exact(r), data.w2.exact(r) - V, -dV * _poly(data.f, x) - data.w3.exact(r)
+    V, r = _poly(data.V.coeffs, x), abs(x)
+    dV = _poly([k * Fraction(c) for k, c in enumerate(data.V.coeffs)][1:], x)
+    return V - data.w1.exact(r), data.w2.exact(r) - V, -dV * _poly(data.f.coeffs, x) - data.w3.exact(r)
 
 
 # ---------------------------------------------------------------------------
@@ -170,18 +173,23 @@ def test_decider_undecided_once_the_box_budget_is_spent(monkeypatch):
     data = lyapunov((0.0, -1.0), w1=comparator([0.0, 0.0625]), V=(0.0, 0.0, 0.375, -1.0, 1.0))
     res = check_sandwich(data, half)
     assert res.verdict == "certified" and 0 < res.margin <= 0.0625
-    monkeypatch.setattr(stability, "_BERNSTEIN_BOXES", 1)
+    monkeypatch.setattr(forms, "_BERNSTEIN_BOXES", 1)
     res = check_sandwich(data, half)
     assert res.verdict == "undecided" and res.margin == 0.0625  # the two open halves
 
 
 def test_lyapunov_data_rejects_bad_coefficients_and_xi():
+    # a non-finite coefficient is refused when the form is built
     for V, f in (((0.0, math.inf), (0.0, -1.0)), ((0.0, 0.0, 1.0), (math.nan,))):
         with pytest.raises(ArgumentError):
+            LyapunovData(poly(V), poly(f), W_HALF_SQ, W_TWO_ABS, W_SQ, 1.0)
+    trig = build_scalar_form({"form": "trig", "terms": [[1.0, 1.0, 0.0]]})
+    for V, f in ((trig, poly((0.0, -1.0))), (poly((0.0, 0.0, 1.0)), trig)):
+        with pytest.raises(ArgumentError, match="polynomial"):
             LyapunovData(V, f, W_HALF_SQ, W_TWO_ABS, W_SQ, 1.0)
     for xi in (0.0, math.nan):
         with pytest.raises(ArgumentError):
-            LyapunovData((0.0, 0.0, 1.0), (0.0, -1.0), W_HALF_SQ, W_TWO_ABS, W_SQ, xi)
+            LyapunovData(poly((0.0, 0.0, 1.0)), poly((0.0, -1.0)), W_HALF_SQ, W_TWO_ABS, W_SQ, xi)
 
 
 def _dyadic(rng, lo, hi, n=1):
@@ -211,8 +219,8 @@ def _on_grid(coeffs, n, radial=False):
 
 def _conditions_on_grid(data, n):
     """(V - w1, w2 - V, -V'f - w3) at every x = i / n, exactly."""
-    V, f = _on_grid(data.V, n), _on_grid(data.f, n)
-    dV = _on_grid([k * Fraction(c) for k, c in enumerate(data.V)][1:], n)
+    V, f = _on_grid(data.V.coeffs, n), _on_grid(data.f.coeffs, n)
+    dV = _on_grid([k * Fraction(c) for k, c in enumerate(data.V.coeffs)][1:], n)
     w1, w2, w3 = (_on_grid(w.radial, n, radial=True) for w in (data.w1, data.w2, data.w3))
     return [(v - a, b - v, -dv * fv - c) for v, dv, fv, a, b, c in zip(V, dV, f, w1, w2, w3)]
 
@@ -698,7 +706,7 @@ def test_sampling_time_holds_at_every_dyadic_annulus_state(name):
     box = (problem.control_box.lo[0], problem.control_box.hi[0])
     for x in xs:
         u = clf_feedback(problem, np.array([x]), eps)[0][0]
-        for surplus, inside in sample_hold_step(V.spec["coeffs"], box, R, res.eta, eps, x, u):
+        for surplus, inside in sample_hold_step(V.coeffs, box, R, res.eta, eps, x, u):
             assert surplus >= 0 and inside, (x, u)
 
 

@@ -48,9 +48,19 @@ def test_every_definition_is_referenced_in_the_package():
     assert not unused, f"defined but never referenced in certctrl: {', '.join(unused)}"
 
 
-def test_trajectories_does_not_load_the_selector():
+def _loads(module: str, other: str) -> bool:
+    """Whether importing certctrl.<module> in a new interpreter loads certctrl.<other>."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p))
-    code = "import sys, certctrl.trajectories; print('certctrl.selector' in sys.modules)"
+    code = f"import sys, certctrl.{module}; print('certctrl.{other}' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_trajectories_does_not_load_the_selector():
+    assert not _loads("trajectories", "selector")
+
+
+def test_forms_does_not_load_stability():
+    # forms owns the polynomial kernel and the comparators: core <- forms <- stability
+    assert not _loads("forms", "stability")
