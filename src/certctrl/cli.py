@@ -131,32 +131,26 @@ def _task_evt_min(config, seed, out):
 
 
 _DANSKIN_OBJECTIVES = {
-    "bilinear": lambda: (
-        dk.ParametricObjective(
-            value=lambda x, th: th[:, 0] * x[0],
-            grad_x=lambda x, th: th[:, :1].copy(),
-            modulus_theta=Modulus.lipschitz(2.0),
-            grad_modulus=Modulus.lipschitz(1.0),
-            name="bilinear",
-        )
+    "bilinear": lambda: dk.ParametricObjective(
+        value=lambda x, th: th[:, 0] * x[0],
+        grad_x=lambda x, th: th[:, :1].copy(),
+        modulus_theta=Modulus.lipschitz(2.0),
+        grad_modulus=Modulus.lipschitz(1.0),
+        name="bilinear",
     ),
-    "neg_quadratic": lambda: (
-        dk.ParametricObjective(
-            value=lambda x, th: -((th[:, 0] - x[0]) ** 2),
-            grad_x=lambda x, th: (2.0 * (th[:, 0] - x[0]))[:, None],
-            modulus_theta=Modulus.lipschitz(4.0),
-            grad_modulus=Modulus.lipschitz(4.0),
-            name="neg_quadratic",
-        )
+    "neg_quadratic": lambda: dk.ParametricObjective(
+        value=lambda x, th: -((th[:, 0] - x[0]) ** 2),
+        grad_x=lambda x, th: (2.0 * (th[:, 0] - x[0]))[:, None],
+        modulus_theta=Modulus.lipschitz(4.0),
+        grad_modulus=Modulus.lipschitz(4.0),
+        name="neg_quadratic",
     ),
-    "concave_linear": lambda: (
-        dk.ParametricObjective(
-            value=lambda x, th: th[:, 0] * x[0] - th[:, 0] ** 2,
-            grad_x=lambda x, th: th[:, :1].copy(),
-            modulus_theta=Modulus.lipschitz(4.0),
-            grad_modulus=Modulus.lipschitz(1.0),
-            name="concave_linear",
-        )
+    "concave_linear": lambda: dk.ParametricObjective(
+        value=lambda x, th: th[:, 0] * x[0] - th[:, 0] ** 2,
+        grad_x=lambda x, th: th[:, :1].copy(),
+        modulus_theta=Modulus.lipschitz(4.0),
+        grad_modulus=Modulus.lipschitz(1.0),
+        name="concave_linear",
     ),
 }
 
@@ -343,14 +337,11 @@ def _task_shh(config, seed, out):
     eta_max = float(config.get("eta_max", 1.0))
     sweep = [float(e) for e in config.get("sweep", [])]
     eps = float(config["optimizer_eps"])
-    rows = []
-    for e in sweep:
-        r = stab.find_sampling_time(problem, V, eta_max, e)
-        rows.append((e, r.eta if r.eta is not None else math.nan,
-                     r.margin if r.margin is not None else math.nan))
+    *swept, res = stab.find_sampling_time(problem, V, eta_max, sweep + [eps])
+    rows = [(e, r.eta if r.eta is not None else math.nan,
+             r.margin if r.margin is not None else math.nan) for e, r in zip(sweep, swept)]
     if rows:
         _write_csv(out / "sweep.csv", "optimizer_eps,eta,margin", rows)
-    res = stab.find_sampling_time(problem, V, eta_max, eps)
     numeric = {
         "optimizer_eps": eps,
         "eta": res.eta if res.eta is not None else -1.0,
@@ -601,17 +592,20 @@ def run(task: str, config: dict, seed: int, out_dir):
     return _VERDICT_EXIT.get(verdict, EXIT_COUNTEREXAMPLE), record
 
 
+# built once: parse_args keeps no state between calls
+_PARSER = argparse.ArgumentParser(
+    prog="certctrl",
+    description="certified approximate computation for control engineering",
+)
+_PARSER.add_argument("task", choices=TASKS)
+_PARSER.add_argument("--config", required=False, help="JSON problem definition")
+_PARSER.add_argument("--seed", type=int, default=0)
+_PARSER.add_argument("--out", default="certctrl-out")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="certctrl",
-        description="certified approximate computation for control engineering",
-    )
-    parser.add_argument("task", choices=TASKS)
-    parser.add_argument("--config", required=False, help="JSON problem definition")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default="certctrl-out")
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on a bad argument, and 2 means undecided
         return EXIT_CONFIG if exc.code else EXIT_OK

@@ -74,7 +74,7 @@ SNAP_BITS = 44
 _SNAP_SCALE = float(1 << SNAP_BITS)
 
 DEFAULT_MESH_BUDGET = 4_000_000
-_FLOAT_MAX = Fraction(1.7976931348623157e308)  # the largest double
+_FLOAT_MAX = 1.7976931348623157e308  # the largest double
 
 
 def _inflate(value: float, raw_radius: float) -> float:
@@ -88,11 +88,14 @@ def _up(x: float) -> float:
 
 def _float_up(q: Fraction) -> float:
     """The least float >= the rational q: outward rounding as in Moore,
-    Kearfott and Cloud, Introduction to Interval Analysis (SIAM 2009)."""
-    if q > _FLOAT_MAX:
-        return math.inf
-    f = float(max(q, -_FLOAT_MAX))
-    return f if Fraction(f) >= q else _up(f)
+    Kearfott and Cloud, Introduction to Interval Analysis (SIAM 2009): the
+    nearest float by int true division, one ulp up if it lies below q."""
+    try:
+        f = q.numerator / q.denominator
+    except OverflowError:
+        return math.inf if q > 0 else -_FLOAT_MAX
+    fn, fd = f.as_integer_ratio()
+    return f if fn * q.denominator >= q.numerator * fd else _up(f)
 
 
 def _float_down(q: Fraction) -> float:
@@ -176,11 +179,7 @@ class CertifiedReal:
     def __mul__(self, other):
         o = self._coerce(other)
         v = self.value * o.value
-        raw = (
-            abs(self.value) * o.radius
-            + abs(o.value) * self.radius
-            + self.radius * o.radius
-        )
+        raw = abs(self.value) * o.radius + abs(o.value) * self.radius + self.radius * o.radius
         return CertifiedReal(v, _inflate(v, raw))
 
     __rmul__ = __mul__
@@ -230,9 +229,7 @@ class Modulus:
                 return math.inf
             return eps / self.lipschitz_constant
         # monotone bisection for the largest t with mu(t) <= eps
-        lo = 0.0
-        hi = 1.0
-        grow = 0
+        lo, hi, grow = 0.0, 1.0, 0
         while self._fn(hi) <= eps and grow < 80:
             lo = hi
             hi *= 2.0

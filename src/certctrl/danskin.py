@@ -11,7 +11,6 @@ between modulus-derived envelopes.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -206,11 +205,8 @@ class AuditReport:
         return all(lo <= q <= hi for _, q, lo, hi in self.rows)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("h,quotient,lower,upper\n")
-        for h, q, lo, hi in self.rows:
-            buf.write(f"{h!r},{q!r},{lo!r},{hi!r}\n")
-        return buf.getvalue()
+        rows = "".join(f"{h!r},{q!r},{lo!r},{hi!r}\n" for h, q, lo, hi in self.rows)
+        return "h,quotient,lower,upper\n" + rows
 
 
 def finite_difference_audit(

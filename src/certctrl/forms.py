@@ -15,7 +15,8 @@ affine_of scales and shifts the inner enclosure.  Scalar forms act on the
 first state coordinate (the config-driven demos are one-dimensional).
 A polynomial form keeps its exact coefficients in ``coeffs`` (None for
 every other form); the radial comparators, the exact Horner rule and the
-Bernstein sign decider (_decide) that stability uses live here too.
+Bernstein sign decider (_decide) that stability uses live here too.  The
+decider runs on Python ints over one denominator per box, not on Fractions.
 """
 
 from __future__ import annotations
@@ -51,24 +52,35 @@ def _horner(coeffs, r):
     return acc
 
 
-def _bernstein(coeffs: list, a: Fraction, b: Fraction) -> list:
-    """Bernstein coefficients on [a, b] of sum_i coeffs[i] r^i."""
-    c, n = list(coeffs), len(coeffs) - 1
-    for i in range(n):  # Taylor shift: the coefficients of p(a + r)
+def _bernstein(coeffs: list, a: Fraction, b: Fraction) -> tuple[list, int]:
+    """Integers N_i over one S > 0: the Bernstein coefficients N_i / S on
+    [a, b] of p(r) = sum_i coeffs[i] r^i.  With D the lcm of the
+    coefficient denominators and a = A / d, b = B / d, the Taylor shift of
+    D d^n p(y / d) by A, scaled by (B - A)^j, gives D d^n p(a + (b - a) t)
+    with integer coefficients c_j; S = D d^n lcm_j C(n, j) clears the
+    C(n, j) of b_i = sum_j C(i, j) / C(n, j) c_j / (D d^n)."""
+    n = len(coeffs) - 1
+    D = math.lcm(*(c.denominator for c in coeffs))
+    d = math.lcm(a.denominator, b.denominator)
+    A, B = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
+    c = [cj.numerator * (D // cj.denominator) * d ** (n - j) for j, cj in enumerate(coeffs)]
+    for i in range(n):  # Taylor shift by Horner: the coefficients of h(A + z)
         for j in range(n - 1, i - 1, -1):
-            c[j] += a * c[j + 1]
-    c = [cj * (b - a) ** j for j, cj in enumerate(c)]  # p(a + (b - a) t), t in [0, 1]
-    return [sum(Fraction(math.comb(k, j), math.comb(n, j)) * c[j] for j in range(k + 1))
-            for k in range(n + 1)]
+            c[j] += A * c[j + 1]
+    L = math.lcm(*(math.comb(n, j) for j in range(n + 1)))
+    c = [L // math.comb(n, j) * (B - A) ** j * cj for j, cj in enumerate(c)]
+    return [sum(math.comb(i, j) * c[j] for j in range(i + 1)) for i in range(n + 1)], D * d**n * L
 
 
 def _halve(bern: list) -> tuple[list, list]:
-    """de Casteljau at t = 1/2: the Bernstein coefficients of both halves."""
-    left, right, row = [bern[0]], [bern[-1]], bern
-    while len(row) > 1:
-        row = [(u + v) / 2 for u, v in zip(row, row[1:])]
-        left.append(row[0])
-        right.append(row[-1])
+    """de Casteljau at t = 1/2 in sums: the Bernstein coefficients of both
+    halves, over 2^n times the denominator of bern."""
+    n = len(bern) - 1
+    left, right, row = [bern[0] << n], [bern[-1] << n], bern
+    while len(row) > 1:  # sums of level m are 2^m de Casteljau's, scaled by 2^(n - m)
+        row = [u + v for u, v in zip(row, row[1:])]
+        left.append(row[0] << len(row) - 1)
+        right.append(row[-1] << len(row) - 1)
     return left, right[::-1]
 
 
@@ -81,19 +93,22 @@ def _decide(p: list, k: int, s: int, a: Fraction, b: Fraction):
     the exact p is the negative value; undecided with the lowest
     coefficient of the boxes left open, or 0 when p is 0 at a box end,
     where it holds with equality (that box is dropped when no coefficient
-    is negative, since p >= 0 on it)."""
-    boxes = [(a, b, _bernstein(p[k:], a, b))]
+    is negative, since p >= 0 on it).  Box i of depth t is
+    a + (b - a) [i, i + 1] / 2^t, with integer coefficients over
+    S 2^(n t) (see _bernstein and _halve)."""
+    bern, S = _bernstein(p[k:], a, b)
+    n, boxes = len(bern) - 1, [(0, 0, bern)]
     leaves, touched, examined = [], False, 0
     while boxes and examined < _BERNSTEIN_BOXES:
         examined += 1
-        lo, hi, bern = boxes.pop()
+        i, t, bern = boxes.pop()
         m = min(bern)
         if m > 0:
-            leaves.append(m)
+            leaves.append((m, n * t))
             continue
-        for r, q in ((lo, bern[0]), (hi, bern[-1])):  # the quotient at the ends
+        for j, q in ((i, bern[0]), (i + 1, bern[-1])):  # the quotient at the ends
             if q < 0:
-                x = float(s * r)
+                x = float(s * (a + (b - a) * Fraction(j, 1 << t)))
                 value = _horner(p, abs(Fraction(x)))
                 if value < 0:
                     return "counterexample", value, x
@@ -102,11 +117,12 @@ def _decide(p: list, k: int, s: int, a: Fraction, b: Fraction):
             if m == 0:
                 continue
         left, right = _halve(bern)
-        mid = (lo + hi) / 2
-        boxes += [(mid, hi, right), (lo, mid, left)]
+        boxes += [(2 * i + 1, t + 1, right), (2 * i, t + 1, left)]
+    verdict = "certified"
     if touched or boxes:
-        return "undecided", min([Fraction(0)] * touched + [min(bern) for _, _, bern in boxes]), None
-    return "certified", min(leaves), None
+        verdict, leaves = "undecided", [(0, 0)] * touched + [(min(bern), n * t) for _, t, bern in boxes]
+    top = max(shift for _, shift in leaves)  # the least value over S 2^top
+    return verdict, Fraction(min(m << top - shift for m, shift in leaves), S << top), None
 
 
 def _lower_bound(p: list, s: int, a: Fraction, b: Fraction) -> Fraction:
@@ -116,7 +132,8 @@ def _lower_bound(p: list, s: int, a: Fraction, b: Fraction) -> Fraction:
     verdict, value, _ = _decide(p, 0, s, a, b)
     if verdict == "certified":
         return value
-    return min(_bernstein(p, a, b))  # <= 0, or _decide would certify
+    bern, S = _bernstein(p, a, b)
+    return Fraction(min(bern), S)  # <= 0, or _decide would certify
 
 
 @dataclass(frozen=True)

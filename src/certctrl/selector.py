@@ -38,6 +38,7 @@ from .core import (
     ContractError,
     InternalConsistencyError,
     Modulus,
+    ResourceBudgetError,
     _float_up,
     _up,
 )
@@ -59,12 +60,6 @@ __all__ = [
 STRICTNESS_MARGIN_SHIFT = 4  # strict sets realized as closed sets shrunk by 2^-(k+4)
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
-
-
 @dataclass(frozen=True)
 class Block:
     """Closed hyperrectangle with rational vertices; may be empty."""
@@ -73,8 +68,7 @@ class Block:
 
     @classmethod
     def make(cls, *bounds) -> "Block":
-        ivs = tuple((_frac(lo), _frac(hi)) for lo, hi in bounds)
-        return cls(ivs)
+        return cls(tuple((Fraction(lo), Fraction(hi)) for lo, hi in bounds))
 
     @classmethod
     def interval(cls, lo, hi) -> "Block":
@@ -91,18 +85,11 @@ class Block:
     def volume(self) -> Fraction:
         if self.is_empty:
             return Fraction(0)
-        v = Fraction(1)
-        for lo, hi in self.intervals:
-            v *= hi - lo
-        return v
+        return math.prod((hi - lo for lo, hi in self.intervals), start=Fraction(1))
 
     def intersect(self, other: "Block") -> "Block":
-        return Block(
-            tuple(
-                (max(a_lo, b_lo), min(a_hi, b_hi))
-                for (a_lo, a_hi), (b_lo, b_hi) in zip(self.intervals, other.intervals)
-            )
-        )
+        return Block(tuple((max(a_lo, b_lo), min(a_hi, b_hi))
+                           for (a_lo, a_hi), (b_lo, b_hi) in zip(self.intervals, other.intervals)))
 
     def interior_overlaps(self, other: "Block") -> bool:
         return all(
@@ -111,11 +98,8 @@ class Block:
         )
 
     def contains(self, x) -> bool:
-        for (lo, hi), xi in zip(self.intervals, x):
-            xi = _frac(xi) if not isinstance(xi, Fraction) else xi
-            if xi < lo or xi > hi:
-                return False
-        return True
+        # a Fraction on the left compares exactly with ints, floats and Fractions
+        return all(lo <= xi and hi >= xi for (lo, hi), xi in zip(self.intervals, x))
 
     def subtract(self, other: "Block") -> list:
         """Closure of self minus other as interior-disjoint closed blocks."""
@@ -221,7 +205,7 @@ class RepresentableDomain:
     exception_generator: Callable[[Fraction], GeneralizedBlock]
 
     def exception(self, eps) -> GeneralizedBlock:
-        eps = _frac(eps)
+        eps = Fraction(eps)
         if eps <= 0:
             raise ArgumentError("exception budget must be positive")
         J = self.exception_generator(eps)
@@ -324,9 +308,9 @@ class RegularSVF:
         if not gb.proper:
             raise ArgumentError("domain blocks must be pairwise interior-disjoint")
         lo, hi = self.value_range
-        if not _frac(lo) < _frac(hi):
+        if not Fraction(lo) < Fraction(hi):
             raise ArgumentError("value range must be a nondegenerate interval")
-        object.__setattr__(self, "value_range", (_frac(lo), _frac(hi)))
+        object.__setattr__(self, "value_range", (Fraction(lo), Fraction(hi)))
 
     def block_index(self, x) -> Optional[int]:
         for i, b in enumerate(self.domain_blocks):
@@ -408,12 +392,16 @@ def simple_approx(F: RegularSVF, delta: float, max_blocks: int = 200_000):
         for ch in chunks:
             if ch.modulus is None:
                 raise ContractError("chunk boundary function without modulus")
-    shift = max(3, math.ceil(math.log2(8.0 / delta)))
+    shift = max(3, _ceil_log2(8 / Fraction(delta)))
+    too_many = f"simple approximation needs more than {max_blocks} blocks; coarsen delta"
     pieces = []
     for blk, chunks in zip(F.domain_blocks, F.chunks_per_block):
         if not chunks:
             raise ContractError("regular SVF block with no chunks")
         d_req = min(2.0 * ch.modulus.step(delta / 4.0) for ch in chunks)
+        # leaves are at most d_req long: a block over 2 max_blocks d_req needs too many
+        if blk.volume() > 0 and max(float(hi - lo) for lo, hi in blk.intervals) > 2.0 * max_blocks * d_req:
+            raise ResourceBudgetError(too_many)
         todo = [blk]
         leaves = []
         while todo:
@@ -423,10 +411,7 @@ def simple_approx(F: RegularSVF, delta: float, max_blocks: int = 200_000):
             else:
                 todo.extend(b.halve_longest())
             if len(leaves) + len(todo) > max_blocks:
-                raise ContractError(
-                    f"simple approximation needs more than {max_blocks} blocks; "
-                    "coarsen delta"
-                )
+                raise ResourceBudgetError(too_many)
         for b in leaves:
             c = b.center_float()
             rad = b.euclid_diameter() / 2.0
@@ -540,7 +525,7 @@ def extract_selector(F: RegularSVF, eps: float) -> Selector:
     if eps_scaled > 1.0:
         eps_scaled = 1.0
     fhat, domain = simple_approx(Fr, eps_scaled / 2.0)
-    n_stages = max(1, math.ceil(math.log2(2.0 / eps_scaled)))
+    n_stages = max(1, _ceil_log2(2 / Fraction(eps_scaled)))
     pieces = _run_stages(fhat, n_stages)
     out = tuple((b, lo + r * scale) for b, r, _ in pieces)
     return Selector(out, eps, domain, stage=n_stages)

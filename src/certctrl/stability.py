@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -318,14 +318,16 @@ def integrator(xs: np.ndarray, us: np.ndarray) -> np.ndarray:
     return us.copy()
 
 
-def find_sampling_time(problem: CLFProblem, V, eta_max: float, eps: float) -> SamplingTimeResult:
+def find_sampling_time(problem: CLFProblem, V, eta_max: float, tolerances: Sequence[float]) -> list:
     """One sampling time for every state of the annulus and every
-    eps-optimal control, in closed form, for the integrator x' = u with u
-    in the control box [a, b] and the polynomial V (a polynomial form from
-    `forms`).  The problem must be that one: its dynamics.f is `integrator`
-    on a one-dimensional state box, with lip_u >= 1, and its grad_V is
-    V.derivative itself, so clf_feedback minimizes V'(x) u.  Any other
-    problem is an ArgumentError.
+    eps-optimal control, for each optimizer tolerance eps in tolerances,
+    in closed form, for the integrator x' = u with u in the control box
+    [a, b] and the polynomial V (a polynomial form from `forms`).  Returns
+    one SamplingTimeResult per tolerance, in order.  The problem must be
+    that one: its dynamics.f is `integrator` on a one-dimensional state
+    box, with lip_u >= 1, and its grad_V is V.derivative itself, so
+    clf_feedback minimizes V'(x) u.  Any other problem is an
+    ArgumentError.
 
     Hold an eps-optimal u from an annulus state x for a time t <= eta: by
     Taylor's theorem V(x + t u) - V(x) <= t (D(x) + eps') + t^2 S2 M^2 / 2,
@@ -345,6 +347,8 @@ def find_sampling_time(problem: CLFProblem, V, eta_max: float, eps: float) -> Sa
     r <= |x| <= the box end on each side, makes V grow with |x| there, so
     a step that falls in V and stays on its side ends inside |x| <= R; the
     (R + r) / M cap keeps a step that crosses the origin inside it too.
+    Only eps and eps' depend on the tolerance, so alpha, the sign of x V',
+    S2 and M are decided once for the whole sequence.
 
     The verdict is certified when eta > 0 and x V' > 0 is decided;
     failure when u = 0 is in the box and eps-optimal (-D(x) <= eps) at an
@@ -355,7 +359,7 @@ def find_sampling_time(problem: CLFProblem, V, eta_max: float, eps: float) -> Sa
     """
     if eta_max <= 0:
         raise ArgumentError("eta_max must be positive")
-    if eps <= 0:
+    if not all(eps > 0 for eps in tolerances):
         raise ArgumentError("eps must be positive")
     dyn = problem.dynamics
     if V.coeffs is None:
@@ -366,12 +370,12 @@ def find_sampling_time(problem: CLFProblem, V, eta_max: float, eps: float) -> Sa
                             "one-dimensional boxes, with grad_V = V.derivative")
     lo, hi = dyn.state_box.lo[0], dyn.state_box.hi[0]
     a, b = Fraction(float(problem.control_box.lo[0])), Fraction(float(problem.control_box.hi[0]))
-    r, R, e = Fraction(problem.target_radius), Fraction(problem.overshoot_radius), Fraction(eps)
+    r, R = Fraction(problem.target_radius), Fraction(problem.overshoot_radius)
     dV = V.derivative.coeffs
     M = max(abs(a), abs(b))
     G = Fraction(V.derivative.sup_abs(lo, hi))
     S2 = Fraction(V.derivative.derivative.sup_abs(lo, hi))
-    eps_p = e + 2 * Fraction(_FEEDBACK_ROUNDING) * (1 + G * M)
+    rounding = 2 * Fraction(_FEEDBACK_ROUNDING) * (1 + G * M)
     ends = {1: Fraction(float(hi)), -1: -Fraction(float(lo))}
     # -u V'(s r) for the inward end u of the box on the half x = s r
     alpha = min(_lower_bound([-u * c * s**j for j, c in enumerate(dV)], s, r, R)
@@ -380,47 +384,54 @@ def find_sampling_time(problem: CLFProblem, V, eta_max: float, eps: float) -> Sa
         _lower_bound([Fraction(0)] + [c * s ** (j + 1) for j, c in enumerate(dV)], s, r, ends[s]) > 0
         for s in (1, -1)
     )
-    surplus = alpha - eps_p - e
-    caps = [Fraction(eta_max), (R + r) / M, (min(ends.values()) - R) / M]
-    if S2:
-        caps.append(2 * surplus / (S2 * M * M))
-    eta = _float_down(min(caps))
-    details = {"alpha": _float_down(alpha), "eps_prime": _float_up(eps_p),
-               "curvature": _float_up(S2), "control_bound": float(M)}
-    if surplus > 0 and inward and eta > 0:
-        margin = _float_down(surplus - Fraction(eta) * S2 * M * M / 2)
-        return SamplingTimeResult("certified", eta, margin, details=details)
-    if surplus <= 0:
-        details["missing_margin"] = _float_up(-surplus)
+    cap = min(Fraction(eta_max), (R + r) / M, (min(ends.values()) - R) / M)
+    # -D(x) where u = 0 is in the box: at the float above r and at R on each side
+    rates = []
     if a <= 0 <= b:
         r_above = math.nextafter(problem.target_radius, math.inf)
         for x in (r_above, problem.overshoot_radius, -r_above, -problem.overshoot_radius):
             slope = V.derivative.exact(Fraction(x))
-            rate = max(-a * slope, -b * slope)  # -D(x)
-            if rate <= e:
-                details["witness"] = x
-                return SamplingTimeResult("failure", None, None, (
-                    f"optimizer_tolerance: u = 0 is eps-optimal at x = {x!r} "
-                    f"(-D(x) = {float(rate):.3g} <= eps = {eps}), so V need not fall there"
-                ), details)
-    if alpha <= 0:
-        diagnosis = (f"clf_inadequate: no certified decay direction on the annulus "
-                     f"(alpha >= {float(alpha):+.3g})")
-    elif not inward:
-        diagnosis = ("clf_inadequate: x V'(x) > 0 is not decided on r <= |x| <= the box end, "
-                     "so a falling V need not keep the state inside |x| <= R")
-    elif surplus <= 0:
-        diagnosis = (f"optimizer_tolerance: the decay rate alpha >= {float(alpha):.3g} "
-                     f"does not exceed eps' + eps = {float(eps_p + e):.3g}")
-    else:
-        diagnosis = "state_box: the state box ends at R, leaving no room for a step"
-    return SamplingTimeResult("undecided", None, None, diagnosis, details)
+            rates.append((x, max(-a * slope, -b * slope)))
+    constants = {"alpha": _float_down(alpha), "curvature": _float_up(S2), "control_bound": float(M)}
+    results = []
+    for eps in tolerances:
+        e = Fraction(eps)
+        eps_p = e + rounding
+        surplus = alpha - eps_p - e
+        eta = _float_down(min(cap, 2 * surplus / (S2 * M * M)) if S2 else cap)
+        details = {"eps_prime": _float_up(eps_p), **constants}
+        if surplus > 0 and inward and eta > 0:
+            margin = _float_down(surplus - Fraction(eta) * S2 * M * M / 2)
+            results.append(SamplingTimeResult("certified", eta, margin, details=details))
+            continue
+        if surplus <= 0:
+            details["missing_margin"] = _float_up(-surplus)
+        x, rate = next(((x, rate) for x, rate in rates if rate <= e), (None, None))
+        if x is not None:
+            details["witness"] = x
+            diagnosis = (f"optimizer_tolerance: u = 0 is eps-optimal at x = {x!r} "
+                         f"(-D(x) = {float(rate):.3g} <= eps = {eps}), so V need not fall there")
+        elif alpha <= 0:
+            diagnosis = (f"clf_inadequate: no certified decay direction on the annulus "
+                         f"(alpha >= {float(alpha):+.3g})")
+        elif not inward:
+            diagnosis = ("clf_inadequate: x V'(x) > 0 is not decided on r <= |x| <= the box end, "
+                         "so a falling V need not keep the state inside |x| <= R")
+        elif surplus <= 0:
+            diagnosis = (f"optimizer_tolerance: the decay rate alpha >= {float(alpha):.3g} "
+                         f"does not exceed eps' + eps = {float(eps_p + e):.3g}")
+        else:
+            diagnosis = "state_box: the state box ends at R, leaving no room for a step"
+        verdict = "undecided" if x is None else "failure"
+        results.append(SamplingTimeResult(verdict, None, None, diagnosis, details))
+    return results
 
 
 def reaching_steps(problem: CLFProblem, V, res: SamplingTimeResult, eps: float, x0: float) -> int:
     """N*, the number of held steps within which the sample-and-hold loop
-    certified by res (find_sampling_time on problem, V and eps) takes the
-    sampled state from x0, |x0| <= R, into |x| <= r:
+    certified by res (find_sampling_time's result on problem and V for the
+    tolerance eps) takes the sampled state from x0, |x0| <= R, into
+    |x| <= r:
 
         N* = ceil((V(x0) - min(V(r), V(-r))) / (eta (eps + margin))),
 

@@ -1,6 +1,7 @@
 """Independent re-checks that tests compare certctrl's certificates
 against; no task uses them, so they live with the tests."""
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -122,3 +123,76 @@ def sample_hold_step(coeffs, control_box, R, eta, eps, x, u_feedback) -> list:
         ends = (a, b)
     steps = [x + eta * u for u in (*ends, Fraction(float(u_feedback)))]
     return [(value(x) - value(y) - eta * eps, abs(y) <= R) for y in steps]
+
+
+# ---------------------------------------------------------------------------
+# the Bernstein sign decider in Fraction arithmetic: the reference that
+# forms' integer kernel must match exactly
+# ---------------------------------------------------------------------------
+
+BERNSTEIN_BOXES = 512
+
+
+def horner(coeffs, r):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * r + c
+    return acc
+
+
+def bernstein(coeffs: list, a: Fraction, b: Fraction) -> list:
+    """Bernstein coefficients on [a, b] of sum_i coeffs[i] r^i."""
+    c, n = list(coeffs), len(coeffs) - 1
+    for i in range(n):  # Taylor shift: the coefficients of p(a + r)
+        for j in range(n - 1, i - 1, -1):
+            c[j] += a * c[j + 1]
+    c = [cj * (b - a) ** j for j, cj in enumerate(c)]  # p(a + (b - a) t), t in [0, 1]
+    return [sum(Fraction(math.comb(k, j), math.comb(n, j)) * c[j] for j in range(k + 1))
+            for k in range(n + 1)]
+
+
+def halve(bern: list) -> tuple:
+    """de Casteljau at t = 1/2: the Bernstein coefficients of both halves."""
+    left, right, row = [bern[0]], [bern[-1]], bern
+    while len(row) > 1:
+        row = [(u + v) / 2 for u, v in zip(row, row[1:])]
+        left.append(row[0])
+        right.append(row[-1])
+    return left, right[::-1]
+
+
+def decide(p: list, k: int, s: int, a: Fraction, b: Fraction):
+    """(verdict, value, x) as forms._decide defines them."""
+    boxes = [(a, b, bernstein(p[k:], a, b))]
+    leaves, touched, examined = [], False, 0
+    while boxes and examined < BERNSTEIN_BOXES:
+        examined += 1
+        lo, hi, bern = boxes.pop()
+        m = min(bern)
+        if m > 0:
+            leaves.append(m)
+            continue
+        for r, q in ((lo, bern[0]), (hi, bern[-1])):  # the quotient at the ends
+            if q < 0:
+                x = float(s * r)
+                value = horner(p, abs(Fraction(x)))
+                if value < 0:
+                    return "counterexample", value, x
+        if bern[0] == 0 or bern[-1] == 0:
+            touched = True
+            if m == 0:
+                continue
+        left, right = halve(bern)
+        mid = (lo + hi) / 2
+        boxes += [(mid, hi, right), (lo, mid, left)]
+    if touched or boxes:
+        return "undecided", min([Fraction(0)] * touched + [min(bern) for _, _, bern in boxes]), None
+    return "certified", min(leaves), None
+
+
+def lower_bound(p: list, s: int, a: Fraction, b: Fraction) -> Fraction:
+    """forms._lower_bound: a lower bound on p over 0 < a <= r <= b."""
+    verdict, value, _ = decide(p, 0, s, a, b)
+    if verdict == "certified":
+        return value
+    return min(bernstein(p, a, b))

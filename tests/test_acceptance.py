@@ -457,7 +457,7 @@ def test_acceptance_7_sample_hold_stabilization():
     # the decay rate on the annulus is 2 r = 0.2, so eps = 0.1 leaves no
     # reserve (alpha = 2 eps) and eps = 0.5 is refuted
     for eps in (0.01, 0.05, 0.5):
-        res = stab.find_sampling_time(prob, V, 1.0, eps)
+        (res,) = stab.find_sampling_time(prob, V, 1.0, [eps])
         etas.append(res.eta if res.ok else None)
         if eps == 0.01:
             if not res.ok or res.eta is None or res.eta <= 0:

@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from certctrl import forms
+from certctrl import stability as stab
 from certctrl.cli import EXIT_CONFIG, EXIT_COUNTEREXAMPLE, EXIT_INTERNAL, EXIT_OK, EXIT_UNDECIDED, main, run
 
 
@@ -399,6 +404,33 @@ def test_bad_argument_exits_64_not_the_undecided_code(tmp_path, argv):
     assert not (out / "certificate.json").exists()
 
 
+def _certificate(out: Path) -> dict:
+    record = json.loads((out / "certificate.json").read_text())
+    del record["wallclock_s"]
+    return record
+
+
+def test_main_called_twice_in_one_process_writes_what_fresh_processes_write(tmp_path, capsys):
+    # main parses with one module-level parser: a second call, with another
+    # task, writes the certificate a fresh process writes, and a bad flag
+    # after a good call is still a config error
+    shh = tmp_path / "shh.json"
+    shh.write_text(json.dumps({**SHH_INTEGRATOR, "optimizer_eps": 0.05, "sweep": [0.01, 0.1]}))
+    argvs = [["shh", "--config", str(shh), "--seed", "3"], ["eig", "--config", EIG_EXAMPLE]]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    for i, argv in enumerate(argvs):
+        here, fresh = tmp_path / f"in-process-{i}", tmp_path / f"fresh-{i}"
+        code = main([*argv, "--out", str(here)])
+        proc = subprocess.run([sys.executable, "-m", "certctrl.cli", *argv, "--out", str(fresh)],
+                              env=env, capture_output=True, text=True)
+        assert code == proc.returncode == EXIT_OK, proc.stderr
+        assert _certificate(here) == _certificate(fresh)
+    assert main(["eig", "--config", EIG_EXAMPLE, "--no-such-flag"]) == EXIT_CONFIG
+    assert main(["--help"]) == EXIT_OK
+    capsys.readouterr()
+
+
 def test_audit_takes_no_config(tmp_path):
     # the audit never reads a config, so one would change only the digest
     out = tmp_path / "out"
@@ -583,6 +615,14 @@ def test_selector_budget_below_the_smallest_float(tmp_path):
                                  "exception_volume": 0.0, "proper": 1}
 
 
+def test_selector_with_a_tiny_eps_is_refused_by_the_block_budget(tmp_path, capsys):
+    # 8 / delta overflows a float at eps = 1e-320: the shifts are taken
+    # exactly, and the block budget refuses the config (it exited 70)
+    code, record, _ = _run_cli(tmp_path, "selector", {**SELECTOR_QUADRATIC, "eps": 1e-320})
+    assert code == EXIT_CONFIG and record is None
+    assert capsys.readouterr().err.startswith("resource budget: simple approximation needs more than")
+
+
 def test_shh_subcommand_with_sweep(tmp_path):
     config = {
         "dynamics": "integrator",
@@ -763,6 +803,22 @@ def test_shh_numeric_fields_pinned(tmp_path, config, expected, sweep):
         assert not (out / "sweep.csv").exists()
     else:
         assert (out / "sweep.csv").read_text().splitlines() == ["optimizer_eps,eta,margin", *sweep]
+
+
+def test_shh_decides_the_bound_once_per_job(tmp_path, monkeypatch):
+    # alpha and the inward sign are two Bernstein lower bounds each, taken
+    # once for the sweep and the certified tolerance together
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return forms._lower_bound(*args)
+
+    monkeypatch.setattr(stab, "_lower_bound", counted)
+    config = {**SHH_INTEGRATOR, "optimizer_eps": 0.05, "sweep": [0.01, 0.02, 0.04, 0.1]}
+    code, record, out = _run_cli(tmp_path, "shh", config)
+    assert code == EXIT_OK and len((out / "sweep.csv").read_text().splitlines()) == 5
+    assert len(calls) == 4
 
 
 def test_shh_payload_reports_the_bound(tmp_path):

@@ -3,13 +3,19 @@ enclose(lo, hi) must contain the form's values on [lo, hi], at dense
 points and at the exact extremes, and be rounded outward."""
 
 import math
+import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from certctrl.core import ArgumentError
+from certctrl import forms
+from certctrl.core import ArgumentError, _float_down, _float_up
 from certctrl.forms import build_scalar_form
+import oracles
+
+FLOAT_MAX = sys.float_info.max
 
 
 def _assert_encloses(form, lo, hi, extremes=()):
@@ -124,3 +130,94 @@ def test_forms_reject_non_finite_parameters():
                  {"form": "trig", "terms": [[math.inf, 1.0, 0.0]]}):
         with pytest.raises(ArgumentError):
             build_scalar_form(spec)
+
+
+# ---------------------------------------------------------------------------
+# the integer Bernstein kernel against the Fraction reference
+# ---------------------------------------------------------------------------
+
+def _random_float(rng):
+    return rng.choice([
+        rng.uniform(-2, 2), round(rng.uniform(-2, 2), 2), float(rng.randint(-3, 3)),
+        rng.uniform(-1, 1) * 2.0 ** rng.randint(-30, 30),
+    ])
+
+
+def _random_case(rng):
+    """(p, k, s, a, b) with p[k] the lowest nonzero coefficient (None when
+    p is 0): a random polynomial of degree 0 to 5, or a product of linear
+    factors whose roots may sit on a box end or its midpoint, so that every
+    verdict occurs, times a power r^j, j <= 2."""
+    a = 0.0 if rng.random() < 0.3 else abs(_random_float(rng))
+    a = Fraction(a)
+    b = a + Fraction(abs(_random_float(rng)) + 2.0**-40)
+    deg = rng.randint(0, 5)
+    if rng.random() < 0.4:
+        p = [Fraction(_random_float(rng)) for _ in range(deg + 1)]
+    else:
+        p = [Fraction(_random_float(rng))]
+        for _ in range(deg):  # times (r - root)
+            root = rng.choice([a, b, (a + b) / 2, Fraction(_random_float(rng))])
+            p = [Fraction(0)] + p
+            for j in range(len(p) - 1):
+                p[j] -= root * p[j + 1]
+    p = [Fraction(0)] * rng.randint(0, 2) + p
+    k = next((j for j, c in enumerate(p) if c), None)
+    return p, k, rng.choice([1, -1]), a, b
+
+
+def test_integer_kernel_equals_the_fraction_reference():
+    rng = random.Random(20261019)
+    verdicts = {}
+    while sum(verdicts.values()) < 10_000:
+        p, k, s, a, b = _random_case(rng)
+        if k is None:
+            continue
+        expected = oracles.decide(p, k, s, a, b)
+        got = forms._decide(p, k, s, a, b)
+        assert got == expected and type(got[2]) is type(expected[2]), (p, k, s, a, b)
+        verdicts[expected[0]] = verdicts.get(expected[0], 0) + 1
+        if a > 0 and k == 0:
+            assert forms._lower_bound(p, s, a, b) == oracles.lower_bound(p, s, a, b), (p, s, a, b)
+    assert set(verdicts) == {"certified", "counterexample", "undecided"}
+
+
+def test_integer_bernstein_coefficients_and_halves():
+    # 1 - 3x + x^3 on [1/4, 3/2]: the integers over S are the reference
+    # coefficients, and both halves sit over S 2^n
+    p = [Fraction(c) for c in (1.0, -3.0, 0.0, 1.0)]
+    a, b = Fraction(1, 4), Fraction(3, 2)
+    bern, S = forms._bernstein(p, a, b)
+    assert all(isinstance(v, int) for v in bern) and S > 0
+    assert [Fraction(v, S) for v in bern] == oracles.bernstein(p, a, b)
+    left, right = forms._halve(bern)
+    ref_left, ref_right = oracles.halve(oracles.bernstein(p, a, b))
+    assert [Fraction(v, S << 3) for v in left] == ref_left
+    assert [Fraction(v, S << 3) for v in right] == ref_right
+
+
+def _float_up_reference(q: Fraction) -> float:
+    """The least float >= q, by Fraction comparisons."""
+    if q > Fraction(FLOAT_MAX):
+        return math.inf
+    f = float(max(q, -Fraction(FLOAT_MAX)))
+    return f if Fraction(f) >= q else math.nextafter(f, math.inf)
+
+
+def test_float_rounding_equals_the_fraction_formula():
+    rng = random.Random(7)
+    tiny = Fraction(1, 2**2000)
+    top, sub = Fraction(FLOAT_MAX), Fraction(5e-324)
+    edges = [Fraction(0), tiny, 2 * top, Fraction(2**1024), top, top + tiny, top - tiny,
+             top + Fraction(2**970), top + Fraction(2**970) - tiny, sub, sub / 2, sub / 2 + tiny,
+             sub / 2 - tiny, 3 * sub / 2, Fraction(1, 3), Fraction(2.2250738585072014e-308) - tiny]
+    edges += [Fraction(rng.getrandbits(2000) + 1, rng.getrandbits(rng.randint(1, 2000)) + 1)
+              for _ in range(200)]
+    edges += [Fraction(rng.getrandbits(60), 2 ** rng.randint(0, 1100)) for _ in range(200)]
+    for q in edges:
+        for v in (q, -q):
+            assert repr(_float_up(v)) == repr(_float_up_reference(v)), v
+            assert repr(_float_down(v)) == repr(-_float_up_reference(-v) + 0.0), v
+    assert repr(_float_up(-tiny)) == "-0.0" and repr(_float_down(Fraction(0))) == "0.0"
+    assert _float_up(Fraction(2**1024)) == math.inf and _float_down(-Fraction(2**1024)) == -math.inf
+    assert _float_down(Fraction(2**1024)) == FLOAT_MAX

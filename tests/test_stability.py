@@ -583,7 +583,7 @@ def test_clf_problem_needs_the_origin_centred_cube_in_the_state_box():
 
 
 def test_find_sampling_time_integrator_certifies():
-    res = find_sampling_time(integrator_problem(), V_SQ, 1.0, 0.01)
+    (res,) = find_sampling_time(integrator_problem(), V_SQ, 1.0, [0.01])
     assert res.ok
     # alpha = 2 r = 0.2, S2 = 2 and M = 1: eta = alpha - eps' - eps, with
     # eps' = eps + 2e-12 (1 + sup|V'| M) = 0.01 + 1e-11
@@ -596,7 +596,7 @@ def test_find_sampling_time_uncontrollable_failure():
     # u in [0.5, 1] cannot push a state x > 0 toward the origin: no decay
     # direction there, and no eps-optimal u = 0 to refute with (undecided)
     prob = replace(integrator_problem(), control_box=Hypercube.interval(0.5, 1.0))
-    res = find_sampling_time(prob, V_SQ, 0.5, 0.01)
+    (res,) = find_sampling_time(prob, V_SQ, 0.5, [0.01])
     assert res.verdict == "undecided" and res.eta is None
     assert res.diagnosis.startswith("clf_inadequate")
     assert res.details["alpha"] < 0 and res.details["missing_margin"] > 0
@@ -618,16 +618,16 @@ def test_find_sampling_time_rejects_a_problem_it_does_not_prove():
     ]
     for prob in others:
         with pytest.raises(ArgumentError, match="integrator"):
-            find_sampling_time(prob, V_SQ, 0.5, 0.01)
+            find_sampling_time(prob, V_SQ, 0.5, [0.01])
     with pytest.raises(ArgumentError, match="polynomial V"):
         V = build_scalar_form({"form": "trig", "terms": [[1.0, 1.0, 0.0]]})
-        find_sampling_time(replace(base, grad_V=V.derivative), V, 0.5, 0.01)
+        find_sampling_time(replace(base, grad_V=V.derivative), V, 0.5, [0.01])
 
 
 def test_find_sampling_time_refutes_with_an_eps_optimal_zero_control():
     # eps = 0.5 > 2 r: u = 0 is eps-optimal just outside the target ball,
     # so the state may stay there forever
-    res = find_sampling_time(integrator_problem(), V_SQ, 1.0, 0.5)
+    (res,) = find_sampling_time(integrator_problem(), V_SQ, 1.0, [0.5])
     assert res.verdict == "failure" and res.diagnosis.startswith("optimizer_tolerance")
     x = res.details["witness"]
     assert abs(x) > 0.1
@@ -641,7 +641,7 @@ def test_find_sampling_time_needs_V_to_grow_out_to_the_box_end():
     # sqrt(2) < 2, where a falling V would let the state drift outward
     for coeffs in ([0.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0, -0.25]):
         V = build_scalar_form({"form": "polynomial", "coeffs": coeffs})
-        res = find_sampling_time(integrator_problem(V=V), V, 1.0, 0.01)
+        (res,) = find_sampling_time(integrator_problem(V=V), V, 1.0, [0.01])
         assert res.verdict == "undecided" and res.diagnosis.startswith("clf_inadequate")
     assert res.details["alpha"] > 0.19
 
@@ -651,7 +651,7 @@ def test_find_sampling_time_certified_loop_enters_ball():
     # annulus the loop under clf_feedback loses at least eta eps of V per
     # interval, stays inside |x| <= R and enters the target ball
     prob, eps = integrator_problem(), 0.01
-    eta = Fraction(find_sampling_time(prob, V_SQ, 1.0, eps).eta)
+    eta = Fraction(find_sampling_time(prob, V_SQ, 1.0, [eps])[0].eta)
     r = Fraction(prob.target_radius)
     for k in range(-256, 257):
         x = Fraction(k, 256)
@@ -679,7 +679,8 @@ def _shh_config(name):
 def _shh_sampling_time(config, eps=None):
     problem, V = cli._shh_problem(config)
     eps = config["optimizer_eps"] if eps is None else eps
-    return problem, V, find_sampling_time(problem, V, config["eta_max"], eps)
+    (res,) = find_sampling_time(problem, V, config["eta_max"], [eps])
+    return problem, V, res
 
 
 def test_shh_example_decreases_at_the_inner_rim():
