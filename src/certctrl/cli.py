@@ -40,7 +40,7 @@ from . import evt
 from . import selector as sel
 from . import stability as stab
 from . import trajectories as traj
-from .forms import ScalarForm, build_comparator, build_scalar_form, parse_complex_matrix
+from .forms import ScalarForm, _below, build_comparator, build_scalar_form, parse_complex_matrix
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -57,6 +57,9 @@ _VERDICT_EXIT = {
     "unstable": EXIT_COUNTEREXAMPLE,
     "undecided": EXIT_UNDECIDED,
 }
+
+# held steps the shh demo closed loop runs at most, whatever N* is
+DEMO_STEPS = 6_000
 
 TASKS = ("evt-min", "danskin", "selector", "eig", "ode", "shh", "certify", "audit")
 
@@ -199,11 +202,16 @@ def _task_selector(config, seed, out):
     lo = min(b.intervals[0][0] for b in blocks)
     hi = max(b.intervals[0][1] for b in blocks)
     chunks = []
-    for chunk_list in config["chunks"]:
+    for i, (block, chunk_list) in enumerate(zip(blocks, config["chunks"])):
         here = []
-        for ch in chunk_list:
+        for j, ch in enumerate(chunk_list):
             alpha = build_scalar_form(ch["alpha"])
             beta = build_scalar_form(ch["beta"])
+            # alpha > beta empties a chunk: decided for polynomial ends only
+            if alpha.coeffs and beta.coeffs:
+                x = _below(beta.coeffs, alpha.coeffs, *block.intervals[0])
+                if x is not None:
+                    raise ArgumentError(f"chunk {j} of domain block {i}: alpha > beta at x = {x!r}")
             L = max(alpha.derivative.sup_abs(lo, hi), beta.derivative.sup_abs(lo, hi))
             here.append(sel.Chunk(
                 alpha=lambda x, f=alpha: float(f(np.atleast_1d(x)[0])),
@@ -353,16 +361,17 @@ def _task_shh(config, seed, out):
         payload["sweep_file"] = "sweep.csv"
     if res.ok:
         # demo closed loop from the outer annulus edge at the certified eta,
-        # until the sampled state is in the target ball: within N* steps
+        # until the sampled state is in the target ball: within N* steps, of
+        # which it runs at most DEMO_STEPS (the verdict rests on eta alone)
         kappa = lambda x: stab.clf_feedback(problem, x, eps)[0]
-        sh = traj.SampleHoldPolicy(kappa, res.eta)
         x0 = np.array([problem.overshoot_radius])
         n_star = stab.reaching_steps(problem, V, res, eps, problem.overshoot_radius)
+        steps = min(n_star, DEMO_STEPS)
         loop = traj.sample_hold_trajectory(
-            problem.dynamics, sh, x0, n_star * res.eta, max(1e-9, eps * res.eta / 100.0),
+            problem.dynamics, kappa, res.eta, x0, steps, max(1e-9, eps * res.eta / 100.0),
             problem.target_radius,
         )
-        if loop.entry_step is None or loop.entry_step > n_star:
+        if loop.entry_step is None and steps == n_star:
             raise InternalConsistencyError(
                 f"the sampled state is outside |x| <= {problem.target_radius!r} after "
                 f"N* = {n_star} held steps of eta = {res.eta!r}, against the certificate"
@@ -370,6 +379,8 @@ def _task_shh(config, seed, out):
         (out / "closed_loop.csv").write_text(traj.solution_to_csv(loop))
         payload["closed_loop_file"] = "closed_loop.csv"
         payload["reach"] = {"step": loop.entry_step, "time": float(loop.grid[-1]), "bound_steps": n_star}
+        if loop.entry_step is None:
+            payload["reach"]["stopped_at_step"] = steps
     return res.verdict, numeric, payload
 
 

@@ -15,13 +15,15 @@ affine_of scales and shifts the inner enclosure.  Scalar forms act on the
 first state coordinate (the config-driven demos are one-dimensional).
 A polynomial form keeps its exact coefficients in ``coeffs`` (None for
 every other form); the radial comparators, the exact Horner rule and the
-Bernstein sign decider (_decide) that stability uses live here too.  The
-decider runs on Python ints over one denominator per box, not on Fractions.
+Bernstein sign decider (_decide) that stability and the selector task's
+chunk check use live here too.  The decider runs on Python ints over one
+denominator per box, not on Fractions.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -123,6 +125,28 @@ def _decide(p: list, k: int, s: int, a: Fraction, b: Fraction):
         verdict, leaves = "undecided", [(0, 0)] * touched + [(min(bern), n * t) for _, t, bern in boxes]
     top = max(shift for _, shift in leaves)  # the least value over S 2^top
     return verdict, Fraction(min(m << top - shift for m, shift in leaves), S << top), None
+
+
+def _halves(lo: Fraction, hi: Fraction) -> list:
+    """(s, a, b) for each half of [lo, hi] on one side of 0: x = s r with
+    a <= r <= b, the form _decide takes."""
+    halves = [(1, max(lo, Fraction(0)), hi)] if hi > 0 else []
+    return halves + ([(-1, max(-hi, Fraction(0)), -lo)] if lo < 0 else [])
+
+
+def _below(upper: tuple, lower: tuple, lo: Fraction, hi: Fraction) -> Optional[float]:
+    """A float x where the exact polynomial upper - lower is negative,
+    found by _decide on each half of [lo, hi], else None (>= 0 certified
+    or undecided).  x is a point of [lo, hi] rounded to a float."""
+    diff = [u - v for u, v in itertools.zip_longest(upper, lower, fillvalue=0)]
+    for s, a, b in _halves(lo, hi):
+        p = [c * s**j for j, c in enumerate(diff)]
+        k = next((j for j, c in enumerate(p) if c), None)
+        if k is not None:
+            verdict, _, x = _decide(p, k, s, a, b)
+            if verdict == "counterexample":
+                return x
+    return None
 
 
 def _lower_bound(p: list, s: int, a: Fraction, b: Fraction) -> Fraction:

@@ -27,6 +27,7 @@ needs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -402,6 +403,10 @@ def simple_approx(F: RegularSVF, delta: float, max_blocks: int = 200_000):
         # leaves are at most d_req long: a block over 2 max_blocks d_req needs too many
         if blk.volume() > 0 and max(float(hi - lo) for lo, hi in blk.intervals) > 2.0 * max_blocks * d_req:
             raise ResourceBudgetError(too_many)
+        # chunk ends are frozen as floats times 2^shift, which must be a float
+        # (checked once a block has passed its budget, before any is refined)
+        if shift >= sys.float_info.max_exp:
+            raise ResourceBudgetError(f"chunk ends on a 2^-{shift} grid are finer than a float can scale")
         todo = [blk]
         leaves = []
         while todo:

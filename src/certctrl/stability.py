@@ -46,7 +46,7 @@ from .core import (
     _float_up,
     build_mesh,
 )
-from .forms import Comparator, ScalarForm, _decide, _lower_bound
+from .forms import Comparator, ScalarForm, _decide, _halves, _lower_bound
 from .trajectories import ControlledDynamics
 
 __all__ = [
@@ -94,22 +94,16 @@ class CheckResult:
     details: dict = field(default_factory=dict)
 
 
-def _halves(box: Hypercube) -> list:
-    """(s, a, b) for each half of a 1-D box: x = s r with a <= r <= b."""
-    if box.dim != 1:
-        raise ArgumentError("the sandwich and decay checks take a one-dimensional box")
-    lo, hi = Fraction(float(box.lo[0])), Fraction(float(box.hi[0]))
-    halves = [(1, max(lo, Fraction(0)), hi)] if hi > 0 else []
-    return halves + ([(-1, max(-hi, Fraction(0)), -lo)] if lo < 0 else [])
-
-
 def _check(conditions: list, box: Hypercube) -> CheckResult:
     """Decide P(x) - W(|x|) >= 0 on the box for every (name, P, W): exact
     coefficients of P in powers of x and of W in powers of |x|."""
+    if box.dim != 1:
+        raise ArgumentError("the sandwich and decay checks take a one-dimensional box")
+    halves = _halves(Fraction(float(box.lo[0])), Fraction(float(box.hi[0])))
     orders, results = {}, []
     for name, P, W in conditions:
         orders[name] = {}
-        for s, a, b in _halves(box):
+        for s, a, b in halves:
             p = [c * s**j for j, c in enumerate(P)] + [Fraction(0)] * (len(W) - len(P))
             for j, c in enumerate(W):
                 p[j] -= c

@@ -91,7 +91,6 @@ __all__ = [
     "TimeBlockRHS",
     "RegularRHS",
     "ExtendedSolution",
-    "SampleHoldPolicy",
     "ControlledDynamics",
     "PicardPlan",
     "picard_plan",
@@ -153,17 +152,10 @@ class RegularRHS:
         return self.blocks[-1].t_hi
 
     @classmethod
-    def single(
-        cls,
-        f,
-        T,
-        state_box: Hypercube,
-        lip_x: float,
-        sup_bound: float,
-        t_modulus: Optional[Modulus] = None,
-    ) -> "RegularRHS":
-        mod = t_modulus if t_modulus is not None else Modulus.lipschitz(0.0)
-        return cls((TimeBlockRHS(Fraction(0), Fraction(T), f, lip_x, mod, sup_bound),), state_box)
+    def single(cls, f, T, state_box: Hypercube, lip_x: float, sup_bound: float) -> "RegularRHS":
+        """One autonomous block on [0, T]."""
+        block = TimeBlockRHS(Fraction(0), Fraction(T), f, lip_x, Modulus.lipschitz(0.0), sup_bound)
+        return cls((block,), state_box)
 
 
 @dataclass(frozen=True)
@@ -174,12 +166,12 @@ class ExtendedSolution:
     grid: np.ndarray  # (m,)
     values: np.ndarray  # (m, n)
     error_bound: CertifiedReal
+    error_profile: np.ndarray  # (m,) cumulative certified bound
     controls: Optional[np.ndarray] = None  # (m, p) for sample-and-hold runs
-    error_profile: Optional[np.ndarray] = None  # (m,) cumulative certified bound
     sweeps: Optional[np.ndarray] = None  # (windows, 2) coarse and fine Picard sweeps
     grid_step: Optional[float] = None  # the step the Picard defect was sized for
     defect_order: Optional[list] = None  # per time block: 1 or 2, see picard_plan
-    entry_step: Optional[int] = None  # sample-and-hold: the interval that ended in the target ball
+    entry_step: Optional[int] = None  # sample-and-hold: the held step that ended in the target ball
 
     @property
     def endpoint(self) -> np.ndarray:
@@ -469,18 +461,6 @@ def picard_solve(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SampleHoldPolicy:
-    """Feedback evaluated at sampling instants k eta and held constant."""
-
-    policy: Callable[[np.ndarray], np.ndarray]
-    eta: float
-
-    def __post_init__(self):
-        if self.eta <= 0:
-            raise ArgumentError("sampling period must be positive")
-
-
-@dataclass(frozen=True)
 class ControlledDynamics:
     """x' = f(x, u) with Lipschitz data in both arguments; f pairs row i
     of the states with row i of the controls."""
@@ -494,88 +474,71 @@ class ControlledDynamics:
 
 def sample_hold_trajectory(
     dyn: ControlledDynamics,
-    sh: SampleHoldPolicy,
+    policy: Callable[[np.ndarray], np.ndarray],
+    eta: float,
     x0,
-    T: float,
+    steps: int,
     eps: float,
     target_radius: float,
     grid_budget: int = DEFAULT_GRID_BUDGET,
 ) -> ExtendedSolution:
-    """Closed-loop trajectory under sample-and-hold feedback, up to T or
-    to the end of the first interval whose sampled state x_k has its
-    enclosure in the target ball, |x_k| + err_k <= target_radius in the
-    sup norm, whichever comes first; entry_step is that interval's count,
-    or None when the loop ran to T without entering.
+    """Closed-loop trajectory under sample-and-hold feedback: the control
+    u_k = policy(x_k) is held for exactly eta, for `steps` held steps or up
+    to the first sampled state whose enclosure is in the target ball,
+    |x_k| + err_k <= target_radius in the sup norm; entry_step is that k,
+    or None when the loop ran all its steps without entering.
 
-    Per-interval solver errors accumulate through the Grönwall factor,
-    err_k = err_(k-1) e^(L eta) + local_k, rounded outward (an exact 0
-    stays 0): the bound certifies the trajectory of the computed control
-    sequence.  The tolerance is split over the horizon's n intervals so
-    that eps_loc (1 + g + ... + g^(n-1)) <= 0.9 eps, g = e^(L eta); the
-    reserve covers the outward roundings.
+    Every step runs one Picard plan on [0, eta] with u_k as the field.  The
+    grid holds the sampling instants as the floats k eta, and a step's
+    inner nodes at k eta plus the plan's offsets.  Per-step solver errors
+    accumulate through the Grönwall factor, err_k = err_(k-1) e^(L eta) +
+    local_k, rounded outward (an exact 0 stays 0): the bound certifies the
+    trajectory of the computed control sequence.  The tolerance is split
+    so that eps_loc (1 + g + ... + g^(steps-1)) <= 0.9 eps, g = e^(L eta);
+    the reserve covers the outward roundings.
     """
-    if eps <= 0:
-        raise ArgumentError("eps must be positive")
-    if not target_radius >= 0:
-        raise ArgumentError("the target radius must be >= 0")
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    T = float(T)
-    eta = sh.eta
-    n_int = max(1, math.ceil(T / eta - 1e-12))
+    if not (eta > 0 and eps > 0 and steps >= 1 and target_radius >= 0):
+        raise ArgumentError("eta, eps and the step count must be positive, and the target radius >= 0")
+    x = np.atleast_1d(np.asarray(x0, dtype=float))
     a = dyn.lip_x * eta
-    if a * n_int > 700.0:  # e^(L T) > 1e304
-        raise ResourceBudgetError(f"Grönwall factor e^(L T) = e^{a * n_int:.4g} is out of float range")
+    if a * steps > 700.0:  # e^(L T) > 1e304, T = steps eta
+        raise ResourceBudgetError(f"Grönwall factor e^(L T) = e^{a * steps:.4g} is out of float range")
     growth = _up(math.exp(a)) if a else 1.0
     # 1 + g + ... + g^(n-1) = expm1(n a) / expm1(a), rounded up
-    amplification = float(n_int) if a == 0 else _up(
-        _up(math.expm1(_up(n_int * a))) / math.nextafter(math.expm1(a), 0.0))
-    eps_loc = eps / amplification * 0.9
+    amplification = float(steps) if a == 0 else _up(
+        _up(math.expm1(_up(steps * a))) / math.nextafter(math.expm1(a), 0.0))
+    rhs = RegularRHS.single(dyn.f, eta, dyn.state_box, dyn.lip_x, dyn.sup_bound)
+    plan = picard_plan(rhs, eta, eps / amplification * 0.9, grid_budget)
 
-    grid = [np.array([0.0])]
-    vals = [x0[None, :]]
-    ctrl = []
-    errs = [np.array([0.0])]
-    x = x0.copy()
-    err = 0.0
-    t0 = 0.0
-    entry = None
-    plans = {}  # one plan per distinct interval length; f enters as the field
-    for k in range(n_int):
-        t1 = min((k + 1) * eta, T)
-        span = t1 - t0
-        if span <= 0:
-            break
+    vals, us, errs = [x[None, :]], [], []
+    err, entry = 0.0, None
+    for k in range(steps):
         if not dyn.state_box.contains(x):
-            raise DomainExitError("initial state outside the state box", exit_time=t0, state=x)
-        u = np.atleast_1d(np.asarray(sh.policy(x), dtype=float))
-        if span not in plans:
-            plans[span] = picard_plan(
-                RegularRHS.single(dyn.f, span, dyn.state_box, dyn.lip_x, dyn.sup_bound),
-                span, eps_loc, grid_budget,
-            )
+            raise DomainExitError("initial state outside the state box", exit_time=k * eta, state=x)
+        u = np.array(policy(x), dtype=float, ndmin=1)  # a copy: a view could pin the policy's arrays
         g, v, _, _, local = _run_plan(
-            plans[span], x, lambda s, ts, u=u: dyn.f(s, np.repeat(u[None, :], s.shape[0], axis=0))
+            plan, x, lambda s, ts, u=u: dyn.f(s, np.repeat(u[None, :], s.shape[0], axis=0))
         )
         # transport: prior state error grows, plus the local solver error
         err = _up(err * growth + float(local)) if err or local else 0.0
-        grid.append(g[1:] + t0)
         vals.append(v[1:])
-        errs.append(np.full(g.size - 1, err))  # end-of-interval bound
-        rows = g.size if k == 0 else g.size - 1
-        ctrl.append(np.repeat(u[None, :], rows, axis=0))
+        us.append(u)
+        errs.append(err)
         x = v[-1].copy()
-        t0 = t1
         reach = float(np.abs(x).max()) + err
         if (_up(reach) if err else reach) <= target_radius:
             entry = k + 1
             break
 
-    grid = np.concatenate(grid)
-    values = np.vstack(vals)
-    controls = np.vstack(ctrl)
-    profile = np.concatenate(errs)
-    return ExtendedSolution(grid, values, CertifiedReal(err, 0.0),
-                            controls=controls, error_profile=profile, entry_step=entry)
+    ks = np.arange(len(us))[:, None]
+    grid = ks * eta + g[1:]
+    grid[:, -1] = (ks[:, 0] + 1) * eta
+    rows = [1] + [g.size - 1] * len(us)  # the first row holds x0, under u_0
+    return ExtendedSolution(
+        np.concatenate([[0.0], grid.ravel()]), np.vstack(vals), CertifiedReal(err, 0.0),
+        controls=np.repeat([us[0]] + us, rows, axis=0), error_profile=np.repeat([0.0] + errs, rows),
+        entry_step=entry,
+    )
 
 
 def solution_to_csv(sol: ExtendedSolution, max_rows: int = 2000) -> str:
@@ -591,11 +554,10 @@ def solution_to_csv(sol: ExtendedSolution, max_rows: int = 2000) -> str:
     if idx[-1] != sol.grid.size - 1:
         idx.append(sol.grid.size - 1)
     lines = [",".join(cols)]
-    profile = sol.error_profile
     for i in idx:
         row = [sol.grid[i], *sol.values[i]]
         if sol.controls is not None:
             row.extend(sol.controls[i])
-        row.append(profile[i] if profile is not None else sol.error_bound.value)
+        row.append(sol.error_profile[i])
         lines.append(",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"

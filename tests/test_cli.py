@@ -623,6 +623,41 @@ def test_selector_with_a_tiny_eps_is_refused_by_the_block_budget(tmp_path, capsy
     assert capsys.readouterr().err.startswith("resource budget: simple approximation needs more than")
 
 
+def test_selector_chunk_with_alpha_above_beta_is_refused(tmp_path, capsys):
+    # alpha = 0.6 + 0.1 x - 0.05 x^2 exceeds beta = 0.42 + ... on the whole
+    # first block, so F(x) is empty there: the exact Bernstein decider
+    # refuses the config with the point (the stage check exited 70)
+    config = json.loads(json.dumps(SELECTOR_QUADRATIC))
+    config["chunks"][0][0]["alpha"]["coeffs"][0] = 0.6
+    code, record, _ = _run_cli(tmp_path, "selector", config)
+    assert code == EXIT_CONFIG and record is None
+    err = capsys.readouterr().err
+    assert err.startswith("config error: chunk 0 of domain block 0: alpha > beta at x = 0.0")
+    # beta - alpha = 0.12 - 0.5 x is negative only on the right of the
+    # block [0, 0.375] from x = 0.24 on: the witness lies there
+    config = json.loads(json.dumps(SELECTOR_QUADRATIC))
+    config["chunks"][0][0]["alpha"]["coeffs"][1] = 0.6
+    code, record, _ = _run_cli(tmp_path, "selector", config)
+    x = float(capsys.readouterr().err.split("at x = ")[1])
+    assert code == EXIT_CONFIG and 0.24 < x <= 0.375
+    # alpha = beta on a block is a one-point value set: not refused
+    config = json.loads(json.dumps(SELECTOR_QUADRATIC))
+    config["chunks"][0][0]["alpha"] = config["chunks"][0][0]["beta"]
+    code, record, _ = _run_cli(tmp_path, "selector", config)
+    assert code == EXIT_OK and record["verdict"] == "certified"
+
+
+def test_selector_with_a_tiny_block_is_refused_before_the_overflow(tmp_path, capsys):
+    # the block [0, 1e-310] lets eps = 1e-309 past the block budget; the
+    # frozen chunk ends would need a 2^-1031 grid, which no float can scale
+    # (it exited 70 with an OverflowError)
+    config = {**SELECTOR_QUADRATIC, "domain_blocks": [["0", "1e-310"]],
+              "chunks": SELECTOR_QUADRATIC["chunks"][:1], "eps": 1e-309}
+    code, record, _ = _run_cli(tmp_path, "selector", config)
+    assert code == EXIT_CONFIG and record is None
+    assert capsys.readouterr().err == "resource budget: chunk ends on a 2^-1031 grid are finer than a float can scale\n"
+
+
 def test_shh_subcommand_with_sweep(tmp_path):
     config = {
         "dynamics": "integrator",
@@ -963,3 +998,67 @@ def test_shh_closed_loop_that_misses_the_ball_exits_70(tmp_path, monkeypatch, ca
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("internal error: InternalConsistencyError: ")
     assert "N* = " in err[0]
+
+
+def _closed_loop_rows(out):
+    with (out / "closed_loop.csv").open() as fh:
+        return [[float(v) for v in line.split(",")] for line in list(fh)[1:]]
+
+
+def test_shh_closed_loop_holds_each_control_for_exactly_eta(tmp_path, monkeypatch):
+    # replays closed_loop.csv: row k + 1 sits at the float (k + 1) eta, and
+    # the integrator's state moved by exactly eta times the control held
+    # over the step, in floats; a step held for fl((k+1) eta) - fl(k eta)
+    # breaks the second check
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench import jobs
+
+    configs = [json.loads((Path(__file__).parents[1] / "examples" / "shh.json").read_text())]
+    for seed in (47, 101, 233):
+        for r in (0, 1):
+            configs += [job["config"] for job in jobs.round_jobs("closed-loop", seed, r)
+                        if job["truth"]["expect"] == "certified"]
+    assert len(configs) > 10
+    for i, config in enumerate(configs):
+        (tmp_path / str(i)).mkdir()
+        code, record, out = _run_cli(tmp_path / str(i), "shh", config)
+        assert code == EXIT_OK
+        eta = record["numeric"]["eta"]
+        rows = _closed_loop_rows(out)
+        assert len(rows) == record["payload"]["reach"]["step"] + 1
+        for k, ((_, x, _, _), (t1, x1, u, err)) in enumerate(zip(rows, rows[1:])):
+            assert t1 == (k + 1) * eta, (i, k)
+            assert x1 == x + eta * u and err == 0.0, (i, k)
+
+
+def test_shh_demo_stops_at_its_step_budget(tmp_path, monkeypatch):
+    # a control box 1000 wide certifies eta = 1.8e-7 and N* = 550,000,025
+    # steps: the demo stops at its step budget, still writes the
+    # certificate, and reach says where it stopped.  Each step builds a
+    # feedback mesh of 180,000 controls, so the test lowers the budget;
+    # the CI workflow runs this config at DEMO_STEPS
+    import signal
+
+    from certctrl import cli
+
+    assert 5_239 < cli.DEMO_STEPS  # the README's eta_max = 1e-3 case runs whole
+    monkeypatch.setattr(cli, "DEMO_STEPS", 100)
+
+    def hang(signum, frame):
+        raise TimeoutError("the shh demo loop outran its wall guard")
+
+    config = {**SHH_INTEGRATOR, "control_box": [-1, 1000], "optimizer_eps": 0.01, "sweep": [0.01, 100, 0.5]}
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, 60.0)
+    try:
+        code, record, out = _run_cli(tmp_path, "shh", config)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, old)
+    assert code == EXIT_OK and record["numeric"]["eta"] == 1.79999991998e-07
+    reach = record["payload"]["reach"]
+    assert reach == {"step": None, "stopped_at_step": 100, "bound_steps": 550_000_025,
+                     "time": 100 * record["numeric"]["eta"]}
+    rows = _closed_loop_rows(out)
+    assert len(rows) == 101 and rows[-1][0] == reach["time"]
+    assert all(abs(x) > config["target_radius"] for _, x, _, _ in rows)

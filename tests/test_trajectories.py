@@ -20,7 +20,6 @@ from certctrl.trajectories import (
     WARM_RATIO,
     ControlledDynamics,
     RegularRHS,
-    SampleHoldPolicy,
     TimeBlockRHS,
     picard_plan,
     picard_solve,
@@ -105,16 +104,16 @@ def test_gronwall_never_violated_random_systems():
         a_coef = float(rng.uniform(-L, L))
         b_coef = float(rng.uniform(-0.5, 0.5))
         box = Hypercube(np.array([0.0]), 8.0)
-        rhs = RegularRHS.single(
+        block = TimeBlockRHS(
+            0, 1,
             lambda xs, ts, a=a_coef, b=b_coef: a * xs + b * np.sin(ts)[..., None]
             if xs.ndim > 1
             else a * xs + b * np.sin(ts),
-            1.0,
-            box,
-            lip_x=abs(a_coef),
-            sup_bound=abs(a_coef) * 4.0 + abs(b_coef),
-            t_modulus=Modulus.lipschitz(abs(b_coef)),
+            abs(a_coef),
+            Modulus.lipschitz(abs(b_coef)),
+            abs(a_coef) * 4.0 + abs(b_coef),
         )
+        rhs = RegularRHS((block,), box)
         x0 = float(rng.uniform(-0.5, 0.5))
         dx = float(rng.uniform(0.01, 0.2))
         eps = 1e-3
@@ -139,8 +138,7 @@ def test_sample_hold_matches_exact_recursion():
     # x' = u, u held at -x(k eta): exact recursion x_{k+1} = x_k (1 - eta)
     dyn = integrator()
     eta = 0.1
-    sh = SampleHoldPolicy(lambda x: -x, eta)
-    sol = sample_hold_trajectory(dyn, sh, np.array([1.0]), 1.0, 1e-8, 0.0)
+    sol = sample_hold_trajectory(dyn, lambda x: -x, eta, np.array([1.0]), 10, 1e-8, 0.0)
     xk = 1.0
     for k in range(1, 11):
         xk *= 1.0 - eta
@@ -149,24 +147,21 @@ def test_sample_hold_matches_exact_recursion():
 
 def test_sample_hold_zero_policy_constant():
     dyn = integrator()
-    sh = SampleHoldPolicy(lambda x: np.zeros(1), 0.25)
-    sol = sample_hold_trajectory(dyn, sh, np.array([0.3]), 1.0, 1e-9, 0.0)
+    sol = sample_hold_trajectory(dyn, lambda x: np.zeros(1), 0.25, np.array([0.3]), 4, 1e-9, 0.0)
     assert np.all(np.abs(sol.values - 0.3) <= 1e-12)
 
 
-def test_sample_hold_eta_beyond_horizon_single_interval():
+def test_sample_hold_one_held_step():
     dyn = integrator()
-    sh = SampleHoldPolicy(lambda x: -np.sign(x), 5.0)
-    sol = sample_hold_trajectory(dyn, sh, np.array([1.0]), 1.0, 1e-9, 0.0)
-    # one held control over the whole horizon: x(t) = 1 - t
+    sol = sample_hold_trajectory(dyn, lambda x: -np.sign(x), 1.0, np.array([1.0]), 1, 1e-9, 0.0)
+    # one held control over the one step: x(t) = 1 - t
     assert abs(sol.endpoint[0] - 0.0) <= 1e-9
     assert np.unique(sol.controls).size == 1
 
 
 def test_sample_hold_records_controls():
     dyn = integrator()
-    sh = SampleHoldPolicy(lambda x: -x, 0.5)
-    sol = sample_hold_trajectory(dyn, sh, np.array([1.0]), 1.0, 1e-8, 0.0)
+    sol = sample_hold_trajectory(dyn, lambda x: -x, 0.5, np.array([1.0]), 2, 1e-8, 0.0)
     assert sol.controls is not None
     assert sol.controls.shape[0] == sol.grid.size
     assert sol.controls[0, 0] == pytest.approx(-1.0)
@@ -176,8 +171,7 @@ def test_solution_csv_includes_controls_and_cumulative_error():
     from certctrl.trajectories import solution_to_csv
 
     dyn = integrator()
-    sh = SampleHoldPolicy(lambda x: -x, 0.25)
-    sol = sample_hold_trajectory(dyn, sh, np.array([1.0]), 1.0, 1e-8, 0.0)
+    sol = sample_hold_trajectory(dyn, lambda x: -x, 0.25, np.array([1.0]), 4, 1e-8, 0.0)
     text = solution_to_csv(sol)
     lines = text.strip().splitlines()
     assert lines[0] == "t,x1,u1,error_bound"
@@ -520,42 +514,36 @@ def test_slope_above_the_sup_bound_is_a_contract_error():
         assert w.slope > 1e-3 and w.slope == _defect(blk, span, w.hw, plan.tail_budget)[2]
 
 
-def _sample_hold_reference(dyn, sh, x0, T, eps, target_radius):
-    """sample_hold_trajectory with one picard_solve per sampling interval:
-    the tolerance split eps_loc (1 + g + ... + g^(n-1)) <= 0.9 eps in closed
-    form, the Grönwall recursion rounded up, and the stop at the first
-    sampled state with |x_k| + err_k <= target_radius."""
+def _sample_hold_reference(dyn, policy, eta, x0, steps, eps, target_radius):
+    """sample_hold_trajectory with one picard_solve per held step of
+    exactly eta: the tolerance split eps_loc (1 + g + ... + g^(steps-1))
+    <= 0.9 eps in closed form, the Grönwall recursion rounded up, the
+    instants (k + 1) eta, and the stop at the first sampled state with
+    |x_k| + err_k <= target_radius."""
     from certctrl.core import CertifiedReal, _up
 
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    eta = sh.eta
-    n_int = max(1, math.ceil(T / eta - 1e-12))
     a = dyn.lip_x * eta
     growth = _up(math.exp(a)) if a else 1.0
-    amplification = float(n_int) if a == 0 else _up(
-        _up(math.expm1(_up(n_int * a))) / math.nextafter(math.expm1(a), 0.0))
+    amplification = float(steps) if a == 0 else _up(
+        _up(math.expm1(_up(steps * a))) / math.nextafter(math.expm1(a), 0.0))
     eps_loc = eps / amplification * 0.9
     grid, vals, ctrl, errs = [np.array([0.0])], [x0[None, :]], [], [np.array([0.0])]
-    x, err, t0, entry = x0.copy(), 0.0, 0.0, None
-    for k in range(n_int):
-        t1 = min((k + 1) * eta, T)
-        span = t1 - t0
-        if span <= 0:
-            break
-        u = np.atleast_1d(np.asarray(sh.policy(x), dtype=float))
+    x, err, entry = x0.copy(), 0.0, None
+    for k in range(steps):
+        u = np.atleast_1d(np.asarray(policy(x), dtype=float))
         rhs = RegularRHS.single(
             lambda xs, ts, u=u: dyn.f(xs, np.repeat(u[None, :], xs.shape[0], axis=0)),
-            span, dyn.state_box, dyn.lip_x, dyn.sup_bound,
+            eta, dyn.state_box, dyn.lip_x, dyn.sup_bound,
         )
-        sol = picard_solve(rhs, x, span, eps_loc)
+        sol = picard_solve(rhs, x, eta, eps_loc)
         local = sol.error_bound.value
         err = _up(err * growth + local) if err or local else 0.0
-        grid.append(sol.grid[1:] + t0)
+        grid.append(np.append(sol.grid[1:-1] + k * eta, (k + 1) * eta))
         vals.append(sol.values[1:])
         errs.append(np.full(sol.grid.size - 1, err))
         ctrl.append(np.repeat(u[None, :], sol.grid.size if k == 0 else sol.grid.size - 1, axis=0))
         x = sol.endpoint.copy()
-        t0 = t1
         if Fraction(float(np.abs(x).max())) + Fraction(err) <= Fraction(target_radius):
             entry = k + 1
             break
@@ -563,11 +551,12 @@ def _sample_hold_reference(dyn, sh, x0, T, eps, target_radius):
             CertifiedReal(err, 0.0), entry)
 
 
-def _assert_sample_hold_matches_reference(dyn, sh, x0, T, eps, target_radius=0.0):
+def _assert_sample_hold_matches_reference(dyn, policy, eta, x0, steps, eps, target_radius=0.0):
     from certctrl.trajectories import solution_to_csv
 
-    sol = sample_hold_trajectory(dyn, sh, x0, T, eps, target_radius)
-    grid, values, controls, profile, bound, entry = _sample_hold_reference(dyn, sh, x0, T, eps, target_radius)
+    sol = sample_hold_trajectory(dyn, policy, eta, x0, steps, eps, target_radius)
+    grid, values, controls, profile, bound, entry = _sample_hold_reference(
+        dyn, policy, eta, x0, steps, eps, target_radius)
     assert sol.grid.tobytes() == grid.tobytes()
     assert sol.values.tobytes() == values.tobytes()
     assert sol.controls.tobytes() == controls.tobytes()
@@ -581,31 +570,71 @@ def _assert_sample_hold_matches_reference(dyn, sh, x0, T, eps, target_radius=0.0
 
 def test_sample_hold_matches_per_interval_solves():
     # a contracting linear plant x' = -x + u: several Picard windows per
-    # interval and a shorter last interval
+    # held step
     def f(xs, us):
         return -xs + us
 
     dyn = ControlledDynamics(f, BOX2, lip_x=1.5, lip_u=1.0, sup_bound=3.0)
-    sh = SampleHoldPolicy(lambda x: -0.5 * x, 0.7)
-    assert _assert_sample_hold_matches_reference(dyn, sh, np.array([1.2]), 2.0, 1e-4).entry_step is None
+    half = lambda x: -0.5 * x
+    assert _assert_sample_hold_matches_reference(dyn, half, 0.7, np.array([1.2]), 3, 1e-4).entry_step is None
     # the same plant stops at the ball, with a nonzero error in the test
-    sol = _assert_sample_hold_matches_reference(dyn, sh, np.array([1.2]), 2.0, 1e-4, 0.5)
+    sol = _assert_sample_hold_matches_reference(dyn, half, 0.7, np.array([1.2]), 3, 1e-4, 0.5)
     assert sol.entry_step == 1 and 0 < sol.error_bound.value <= 1e-4
-    integ = SampleHoldPolicy(lambda x: -x, 0.1)
-    sol = _assert_sample_hold_matches_reference(integrator(), integ, np.array([1.0]), 1.0, 1e-8)
+    sol = _assert_sample_hold_matches_reference(integrator(), lambda x: -x, 0.1, np.array([1.0]), 10, 1e-8)
     assert sol.entry_step is None
     # 0.9^7 = 0.478... is the first sampled state within 0.5
-    sol = _assert_sample_hold_matches_reference(integrator(), integ, np.array([1.0]), 1.0, 1e-8, 0.5)
+    sol = _assert_sample_hold_matches_reference(integrator(), lambda x: -x, 0.1, np.array([1.0]), 10, 1e-8, 0.5)
     assert sol.entry_step == 7 and sol.grid[-1] == 7 * 0.1
+
+
+def test_sample_hold_builds_one_plan_per_run(monkeypatch):
+    # every held step spans exactly eta, so one Picard plan serves them all
+    from certctrl import trajectories
+
+    built = []
+    plan = trajectories.picard_plan
+    monkeypatch.setattr(trajectories, "picard_plan", lambda *a, **k: built.append(a) or plan(*a, **k))
+
+    def f(xs, us):
+        return -xs + us
+
+    dyn = ControlledDynamics(f, BOX2, lip_x=1.5, lip_u=1.0, sup_bound=3.0)
+    sol = sample_hold_trajectory(dyn, lambda x: -0.5 * x, 0.7, np.array([1.2]), 3, 1e-4, 0.0)
+    assert len(built) == 1 and built[0][1] == 0.7 and sol.grid[-1] == 3 * 0.7
+    sol = sample_hold_trajectory(integrator(), lambda x: -x, 0.1, np.array([1.0]), 10, 1e-8, 0.0)
+    assert len(built) == 2 and sol.grid.size == 11
+
+
+def test_sample_hold_keeps_no_view_into_the_policy_output():
+    # clf_feedback returns a row of its control mesh: a held control kept as
+    # that view would pin the whole mesh for the rest of the run
+    import weakref
+
+    meshes = []
+
+    def policy(x):
+        mesh = np.full((1000, 1), -0.1)
+        meshes.append(weakref.ref(mesh))
+        return mesh[0]
+
+    sol = sample_hold_trajectory(integrator(), policy, 0.1, np.array([1.0]), 5, 1e-8, 0.0)
+    assert len(meshes) == 5 and all(ref() is None for ref in meshes)
+    assert np.all(sol.controls == -0.1)
+
+
+def test_sample_hold_rejects_a_bad_period_or_step_count():
+    for eta, steps in ((0.0, 1), (-0.1, 1), (math.nan, 1), (0.1, 0)):
+        with pytest.raises(ArgumentError):
+            sample_hold_trajectory(integrator(), lambda x: -x, eta, np.array([1.0]), steps, 1e-8, 0.0)
 
 
 def test_sample_hold_stops_at_the_ball_with_the_rows_of_the_full_horizon():
     # the stop changes nothing before it: the rows up to the entry are
     # those of the run that never stops, and no earlier sampled state is in
     # the ball; the integrator's error column keeps its exact zeros
-    sh = SampleHoldPolicy(lambda x: np.where(x > 0, -1.0, 1.0), 0.28)
-    full = sample_hold_trajectory(integrator(), sh, np.array([1.0]), 3.0, 1e-8, 0.0)
-    sol = sample_hold_trajectory(integrator(), sh, np.array([1.0]), 3.0, 1e-8, 0.15)
+    bang = lambda x: np.where(x > 0, -1.0, 1.0)
+    full = sample_hold_trajectory(integrator(), bang, 0.28, np.array([1.0]), 10, 1e-8, 0.0)
+    sol = sample_hold_trajectory(integrator(), bang, 0.28, np.array([1.0]), 10, 1e-8, 0.15)
     assert full.entry_step is None and sol.entry_step == 4
     m = sol.grid.size
     assert m < full.grid.size
@@ -621,29 +650,25 @@ def test_sample_hold_stops_at_the_ball_with_the_rows_of_the_full_horizon():
 
 def test_sample_hold_validity_blocks_end_at_the_sampling_instants():
     # the time blocks on which the ODE holds end at the sampling instants
-    # min(k eta, T), and the grid holds each of them exactly: a plant with
-    # several Picard nodes per interval and a shorter last one, and the
-    # integrator stopped at the ball
+    # k eta, and the grid holds each of them exactly: a plant with several
+    # Picard nodes per held step, and the integrator stopped at the ball
     def f(xs, us):
         return -xs + us
 
     dyn = ControlledDynamics(f, BOX2, lip_x=1.5, lip_u=1.0, sup_bound=3.0)
     cases = [
-        (sample_hold_trajectory(dyn, SampleHoldPolicy(lambda x: -0.5 * x, 0.7),
-                                np.array([1.2]), 2.0, 1e-4, 0.0), 0.7, 2.0, 3),
-        (sample_hold_trajectory(integrator(), SampleHoldPolicy(lambda x: -x, 0.1),
-                                np.array([1.0]), 1.0, 1e-8, 0.5), 0.1, 1.0, 7),
+        (sample_hold_trajectory(dyn, lambda x: -0.5 * x, 0.7, np.array([1.2]), 3, 1e-4, 0.0), 0.7, 3),
+        (sample_hold_trajectory(integrator(), lambda x: -x, 0.1, np.array([1.0]), 10, 1e-8, 0.5), 0.1, 7),
     ]
-    for sol, eta, T, steps in cases:
-        instants = [min(k * eta, T) for k in range(steps + 1)]
+    for sol, eta, steps in cases:
+        instants = [k * eta for k in range(steps + 1)]
         assert set(instants) <= set(sol.grid.tolist()) and sol.grid[-1] == instants[-1]
-    assert cases[0][0].grid.size > 2 * cases[0][3]
+    assert cases[0][0].grid.size > 2 * cases[0][2]
 
 
 def test_sample_hold_initial_state_outside_box():
-    sh = SampleHoldPolicy(lambda x: -x, 0.1)
     with pytest.raises(DomainExitError) as ei:
-        sample_hold_trajectory(integrator(), sh, np.array([2.5]), 1.0, 1e-6, 0.0)
+        sample_hold_trajectory(integrator(), lambda x: -x, 0.1, np.array([2.5]), 10, 1e-6, 0.0)
     assert ei.value.exit_time == 0.0
 
 
@@ -662,14 +687,14 @@ def test_shh_closed_loop_csv_matches_per_interval_solves(tmp_path):
     assert cli.main(["shh", "--config", str(cfg), "--out", str(tmp_path / "out")]) == cli.EXIT_OK
     record = json.loads((tmp_path / "out" / "certificate.json").read_text())
     eta, reach = record["numeric"]["eta"], record["payload"]["reach"]
-    # the demo closed loop of the shh task, one picard_solve per interval,
-    # over N* intervals and stopped at the same entry test
+    # the demo closed loop of the shh task, one picard_solve per held
+    # step, over N* steps and stopped at the same entry test
     problem, _ = cli._shh_problem(config)
     eps = config["optimizer_eps"]
-    sh = SampleHoldPolicy(lambda x: stab.clf_feedback(problem, x, eps)[0], eta)
     grid, values, controls, profile, bound, entry = _sample_hold_reference(
-        problem.dynamics, sh, np.array([problem.overshoot_radius]), reach["bound_steps"] * eta,
-        max(1e-9, eps * eta / 100.0), problem.target_radius,
+        problem.dynamics, lambda x: stab.clf_feedback(problem, x, eps)[0], eta,
+        np.array([problem.overshoot_radius]), reach["bound_steps"], max(1e-9, eps * eta / 100.0),
+        problem.target_radius,
     )
     assert entry == reach["step"] and grid[-1] == reach["time"]
     ref = ExtendedSolution(grid, values, bound, controls=controls, error_profile=profile)
