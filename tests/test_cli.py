@@ -533,6 +533,70 @@ def test_danskin_subcommand_writes_audit(tmp_path):
     assert (out / "audit.csv").read_text().startswith("h,quotient,lower,upper")
 
 
+DANSKIN_EXAMPLE = json.loads((Path(__file__).parents[1] / "examples" / "danskin.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "config,expected,audit",
+    [
+        (
+            DANSKIN_EXAMPLE,
+            {"delta": 0.16, "derivative": 1.0, "member_spread": 0.3960396039603893, "n_members": 21,
+             "radius": 0.47137254902061343, "spread_slack": 0.3960396039623893},
+            "h,quotient,lower,upper\n"
+            "0.1,1.0000000000000002,0.24862745095938657,1.5913725490406136\n"
+            "0.01,1.0000000000000009,0.33862745077938655,1.5013725492206136\n"
+            "0.001,1.0000000000000009,0.32762744897938656,1.5123725510206134\n"
+            "0.0001,0.9999999999998899,-0.03147256902061346,1.8714725690206135\n",
+        ),
+        (
+            {"objective": "bilinear", "x": -0.4444693811222104, "v": -1.0295997686753133,
+             "delta": 0.05528457163371428},
+            {"delta": 0.05528457163371428, "derivative": 1.0295997686753133,
+             "member_spread": 0.16310491384954007, "n_members": 9, "radius": 0.17044538285860752,
+             "spread_slack": 0.16310491385159928},
+            "h,quotient,lower,upper\n"
+            "0.1,1.0295997686753138,0.6909516743431514,1.312963291373761\n"
+            "0.01,1.0295997686753156,0.7863584856922147,1.2175564800246979\n"
+            "0.001,1.0295997686753378,0.7628097364993353,1.241105229217577\n"
+            "0.0001,1.0295997686754488,0.40376378661462586,1.6001511791022864\n",
+        ),
+        (
+            {"objective": "neg_quadratic", "x": -0.4185533620233867, "v": -1.0943703006265564,
+             "delta": 0.16587898329491071},
+            {"delta": 0.16587898329491071, "derivative": 0.9567351586660494,
+             "member_spread": 1.9503629120076909, "n_members": 46, "radius": 3.971832324816795,
+             "spread_slack": 3.900725824017571},
+            "h,quotient,lower,upper\n"
+            "0.1,-1.5187436902149832e-07,-3.6807695643349034,5.428360898372092\n"
+            "0.01,-5.334025888902685e-09,-3.249616876753258,4.997208210790446\n"
+            "0.001,5.324427730496354e-08,-3.2657667368652303,5.013358070902418\n"
+            "0.0001,4.787854271750966e-07,-3.9814552279876136,5.729046562024801\n",
+        ),
+        (
+            {"objective": "concave_linear", "x": -0.46522559908479166, "v": -1.095723645553169,
+             "delta": 0.2866634702989203},
+            {"delta": 0.2866634702989203, "derivative": 0.900058708847228,
+             "member_spread": 1.2367573821095088, "n_members": 58, "radius": 1.3306515751005,
+             "spread_slack": 1.2367573821117002},
+            "h,quotient,lower,upper\n"
+            "0.1,0.2848937993357784,-0.87315030110199,2.3866042484975254\n"
+            "0.01,0.25788093745803126,-0.7650953736138005,2.278549321009336\n"
+            "0.001,0.25517947446827144,-0.7984569488596166,2.311910896255152\n"
+            "0.0001,0.254909622617594,-1.5173764175829347,3.0308303649784705\n",
+        ),
+    ],
+)
+def test_danskin_numeric_fields_pinned(tmp_path, config, expected, audit):
+    # recorded with a fresh theta mesh for every psi evaluation, so sharing
+    # meshes must not move a bit; the three screen configs are the seed-101
+    # benchmark's first-round danskin jobs
+    code, record, out = _run_cli(tmp_path, "danskin", config)
+    assert code == EXIT_OK
+    assert record["numeric"] == expected
+    assert (out / "audit.csv").read_text() == audit
+
+
 @pytest.mark.parametrize("objective, changes", [
     ("neg_quadratic", {"x": 5.0}),
     ("bilinear", {"theta_box": [-6, 4]}),
