@@ -79,8 +79,8 @@ def _interval(pair) -> Hypercube:
 def _write_csv(path: Path, header: str, rows) -> None:
     with path.open("w") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for row in np.asarray(rows, dtype=float):
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +247,11 @@ def _task_selector(config, seed, out):
 
 def _task_eig(config, seed, out):
     if "matrix_file" in config:
-        A = parse_complex_matrix(Path(config["matrix_file"]).read_text())
+        entries = parse_complex_matrix(Path(config["matrix_file"]).read_text())
     else:
-        A = np.array(config["matrix"], dtype=complex)
+        entries = np.array(config["matrix"], dtype=complex)
     eps = float(config.get("eps", 1e-8))
+    A = eig.ComplexMatrix(entries)  # one spectrum for the verdict and the pairs
     verdict = eig.hurwitz_verdict(A)
     pairs, achieved = eig.approx_eigenpairs(A, eps)
     _write_csv(

@@ -6,13 +6,16 @@ set of k <= n independent vectors whose eigen-residuals are certified
 below a requested tolerance.  Eigenpairs come from LAPACK; Gershgorin disks
 of X^-1 A X, bounded rigorously, cluster the eigenvalues with exact
 multiplicities, and the Hurwitz verdict is `undecided` whenever a cluster
-touches the imaginary axis.
+touches the imaginary axis.  A `ComplexMatrix` is analysed once: its
+spectrum is computed on first use and shared by every call it is passed
+to.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +46,11 @@ class ComplexMatrix:
         if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
             raise ArgumentError("matrix entries must be finite")
         object.__setattr__(self, "entries", a)
+
+    @cached_property
+    def spectrum(self):
+        """(lam, X, clusters, groups) of `_eig_clusters`, computed once."""
+        return _eig_clusters(self.entries)
 
 
 def _coerce(A) -> ComplexMatrix:
@@ -170,8 +178,9 @@ def approx_eigenpairs(A, eps: float, tau: float = 1e-6) -> tuple[list[ApproxEige
     misses the residual target or fewer than n pairs are kept."""
     if eps <= 0:
         raise ArgumentError("eps must be positive")
-    a = _coerce(A).entries
-    lam, X, _, groups = _eig_clusters(a)
+    m = _coerce(A)
+    a = m.entries
+    lam, X, _, groups = m.spectrum
     pairs: list[ApproxEigenPair] = []
     achieved = True
     for idxs in groups:
@@ -202,7 +211,7 @@ def hurwitz_verdict(A) -> StabilityVerdict:
     some cluster strictly in the right half-plane; otherwise undecided (a
     cluster touches the imaginary axis).
     """
-    clusters = _eig_clusters(_coerce(A).entries)[2]
+    clusters = _coerce(A).spectrum[2]
     # the margin's center and radius come from one cluster so the verdict
     # inequalities hold against it: the rightmost certified disk for
     # unstable, the disk bounding the maximum real part otherwise

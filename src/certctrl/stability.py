@@ -291,7 +291,8 @@ def clf_feedback(problem: CLFProblem, x, eps: float):
     r_g = _FEEDBACK_ROUNDING * (1.0 + float(np.abs(vals).max()))
     cut = vals.min() + eps / 2.0 - 2.0 * r_g
     idx = int(np.argmax(vals <= cut))  # the first node at or below the cut; 0 when none is
-    return nodes[idx], CertifiedReal(float(vals[idx]), eps / 2.0 + 2.0 * r_g)
+    # a copy: a row view would keep the whole control mesh alive
+    return nodes[idx].copy(), CertifiedReal(float(vals[idx]), eps / 2.0 + 2.0 * r_g)
 
 
 @dataclass(frozen=True)

@@ -553,11 +553,9 @@ def solution_to_csv(sol: ExtendedSolution, max_rows: int = 2000) -> str:
     idx = list(range(0, sol.grid.size, stride))
     if idx[-1] != sol.grid.size - 1:
         idx.append(sol.grid.size - 1)
-    lines = [",".join(cols)]
-    for i in idx:
-        row = [sol.grid[i], *sol.values[i]]
-        if sol.controls is not None:
-            row.extend(sol.controls[i])
-        row.append(sol.error_profile[i])
-        lines.append(",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    parts = [sol.grid[idx, None], sol.values[idx]]
+    if sol.controls is not None:
+        parts.append(sol.controls[idx])
+    parts.append(sol.error_profile[idx, None])
+    table = np.hstack(parts, dtype=float)
+    return "\n".join([",".join(cols), *(",".join(map(repr, r.tolist())) for r in table)]) + "\n"

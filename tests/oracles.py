@@ -196,3 +196,29 @@ def lower_bound(p: list, s: int, a: Fraction, b: Fraction) -> Fraction:
     if verdict == "certified":
         return value
     return min(bernstein(p, a, b))
+
+
+def csv_line(row) -> str:
+    """The CSV formatter the tasks used to call on each value: repr of
+    float(v), one value at a time."""
+    return ",".join(repr(float(v)) for v in row)
+
+
+def solution_csv(sol, max_rows: int = 2000) -> str:
+    """trajectories.solution_to_csv, row by row through csv_line."""
+    cols = ["t"] + [f"x{i+1}" for i in range(sol.values.shape[1])]
+    if sol.controls is not None:
+        cols += [f"u{i+1}" for i in range(sol.controls.shape[1])]
+    cols.append("error_bound")
+    stride = max(1, sol.grid.size // max_rows)
+    idx = list(range(0, sol.grid.size, stride))
+    if idx[-1] != sol.grid.size - 1:
+        idx.append(sol.grid.size - 1)
+    lines = [",".join(cols)]
+    for i in idx:
+        row = [sol.grid[i], *sol.values[i]]
+        if sol.controls is not None:
+            row.extend(sol.controls[i])
+        row.append(sol.error_profile[i])
+        lines.append(csv_line(row))
+    return "\n".join(lines) + "\n"

@@ -11,7 +11,8 @@ import pytest
 
 from certctrl import forms
 from certctrl import stability as stab
-from certctrl.cli import EXIT_CONFIG, EXIT_COUNTEREXAMPLE, EXIT_INTERNAL, EXIT_OK, EXIT_UNDECIDED, main, run
+from certctrl.cli import EXIT_CONFIG, EXIT_COUNTEREXAMPLE, EXIT_INTERNAL, EXIT_OK, EXIT_UNDECIDED, _write_csv, main, run
+from oracles import csv_line
 
 
 def _run_cli(tmp_path, task, config, extra=()):
@@ -141,6 +142,23 @@ def test_certify_numeric_fields_pinned(tmp_path, config, code, expected, orders)
     assert got == code
     assert record["numeric"] == expected
     assert record["payload"]["orders"] == orders
+
+
+def test_csv_rows_match_the_value_by_value_formatter(tmp_path):
+    # roots.csv rows mix floats and int multiplicities, sweep.csv writes
+    # nan; whole rows go through tolist() and repr, as repr(float(v)) did
+    special = [0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1e308, -1e308, math.nan, 0.1]
+    rng = np.random.default_rng(7)
+    for n_rows in (0, 1, 5, 300):
+        rows = []
+        for _ in range(n_rows):
+            re, im = rng.standard_normal(2) * 10.0 ** rng.integers(-320, 308, 2)
+            rows.append((float(re), float(rng.choice(special)), float(im) * 0.0, int(rng.integers(1, 33))))
+            rows.append(tuple(float(v) for v in rng.choice(special, 4)))
+        path = tmp_path / f"rows{n_rows}.csv"
+        _write_csv(path, "re,im,radius,multiplicity", rows)
+        assert path.read_text() == "".join(line + "\n" for line in
+                                           ["re,im,radius,multiplicity", *map(csv_line, rows)])
 
 
 def test_eig_rotation_matrix_file_undecided(tmp_path):

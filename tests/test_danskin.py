@@ -3,12 +3,14 @@ import os
 import resource
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import certctrl.danskin as danskin
+from certctrl import cli
 from certctrl.core import ArgumentError, CertifiedReal, Hypercube, Modulus
 from certctrl.danskin import (
     DeltaOptimizerSet,
@@ -84,20 +86,20 @@ def constant_obj(c=0.75):
 # ---------------------------------------------------------------------------
 
 def test_psi_bilinear_closed_form():
-    p = psi(bilinear(), THETA_11, np.array([0.5]), 1e-3)
+    (p,) = psi(bilinear(), THETA_11, [np.array([0.5])], 1e-3)
     assert abs(p.value - 0.5) <= 1e-3
     assert p.radius <= 1e-3
 
 
 def test_psi_negquad_zero():
-    p = psi(neg_quadratic(), THETA_11, np.array([0.3]), 1e-4)
+    (p,) = psi(neg_quadratic(), THETA_11, [np.array([0.3])], 1e-4)
     assert abs(p.value) <= 1e-4
 
 
 def test_psi_sine_dense_mesh_oracle():
     eps = 1e-3
     for xv in (0.0, 0.4, -0.7):
-        p = psi(sine_plus_x(), THETA_0PI, np.array([xv]), eps)
+        (p,) = psi(sine_plus_x(), THETA_0PI, [np.array([xv])], eps)
         # DERIVED oracle: dense mesh at resolution eps/10
         fine = THETA_0PI.mesh(eps / 10.0).points[:, 0]
         oracle = float((np.sin(fine) + xv).max())
@@ -107,7 +109,7 @@ def test_psi_sine_dense_mesh_oracle():
 
 def test_psi_rejects_bad_eps():
     with pytest.raises(ArgumentError):
-        psi(bilinear(), THETA_11, np.array([0.0]), 0.0)
+        psi(bilinear(), THETA_11, [np.array([0.0])], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +256,7 @@ def test_modulus_transfer_sampled():
     ys = rng.uniform(-1, 1, 1000)
     mod = Modulus.lipschitz(1.0)
     for a, b in zip(xs, ys):
-        pa = psi(obj, THETA_11, np.array([a]), eps)
-        pb = psi(obj, THETA_11, np.array([b]), eps)
+        pa, pb = psi(obj, THETA_11, [np.array([a]), np.array([b])], eps)
         assert abs(pa.value - pb.value) <= mod.forward_bound(abs(a - b)) + pa.radius + pb.radius
     # sampled difference quotients for the tent stay below 1 + tolerance
     vals = np.abs(xs) - np.abs(ys)
@@ -321,3 +322,31 @@ def test_audit_csv_shape():
     lines = rep.to_csv().strip().splitlines()
     assert lines[0] == "h,quotient,lower,upper"
     assert len(lines) == 3
+
+
+def test_audit_builds_one_psi_mesh_per_precision(monkeypatch, tmp_path):
+    # examples/danskin.json: the steps 1e-1 .. 1e-4 ask psi for precisions
+    # h delta / 8, and the two smallest sit at the mesh-budget floor, so
+    # three theta meshes serve the eight psi values; each is freed before
+    # the next is built
+    psi_points, psi_meshes, alive = [], [], []
+    build, real_psi = danskin.build_mesh, danskin.psi
+
+    def counted_build(box, eps, budget):
+        mesh = build(box, eps, budget)
+        if len(psi_meshes) < len(psi_points):  # built by the running psi call
+            assert not any(ref() is not None for ref in alive)
+            psi_meshes.append(eps)
+            alive.append(weakref.ref(mesh.points))
+        return mesh
+
+    def counted_psi(obj, theta_dom, xs, eps):
+        psi_points.append(len(xs))
+        return real_psi(obj, theta_dom, xs, eps)
+
+    monkeypatch.setattr(danskin, "build_mesh", counted_build)
+    monkeypatch.setattr(danskin, "psi", counted_psi)
+    example = Path(__file__).parents[1] / "examples" / "danskin.json"
+    assert cli.main(["danskin", "--config", str(example), "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    assert len(psi_meshes) == len(set(psi_meshes)) == 3
+    assert psi_points == [2, 2, 3]  # psi(x) once per precision, then one point per step

@@ -1,8 +1,14 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import certctrl.eigen as eigen
+from certctrl import cli
 from certctrl.eigen import (
     ApproxEigenPair,
+    ComplexMatrix,
     approx_eigenpairs,
     hurwitz_verdict,
 )
@@ -311,3 +317,33 @@ def test_eigenpairs_not_achieved_with_missing_pairs():
     pairs, achieved = approx_eigenpairs(A, 1e-8)
     assert len(pairs) < 12
     assert not achieved
+
+
+def _count_clusters(monkeypatch):
+    calls = []
+    real = eigen._eig_clusters
+    monkeypatch.setattr(eigen, "_eig_clusters", lambda a: calls.append(a.shape) or real(a))
+    return calls
+
+
+def test_a_complex_matrix_is_analysed_once(monkeypatch):
+    calls = _count_clusters(monkeypatch)
+    a = np.array([[0.0, 1.0, 0.0], [-2.0, -3.0, 1.0], [0.0, 0.0, -0.5]])
+    m = ComplexMatrix(a)
+    verdict = hurwitz_verdict(m)
+    pairs, achieved = approx_eigenpairs(m, 1e-8)
+    assert calls == [(3, 3)]
+    # an ndarray is analysed per call, to the same results
+    assert hurwitz_verdict(a) == verdict
+    plain, plain_achieved = approx_eigenpairs(a, 1e-8)
+    assert len(calls) == 3
+    assert plain_achieved == achieved and [p.lambda_hat for p in plain] == [p.lambda_hat for p in pairs]
+    assert [p.residual for p in plain] == [p.residual for p in pairs]
+
+
+def test_the_eig_task_runs_one_cluster_pass(monkeypatch, tmp_path):
+    calls = _count_clusters(monkeypatch)
+    example = Path(__file__).parents[1] / "examples" / "eig.json"
+    assert cli.main(["eig", "--config", str(example), "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    assert calls == [(3, 3)]
+    assert json.loads((tmp_path / "out" / "certificate.json").read_text())["numeric"]["n_pairs"] == 3

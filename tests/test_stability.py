@@ -483,6 +483,15 @@ def test_clf_feedback_stays_in_a_non_dyadic_control_box():
         assert -0.8 <= u[0] <= 0.6
 
 
+def test_clf_feedback_returns_a_control_that_owns_its_data():
+    # a row view would keep the whole control mesh alive for as long as a
+    # caller keeps the control
+    prob = integrator_problem()
+    for x in (0.5, 0.0, -0.3):
+        u, _ = clf_feedback(prob, np.array([x]), 1e-3)
+        assert u.base is None and u.shape == (1,)
+
+
 def test_clf_feedback_consistency_in_eps():
     prob = integrator_problem()
     x = np.array([0.7])

@@ -28,7 +28,7 @@ from certctrl.trajectories import (
     _run_plan,
     _window_plan,
 )
-from oracles import residual_check, solution_at
+from oracles import residual_check, solution_at, solution_csv
 
 BOX2 = Hypercube(np.array([0.0]), 4.0)  # [-2, 2]
 
@@ -180,6 +180,35 @@ def test_solution_csv_includes_controls_and_cumulative_error():
         a <= b + 1e-15 for a, b in zip(errs, errs[1:])
     )  # cumulative: non-decreasing
     assert errs[-1] == sol.error_bound.value
+
+
+SPECIAL_FLOATS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, -3.3e-320,
+                           1e308, -1e308, np.finfo(float).max, np.nan, 1.0 / 3.0, -0.1])
+
+
+def _special_array(rng, shape):
+    """Random floats over many decades, a fifth of them special values."""
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 308, shape)
+    pick = rng.random(shape) < 0.2
+    a[pick] = rng.choice(SPECIAL_FLOATS, int(pick.sum()))
+    return a
+
+
+@pytest.mark.parametrize("m, n, p, max_rows", [(1, 1, 0, 2000), (7, 2, 1, 2000), (2000, 1, 1, 2000),
+                                                (5001, 3, 2, 2000), (300, 1, 0, 7)])
+def test_solution_csv_matches_the_value_by_value_formatter(m, n, p, max_rows):
+    # rows go through tolist() and repr; the text equals repr(float(v)) of
+    # each numpy scalar, -0.0, subnormals, +-1e308 and nan included
+    from certctrl.trajectories import ExtendedSolution, solution_to_csv
+
+    rng = np.random.default_rng(m * 31 + n)
+    for _ in range(3):
+        sol = ExtendedSolution(
+            _special_array(rng, m), _special_array(rng, (m, n)), None,
+            error_profile=_special_array(rng, m),
+            controls=_special_array(rng, (m, p)) if p else None,
+        )
+        assert solution_to_csv(sol, max_rows) == solution_csv(sol, max_rows)
 
 
 def test_defect_without_f2_is_the_first_order_term_bit_for_bit():
