@@ -3,8 +3,8 @@ with uniform JSON certificates and CSV data files.
 
 Exit codes: 0 certified/success, 1 counterexample/failure, 2 undecided,
 64 config error, 70 internal error (any other failure of the computation:
-an invariant that should hold by construction, a trajectory that left its
-box outside the ode task, an overflow).
+a broken invariant, Picard bounds the task computed found unsound, a
+trajectory leaving its box outside the ode task, an overflow).
 Certificates are reproducible: the numeric fields are bit-identical across
 runs with the same config and seed.
 """
@@ -40,7 +40,7 @@ from . import evt
 from . import selector as sel
 from . import stability as stab
 from . import trajectories as traj
-from .forms import ScalarForm, _below, build_comparator, build_scalar_form, parse_complex_matrix
+from .forms import _below, build_comparator, build_scalar_form, parse_complex_matrix
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -297,6 +297,8 @@ def _task_ode(config, seed, out):
         # the solution leaves the box on which the Lipschitz data hold
         payload = {"exit_time": exc.exit_time, "state": np.atleast_1d(exc.state).tolist()}
         return "undecided", {"T": T, "eps": eps}, payload
+    except ContractError as exc:  # the bounds come from the forms' enclosures
+        raise InternalConsistencyError(f"Picard runner: {exc}") from exc
     (out / "trajectory.csv").write_text(
         traj.solution_to_csv(sol, int(config.get("csv_points", 2000)))
     )
@@ -316,37 +318,24 @@ def _task_ode(config, seed, out):
     return "certified", numeric, payload
 
 
-def _shh_problem(config) -> tuple[stab.CLFProblem, ScalarForm]:
-    """The shh problem and its V, whose derivative is the problem's grad_V."""
+def _shh_problem(config) -> stab.CLFProblem:
     if config.get("dynamics", "integrator") != "integrator":
         raise ArgumentError("shh dynamics registry: integrator")
-    state_box = _interval(config.get("state_box", [-2, 2]))
-    control_box = _interval(config["control_box"])
-    V = build_scalar_form(config.get("V", {"form": "polynomial", "coeffs": [0, 0, 1]}))
-    dyn = traj.ControlledDynamics(
-        f=stab.integrator,
-        state_box=state_box,
-        lip_x=0.0,
-        lip_u=1.0,
-        # f(x, u) = u: its sup over the control box is at an end point
-        sup_bound=float(max(abs(control_box.lo[0]), abs(control_box.hi[0]))),
-    )
-    problem = stab.CLFProblem(
-        dynamics=dyn,
-        control_box=control_box,
-        grad_V=V.derivative,
+    return stab.CLFProblem(
+        state_box=_interval(config.get("state_box", [-2, 2])),
+        control_box=_interval(config["control_box"]),
+        V=build_scalar_form(config.get("V", {"form": "polynomial", "coeffs": [0, 0, 1]})),
         target_radius=float(config["target_radius"]),
         overshoot_radius=float(config["overshoot_radius"]),
     )
-    return problem, V
 
 
 def _task_shh(config, seed, out):
-    problem, V = _shh_problem(config)
+    problem = _shh_problem(config)
     eta_max = float(config.get("eta_max", 1.0))
     sweep = [float(e) for e in config.get("sweep", [])]
     eps = float(config["optimizer_eps"])
-    *swept, res = stab.find_sampling_time(problem, V, eta_max, sweep + [eps])
+    *swept, res = stab.find_sampling_time(problem, eta_max, sweep + [eps])
     rows = [(e, r.eta if r.eta is not None else math.nan,
              r.margin if r.margin is not None else math.nan) for e, r in zip(sweep, swept)]
     if rows:
@@ -366,12 +355,15 @@ def _task_shh(config, seed, out):
         # which it runs at most DEMO_STEPS (the verdict rests on eta alone)
         kappa = lambda x: stab.clf_feedback(problem, x, eps)[0]
         x0 = np.array([problem.overshoot_radius])
-        n_star = stab.reaching_steps(problem, V, res, eps, problem.overshoot_radius)
+        n_star = stab.reaching_steps(problem, res, eps, problem.overshoot_radius)
         steps = min(n_star, DEMO_STEPS)
-        loop = traj.sample_hold_trajectory(
-            problem.dynamics, kappa, res.eta, x0, steps, max(1e-9, eps * res.eta / 100.0),
-            problem.target_radius,
-        )
+        try:
+            loop = traj.sample_hold_trajectory(
+                problem.dynamics, kappa, res.eta, x0, steps, max(1e-9, eps * res.eta / 100.0),
+                problem.target_radius,
+            )
+        except ContractError as exc:  # the bounds come from the control box
+            raise InternalConsistencyError(f"Picard runner: {exc}") from exc
         if loop.entry_step is None and steps == n_star:
             raise InternalConsistencyError(
                 f"the sampled state is outside |x| <= {problem.target_radius!r} after "

@@ -29,6 +29,7 @@ __all__ = [
     "FiniteMesh",
     "build_mesh",
     "mesh_divisions",
+    "mesh_node",
     "snap_dyadic",
     "DEFAULT_MESH_BUDGET",
     "SNAP_BITS",
@@ -383,3 +384,12 @@ def build_mesh(box: Hypercube, eps: float, budget: int = DEFAULT_MESH_BUDGET) ->
     pts = np.stack([g.ravel() for g in grids], axis=1)
     return FiniteMesh(pts, eps, box)
 
+
+def mesh_node(box: Hypercube, k: int, j: int) -> float:
+    """Node j of the one-dimensional build_mesh(box, eps), k =
+    mesh_divisions(box, eps), bit for bit; nodes do not decrease with j."""
+    x = float(box.center[0]) if k == 0 else float(box.lo[0]) + float(box.side) * j / k
+    scaled = x * _SNAP_SCALE
+    if not math.isfinite(scaled):
+        raise ArgumentError("cannot snap a non-finite coordinate to the dyadic lattice")
+    return round(scaled) / _SNAP_SCALE + 0.0

@@ -25,8 +25,8 @@ the target ball, within the step count of reaching_steps.  The decay
 bound alpha and the sign of x V'(x) are decided from V''s exact
 coefficients as above; the reserve eps is what
 makes the certified eta shrink as the optimizer tolerance grows, and
-vanish once the tolerance eats the decay margin.  A problem with other
-dynamics, or whose grad_V is not V's own derivative, is refused.
+vanish once the tolerance eats the decay margin.  CLFProblem holds just
+that problem and refuses any other.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -44,7 +44,8 @@ from .core import (
     Hypercube,
     _float_down,
     _float_up,
-    build_mesh,
+    mesh_divisions,
+    mesh_node,
 )
 from .forms import Comparator, ScalarForm, _decide, _halves, _lower_bound
 from .trajectories import ControlledDynamics
@@ -63,7 +64,6 @@ __all__ = [
     "clf_feedback",
     "find_sampling_time",
     "reaching_steps",
-    "integrator",
 ]
 
 @dataclass(frozen=True)
@@ -240,21 +240,30 @@ def certify(data: LyapunovData, box: Hypercube) -> StabilityCertificate:
 
 @dataclass(frozen=True)
 class CLFProblem:
-    """The annulus r <= |x| <= R is centred at the origin, so the state box
-    must contain [-R, R]^n."""
+    """x' = u on the state box with u held in the control box, both
+    intervals, the polynomial CLF V and the annulus r <= |x| <= R, centred
+    at the origin, so the state box must contain [-R, R]."""
 
-    dynamics: ControlledDynamics
+    V: ScalarForm
+    state_box: Hypercube
     control_box: Hypercube
-    grad_V: Callable[[np.ndarray], np.ndarray]  # (1, n) -> (1, n)
     target_radius: float  # r
     overshoot_radius: float  # R
 
     def __post_init__(self):
+        if self.V.coeffs is None or self.state_box.dim != 1 or self.control_box.dim != 1:
+            raise ArgumentError("sample-and-hold takes a polynomial V and one-dimensional boxes")
         if not (0 < self.target_radius < self.overshoot_radius):
             raise ArgumentError("need 0 < r < R")
-        box, R = self.dynamics.state_box, self.overshoot_radius
-        if np.any(box.lo > -R) or np.any(box.hi < R):
-            raise ArgumentError("the state box must contain [-R, R]^n")
+        R = self.overshoot_radius
+        if self.state_box.lo[0] > -R or self.state_box.hi[0] < R:
+            raise ArgumentError("the state box must contain [-R, R]")
+
+    @property
+    def dynamics(self) -> ControlledDynamics:
+        """x' = u, with |u| at most the larger control box end."""
+        M = float(max(abs(self.control_box.lo[0]), abs(self.control_box.hi[0])))
+        return ControlledDynamics(lambda xs, us: us, self.state_box, lip_x=0.0, sup_bound=M)
 
 
 # relative rounding radius of a clf_feedback value
@@ -262,37 +271,42 @@ _FEEDBACK_ROUNDING = 1e-12
 
 
 def clf_feedback(problem: CLFProblem, x, eps: float):
-    """eps-minimize u -> <grad V(x), f(x, u)> over the control box mesh at
-    one state x (n,).
-
-    The result is the lowest-index mesh node whose certified value reaches
-    the certified minimum within eps (any such node is a legitimate
-    eps-optimizer; the deterministic tie-break makes runs reproducible and
-    realizes the worst-case freedom an approximate optimizer has).
-    Returns (u (p,), CertifiedReal).  The mesh resolution depends on
-    |grad V(x)|.
-    """
+    """eps-minimize u -> V'(x) u over the control box at one state x (1,):
+    the lowest-index node of build_mesh(control_box, eps / 2 / |V'(x)|),
+    clipped to the box, whose certified value reaches the certified minimum
+    within eps (any such node is a legitimate eps-optimizer; the tie-break
+    makes runs reproducible and realizes the worst-case freedom an
+    approximate optimizer has).  The nodes do not decrease with the index,
+    so the end nodes give the minimum and the largest |value|, and bisection
+    over the index finds the node without building the mesh.  Returns
+    (u (1,), CertifiedReal)."""
     if eps <= 0:
         raise ArgumentError("eps must be positive")
-    x, n = np.asarray(x, dtype=float), problem.dynamics.state_box.dim
-    if x.shape != (n,):
-        raise ArgumentError(f"clf_feedback takes one state of shape ({n},), not {x.shape}")
-    g = np.asarray(problem.grad_V(x[None, :]), dtype=float).reshape(x.shape)
-    lip_g = float(np.linalg.norm(g)) * problem.dynamics.lip_u
+    x = np.asarray(x, dtype=float)
+    if x.shape != (1,):
+        raise ArgumentError(f"clf_feedback takes one state of shape (1,), not {x.shape}")
+    g = float(problem.V.derivative(x)[0])
     box = problem.control_box
-    res = box.diameter if lip_g == 0.0 else (eps / 2.0) / lip_g
-    # the mesh is snapped to a dyadic lattice; the control must stay in the
-    # box that M and S2 are taken on
-    nodes = np.clip(build_mesh(box, res).points, box.lo, box.hi)
-    f = np.asarray(problem.dynamics.f(np.repeat(x[None, :], len(nodes), axis=0), nodes), dtype=float)
-    # one dot per node, as the per-node g @ f[j] computes it (f @ g, a
-    # gemv, can differ in the last bit)
-    vals = np.matmul(f[:, None, :], g[:, None])[:, 0, 0]
-    r_g = _FEEDBACK_ROUNDING * (1.0 + float(np.abs(vals).max()))
-    cut = vals.min() + eps / 2.0 - 2.0 * r_g
-    idx = int(np.argmax(vals <= cut))  # the first node at or below the cut; 0 when none is
-    # a copy: a row view would keep the whole control mesh alive
-    return nodes[idx].copy(), CertifiedReal(float(vals[idx]), eps / 2.0 + 2.0 * r_g)
+    k = mesh_divisions(box, box.diameter if g == 0.0 else (eps / 2.0) / abs(g))
+    lo, hi = float(box.lo[0]), float(box.hi[0])
+
+    def node(j):
+        # clipped as np.clip clips (a node equal to an end stays), valued as
+        # a one-term dot product sums from +0.0 (-0.0 becomes 0.0)
+        u = min(max(mesh_node(box, k, j), lo), hi)
+        return u, u * g + 0.0
+
+    first, last = node(0)[1], node(k)[1]
+    r_g = _FEEDBACK_ROUNDING * (1.0 + max(abs(first), abs(last)))
+    cut = min(first, last) + eps / 2.0 - 2.0 * r_g
+    # the nodes within the cut are a prefix of the indices when g > 0 and a
+    # suffix when g < 0: bisect for its first node; node 0 when none is
+    below, idx = 0, (k if g < 0 and last <= cut else 0)
+    while below < idx:
+        mid = (below + idx) // 2
+        below, idx = (below, mid) if node(mid)[1] <= cut else (mid + 1, idx)
+    u, value = node(idx)
+    return np.array([u]), CertifiedReal(value, eps / 2.0 + 2.0 * r_g)
 
 
 @dataclass(frozen=True)
@@ -308,21 +322,11 @@ class SamplingTimeResult:
         return self.verdict == "certified"
 
 
-def integrator(xs: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """x' = u: the dynamics find_sampling_time decides."""
-    return us.copy()
-
-
-def find_sampling_time(problem: CLFProblem, V, eta_max: float, tolerances: Sequence[float]) -> list:
+def find_sampling_time(problem: CLFProblem, eta_max: float, tolerances: Sequence[float]) -> list:
     """One sampling time for every state of the annulus and every
-    eps-optimal control, for each optimizer tolerance eps in tolerances,
-    in closed form, for the integrator x' = u with u in the control box
-    [a, b] and the polynomial V (a polynomial form from `forms`).  Returns
-    one SamplingTimeResult per tolerance, in order.  The problem must be
-    that one: its dynamics.f is `integrator` on a one-dimensional state
-    box, with lip_u >= 1, and its grad_V is V.derivative itself, so
-    clf_feedback minimizes V'(x) u.  Any other problem is an
-    ArgumentError.
+    eps-optimal control, for each optimizer tolerance eps in tolerances, in
+    closed form, for x' = u with u in the control box [a, b]: one
+    SamplingTimeResult per tolerance, in order.
 
     Hold an eps-optimal u from an annulus state x for a time t <= eta: by
     Taylor's theorem V(x + t u) - V(x) <= t (D(x) + eps') + t^2 S2 M^2 / 2,
@@ -356,14 +360,8 @@ def find_sampling_time(problem: CLFProblem, V, eta_max: float, tolerances: Seque
         raise ArgumentError("eta_max must be positive")
     if not all(eps > 0 for eps in tolerances):
         raise ArgumentError("eps must be positive")
-    dyn = problem.dynamics
-    if V.coeffs is None:
-        raise ArgumentError("the sampling time takes a polynomial V")
-    if not (dyn.f is integrator and dyn.state_box.dim == 1 and problem.control_box.dim == 1
-            and dyn.lip_u >= 1 and problem.grad_V is V.derivative):
-        raise ArgumentError("the sampling time takes x' = u (stability.integrator) on "
-                            "one-dimensional boxes, with grad_V = V.derivative")
-    lo, hi = dyn.state_box.lo[0], dyn.state_box.hi[0]
+    V = problem.V
+    lo, hi = problem.state_box.lo[0], problem.state_box.hi[0]
     a, b = Fraction(float(problem.control_box.lo[0])), Fraction(float(problem.control_box.hi[0]))
     r, R = Fraction(problem.target_radius), Fraction(problem.overshoot_radius)
     dV = V.derivative.coeffs
@@ -422,9 +420,9 @@ def find_sampling_time(problem: CLFProblem, V, eta_max: float, tolerances: Seque
     return results
 
 
-def reaching_steps(problem: CLFProblem, V, res: SamplingTimeResult, eps: float, x0: float) -> int:
+def reaching_steps(problem: CLFProblem, res: SamplingTimeResult, eps: float, x0: float) -> int:
     """N*, the number of held steps within which the sample-and-hold loop
-    certified by res (find_sampling_time's result on problem and V for the
+    certified by res (find_sampling_time's result on problem for the
     tolerance eps) takes the sampled state from x0, |x0| <= R, into
     |x| <= r:
 
@@ -446,6 +444,6 @@ def reaching_steps(problem: CLFProblem, V, res: SamplingTimeResult, eps: float, 
         raise ArgumentError("the reaching bound needs a certified sampling time")
     if not abs(x0) <= problem.overshoot_radius:
         raise ArgumentError("the reaching bound starts inside |x| <= R")
-    r = Fraction(problem.target_radius)
+    r, V = Fraction(problem.target_radius), problem.V
     drop = V.exact(Fraction(x0)) - min(V.exact(r), V.exact(-r))
     return max(0, math.ceil(drop / (Fraction(res.eta) * (Fraction(eps) + Fraction(res.margin)))))

@@ -462,13 +462,12 @@ def picard_solve(
 
 @dataclass(frozen=True)
 class ControlledDynamics:
-    """x' = f(x, u) with Lipschitz data in both arguments; f pairs row i
-    of the states with row i of the controls."""
+    """x' = f(x, u), lip_x-Lipschitz in x with |f| <= sup_bound; f pairs
+    row i of the states with row i of the controls."""
 
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]  # (states (m,n), controls (m,p)) -> (m,n)
     state_box: Hypercube
     lip_x: float
-    lip_u: float
     sup_bound: float
 
 

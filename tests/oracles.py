@@ -7,6 +7,8 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
+from certctrl.core import CertifiedReal, build_mesh
+
 
 def residual_check(sol, rhs) -> float:
     """Re-integrate the stored trajectory of an ExtendedSolution
@@ -222,3 +224,21 @@ def solution_csv(sol, max_rows: int = 2000) -> str:
         row.append(sol.error_profile[i])
         lines.append(csv_line(row))
     return "\n".join(lines) + "\n"
+
+
+def clf_feedback_mesh_scan(problem, x, eps):
+    """stability.clf_feedback as a scan of the whole control mesh: build
+    the mesh at resolution eps / 2 / |V'(x)| (the one-node mesh when
+    V'(x) = 0), clip it to the box, take every node's value V'(x) u as a
+    one-term dot product and the first node within the cut."""
+    x = np.asarray(x, dtype=float)
+    g = np.asarray(problem.V.derivative(x[None, :]), dtype=float).reshape(x.shape)
+    lip_g = float(np.linalg.norm(g))
+    box = problem.control_box
+    res = box.diameter if lip_g == 0.0 else (eps / 2.0) / lip_g
+    nodes = np.clip(build_mesh(box, res).points, box.lo, box.hi)
+    vals = np.matmul(nodes[:, None, :], g[:, None])[:, 0, 0]
+    r_g = 1e-12 * (1.0 + float(np.abs(vals).max()))
+    cut = vals.min() + eps / 2.0 - 2.0 * r_g
+    idx = int(np.argmax(vals <= cut))  # the first node at or below the cut; 0 when none is
+    return nodes[idx].copy(), CertifiedReal(float(vals[idx]), eps / 2.0 + 2.0 * r_g)

@@ -437,18 +437,10 @@ def test_acceptance_6_lyapunov_certification():
 
 def test_acceptance_7_sample_hold_stabilization():
     t0 = time.perf_counter()
-    dyn = traj.ControlledDynamics(
-        f=stab.integrator,
-        state_box=Hypercube(np.array([0.0]), 4.0),
-        lip_x=0.0,
-        lip_u=1.0,
-        sup_bound=1.0,
-    )
-    V = build_scalar_form({"form": "polynomial", "coeffs": [0.0, 0.0, 1.0]})
     prob = stab.CLFProblem(
-        dynamics=dyn,
+        V=build_scalar_form({"form": "polynomial", "coeffs": [0.0, 0.0, 1.0]}),
+        state_box=Hypercube(np.array([0.0]), 4.0),
         control_box=Hypercube(np.array([0.0]), 2.0),
-        grad_V=V.derivative,
         target_radius=0.1,
         overshoot_radius=1.0,
     )
@@ -457,7 +449,7 @@ def test_acceptance_7_sample_hold_stabilization():
     # the decay rate on the annulus is 2 r = 0.2, so eps = 0.1 leaves no
     # reserve (alpha = 2 eps) and eps = 0.5 is refuted
     for eps in (0.01, 0.05, 0.5):
-        (res,) = stab.find_sampling_time(prob, V, 1.0, [eps])
+        (res,) = stab.find_sampling_time(prob, 1.0, [eps])
         etas.append(res.eta if res.ok else None)
         if eps == 0.01:
             if not res.ok or res.eta is None or res.eta <= 0:

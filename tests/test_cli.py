@@ -1113,34 +1113,73 @@ def test_shh_closed_loop_holds_each_control_for_exactly_eta(tmp_path, monkeypatc
             assert x1 == x + eta * u and err == 0.0, (i, k)
 
 
-def test_shh_demo_stops_at_its_step_budget(tmp_path, monkeypatch):
-    # a control box 1000 wide certifies eta = 1.8e-7 and N* = 550,000,025
-    # steps: the demo stops at its step budget, still writes the
-    # certificate, and reach says where it stopped.  Each step builds a
-    # feedback mesh of 180,000 controls, so the test lowers the budget;
-    # the CI workflow runs this config at DEMO_STEPS
+def _run_shh_under_a_wall_guard(tmp_path, config, seconds):
     import signal
-
-    from certctrl import cli
-
-    assert 5_239 < cli.DEMO_STEPS  # the README's eta_max = 1e-3 case runs whole
-    monkeypatch.setattr(cli, "DEMO_STEPS", 100)
 
     def hang(signum, frame):
         raise TimeoutError("the shh demo loop outran its wall guard")
 
-    config = {**SHH_INTEGRATOR, "control_box": [-1, 1000], "optimizer_eps": 0.01, "sweep": [0.01, 100, 0.5]}
     old = signal.signal(signal.SIGALRM, hang)
-    signal.setitimer(signal.ITIMER_REAL, 60.0)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
-        code, record, out = _run_cli(tmp_path, "shh", config)
+        return _run_cli(tmp_path, "shh", config)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, old)
+
+
+def test_shh_demo_stops_at_its_step_budget(tmp_path):
+    # a control box 1000 wide certifies eta = 1.8e-7 and N* = 550,000,025
+    # steps: the demo stops at its step budget, still writes the
+    # certificate, and reach says where it stopped.  clf_feedback bisects
+    # the control lattice instead of scanning its 180,000 nodes per step,
+    # so the whole budget runs within the guard
+    from certctrl import cli
+
+    assert 5_239 < cli.DEMO_STEPS  # the README's eta_max = 1e-3 case runs whole
+    config = {**SHH_INTEGRATOR, "control_box": [-1, 1000], "optimizer_eps": 0.01, "sweep": [0.01, 100, 0.5]}
+    code, record, out = _run_shh_under_a_wall_guard(tmp_path, config, 20.0)
     assert code == EXIT_OK and record["numeric"]["eta"] == 1.79999991998e-07
     reach = record["payload"]["reach"]
-    assert reach == {"step": None, "stopped_at_step": 100, "bound_steps": 550_000_025,
-                     "time": 100 * record["numeric"]["eta"]}
+    assert reach == {"step": None, "stopped_at_step": cli.DEMO_STEPS, "bound_steps": 550_000_025,
+                     "time": cli.DEMO_STEPS * record["numeric"]["eta"]}
     rows = _closed_loop_rows(out)
-    assert len(rows) == 101 and rows[-1][0] == reach["time"]
+    assert len(rows) == 2001 and rows[-1][0] == reach["time"]
     assert all(abs(x) > config["target_radius"] for _, x, _, _ in rows)
+
+
+def test_shh_with_a_control_box_1e5_wide_runs_to_its_step_budget(tmp_path):
+    # its feedback lattice has 20,000,221 nodes at x = R, five times the
+    # mesh budget that refused it (exit 64), although its eta certifies
+    from certctrl import cli
+
+    config = {**json.loads((Path(__file__).parents[1] / "examples" / "shh.json").read_text()),
+              "control_box": [-1, 1e5]}
+    code, record, out = _run_shh_under_a_wall_guard(tmp_path, config, 20.0)
+    assert code == EXIT_OK and record["numeric"]["eta"] > 0
+    assert record["payload"]["reach"]["stopped_at_step"] == cli.DEMO_STEPS
+    us = [u for _, _, u, _ in _closed_loop_rows(out)]
+    assert all(-1.0 <= u <= 1e5 for u in us)
+
+
+@pytest.mark.parametrize("task", ["ode", "shh"])
+def test_an_unsound_bound_in_the_picard_runner_exits_70(tmp_path, monkeypatch, capsys, task):
+    # the ode task reads its Lipschitz and sup data from the forms'
+    # enclosures, and the shh demo from the control box: when the Picard
+    # runner finds them unsound (here a sup under-reported tenfold), the
+    # program is at fault, not the config
+    from dataclasses import replace
+
+    if task == "ode":
+        sup_abs = forms.ScalarForm.sup_abs
+        monkeypatch.setattr(forms.ScalarForm, "sup_abs", lambda self, lo, hi: sup_abs(self, lo, hi) / 10.0)
+    else:
+        dynamics = stab.CLFProblem.dynamics.fget
+        monkeypatch.setattr(stab.CLFProblem, "dynamics", property(
+            lambda self: replace(dynamics(self), lip_x=1e-3, sup_bound=dynamics(self).sup_bound / 10.0)))
+    config = json.loads((Path(__file__).parents[1] / "examples" / f"{task}.json").read_text())
+    code, record, _ = _run_cli(tmp_path, task, config)
+    assert code == EXIT_INTERNAL and record is None
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("internal error: InternalConsistencyError: ")
+    assert "sup bound unsound" in err[0]

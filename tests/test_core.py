@@ -12,6 +12,8 @@ from certctrl.core import (
     Modulus,
     ResourceBudgetError,
     build_mesh,
+    mesh_divisions,
+    mesh_node,
     snap_dyadic,
 )
 
@@ -186,6 +188,30 @@ def test_build_mesh_matches_scalar_snap_loop(center, side, eps):
     grids = np.meshgrid(*axes, indexing="ij")
     ref = np.stack([g.ravel() for g in grids], axis=1)
     assert mesh.points.tobytes() == ref.tobytes()
+
+
+def test_mesh_node_matches_build_mesh():
+    # every node of a one-dimensional mesh, one at a time: random centred
+    # and interval boxes, non-dyadic, off the origin and far from it, and
+    # the one-node mesh
+    rng = np.random.default_rng(5)
+    boxes = [Hypercube(np.array([rng.uniform(-3.0, 3.0)]), rng.uniform(1e-3, 4.0)) for _ in range(60)]
+    boxes += [Hypercube.interval(*sorted(rng.uniform(-5.0, 5.0, 2).tolist())) for _ in range(60)]
+    boxes += [Hypercube.interval(-0.8, 0.6), Hypercube.interval(-0.0, 1.0), Hypercube.interval(1e6 / 3.0, 1e6)]
+    for box in boxes:
+        for eps in (box.side, box.side / 2.0, *(box.side * 10.0 ** rng.uniform(-4.0, -0.5, 3))):
+            k = mesh_divisions(box, eps)
+            nodes = np.array([mesh_node(box, k, j) for j in range(k + 1)])
+            assert nodes.tobytes() == build_mesh(box, eps).points[:, 0].tobytes(), (box, eps)
+
+
+def test_mesh_node_refuses_what_build_mesh_refuses():
+    # an end point that the 2^-44 lattice cannot scale
+    box = Hypercube.interval(-1e300, 1e300)
+    with pytest.raises(ArgumentError):
+        build_mesh(box, 1e299)
+    with pytest.raises(ArgumentError):
+        mesh_node(box, mesh_divisions(box, 1e299), 0)
 
 
 def test_build_mesh_1d_endpoints_and_midpoint():

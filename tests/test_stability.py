@@ -9,7 +9,7 @@ import pytest
 
 import certctrl.forms as forms
 from certctrl import cli
-from certctrl.core import ArgumentError, Hypercube, build_mesh
+from certctrl.core import ArgumentError, Hypercube, build_mesh, mesh_divisions
 from certctrl.stability import (
     CLFProblem,
     LyapunovData,
@@ -19,12 +19,11 @@ from certctrl.stability import (
     check_sandwich,
     clf_feedback,
     find_sampling_time,
-    integrator,
     reaching_steps,
 )
 from certctrl.forms import Comparator, build_comparator, build_scalar_form
-from certctrl.trajectories import ControlledDynamics, RegularRHS, picard_solve
-from oracles import sample_hold_step, sample_sublevel
+from certctrl.trajectories import RegularRHS, picard_solve
+from oracles import clf_feedback_mesh_scan, sample_hold_step, sample_sublevel
 
 BOX = Hypercube(np.array([0.0]), 2.0)  # [-1, 1]
 
@@ -418,18 +417,11 @@ V_SQ = build_scalar_form({"form": "polynomial", "coeffs": [0.0, 0.0, 1.0]})
 
 
 def integrator_problem(r=0.1, R=1.0, state_box=Hypercube(np.array([0.0]), 4.0), V=V_SQ):
-    """x' = u with u in [-1, 1] and grad_V = V', V = x^2 by default."""
-    dyn = ControlledDynamics(
-        f=integrator,
-        state_box=state_box,
-        lip_x=0.0,
-        lip_u=1.0,
-        sup_bound=1.0,
-    )
+    """x' = u with u in [-1, 1], V = x^2 by default."""
     return CLFProblem(
-        dynamics=dyn,
+        V=V,
+        state_box=state_box,
         control_box=Hypercube(np.array([0.0]), 2.0),  # [-1, 1]
-        grad_V=V.derivative,
         target_radius=r,
         overshoot_radius=R,
     )
@@ -447,28 +439,6 @@ def test_clf_feedback_at_origin_returns_lowest_index():
     prob = integrator_problem()
     u, val = clf_feedback(prob, np.array([0.0]), 0.05)
     assert val.value == 0.0
-
-
-def test_clf_feedback_control_affine_example():
-    # x' = x + u x^2, V = x^2 at x = 0.5, U = [-4, 0]: minimize 2x(x + u x^2)
-    dyn = ControlledDynamics(
-        f=lambda xs, us: xs + us[:, :1] * xs ** 2,
-        state_box=Hypercube(np.array([0.0]), 4.0),
-        lip_x=1.0,
-        lip_u=1.0,
-        sup_bound=10.0,
-    )
-    prob = CLFProblem(
-        dynamics=dyn,
-        control_box=Hypercube(np.array([-2.0]), 4.0),  # [-4, 0]
-        grad_V=lambda x: 2.0 * x,
-        target_radius=0.1,
-        overshoot_radius=1.0,
-    )
-    u, val = clf_feedback(prob, np.array([0.5]), 0.05)
-    # DERIVED: 2x(x + u x^2) = 0.5 + 0.25 u, minimized at u = -4
-    assert u[0] == pytest.approx(-4.0)
-    assert val.value == pytest.approx(0.5 + 0.25 * -4.0, abs=1e-9)
 
 
 def test_clf_feedback_stays_in_a_non_dyadic_control_box():
@@ -501,79 +471,135 @@ def test_clf_feedback_consistency_in_eps():
 
 
 def test_clf_feedback_rejects_a_batch_of_states():
-    # one state (n,) per call: a batch, or a state of the wrong length, is
+    # one state (1,) per call: a batch, or a state of the wrong length, is
     # refused rather than reshaped
     prob = integrator_problem()
     for x in (np.array([[0.5], [-0.5]]), np.array([[0.5]]), np.array([0.5, 0.5]), np.array(0.5)):
         with pytest.raises(ArgumentError, match="one state"):
             clf_feedback(prob, x, 0.05)
-    with pytest.raises(ArgumentError, match="one state"):
-        clf_feedback(planar_problem(), np.zeros((3, 2)), 0.05)
 
 
 # ---------------------------------------------------------------------------
-# clf_feedback against the per-control-node loop
+# clf_feedback against the scan of the whole control mesh
 # ---------------------------------------------------------------------------
 
-def _feedback_one_by_one(problem, x, eps):
-    """clf_feedback for one state, one dynamics call per control node."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    g = np.asarray(problem.grad_V(x[None, :]), dtype=float)[0]
-    lip_g = float(np.linalg.norm(g)) * problem.dynamics.lip_u
-    if lip_g == 0.0:
-        mesh = build_mesh(problem.control_box, problem.control_box.diameter)
+def _random_control_box(rng):
+    """Dyadic, non-dyadic, one-signed and signed-zero intervals."""
+    kind = rng.integers(6)
+    if kind == 0:
+        lo, hi = sorted(rng.integers(-16, 17, size=2) / 8.0)
+        hi = hi if hi > lo else lo + 0.125
+    elif kind == 1:
+        lo, hi = -float(rng.uniform(0.05, 3.0)), float(rng.uniform(0.05, 3.0))
+    elif kind == 2:
+        lo = float(rng.uniform(0.01, 2.0))
+        hi = lo + float(rng.uniform(1e-3, 2.0))
+    elif kind == 3:
+        hi = -float(rng.uniform(0.01, 2.0))
+        lo, hi = hi - float(rng.uniform(1e-3, 2.0)), hi
+    elif kind == 4:
+        lo, hi = (-0.0, float(rng.uniform(0.1, 2.0))) if rng.integers(2) else (-float(rng.uniform(0.1, 2.0)), -0.0)
     else:
-        mesh = build_mesh(problem.control_box, (eps / 2.0) / lip_g)
-    vals = np.empty(len(mesh))
-    for j in range(len(mesh)):
-        f = problem.dynamics.f(x[None, :], mesh.points[j][None, :])
-        vals[j] = float(g @ f[0])
-    r_g = 1e-12 * (1.0 + float(np.abs(vals).max()))
-    cut = vals.min() + eps / 2.0 - 2.0 * r_g
-    idx = int(np.argmax(vals <= cut))
-    return mesh.points[idx], vals[idx], eps / 2.0 + 2.0 * r_g
+        lo, hi = -0.8, 0.6
+    return Hypercube.interval(float(lo), float(hi))
 
 
-def planar_problem():
-    # x1' = x2 + u1 x1, x2' = -x1 + u2 + 0.3 u1 x2 on [-1, 1]^2, V = x1^2 + 2 x2^2
-    def f(xs, us):
-        return np.stack(
-            [xs[:, 1] + us[:, 0] * xs[:, 0], -xs[:, 0] + us[:, 1] + 0.3 * us[:, 0] * xs[:, 1]],
-            axis=1,
-        )
+def _eps_around_the_least_value(problem, x, eps):
+    """Two eps, e0 < e1, at which the cut lies just below and exactly at the
+    least node value, found by bisection over eps from eps's mesh, or None
+    unless the meshes at e0 and e1 have that mesh's end values: the ties
+    that the cut test v <= cut decides."""
+    box, g = problem.control_box, float(problem.V.derivative(np.array([x]))[0])
 
-    dyn = ControlledDynamics(
-        f=f, state_box=Hypercube(np.zeros(2), 2.0), lip_x=2.0, lip_u=1.5, sup_bound=4.0
-    )
-    return CLFProblem(
-        dynamics=dyn,
-        control_box=Hypercube(np.array([0.0, 0.25]), 1.5),
-        grad_V=lambda xs: np.stack([2.0 * xs[:, 0], 4.0 * xs[:, 1]], axis=1),
-        target_radius=0.1,
-        overshoot_radius=1.0,
-    )
+    def ends(e):  # the least value and r_g of the mesh at e
+        vals = np.clip(build_mesh(box, (e / 2.0) / abs(g)).points[:, 0], box.lo, box.hi) * g + 0.0
+        return vals.min(), 1e-12 * (1.0 + np.abs(vals).max())
+
+    low, r_g = ends(eps)
+    cut = lambda e: low + e / 2.0 - 2.0 * r_g
+    below, above = 0.0, 4.0 * eps  # cut(below) < low <= cut(above)
+    while below < (mid := (below + above) / 2.0) < above:
+        below, above = (below, mid) if cut(mid) >= low else (mid, above)
+    same = ends(below) == ends(above) == (low, r_g)
+    return (below, above) if same and cut(below) < low == cut(above) else None
 
 
-def test_clf_feedback_matches_per_node_loop():
-    prob = planar_problem()
-    rng = np.random.default_rng(17)
-    xs = np.vstack([
-        rng.uniform(-1.0, 1.0, size=(9, 2)),
-        [[0.0, 0.0]],  # grad V = 0: the single-node mesh
-        [[0.6, 0.0]],  # value 2 x1^2 u1 ignores u2: a tie along u2
-        [[-0.6, 0.0]],  # the same mesh as the row above
-    ])
-    eps = 0.2
-    ref = [_feedback_one_by_one(prob, x, eps) for x in xs]
-    assert len(build_mesh(prob.control_box, prob.control_box.diameter)) == 1
-    u_tie, v_tie, _ = ref[10]
-    mesh = build_mesh(prob.control_box, (eps / 2.0) / (1.2 * 1.5)).points
-    ties = np.flatnonzero(mesh[:, 0] == u_tie[0])
-    assert ties.size > 1 and mesh[ties[0], 1] == u_tie[1]  # lowest index of the tie
-    for x, (u, value, radius) in zip(xs, ref):
-        u1, cert = clf_feedback(prob, x, eps)
-        assert u1.tobytes() == u.tobytes()
-        assert (cert.value, cert.radius) == (value, radius)
+def test_clf_feedback_matches_the_mesh_scan():
+    # the bisection over the node index returns the mesh scan's control,
+    # value and radius bit for bit
+    def check(problem, x, eps):
+        u, cert = clf_feedback(problem, np.array([x]), eps)
+        u_ref, cert_ref = clf_feedback_mesh_scan(problem, np.array([x]), eps)
+        assert u.tobytes() == u_ref.tobytes(), (problem.control_box.lo, problem.V.coeffs, x, eps)
+        assert (cert.value, cert.radius) == (cert_ref.value, cert_ref.radius)
+        assert math.copysign(1.0, cert.value) == math.copysign(1.0, cert_ref.value)
+        return u[0]
+
+    # random boxes, random polynomial V (V' = 0 at some states), x = 0 and
+    # eps from 1e-4 to 1
+    rng = np.random.default_rng(33)
+    cases = 0
+    while cases < 10_000:
+        box = _random_control_box(rng)
+        degree = int(rng.integers(1, 6))
+        coeffs = rng.uniform(-2.0, 2.0, degree + 1)
+        if rng.integers(4) == 0:
+            coeffs = np.round(coeffs * 4) / 4  # dyadic coefficients: exact zeros of V'
+        problem = replace(integrator_problem(V=poly(coeffs)), control_box=box)
+        for _ in range(8):
+            x = float(rng.choice([0.0, rng.uniform(-2.0, 2.0), rng.integers(-16, 17) / 8.0]))
+            check(problem, x, float(10.0 ** rng.uniform(-4.0, 0.0)))
+            cases += 1
+    # node values lie at least about eps / 2 apart in those cases, so the
+    # first node within the cut is an end node.  Only nodes finer than the
+    # 2^-44 lattice, which snap onto one lattice point, put it inside: boxes
+    # 1e-10 to 1e-9 wide near 0, V = c x with 1e3 <= |c| <= 1e4 and eps
+    # near 4 r_g, the least eps with any node within the cut; for c < 0
+    # also the eps at which the cut is exactly the least value, and the eps
+    # just below it
+    inside = ties = 0
+    for _ in range(1_000):
+        lo = float(rng.uniform(-0.01, 0.01))
+        box = Hypercube.interval(lo, lo + float(10.0 ** rng.uniform(-10.0, -9.0)))
+        c = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(3.0, 4.0))
+        problem = replace(integrator_problem(V=poly([0.0, c])), control_box=box)
+        r_g = 1e-12 * (1.0 + abs(c) * max(abs(box.lo[0]), abs(box.hi[0])))
+        eps = 4.0 * r_g * float(rng.uniform(1.0, 1.5))
+        u = check(problem, 0.3, eps)
+        inside += box.lo[0] < u < box.hi[0] and u != build_mesh(box, (eps / 2.0) / abs(c)).points[-1, 0]
+        tie = _eps_around_the_least_value(problem, 0.3, eps) if c < 0 else None
+        if tie is not None:
+            check(problem, 0.3, tie[0])
+            check(problem, 0.3, tie[1])
+            ties += 1
+    assert inside > 150 and ties > 150, (inside, ties)
+    # V' so small that the mesh stays small near eps = 4e-12: the cut at the
+    # least value, and eps below it, where no node is within the cut
+    for s in (1.0, -1.0):
+        problem = replace(integrator_problem(V=poly([0.0, s * 1e-8])), control_box=Hypercube.interval(-0.8, 0.6))
+        none, least = _eps_around_the_least_value(problem, 0.5, 4e-12)
+        assert (check(problem, 0.5, none), check(problem, 0.5, least)) == (-0.8, -0.8 if s > 0 else 0.6)
+        for eps in np.geomspace(1e-13, 3e-12, 20):
+            assert check(problem, 0.5, float(eps)) == -0.8
+
+
+def test_clf_feedback_never_builds_the_control_mesh(monkeypatch):
+    # a control box 10^5 wide would need 2 * 10^7 mesh nodes at x = 1
+    import certctrl.core as core
+    import certctrl.stability as stab
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("clf_feedback built a mesh")
+
+    monkeypatch.setattr(core, "build_mesh", refuse)
+    assert not hasattr(stab, "build_mesh")
+    wide = replace(integrator_problem(), control_box=Hypercube.interval(-1.0, 1e5))
+    for problem in (integrator_problem(), wide):
+        for x in (1.0, 0.5, 0.0, -0.3):
+            u, _ = clf_feedback(problem, np.array([x]), 0.01)
+            assert problem.control_box.contains(u)
+    assert clf_feedback(wide, np.array([1.0]), 0.01)[0][0] == -1.0
+    assert clf_feedback(wide, np.array([-1.0]), 0.01)[0][0] == 1e5
 
 
 # ---------------------------------------------------------------------------
@@ -590,9 +616,19 @@ def test_clf_problem_needs_the_origin_centred_cube_in_the_state_box():
     integrator_problem(0.1, 1.0, Hypercube(np.array([1.0]), 4.0))
     integrator_problem(0.1, 1.0, Hypercube.interval(-1.0, 1.0))
 
+def test_clf_problem_refuses_a_trig_V_and_planar_boxes():
+    # the sampling time is proved for a polynomial V on intervals: a trig V
+    # and a planar state or control box are refused when the problem is made
+    trig = build_scalar_form({"form": "trig", "terms": [[1.0, 1.0, 0.0]]})
+    with pytest.raises(ArgumentError, match="polynomial V"):
+        integrator_problem(V=trig)
+    for box in ({"state_box": Hypercube(np.zeros(2), 4.0)}, {"control_box": Hypercube(np.zeros(2), 2.0)}):
+        with pytest.raises(ArgumentError, match="one-dimensional"):
+            replace(integrator_problem(), **box)
+
 
 def test_find_sampling_time_integrator_certifies():
-    (res,) = find_sampling_time(integrator_problem(), V_SQ, 1.0, [0.01])
+    (res,) = find_sampling_time(integrator_problem(), 1.0, [0.01])
     assert res.ok
     # alpha = 2 r = 0.2, S2 = 2 and M = 1: eta = alpha - eps' - eps, with
     # eps' = eps + 2e-12 (1 + sup|V'| M) = 0.01 + 1e-11
@@ -605,38 +641,16 @@ def test_find_sampling_time_uncontrollable_failure():
     # u in [0.5, 1] cannot push a state x > 0 toward the origin: no decay
     # direction there, and no eps-optimal u = 0 to refute with (undecided)
     prob = replace(integrator_problem(), control_box=Hypercube.interval(0.5, 1.0))
-    (res,) = find_sampling_time(prob, V_SQ, 0.5, [0.01])
+    (res,) = find_sampling_time(prob, 0.5, [0.01])
     assert res.verdict == "undecided" and res.eta is None
     assert res.diagnosis.startswith("clf_inadequate")
     assert res.details["alpha"] < 0 and res.details["missing_margin"] > 0
 
 
-def test_find_sampling_time_rejects_a_problem_it_does_not_prove():
-    # the bound is for x' = u with grad_V = V' only: x' = x (no control),
-    # the control-affine x' = x + u x|x|, a grad_V that is not V.derivative,
-    # a mesh Lipschitz constant below |df/du| = 1 and a planar state box
-    # are all refused rather than answered for the integrator
-    base = integrator_problem()
-    others = [
-        replace(base, dynamics=replace(base.dynamics, f=lambda xs, us: xs.copy(), lip_u=0.0)),
-        replace(base, dynamics=replace(base.dynamics, f=lambda xs, us: xs + us * xs * np.abs(xs))),
-        replace(base, grad_V=lambda xs: 2.0 * xs),
-        replace(base, grad_V=build_scalar_form({"form": "polynomial", "coeffs": [0, 0, 1]}).derivative),
-        replace(base, dynamics=replace(base.dynamics, lip_u=0.5)),
-        planar_problem(),
-    ]
-    for prob in others:
-        with pytest.raises(ArgumentError, match="integrator"):
-            find_sampling_time(prob, V_SQ, 0.5, [0.01])
-    with pytest.raises(ArgumentError, match="polynomial V"):
-        V = build_scalar_form({"form": "trig", "terms": [[1.0, 1.0, 0.0]]})
-        find_sampling_time(replace(base, grad_V=V.derivative), V, 0.5, [0.01])
-
-
 def test_find_sampling_time_refutes_with_an_eps_optimal_zero_control():
     # eps = 0.5 > 2 r: u = 0 is eps-optimal just outside the target ball,
     # so the state may stay there forever
-    (res,) = find_sampling_time(integrator_problem(), V_SQ, 1.0, [0.5])
+    (res,) = find_sampling_time(integrator_problem(), 1.0, [0.5])
     assert res.verdict == "failure" and res.diagnosis.startswith("optimizer_tolerance")
     x = res.details["witness"]
     assert abs(x) > 0.1
@@ -650,7 +664,7 @@ def test_find_sampling_time_needs_V_to_grow_out_to_the_box_end():
     # sqrt(2) < 2, where a falling V would let the state drift outward
     for coeffs in ([0.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0, -0.25]):
         V = build_scalar_form({"form": "polynomial", "coeffs": coeffs})
-        (res,) = find_sampling_time(integrator_problem(V=V), V, 1.0, [0.01])
+        (res,) = find_sampling_time(integrator_problem(V=V), 1.0, [0.01])
         assert res.verdict == "undecided" and res.diagnosis.startswith("clf_inadequate")
     assert res.details["alpha"] > 0.19
 
@@ -660,7 +674,7 @@ def test_find_sampling_time_certified_loop_enters_ball():
     # annulus the loop under clf_feedback loses at least eta eps of V per
     # interval, stays inside |x| <= R and enters the target ball
     prob, eps = integrator_problem(), 0.01
-    eta = Fraction(find_sampling_time(prob, V_SQ, 1.0, [eps])[0].eta)
+    eta = Fraction(find_sampling_time(prob, 1.0, [eps])[0].eta)
     r = Fraction(prob.target_radius)
     for k in range(-256, 257):
         x = Fraction(k, 256)
@@ -686,10 +700,10 @@ def _shh_config(name):
 
 
 def _shh_sampling_time(config, eps=None):
-    problem, V = cli._shh_problem(config)
+    problem = cli._shh_problem(config)
     eps = config["optimizer_eps"] if eps is None else eps
-    (res,) = find_sampling_time(problem, V, config["eta_max"], [eps])
-    return problem, V, res
+    (res,) = find_sampling_time(problem, config["eta_max"], [eps])
+    return problem, problem.V, res
 
 
 def test_shh_example_decreases_at_the_inner_rim():
@@ -739,7 +753,7 @@ def test_reaching_bound_covers_the_exact_closed_loop(name):
     eta = Fraction(res.eta)
     starts = [s * k / 64 for k in range(65) if k / 64 <= R for s in (1.0, -1.0)] + [R, -R]
     for x0 in starts:
-        bound = reaching_steps(problem, V, res, eps, x0)
+        bound = reaching_steps(problem, res, eps, x0)
         x, steps = Fraction(x0), 0
         while abs(x) > Fraction(r):
             u = clf_feedback(problem, np.array([float(x)]), eps)[0][0]
@@ -753,7 +767,7 @@ def test_reaching_bound_needs_a_certified_eta_and_a_start_within_R():
     config = _shh_config("audit")
     problem, V, res = _shh_sampling_time(config)
     with pytest.raises(ArgumentError):
-        reaching_steps(problem, V, res, 0.05, math.nextafter(1.0, 2.0))
+        reaching_steps(problem, res, 0.05, math.nextafter(1.0, 2.0))
     _, _, refuted = _shh_sampling_time(config, 0.5)
     with pytest.raises(ArgumentError):
-        reaching_steps(problem, V, refuted, 0.5, 1.0)
+        reaching_steps(problem, refuted, 0.5, 1.0)

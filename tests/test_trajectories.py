@@ -131,7 +131,7 @@ def integrator() -> ControlledDynamics:
     def f(xs, u):
         return np.broadcast_to(u, xs.shape).copy()
 
-    return ControlledDynamics(f, BOX2, lip_x=0.0, lip_u=1.0, sup_bound=1.0)
+    return ControlledDynamics(f, BOX2, lip_x=0.0, sup_bound=1.0)
 
 
 def test_sample_hold_matches_exact_recursion():
@@ -603,7 +603,7 @@ def test_sample_hold_matches_per_interval_solves():
     def f(xs, us):
         return -xs + us
 
-    dyn = ControlledDynamics(f, BOX2, lip_x=1.5, lip_u=1.0, sup_bound=3.0)
+    dyn = ControlledDynamics(f, BOX2, lip_x=1.5, sup_bound=3.0)
     half = lambda x: -0.5 * x
     assert _assert_sample_hold_matches_reference(dyn, half, 0.7, np.array([1.2]), 3, 1e-4).entry_step is None
     # the same plant stops at the ball, with a nonzero error in the test
@@ -627,7 +627,7 @@ def test_sample_hold_builds_one_plan_per_run(monkeypatch):
     def f(xs, us):
         return -xs + us
 
-    dyn = ControlledDynamics(f, BOX2, lip_x=1.5, lip_u=1.0, sup_bound=3.0)
+    dyn = ControlledDynamics(f, BOX2, lip_x=1.5, sup_bound=3.0)
     sol = sample_hold_trajectory(dyn, lambda x: -0.5 * x, 0.7, np.array([1.2]), 3, 1e-4, 0.0)
     assert len(built) == 1 and built[0][1] == 0.7 and sol.grid[-1] == 3 * 0.7
     sol = sample_hold_trajectory(integrator(), lambda x: -x, 0.1, np.array([1.0]), 10, 1e-8, 0.0)
@@ -635,8 +635,8 @@ def test_sample_hold_builds_one_plan_per_run(monkeypatch):
 
 
 def test_sample_hold_keeps_no_view_into_the_policy_output():
-    # clf_feedback returns a row of its control mesh: a held control kept as
-    # that view would pin the whole mesh for the rest of the run
+    # a policy may return a row of a larger array: a held control kept as
+    # that view would pin the whole array for the rest of the run
     import weakref
 
     meshes = []
@@ -684,7 +684,7 @@ def test_sample_hold_validity_blocks_end_at_the_sampling_instants():
     def f(xs, us):
         return -xs + us
 
-    dyn = ControlledDynamics(f, BOX2, lip_x=1.5, lip_u=1.0, sup_bound=3.0)
+    dyn = ControlledDynamics(f, BOX2, lip_x=1.5, sup_bound=3.0)
     cases = [
         (sample_hold_trajectory(dyn, lambda x: -0.5 * x, 0.7, np.array([1.2]), 3, 1e-4, 0.0), 0.7, 3),
         (sample_hold_trajectory(integrator(), lambda x: -x, 0.1, np.array([1.0]), 10, 1e-8, 0.5), 0.1, 7),
@@ -718,7 +718,7 @@ def test_shh_closed_loop_csv_matches_per_interval_solves(tmp_path):
     eta, reach = record["numeric"]["eta"], record["payload"]["reach"]
     # the demo closed loop of the shh task, one picard_solve per held
     # step, over N* steps and stopped at the same entry test
-    problem, _ = cli._shh_problem(config)
+    problem = cli._shh_problem(config)
     eps = config["optimizer_eps"]
     grid, values, controls, profile, bound, entry = _sample_hold_reference(
         problem.dynamics, lambda x: stab.clf_feedback(problem, x, eps)[0], eta,
