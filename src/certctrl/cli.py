@@ -4,7 +4,8 @@ with uniform JSON certificates and CSV data files.
 Exit codes: 0 certified/success, 1 counterexample/failure, 2 undecided,
 64 config error, 70 internal error (any other failure of the computation:
 a broken invariant, Picard bounds the task computed found unsound, a
-trajectory leaving its box outside the ode task, an overflow).
+trajectory leaving its box outside the ode task, an overflow, and any
+failure inside the audit, which reads no config).
 Certificates are reproducible: the numeric fields are bit-identical across
 runs with the same config and seed.
 """
@@ -422,6 +423,15 @@ def _soundness_gap(a: float, b: float, c: float, r: float) -> tuple[int, int]:
     return abs(exact - nc * (S // dc)) - nr * (S // dr), S
 
 
+def _product_chain(a, b):
+    """p, s, q, c: the rounded steps p = a b, s = p + a, q = s b, c = q - a
+    of the audit's product (a b + a) b - a, elementwise."""
+    p = a * b
+    s = p + a
+    q = s * b
+    return p, s, q, q - a
+
+
 def _audit_products(rng, n: int):
     """n products c = (a b + a) b - a of pairs (a, b) drawn uniformly from
     [-3, 3], a first, with the radius CertifiedReal arithmetic gives c, in
@@ -439,14 +449,62 @@ def _audit_products(rng, n: int):
     def inflate(v, raw):
         return raw * _RADIUS_SAFETY + np.spacing(np.abs(v))
 
-    p = a * b
+    p, s, q, c = _product_chain(a, b)
     rp = inflate(p, 0.0)
-    s = p + a
     rs = inflate(s, rp)
-    q = s * b
     rq = inflate(q, np.abs(b) * rs)
-    c = q - a
     return a, b, c, inflate(c, rq)
+
+
+def _gap_upper_bounds(a, b, r):
+    """Float bounds U >= |(a b + a) b - a - c| - r, elementwise, for c the
+    rounded product of `_product_chain` and any radius r.
+
+    With round to nearest, |fl(x) - x| <= ulp(fl(x)) / 2 for every real x
+    in range, ulp(y) = np.spacing(|y|), also when fl(x) underflows or is 0
+    (ulp(0) = 2**-1074).  Writing each rounded step p, s, q, c as its
+    exact operation plus an error e_p, e_s, e_q, e_c gives, for the exact
+    product Q, c - Q = e_c + e_q + b (e_s + e_p), so
+    |c - Q| <= (ulp(c) + ulp(q) + |b| (ulp(s) + ulp(p))) / 2
+    (Higham 2002, §2.2).  Each float operation below is followed by
+    np.nextafter towards +inf, which lies at or above the exact result
+    whatever the rounding did, underflow included; the sums and products
+    of upper bounds are monotone, so every step stays an upper bound.
+    """
+    p, s, q, c = _product_chain(a, b)
+
+    def up(v):
+        return np.nextafter(v, np.inf)
+
+    def ulp(v):
+        return np.spacing(np.abs(v))
+
+    err = up(0.5 * up(up(ulp(c) + ulp(q)) + up(np.abs(b) * up(ulp(s) + ulp(p)))))
+    return up(err - r)
+
+
+def _worst_soundness_gap(a, b, c, r) -> tuple[int, int]:
+    """The largest exact `_soundness_gap` over the pairs, as (numerator,
+    denominator), deciding exactly only the pairs a float bound cannot rule
+    out (Shewchuk's adaptive filter, DCG 18(3), 1997).
+
+    Pairs are visited by decreasing `_gap_upper_bounds`; once a bound lies
+    below the exact worst so far (compared exactly, as integers), no later
+    pair can reach it, so the result is the all-pairs maximum.
+    """
+    bounds = _gap_upper_bounds(a, b, r)
+    order = np.argsort(-bounds, kind="stable").tolist()
+    a, b, c, r, bounds = (x.tolist() for x in (a, b, c, r, bounds))
+    worst = None
+    for i in order:
+        if worst is not None:
+            nu, du = bounds[i].as_integer_ratio()
+            if nu * worst[1] < worst[0] * du:
+                break
+        n, d = _soundness_gap(a[i], b[i], c[i], r[i])
+        if worst is None or n * worst[1] > worst[0] * d:
+            worst = n, d
+    return worst
 
 
 def _task_audit(config, seed, out):
@@ -455,14 +513,10 @@ def _task_audit(config, seed, out):
     rng = np.random.default_rng(seed)
     numeric = {}
 
-    # core: interval soundness on random products, each gap decided exactly
-    worst = None
-    for a, b, c, r in zip(*(x.tolist() for x in _audit_products(rng, 2000))):
-        n, d = _soundness_gap(a, b, c, r)
-        if worst is None or n * worst[1] > worst[0] * d:
-            worst = n, d
+    # core: interval soundness on random products, the worst gap exact
+    num, den = _worst_soundness_gap(*_audit_products(rng, 2000))
     # one correctly rounded division
-    numeric["core_worst_soundness_gap"] = worst[0] / worst[1]
+    numeric["core_worst_soundness_gap"] = num / den
 
     # core: mesh covering
     mesh = build_mesh(Hypercube(np.zeros(2), 2.0), 0.25)
@@ -623,12 +677,18 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    if args.task == "audit":
+        # the audit reads no config, so every fault inside it is the program's
+        config_faults, budget_faults = (), ()
+    else:
+        config_faults = (ArgumentError, ContractError, KeyError, TypeError, ValueError)
+        budget_faults = ResourceBudgetError
     try:
         code, record = run(args.task, config, args.seed, args.out)
-    except (ArgumentError, ContractError, KeyError, TypeError, ValueError) as exc:
+    except config_faults as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ResourceBudgetError as exc:
+    except budget_faults as exc:
         print(f"resource budget: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:

@@ -325,27 +325,33 @@ class FiniteMesh:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def min_distance(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized distance from each row of xs to the mesh."""
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        # chunk to bound memory on large meshes
-        out = np.empty(xs.shape[0])
-        step = max(1, int(4e6 // max(len(self), 1)))
-        for s in range(0, xs.shape[0], step):
-            blk = xs[s : s + step]
-            d = np.linalg.norm(blk[:, None, :] - self.points[None, :, :], axis=2)
-            out[s : s + step] = d.min(axis=1)
-        return out
-
     def covering_check(self, rng: np.random.Generator, n_samples: int = 10_000) -> float:
         """Sample the parent set and return the worst min-distance found.
 
-        Only valid when the parent is a Hypercube (or exposes .sample).
+        Assumes a `build_mesh` grid: the nodes are every combination of the
+        per-axis node coordinates (ContractError otherwise), and the parent
+        is a Hypercube (or exposes .sample).  The nearest node to a sample
+        is then the per-axis nearest node, one of the two nodes of its grid
+        cell that searchsorted finds: every other node lies beyond one of
+        them, so its rounded coordinate difference is no smaller, and the
+        rounded norm is monotone in each difference.  The distance to that
+        node is the brute-force norm expression, so the worst is the same
+        float as over every node.
         """
         if self.parent is None or not hasattr(self.parent, "sample"):
             raise ContractError("covering check needs a sampleable parent set")
+        axes = [np.unique(col) for col in self.points.T]
+        if math.prod(len(g) for g in axes) != len(self):
+            raise ContractError("covering check needs a product-grid mesh")
         xs = self.parent.sample(rng, n_samples)
-        return float(self.min_distance(xs).max())
+        nearest = np.empty_like(xs)
+        for j, g in enumerate(axes):
+            # the cell's lower and upper node; the end node outside the grid
+            hi = np.searchsorted(g, xs[:, j])
+            below, above = g[np.maximum(hi - 1, 0)], g[np.minimum(hi, len(g) - 1)]
+            closer = np.abs(xs[:, j] - below) <= np.abs(xs[:, j] - above)
+            nearest[:, j] = np.where(closer, below, above)
+        return float(np.linalg.norm(xs[:, None, :] - nearest[:, None, :], axis=2).max())
 
 
 def mesh_divisions(box: Hypercube, eps: float) -> int:

@@ -156,19 +156,34 @@ def _eig_clusters(a: np.ndarray):
     if not (delta < 1.0 and np.all(np.isfinite(rho))):
         radius = float(up * np.abs(a).sum(axis=1).max())
         return lam, X, [RootCluster(0j, radius, n)], [list(range(n))]
-    centers = np.diag(B)
-    groups = [[i] for i in range(n)]
-    while True:
-        mid = np.array([centers[idx].mean() for idx in groups])
-        rad = up * np.array([(np.abs(centers[idx] - m) + rho[idx]).max()
-                             for idx, m in zip(groups, mid)])
-        merged = _overlap_components(mid, rad, 4 * _EPS * (np.abs(mid).max() + rad.max()))
-        if len(merged) == len(groups):
-            break
-        groups = [sorted(i for c in comp for i in groups[c]) for comp in merged]
+    mid, rad, groups = _merge_disks(np.diag(B), rho, up)
     order = np.lexsort((mid.imag, mid.real))
     clusters = [RootCluster(complex(mid[k]), float(rad[k]), len(groups[k])) for k in order]
     return lam, X, clusters, [groups[k] for k in order]
+
+
+def _merge_disks(centers: np.ndarray, rho: np.ndarray, up: float):
+    """(mid, rad, groups): disks i of center centers[i] and radius rho[i]
+    merged until no two enclosing disks overlap; group k is enclosed by the
+    disk of center mid[k], the mean of its centers, and radius rad[k], up
+    times the largest |center - mid[k]| + rho of its members.
+
+    The first pass holds one disk per group, and there the mean of one
+    center is the center plus +0.0 (np.mean sums from 0 and divides by 1,
+    which changes no bit but the sign of a zero) and |c - c| + rho = rho
+    (finite centers, rho > 0), so it is one vector operation; merged groups
+    take the per-group path.
+    """
+    groups = [[i] for i in range(len(centers))]
+    mid, rad = centers + 0.0, up * rho
+    while True:
+        merged = _overlap_components(mid, rad, 4 * _EPS * (np.abs(mid).max() + rad.max()))
+        if len(merged) == len(groups):
+            return mid, rad, groups
+        groups = [sorted(i for c in comp for i in groups[c]) for comp in merged]
+        mid = np.array([centers[idx].mean() for idx in groups])
+        rad = up * np.array([(np.abs(centers[idx] - m) + rho[idx]).max()
+                             for idx, m in zip(groups, mid)])
 
 
 def approx_eigenpairs(A, eps: float, tau: float = 1e-6) -> tuple[list[ApproxEigenPair], bool]:

@@ -242,3 +242,41 @@ def clf_feedback_mesh_scan(problem, x, eps):
     cut = vals.min() + eps / 2.0 - 2.0 * r_g
     idx = int(np.argmax(vals <= cut))  # the first node at or below the cut; 0 when none is
     return nodes[idx].copy(), CertifiedReal(float(vals[idx]), eps / 2.0 + 2.0 * r_g)
+
+
+def mesh_min_distance(points, xs) -> np.ndarray:
+    """Distance from each row of xs to the nearest of the mesh nodes
+    `points`, by brute force over every node: the reference the per-axis
+    nearest-node search of FiniteMesh.covering_check must equal bit for
+    bit."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    return np.linalg.norm(xs[:, None, :] - points[None, :, :], axis=2).min(axis=1)
+
+
+def all_pairs_worst_gap(a, b, c, r) -> tuple[int, int]:
+    """The largest exact soundness gap of the audit's products, with every
+    pair decided exactly, in order: the reference of the filtered search."""
+    from certctrl.cli import _soundness_gap
+
+    worst = None
+    for args in zip(*(x.tolist() for x in (a, b, c, r))):
+        n, d = _soundness_gap(*args)
+        if worst is None or n * worst[1] > worst[0] * d:
+            worst = n, d
+    return worst
+
+
+def merge_disks_per_group(centers, rho, up):
+    """eigen._merge_disks with every pass, the first included, taking each
+    group's mean center and enclosing radius one group at a time."""
+    from certctrl.eigen import _EPS, _overlap_components
+
+    groups = [[i] for i in range(len(centers))]
+    while True:
+        mid = np.array([centers[idx].mean() for idx in groups])
+        rad = up * np.array([(np.abs(centers[idx] - m) + rho[idx]).max()
+                             for idx, m in zip(groups, mid)])
+        merged = _overlap_components(mid, rad, 4 * _EPS * (np.abs(mid).max() + rad.max()))
+        if len(merged) == len(groups):
+            return mid, rad, groups
+        groups = [sorted(i for c in comp for i in groups[c]) for comp in merged]

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -845,6 +846,69 @@ def test_soundness_gap_is_exact():
         n, d = _soundness_gap(a, b, c, r)
         assert Fraction(n, d) == exact and d & (d - 1) == 0
         assert n / d == float(exact)
+
+
+def _gap_fraction(a, b, c, r):
+    fa, fb = Fraction(a), Fraction(b)
+    return abs((fa * fb + fa) * fb - fa - Fraction(c)) - Fraction(r)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 101, 2024])
+def test_gap_upper_bounds_hold_for_every_pair(seed):
+    from certctrl.cli import _audit_products, _gap_upper_bounds
+
+    a, b, c, r = _audit_products(np.random.default_rng(seed), 2000)
+    bounds = _gap_upper_bounds(a, b, r).tolist()
+    for u, args in zip(bounds, zip(*(x.tolist() for x in (a, b, c, r)))):
+        assert Fraction(u) >= _gap_fraction(*args), args
+
+
+def test_gap_upper_bounds_hold_on_edge_cases():
+    from certctrl.cli import _gap_upper_bounds
+    from certctrl.core import CertifiedReal
+
+    near3 = math.nextafter(3.0, 0.0)
+    values = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -2.5e-308, 1e-8, 0.5, -1.0, 1.5, near3, -near3, 3.0, -3.0]
+    pairs = [(x, y) for x in values for y in values] + [(x, -x) for x in (1.1, 2.9, near3, 1e-160)]
+    for a, b in pairs:
+        x, y = CertifiedReal(a, 0.0), CertifiedReal(b, 0.0)
+        z = (x * y + x) * y - x
+        for r in (z.radius, 0.0):
+            u = float(_gap_upper_bounds(np.array([a]), np.array([b]), np.array([r]))[0])
+            assert Fraction(u) >= _gap_fraction(a, b, z.value, r), (a, b, r)
+
+
+def test_filtered_worst_gap_is_the_all_pairs_worst(monkeypatch):
+    # the filter decides few gaps exactly, and finds the same worst Fraction
+    from certctrl import cli
+    from oracles import all_pairs_worst_gap
+
+    exact = []
+    real = cli._soundness_gap
+    monkeypatch.setattr(cli, "_soundness_gap", lambda *args: exact.append(args) or real(*args))
+    counts = []
+    for seed in range(24):
+        products = cli._audit_products(np.random.default_rng(seed), 2000)
+        exact.clear()
+        n, d = cli._worst_soundness_gap(*products)
+        counts.append(len(exact))
+        want = all_pairs_worst_gap(*products)
+        assert Fraction(n, d) == Fraction(*want) and n / d == want[0] / want[1], seed
+    print(f"exact gaps per 2,000 pairs: {counts}")
+    assert max(counts) <= 20, counts
+
+
+def test_a_fault_inside_the_audit_exits_70(tmp_path, monkeypatch, capsys):
+    # the audit has no config, so a ValueError inside it is the program's
+    from certctrl import cli
+
+    def fail(*args):
+        raise ValueError("planted")
+
+    monkeypatch.setattr(cli, "_soundness_gap", fail)
+    code = main(["audit", "--out", str(tmp_path / "out")])
+    assert code == EXIT_INTERNAL
+    assert capsys.readouterr().err.strip().splitlines() == ["internal error: ValueError: planted"]
 
 
 def test_shh_failure_exit_one_with_diagnosis(tmp_path):

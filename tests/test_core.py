@@ -8,6 +8,8 @@ import pytest
 from certctrl.core import (
     ArgumentError,
     CertifiedReal,
+    ContractError,
+    FiniteMesh,
     Hypercube,
     Modulus,
     ResourceBudgetError,
@@ -246,6 +248,56 @@ def test_build_mesh_nodes_are_dyadic_and_distinct():
     scaled = mesh.points * 2.0 ** 44
     assert np.all(scaled == np.round(scaled))
     assert len(np.unique(mesh.points, axis=0)) == len(mesh)
+
+
+class _FixedSamples:
+    """A parent set whose samples are given points."""
+
+    def __init__(self, xs):
+        self.xs = xs
+
+    def sample(self, rng, size):
+        return self.xs[:size]
+
+
+def _forced_samples(rng, box, mesh):
+    """Nodes, cell midpoints and points on the box faces."""
+    axes = [np.unique(col) for col in mesh.points.T]
+    mids = [(g[:-1] + g[1:]) / 2 if len(g) > 1 else g for g in axes]
+    grid = np.stack([m.ravel() for m in np.meshgrid(*mids, indexing="ij")], axis=1)
+    faces = box.sample(rng, 60)
+    axis = rng.integers(0, box.dim, 60)
+    faces[np.arange(60), axis] = np.where(rng.uniform(size=60) < 0.5, box.lo[axis], box.hi[axis])
+    return np.vstack([mesh.points, grid, faces, box.sample(rng, 100)])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_covering_check_equals_the_brute_force_distance(seed):
+    from oracles import mesh_min_distance
+
+    rng = np.random.default_rng(seed)
+    dim = 1 + seed % 3
+    box = Hypercube(rng.uniform(-2, 2, dim), float(rng.uniform(0.1, 3.0)))
+    k = seed % 7
+    # k = 0 (and k = 1, whose eps reaches half the diameter) is the single centre node
+    eps = box.diameter if k == 0 else 1.001 * box.side * math.sqrt(dim) / (2 * k)
+    mesh = build_mesh(box, eps)
+    assert len(mesh) == (k + 1 if k > 1 else 1) ** dim
+    xs = _forced_samples(rng, box, mesh)
+    for x in xs:
+        fixed = FiniteMesh(mesh.points, mesh.resolution, _FixedSamples(x[None, :]))
+        got = fixed.covering_check(rng, 1)
+        assert got.hex() == float(mesh_min_distance(mesh.points, x[None, :])[0]).hex(), x
+    ref_rng = np.random.default_rng(seed)
+    want = float(mesh_min_distance(mesh.points, box.sample(ref_rng, 3000)).max())
+    assert mesh.covering_check(np.random.default_rng(seed), 3000).hex() == want.hex()
+
+
+def test_covering_check_refuses_a_mesh_that_is_not_a_grid():
+    box = Hypercube(np.zeros(2), 2.0)
+    points = np.array([[0.0, 0.0], [0.5, 0.5], [-0.5, 0.25]])
+    with pytest.raises(ContractError):
+        FiniteMesh(points, 1.0, box).covering_check(np.random.default_rng(0), 10)
 
 
 def test_build_mesh_budget_error_names_count():

@@ -258,6 +258,41 @@ def test_enclosure_holds_for_a_perturbed_basis(monkeypatch):
         _assert_clusters_hold_mp_eigenvalues(A, clusters)
 
 
+def _cluster_cases(rng):
+    """Random complex matrices, rotation blocks, repeated eigenvalues
+    that merge and the order-2 Jordan block, n from 2 to 32."""
+    cases = [np.array([[-1.0, 1.0], [0.0, -1.0]])]
+    for n in (2, 3, 5, 8, 13, 21, 32):
+        cases.append(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        # each eigenvalue repeated up to three times, in a dense basis
+        cases.append(Q @ np.diag(-1.0 - np.arange(n) // 3) @ Q.T)
+    for m in (1, 4, 16):
+        rot = np.zeros((2 * m, 2 * m))
+        for i, (a, b) in enumerate(rng.uniform(-2, 2, (m, 2))):
+            rot[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = a * np.eye(2) + b * ROT
+        cases.append(rot)
+    cases.append(np.diag([-1.0, -1.0, -2.0, -2.0, -2.0, 0.0]))
+    return cases
+
+
+def test_eig_clusters_match_the_per_group_reference(monkeypatch):
+    from oracles import merge_disks_per_group
+
+    def bits(lam, clusters, groups):
+        return (lam.tobytes(), [(c.center.real.hex(), c.center.imag.hex(), c.radius.hex(), c.multiplicity)
+                                for c in clusters], groups)
+
+    cases = _cluster_cases(np.random.default_rng(5))
+    got = [bits(*(r[i] for i in (0, 2, 3))) for r in map(eigen._eig_clusters, cases)]
+    monkeypatch.setattr(eigen, "_merge_disks", merge_disks_per_group)
+    want = [bits(*(r[i] for i in (0, 2, 3))) for r in map(eigen._eig_clusters, cases)]
+    assert got == want
+    sizes = [max(len(g) for g in groups) for _, _, groups in got]
+    # some spectra merge, some stay apart
+    assert min(sizes) == 1 and max(sizes) > 1, sizes
+
+
 def test_boundary_spectrum_is_undecided():
     # a rotation block puts eigenvalues +-i w on the axis; the computed
     # centers land a rounding error left or right of it

@@ -14,7 +14,7 @@ from certctrl.evt import (
     policy_from_text,
     policy_to_text,
 )
-from oracles import full_scan_minimum, net_values_on_grid
+from oracles import full_scan_minimum, mesh_min_distance, net_values_on_grid
 
 UNIT = Hypercube(np.array([0.5]), 1.0)  # [0, 1]
 GRID = np.linspace(0.0, 1.0, 401).reshape(-1, 1)
@@ -126,7 +126,7 @@ def test_value_mesh_stays_in_ball_and_covers():
     rng = np.random.default_rng(3)
     pts = rng.uniform(-1, 1, size=(20_000, 2))
     pts = pts[np.linalg.norm(pts, axis=1) <= 1.0][:5000]
-    assert float(FiniteMesh(values, 0.0).min_distance(pts).max()) <= spacing * math.sqrt(2)
+    assert float(mesh_min_distance(values, pts).max()) <= spacing * math.sqrt(2)
 
 
 def _reference_net(pclass, eps):
