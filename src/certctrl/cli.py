@@ -290,6 +290,8 @@ def _ode_rhs_from_config(config) -> traj.RegularRHS:
 def _task_ode(config, seed, out):
     rhs = _ode_rhs_from_config(config)
     x0 = np.atleast_1d(np.asarray(config["x0"], dtype=float))
+    if not np.all(np.isfinite(x0)):
+        raise ArgumentError("x0 must be finite")
     T = float(config["T"])
     eps = float(config["eps"])
     try:

@@ -6,9 +6,10 @@ set of k <= n independent vectors whose eigen-residuals are certified
 below a requested tolerance.  Eigenpairs come from LAPACK; Gershgorin disks
 of X^-1 A X, bounded rigorously, cluster the eigenvalues with exact
 multiplicities, and the Hurwitz verdict is `undecided` whenever a cluster
-touches the imaginary axis.  A `ComplexMatrix` is analysed once: its
-spectrum is computed on first use and shared by every call it is passed
-to.
+touches the imaginary axis.  The pairs are every column of LAPACK's
+eigenvector matrix when the same bound proves it invertible, else one
+column.  A `ComplexMatrix` is analysed once: its spectrum is computed on
+first use and shared by every call it is passed to.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class ComplexMatrix:
 
     @cached_property
     def spectrum(self):
-        """(lam, X, clusters, groups) of `_eig_clusters`, computed once."""
+        """(lam, X, clusters, groups, proven) of `_eig_clusters`, once."""
         return _eig_clusters(self.entries)
 
 
@@ -92,23 +93,32 @@ class ApproxEigenPair:
     residual: CertifiedReal
 
 
+def _norm(x: np.ndarray) -> float:
+    """np.linalg.norm of a contiguous x scaled by 2^-e, e the exponent of its
+    largest real or imaginary part, scaled back: no square overflows, and a
+    power of two commutes with every rounding, so the float is numpy's
+    wherever no square, scaled or not, overflows or underflows."""
+    e = math.frexp(float(np.abs(x.view(float)).max()))[1]
+    return float(np.ldexp(np.linalg.norm(np.ldexp(x.view(float), -e).view(x.dtype)), e))
+
+
 def _residual_certified(a: np.ndarray, v: np.ndarray, lam: complex) -> CertifiedReal:
     n = a.shape[0]
-    r = a @ v - lam * v
-    val = float(np.linalg.norm(r))
+    val = _norm(a @ v - lam * v)
     # componentwise fl error of A v - lam v
     err = (np.abs(a) @ np.abs(v) + abs(lam) * np.abs(v)) * ((n + 4) * _EPS)
-    rad = float(np.linalg.norm(err)) + (n + 4) * _EPS * val + math.ulp(max(val, 1e-300))
+    rad = _norm(err) + (n + 4) * _EPS * val + math.ulp(max(val, 1e-300))
     return CertifiedReal(val, rad)
 
 
 def _eig_clusters(a: np.ndarray):
     """LAPACK eigenpairs lam, X and certified clusters of the spectrum of A.
 
-    Returns (lam, X, clusters, groups): disjoint disks sorted by center, each
-    holding exactly len(groups[k]) eigenvalues, those the pairs groups[k]
-    approximate.  With u = 2^-53, gamma_k = k u/(1 - k u), eta = 2^-1074,
-    R = inv(X), ~ = computed:
+    Returns (lam, X, clusters, groups, proven): disjoint disks sorted by
+    center, each holding exactly len(groups[k]) eigenvalues, those the pairs
+    groups[k] approximate, and whether delta < 1 proved X invertible (step
+    3).  With u = 2^-53, gamma_k = k u/(1 - k u), eta = 2^-1074, R = inv(X),
+    ~ = computed:
 
     1. The real and imaginary parts of an entry of a complex product P Q of
        inner dimension n are sums of 2n real products, so in any order,
@@ -153,26 +163,24 @@ def _eig_clusters(a: np.ndarray):
         absB = np.abs(B)
         beta = absB.sum(axis=1).max() + E.max()
         rho = up * (np.where(eye > 0, 0.0, absB).sum(axis=1) + E + delta * beta / (1.0 - delta))
-    if not (delta < 1.0 and np.all(np.isfinite(rho))):
+    proven = bool(delta < 1.0)
+    if not (proven and np.all(np.isfinite(rho))):
         radius = float(up * np.abs(a).sum(axis=1).max())
-        return lam, X, [RootCluster(0j, radius, n)], [list(range(n))]
+        return lam, X, [RootCluster(0j, radius, n)], [list(range(n))], proven
     mid, rad, groups = _merge_disks(np.diag(B), rho, up)
     order = np.lexsort((mid.imag, mid.real))
     clusters = [RootCluster(complex(mid[k]), float(rad[k]), len(groups[k])) for k in order]
-    return lam, X, clusters, [groups[k] for k in order]
+    return lam, X, clusters, [groups[k] for k in order], proven
 
 
 def _merge_disks(centers: np.ndarray, rho: np.ndarray, up: float):
     """(mid, rad, groups): disks i of center centers[i] and radius rho[i]
     merged until no two enclosing disks overlap; group k is enclosed by the
     disk of center mid[k], the mean of its centers, and radius rad[k], up
-    times the largest |center - mid[k]| + rho of its members.
-
-    The first pass holds one disk per group, and there the mean of one
-    center is the center plus +0.0 (np.mean sums from 0 and divides by 1,
-    which changes no bit but the sign of a zero) and |c - c| + rho = rho
-    (finite centers, rho > 0), so it is one vector operation; merged groups
-    take the per-group path.
+    times the largest |center - mid[k]| + rho of its members.  The first
+    pass, one disk per group, is one vector operation: there a mean is the
+    center plus +0.0 (np.mean sums from 0 and divides by 1) and |c - c| + rho
+    = rho (finite centers, rho > 0); merged groups take the per-group path.
     """
     groups = [[i] for i in range(len(centers))]
     mid, rad = centers + 0.0, up * rho
@@ -186,30 +194,21 @@ def _merge_disks(centers: np.ndarray, rho: np.ndarray, up: float):
                              for idx, m in zip(groups, mid)])
 
 
-def approx_eigenpairs(A, eps: float, tau: float = 1e-6) -> tuple[list[ApproxEigenPair], bool]:
-    """Eigenpairs from the columns of LAPACK's eigenvector matrix, cluster by
-    cluster, kept while the running Gram matrix stays tau-independent;
-    returns (pairs, achieved) where achieved is False when some kept pair
-    misses the residual target or fewer than n pairs are kept."""
-    if eps <= 0:
+def approx_eigenpairs(A, eps: float) -> tuple[list[ApproxEigenPair], bool]:
+    """Eigenpairs from LAPACK's eigenvector matrix X with certified residuals
+    ||A v - lambda v||: all n columns, cluster by cluster, when the enclosure
+    proves X invertible (`_eig_clusters`), so they are independent; else
+    column 0 alone, one nonzero vector (the verdict is then undecided).
+    Returns (pairs, achieved), achieved when X is proven invertible and every
+    certified residual is <= eps."""
+    if not eps > 0:
         raise ArgumentError("eps must be positive")
     m = _coerce(A)
-    a = m.entries
-    lam, X, _, groups = m.spectrum
-    pairs: list[ApproxEigenPair] = []
-    achieved = True
-    for idxs in groups:
-        for i in idxs:
-            # independence: smallest eigenvalue of the Gram matrix of the
-            # candidate set must stay above tau
-            V = np.array([p.v_hat for p in pairs] + [X[:, i]])
-            if float(np.linalg.eigvalsh(V.conj() @ V.T).min()) < tau:
-                continue
-            cert = _residual_certified(a, X[:, i], lam[i])
-            if cert.value + cert.radius > eps:
-                achieved = False
-            pairs.append(ApproxEigenPair(complex(lam[i]), X[:, i], cert))
-    return pairs, achieved and len(pairs) == a.shape[0]
+    lam, X, _, groups, proven = m.spectrum
+    columns = [i for idxs in groups for i in idxs][: None if proven else 1]
+    pairs = [ApproxEigenPair(complex(lam[i]), X[:, i], _residual_certified(m.entries, X[:, i], lam[i]))
+             for i in columns]
+    return pairs, proven and all(p.residual.value + p.residual.radius <= eps for p in pairs)
 
 
 @dataclass(frozen=True)

@@ -280,3 +280,30 @@ def merge_disks_per_group(centers, rho, up):
         if len(merged) == len(groups):
             return mid, rad, groups
         groups = [sorted(i for c in comp for i in groups[c]) for comp in merged]
+
+
+def tau_greedy_eigenpairs(A, eps, tau=1e-6):
+    """(pairs, achieved, proven) of the heuristic that eigen.approx_eigenpairs
+    replaced: LAPACK's columns cluster by cluster, each kept while the Gram
+    matrix of the kept ones keeps its least eigenvalue >= tau, with residual
+    norms taken unscaled; achieved needs all n columns kept.  Wherever it
+    keeps all n and the enclosure proves the basis, approx_eigenpairs must
+    return the same pairs bit for bit."""
+    from certctrl.eigen import _EPS, ApproxEigenPair, _eig_clusters
+
+    a = np.asarray(A, dtype=complex)
+    n = a.shape[0]
+    lam, X, _, groups, proven = _eig_clusters(a)
+    pairs, achieved = [], True
+    for i in (i for idxs in groups for i in idxs):
+        V = np.array([p.v_hat for p in pairs] + [X[:, i]])
+        if float(np.linalg.eigvalsh(V.conj() @ V.T).min()) < tau:
+            continue
+        v = X[:, i]
+        val = float(np.linalg.norm(a @ v - lam[i] * v))
+        err = (np.abs(a) @ np.abs(v) + abs(lam[i]) * np.abs(v)) * ((n + 4) * _EPS)
+        rad = float(np.linalg.norm(err)) + (n + 4) * _EPS * val + math.ulp(max(val, 1e-300))
+        cert = CertifiedReal(val, rad)
+        achieved = achieved and cert.value + cert.radius <= eps
+        pairs.append(ApproxEigenPair(complex(lam[i]), v, cert))
+    return pairs, achieved and len(pairs) == n, proven

@@ -290,7 +290,7 @@ def test_acceptance_4_eigen_residuals():
     for k in range(1000):
         n = int(rng.integers(2, 9))
         A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        pairs, achieved = eig.approx_eigenpairs(A, eps, tau=tau)
+        pairs, achieved = eig.approx_eigenpairs(A, eps)
         if not achieved or not pairs:
             ok = False
             break

@@ -183,6 +183,13 @@ def test_eig_with_a_nonpositive_eps_exits_64(tmp_path, eps):
     assert code == EXIT_CONFIG
 
 
+def test_eig_with_a_nan_eps_exits_64(tmp_path, capsys):
+    # no residual compares above NaN, so a NaN target would be "achieved"
+    code, record, _ = _run_cli(tmp_path, "eig", {"matrix": [[-1.0, 0.0], [0.0, -2.0]], "eps": math.nan})
+    assert code == EXIT_CONFIG and record is None
+    assert "eps must be positive" in capsys.readouterr().err
+
+
 def test_eig_n32_exits_zero_with_certificate(tmp_path):
     rng = np.random.default_rng(32)
     q, _ = np.linalg.qr(rng.standard_normal((32, 32)))
@@ -250,6 +257,12 @@ def test_ode_leaving_the_box_is_undecided(tmp_path):
     (state,) = record["payload"]["state"]
     assert state == pytest.approx(1.0, abs=1e-3)
     assert not (out / "trajectory.csv").exists()
+
+
+def test_ode_with_a_nan_x0_exits_64(tmp_path, capsys):
+    code, record, _ = _run_cli(tmp_path, "ode", {**ODE_DECAY, "x0": [math.nan]})
+    assert code == EXIT_CONFIG and record is None
+    assert "x0 must be finite" in capsys.readouterr().err
 
 
 ODE_EXAMPLE = json.loads((Path(__file__).parents[1] / "examples" / "ode.json").read_text())

@@ -46,13 +46,71 @@ def test_eigenpairs_rotation_closed_form():
         assert overlap >= 1.0 - 1e-8
 
 
+def _assert_pairs_follow_the_proof(A, pairs, achieved, eps):
+    # n pairs when the enclosure proves the eigenvector basis, else column 0
+    # alone; every residual bound holds against a doubled-precision recheck
+    proven = ComplexMatrix(A).spectrum[-1]
+    assert len(pairs) == (len(A) if proven else 1)
+    assert achieved == (proven and all(p.residual.value + p.residual.radius <= eps for p in pairs))
+    for p in pairs:
+        assert residual_recheck_mp(A, p) <= p.residual.value + p.residual.radius
+    return proven
+
+
 def test_eigenpairs_jordan_block_reports_single_direction():
+    # defective: e1 is the one eigendirection, and LAPACK returns it in both
+    # columns, nearly parallel; the enclosure still proves the columns
+    # independent, so both are pairs along e1 with certified residuals
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
     pairs, achieved = approx_eigenpairs(A, 1e-3)
-    # defective: only one independent direction passes the Gram threshold
-    assert len(pairs) == 1
-    assert pairs[0].residual.value <= 1e-3
-    assert abs(pairs[0].v_hat[0]) >= 0.99  # direction e1
+    assert _assert_pairs_follow_the_proof(A, pairs, achieved, 1e-3)
+    assert achieved and len(pairs) == 2
+    for p in pairs:
+        assert abs(p.v_hat[0]) >= 0.99  # direction e1
+
+
+def test_approx_eigenpairs_match_the_tau_greedy_reference():
+    # wherever the tau-Gram heuristic kept every column of a proven basis,
+    # the pairs, residuals and achieved flag are its own, bit for bit
+    from oracles import tau_greedy_eigenpairs
+
+    def bits(pairs):
+        return [(p.lambda_hat, p.v_hat.tobytes(), p.residual.value.hex(), p.residual.radius.hex())
+                for p in pairs]
+
+    rng = np.random.default_rng(83)
+    cases = _cluster_cases(rng) + [rng.standard_normal((n, n)) for n in (2, 4, 7, 12, 20, 32)]
+    compared = 0
+    for A in cases:
+        pairs, achieved = approx_eigenpairs(A, 1e-8)
+        want, want_achieved, proven = tau_greedy_eigenpairs(A, 1e-8)
+        _assert_pairs_follow_the_proof(A, pairs, achieved, 1e-8)
+        if not (proven and len(want) == len(A)):
+            continue
+        assert (achieved, bits(pairs)) == (want_achieved, bits(want))
+        compared += 1
+    assert compared >= len(cases) - 2, compared
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e300])
+def test_residuals_of_entries_whose_squares_overflow(scale):
+    # eigenvalues scale (-1 +- i sqrt3) / 2: the squares of the residual
+    # entries overflow, so the norms are taken on a power-of-two scaling
+    A = np.array([[0.0, scale], [-scale, -scale]])
+    assert hurwitz_verdict(A).verdict == "stable"
+    pairs, achieved = approx_eigenpairs(A, 1e-8)
+    _assert_pairs_follow_the_proof(A, pairs, achieved, 1e-8)
+    assert len(pairs) == 2
+
+
+def test_norm_is_numpys_in_the_normal_range():
+    rng = np.random.default_rng(89)
+    for _ in range(2000):
+        n = int(rng.integers(1, 40))
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-150, 150, n)
+        if rng.random() < 0.5:
+            x = x + 1j * rng.standard_normal(n) * 10.0 ** rng.uniform(-150, 150, n)
+        assert eigen._norm(x).hex() == float(np.linalg.norm(x)).hex()
 
 
 def test_eigenpairs_gram_independence():
@@ -324,10 +382,12 @@ def test_jordan_block_verdict_and_single_direction(lam, n, decided):
     assert v.verdict in (decided, "undecided")
     assert sum(c.multiplicity for c in v.clusters) == n
     assert any(abs(lam - c.center) <= c.radius for c in v.clusters)
-    pairs, _ = approx_eigenpairs(A, 1e-8)
-    assert len(pairs) == 1
-    assert abs(pairs[0].v_hat[0]) >= 0.99
-    assert pairs[0].residual.value <= 1e-8
+    # LAPACK returns the one eigendirection e1 in every column; the order-2
+    # blocks' columns are proven independent, so both are pairs
+    pairs, achieved = approx_eigenpairs(A, 1e-8)
+    assert _assert_pairs_follow_the_proof(A, pairs, achieved, 1e-8) == (n == 2)
+    assert all(abs(p.v_hat[0]) >= 0.99 for p in pairs)
+    assert all(p.residual.value <= 1e-8 for p in pairs)
 
 
 def test_frank_matrix_without_a_provable_basis_keeps_the_norm_disk():
@@ -340,18 +400,20 @@ def test_frank_matrix_without_a_provable_basis_keeps_the_norm_disk():
     (cluster,) = v.clusters
     assert cluster.center == 0 and cluster.multiplicity == 20
     assert cluster.radius >= np.abs(A).sum(axis=1).max()
-    # the tau-Gram filter keeps fewer than 20 pairs, so the target is missed
+    # no proven basis: column 0 alone, so the target is missed
     pairs, achieved = approx_eigenpairs(A, 1e-8)
-    assert not achieved and 1 <= len(pairs) < 20
+    assert not achieved and len(pairs) == 1
 
 
 def test_eigenpairs_not_achieved_with_missing_pairs():
-    # the tau-Gram filter drops nearly parallel eigenvectors of the Frank
-    # matrix of order 12, so fewer than n pairs come back
-    A = _frank(12)
-    pairs, achieved = approx_eigenpairs(A, 1e-8)
-    assert len(pairs) < 12
-    assert not achieved
+    # the Frank matrix of order 12 has nearly parallel eigenvectors, but the
+    # enclosure proves its basis, so all 12 pairs come back; at order 20 it
+    # cannot, so column 0 alone comes back and the target is missed
+    for n, proven in ((12, True), (20, False)):
+        A = _frank(n)
+        pairs, achieved = approx_eigenpairs(A, 1e-8)
+        assert _assert_pairs_follow_the_proof(A, pairs, achieved, 1e-8) == proven
+        assert achieved == proven
 
 
 def _count_clusters(monkeypatch):
