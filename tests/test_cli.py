@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -700,6 +701,19 @@ def test_selector_numeric_fields_pinned(tmp_path, config, expected):
         assert code == EXIT_OK and record["verdict"] == "certified"
         records.append(record["numeric"])
     assert records[0] == records[1] == expected
+
+
+def test_steep_selector_fields_and_pieces_pinned(tmp_path):
+    # beta = 0.25 + 0.1 x + 1000 x^2 on [0.375, 1] has slope up to about
+    # 2000, so the block is halved 17 times: 131,080 pieces in all
+    config = json.loads(json.dumps(SELECTOR_QUADRATIC))
+    config["chunks"][1][1]["beta"]["coeffs"][2] = 1000
+    code, record, out = _run_cli(tmp_path, "selector", config)
+    assert code == EXIT_OK and record["verdict"] == "certified"
+    assert record["numeric"] == {"eps": 0.06, "n_pieces": 131080, "max_distance": 0.025162114432008977,
+                                 "exception_volume": 0.007812976837158203, "proper": 1}
+    digest = hashlib.sha256((out / "selector.csv").read_bytes()).hexdigest()
+    assert digest == "35669172c50123de03b60da8ce1ec81ef33924e106eef185a5f35990e1434469"
 
 
 def test_selector_budget_below_the_smallest_float(tmp_path):
