@@ -214,33 +214,25 @@ def _task_selector(config, seed, out):
                 if x is not None:
                     raise ArgumentError(f"chunk {j} of domain block {i}: alpha > beta at x = {x!r}")
             L = max(alpha.derivative.sup_abs(lo, hi), beta.derivative.sup_abs(lo, hi))
-            here.append(sel.Chunk(
-                alpha=lambda x, f=alpha: float(f(np.atleast_1d(x)[0])),
-                beta=lambda x, f=beta: float(f(np.atleast_1d(x)[0])),
-                modulus=Modulus.lipschitz(L),
-                eval_radius=1e-9,
-            ))
+            here.append(sel.Chunk(alpha, beta, Modulus.lipschitz(L), eval_radius=1e-9))
         chunks.append(tuple(here))
     lo, hi = config.get("value_range", [0, 1])
     F = sel.RegularSVF(blocks, tuple(chunks), (Fraction(str(lo)), Fraction(str(hi))))
     eps = float(config["eps"])
     budget = Fraction(str(config.get("exception_budget", "1/100")))
     selector = sel.extract_selector(F, eps)
-    verdict, max_distance, witness = sel.certify_selector(F, selector, budget)
-    _write_csv(
-        out / "selector.csv",
-        "lo,hi,value",
-        [(float(b.intervals[0][0]), float(b.intervals[0][1]), float(v))
-         for b, v in selector.pieces],
-    )
+    work = {"stages": selector.stage, "pieces_per_block": [1 << m for _, _, m in selector.domain.grid]}
+    verdict, max_distance, witness = sel.certify_selector(F, selector, budget, work=work)
+    _write_csv(out / "selector.csv", "lo,hi,value", selector.pieces.float_rows())
     numeric = {
         "eps": eps,
         "n_pieces": len(selector.pieces),
         "max_distance": max_distance,
+        # the exception set certify_selector checked against, made once
         "exception_volume": float(selector.domain.exception(budget).volume_exact()),
         "proper": 1 if selector.proper() else 0,
     }
-    payload = {"selector_file": "selector.csv"}
+    payload = {"selector_file": "selector.csv", "work": work}
     if witness is not None:
         payload["witness"] = witness
     return verdict, numeric, payload
@@ -552,8 +544,8 @@ def _task_audit(config, seed, out):
     F = sel.RegularSVF(
         (sel.Block.interval(-1, 0), sel.Block.interval(0, 1)),
         (
-            (sel.Chunk(lambda x: 0.0, lambda x: 0.25, Modulus.lipschitz(0.0), 0.0),),
-            (sel.Chunk(lambda x: 0.75, lambda x: 1.0, Modulus.lipschitz(0.0), 0.0),),
+            (sel.Chunk(np.zeros_like, lambda x: np.full_like(x, 0.25), Modulus.lipschitz(0.0), 0.0),),
+            (sel.Chunk(lambda x: np.full_like(x, 0.75), np.ones_like, Modulus.lipschitz(0.0), 0.0),),
         ),
     )
     s = sel.extract_selector(F, 0.125)

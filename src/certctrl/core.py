@@ -104,6 +104,28 @@ def _float_down(q: Fraction) -> float:
     return -_float_up(-q) + 0.0
 
 
+def _nearest_floats(num: np.ndarray, den: int):
+    """(f, exact): num / den rounded to the nearest float elementwise, as
+    Fraction.__float__ rounds it, and where f equals num / den."""
+    e = den.bit_length() - 1
+    if den == 1 << e and num.dtype != object and np.abs(num).max(initial=0) < 1 << 53:
+        f = np.ldexp(num.astype(float), -e)  # num is a float: one rounding, if subnormal
+        return f, np.ldexp(f, e) == num
+    f = [n / den for n in num.tolist()]  # int / int rounds to nearest
+    exact = [n * q == p * den for n, (p, q) in zip(num.tolist(), (x.as_integer_ratio() for x in f))]
+    return np.array(f, dtype=float), np.array(exact, dtype=bool)
+
+
+def _sub_up(x: np.ndarray, y: np.ndarray):
+    """(u, exact): u = x - y rounded up to a float, elementwise, exact where
+    exact is set: TwoSum (Knuth; Shewchuk 1997) gives x - y = s + err
+    exactly while nothing overflows."""
+    s = x - y
+    z = s - x
+    err = (x - (s - z)) - (y + z)
+    return np.where(err > 0, np.nextafter(s, np.inf), s), np.isfinite(err)
+
+
 def snap_dyadic(x) -> np.ndarray:
     """Round every entry of x to the dyadic lattice 2^-SNAP_BITS (exact in
     binary64 at desk scale), so node equality is exactly decidable.

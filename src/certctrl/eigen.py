@@ -105,8 +105,19 @@ def _norm(x: np.ndarray) -> float:
 def _residual_certified(a: np.ndarray, v: np.ndarray, lam: complex) -> CertifiedReal:
     n = a.shape[0]
     val = _norm(a @ v - lam * v)
-    # componentwise fl error of A v - lam v
-    err = (np.abs(a) @ np.abs(v) + abs(lam) * np.abs(v)) * ((n + 4) * _EPS)
+    # componentwise fl error of A v - lam v, (|A| |v| + |lam| |v|) (n + 4)
+    # eps, formed on |A| and |lam| scaled by 2^-k: k = 0 unless a sum
+    # overflows, else the exponent of the largest of them (|v| <= 1).  A
+    # power of two commutes with every rounding; a scaled product that
+    # underflows loses at most 2 eta, charged per component as
+    # _eig_clusters' mu charges it
+    abs_a, abs_v, abs_lam = np.abs(a), np.abs(v), abs(lam)
+    with np.errstate(over="ignore"):
+        s = abs_a @ abs_v + abs_lam * abs_v
+    k = 0 if np.all(np.isfinite(s)) else math.frexp(max(float(abs_a.max()), abs_lam))[1]
+    if k:
+        s = np.ldexp(abs_a, -k) @ abs_v + math.ldexp(abs_lam, -k) * abs_v + 2 * (n + 1) * _ETA
+    err = np.ldexp(s * ((n + 4) * _EPS), k)
     rad = _norm(err) + (n + 4) * _EPS * val + math.ulp(max(val, 1e-300))
     return CertifiedReal(val, rad)
 

@@ -307,3 +307,89 @@ def tau_greedy_eigenpairs(A, eps, tau=1e-6):
         achieved = achieved and cert.value + cert.radius <= eps
         pairs.append(ApproxEigenPair(complex(lam[i]), v, cert))
     return pairs, achieved and len(pairs) == n, proven
+
+
+# ---------------------------------------------------------------------------
+# the selector pipeline on Block and Fraction objects, piece by piece: the
+# reference that the integer piece arrays of certctrl.selector must match
+# ---------------------------------------------------------------------------
+
+def simple_approx_reference(F, delta: float) -> list:
+    """selector.simple_approx by depth-first halving of Block objects:
+    rows (Block, frozen chunk intervals), each chunk frozen at the leaf's
+    center to its dyadic outward rounding."""
+    from certctrl.selector import Block, _ceil_log2
+
+    shift = max(3, _ceil_log2(8 / Fraction(delta)))
+    rows = []
+    for blk, chunks in zip(F.domain_blocks, F.chunks_per_block):
+        d_req = min(2.0 * ch.modulus.step(delta / 4.0) for ch in chunks)
+        todo, leaves = [blk], []
+        while todo:
+            b = todo.pop()
+            ((lo, hi),) = b.intervals
+            if math.sqrt(float(hi - lo) ** 2) <= d_req or b.volume() == 0:
+                leaves.append(b)
+            else:
+                todo += [Block(((lo, (lo + hi) / 2),)), Block((((lo + hi) / 2, hi),))]
+        for b in leaves:
+            ((lo, hi),) = b.intervals
+            c = np.array([float((lo + hi) / 2)])
+            rad = math.sqrt(float(hi - lo) ** 2) / 2.0
+            vals = []
+            for ch in chunks:
+                var = ch.modulus.forward_bound(rad) + ch.eval_radius
+                vals.append((Fraction(math.floor((float(ch.alpha(c)[0]) - var) * (1 << shift)), 1 << shift),
+                             Fraction(math.ceil((float(ch.beta(c)[0]) + var) * (1 << shift)), 1 << shift)))
+            rows.append((b, tuple(vals)))
+    return rows
+
+
+def exception_reference(base, eps):
+    """J(eps) as a GeneralizedBlock: boxes [t - w, t + w] around both ends
+    t of every non-empty base block, w = eps / (4 n) floored to a dyadic
+    (eps / (8 n) where that floor is 0)."""
+    from certctrl.selector import Block, GeneralizedBlock, _ceil_log2
+
+    ends = [b.intervals[0] for b in base if not b.is_empty]
+    if not ends:
+        return GeneralizedBlock(())
+    w = Fraction(eps) / (4 * len(ends))
+    shift = max(0, _ceil_log2(1 / w)) + 1
+    w = Fraction(math.floor(w * (1 << shift)), 1 << shift) or Fraction(eps) / (8 * len(ends))
+    return GeneralizedBlock(tuple(Block(((t - w, t + w),)) for iv in ends for t in iv))
+
+
+def certify_reference(F, pieces, eps: float, J):
+    """selector.certify_selector piece by piece in Fraction arithmetic on
+    (Block, value) rows: (verdict, max_distance, witness)."""
+    from certctrl.core import _float_up, _up
+    from certctrl.selector import GeneralizedBlock
+
+    max_distance, witness = 0.0, None
+    for b, v in pieces:
+        ((lo, hi),) = b.intervals
+        i = F.block_index([(lo + hi) / 2])
+        if i is None or F.domain_blocks[i].intersect(b) != b:
+            max_distance = math.inf
+            continue
+        c = float((lo + hi) / 2)
+        sq = max(Fraction(c) - lo, hi - Fraction(c)) ** 2
+        r = math.sqrt(sq)
+        while Fraction(r) ** 2 < sq:
+            r = _up(r)
+        upper = lower = math.inf
+        for ch in F.chunks_per_block[i]:
+            a, e = float(ch.alpha(np.array([c]))[0]), float(ch.beta(np.array([c]))[0])
+            gap = max(Fraction(0), Fraction(min(a, e)) - v, v - Fraction(max(a, e)))
+            upper = min(upper, _up(_up(_float_up(gap) + _up(ch.modulus.forward_bound(r))) + ch.eval_radius))
+            lower = min(lower, gap - Fraction(ch.eval_radius))
+        max_distance = max(max_distance, upper)
+        if witness is None and lower > Fraction(eps) and not any(j.contains([Fraction(c)]) for j in J.blocks):
+            witness = {"point": [c], "value": float(v), "distance_lower": float(lower)}
+    if witness is not None:
+        return "counterexample", max_distance, witness
+    covered = sum(b.volume() for b, _ in pieces) == sum(d.volume() for d in F.domain_blocks)
+    if max_distance <= eps and covered and GeneralizedBlock(tuple(b for b, _ in pieces)).proper:
+        return "certified", max_distance, None
+    return "undecided", max_distance, None

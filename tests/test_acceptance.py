@@ -197,21 +197,15 @@ def test_acceptance_2_danskin_sandwich():
 # ---------------------------------------------------------------------------
 
 def _const_chunk(lo, hi):
-    return sel.Chunk(lambda x, v=float(lo): v, lambda x, v=float(hi): v,
+    return sel.Chunk(lambda x, v=float(lo): np.full_like(x, v), lambda x, v=float(hi): np.full_like(x, v),
                      Modulus.lipschitz(0.0), 0.0)
 
 
 def _svf_suite():
-    lin = sel.Chunk(lambda x: 0.0, lambda x: float(np.atleast_1d(x)[0]),
-                    Modulus.lipschitz(1.0), 0.0)
-    ident = sel.Chunk(lambda x: float(np.atleast_1d(x)[0]),
-                      lambda x: float(np.atleast_1d(x)[0]),
-                      Modulus.lipschitz(1.0), 0.0)
-    shifted = sel.Chunk(lambda x: 0.5 * float(np.atleast_1d(x)[0]),
-                        lambda x: 0.5 * float(np.atleast_1d(x)[0]) + 0.5,
-                        Modulus.lipschitz(0.5), 0.0)
-    upper = sel.Chunk(lambda x: float(np.atleast_1d(x)[0]), lambda x: 1.0,
-                      Modulus.lipschitz(1.0), 0.0)
+    lin = sel.Chunk(np.zeros_like, lambda x: x, Modulus.lipschitz(1.0), 0.0)
+    ident = sel.Chunk(lambda x: x, lambda x: x, Modulus.lipschitz(1.0), 0.0)
+    shifted = sel.Chunk(lambda x: 0.5 * x, lambda x: 0.5 * x + 0.5, Modulus.lipschitz(0.5), 0.0)
+    upper = sel.Chunk(lambda x: x, np.ones_like, Modulus.lipschitz(1.0), 0.0)
     I01 = sel.Block.interval(0, 1)
     suite = [
         sel.RegularSVF((I01,), ((_const_chunk(0, 1),),)),
@@ -257,11 +251,12 @@ def test_acceptance_3_selector_guarantee():
             ok = False
         for piece, v in s.pieces:
             # dense evaluation on the domain block that holds the piece
-            chunks = F.chunks_per_block[F.block_index(piece.center())]
-            for x in np.linspace(*(float(t) for t in piece.intervals[0]), 1001):
+            ((lo, hi),) = piece.intervals
+            chunks = F.chunks_per_block[F.block_index([(lo + hi) / 2])]
+            for x in np.linspace(float(lo), float(hi), 1001):
                 xx = np.array([x])
-                d = min(max(0.0, min(ch.alpha(xx), ch.beta(xx)) - float(v),
-                            float(v) - max(ch.alpha(xx), ch.beta(xx))) for ch in chunks)
+                d = min(max(0.0, min(ch.alpha(xx)[0], ch.beta(xx)[0]) - float(v),
+                            float(v) - max(ch.alpha(xx)[0], ch.beta(xx)[0])) for ch in chunks)
                 if d > bound:
                     ok = False
     # the 10^3-point check on one representative instance

@@ -163,6 +163,16 @@ def test_csv_rows_match_the_value_by_value_formatter(tmp_path):
                                            ["re,im,radius,multiplicity", *map(csv_line, rows)])
 
 
+def test_eig_with_entries_at_the_float_limit_is_decided(tmp_path):
+    # the sums |A| |v| + |lambda| |v| of the residual error bound overflow
+    # at 1e308 (it exited 64, "radius must be finite"); formed on a
+    # power-of-two scaling they do not, and the 1e307 twin is unchanged
+    for scale, residual in ((1e308, 3.6888828092962704e+293), (1e307, 3.642777198667699e+292)):
+        code, record, _ = _run_cli(tmp_path, "eig", {"matrix": [[0, scale], [-scale, -scale]]})
+        assert code == EXIT_OK and record["verdict"] == "stable"
+        assert record["numeric"]["max_residual"] == residual and math.isfinite(record["numeric"]["margin_radius"])
+
+
 def test_eig_rotation_matrix_file_undecided(tmp_path):
     mat = tmp_path / "rot.txt"
     mat.write_text("0,0 -1,0\n1,0 0,0\n")
@@ -714,6 +724,19 @@ def test_steep_selector_fields_and_pieces_pinned(tmp_path):
                                  "exception_volume": 0.007812976837158203, "proper": 1}
     digest = hashlib.sha256((out / "selector.csv").read_bytes()).hexdigest()
     assert digest == "35669172c50123de03b60da8ce1ec81ef33924e106eef185a5f35990e1434469"
+
+
+def test_selector_certificate_counts_its_work(tmp_path):
+    # outside numeric: the stages, the pieces of each domain block, and the
+    # pieces whose bound the numpy pass left to the exact Fraction chain
+    code, record, _ = _run_cli(tmp_path, "selector", SELECTOR_QUADRATIC)
+    assert code == EXIT_OK
+    assert record["payload"]["work"] == {"stages": 6, "pieces_per_block": [8, 16], "exact_chains": 0}
+    # on [0, 1.2] a value 6 j / (5 2^7) is a float only where 5 divides j:
+    # the other pieces take the chain
+    code, record, _ = _run_cli(tmp_path, "selector", {**SELECTOR_QUADRATIC, "value_range": [0, "1.2"]})
+    work, n = record["payload"]["work"], record["numeric"]["n_pieces"]
+    assert code == EXIT_OK and 0 < work["exact_chains"] < n == sum(work["pieces_per_block"])
 
 
 def test_selector_budget_below_the_smallest_float(tmp_path):

@@ -92,10 +92,11 @@ def test_approx_eigenpairs_match_the_tau_greedy_reference():
     assert compared >= len(cases) - 2, compared
 
 
-@pytest.mark.parametrize("scale", [1e200, 1e300])
+@pytest.mark.parametrize("scale", [1e200, 1e300, 1e308])
 def test_residuals_of_entries_whose_squares_overflow(scale):
     # eigenvalues scale (-1 +- i sqrt3) / 2: the squares of the residual
-    # entries overflow, so the norms are taken on a power-of-two scaling
+    # entries overflow, so the norms are taken on a power-of-two scaling;
+    # at 1e308 so do the sums |A| |v| + |lam| |v| of the error bound
     A = np.array([[0.0, scale], [-scale, -scale]])
     assert hurwitz_verdict(A).verdict == "stable"
     pairs, achieved = approx_eigenpairs(A, 1e-8)

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from certctrl.selector import (
     GeneralizedBlock,
     RegularSVF,
     Selector,
-    SimpleSVF,
+    _ceil_log2,
     _rescaled,
     _run_stages,
     certify_selector,
@@ -20,14 +21,15 @@ from certctrl.selector import (
     extract_selector,
     simple_approx,
 )
+from oracles import certify_reference, exception_reference, simple_approx_reference
 
 F12 = Fraction(1, 2)
 
 
 def const_chunk(lo, hi, eval_radius=0.0):
     return Chunk(
-        alpha=lambda x, v=float(lo): v,
-        beta=lambda x, v=float(hi): v,
+        alpha=lambda x, v=float(lo): np.full_like(x, v),
+        beta=lambda x, v=float(hi): np.full_like(x, v),
         modulus=Modulus.lipschitz(0.0),
         eval_radius=eval_radius,
     )
@@ -36,8 +38,8 @@ def const_chunk(lo, hi, eval_radius=0.0):
 def linear_chunk():
     # [0, x] on the current block
     return Chunk(
-        alpha=lambda x: 0.0,
-        beta=lambda x: float(np.atleast_1d(x)[0]),
+        alpha=np.zeros_like,
+        beta=lambda x: x,
         modulus=Modulus.lipschitz(1.0),
         eval_radius=0.0,
     )
@@ -45,8 +47,8 @@ def linear_chunk():
 
 def identity_chunk():
     return Chunk(
-        alpha=lambda x: float(np.atleast_1d(x)[0]),
-        beta=lambda x: float(np.atleast_1d(x)[0]),
+        alpha=lambda x: x,
+        beta=lambda x: x,
         modulus=Modulus.lipschitz(1.0),
         eval_radius=0.0,
     )
@@ -192,8 +194,8 @@ def test_simple_approx_constant_is_itself():
     blk, vals = fhat.pieces[0]
     assert blk == Block.interval(0, 1)
     assert vals == ((Fraction(0), F12),)
-    # domain = full X
-    assert sum(b.volume() for b in dom.base) == 1
+    # domain = full X, unsplit
+    assert dom.grid == ((0, 1, 0),)
 
 
 def test_simple_approx_linear_chunk_hausdorff():
@@ -218,8 +220,8 @@ def test_simple_approx_two_chunk_preserves_count():
     F = RegularSVF(
         (Block.interval(0, 1),),
         ((const_chunk(0, 0), Chunk(
-            alpha=lambda x: float(np.atleast_1d(x)[0]),
-            beta=lambda x: 1.0,
+            alpha=lambda x: x,
+            beta=np.ones_like,
             modulus=Modulus.lipschitz(1.0),
         )),),
     )
@@ -239,7 +241,7 @@ def test_simple_approx_two_chunk_preserves_count():
 def test_simple_approx_missing_modulus_contract_error():
     F = RegularSVF(
         (Block.interval(0, 1),),
-        ((Chunk(alpha=lambda x: 0.0, beta=lambda x: 1.0, modulus=None),),),
+        ((Chunk(alpha=np.zeros_like, beta=np.ones_like, modulus=None),),),
     )
     with pytest.raises(ContractError):
         simple_approx(F, 0.1)
@@ -310,8 +312,8 @@ def test_extract_rescales_general_value_range():
     F = RegularSVF(
         (Block.interval(0, 1),),
         ((Chunk(
-            alpha=lambda x: 4.0 * float(np.atleast_1d(x)[0]) - 2.0,
-            beta=lambda x: 4.0 * float(np.atleast_1d(x)[0]) - 2.0,
+            alpha=lambda x: 4.0 * x - 2.0,
+            beta=lambda x: 4.0 * x - 2.0,
             modulus=Modulus.lipschitz(4.0),
         ),),),
         value_range=(Fraction(-2), Fraction(2)),
@@ -410,8 +412,8 @@ def test_stage_domains_preserve_volume():
 def shifted_chunk():
     # [x / 2, x / 2 + 1/2]
     return Chunk(
-        alpha=lambda x: 0.5 * float(np.atleast_1d(x)[0]),
-        beta=lambda x: 0.5 * float(np.atleast_1d(x)[0]) + 0.5,
+        alpha=lambda x: 0.5 * x,
+        beta=lambda x: 0.5 * x + 0.5,
         modulus=Modulus.lipschitz(0.5),
         eval_radius=0.0,
     )
@@ -420,8 +422,8 @@ def shifted_chunk():
 def upper_chunk():
     # [x, 1]
     return Chunk(
-        alpha=lambda x: float(np.atleast_1d(x)[0]),
-        beta=lambda x: 1.0,
+        alpha=lambda x: x,
+        beta=np.ones_like,
         modulus=Modulus.lipschitz(1.0),
         eval_radius=0.0,
     )
@@ -442,8 +444,7 @@ def quadratic_svf(seed, n_blocks, n_chunks):
             curve = rng.choice([-1.0, 1.0]) * rng.uniform(0.045, 0.055)
 
             def alpha(x, lo=lo, s=slope, c=curve):
-                t = float(np.atleast_1d(x)[0])
-                return lo + s * t + c * t * t
+                return lo + s * x + c * x * x
 
             here.append(Chunk(
                 alpha=alpha,
@@ -476,8 +477,8 @@ SVFS = [
     ("rescaled", RegularSVF(
         (I01,),
         ((Chunk(
-            alpha=lambda x: 4.0 * float(np.atleast_1d(x)[0]) - 2.0,
-            beta=lambda x: 4.0 * float(np.atleast_1d(x)[0]) - 2.0,
+            alpha=lambda x: 4.0 * x - 2.0,
+            beta=lambda x: 4.0 * x - 2.0,
             modulus=Modulus.lipschitz(4.0),
         ),),),
         value_range=(Fraction(-2), Fraction(2)),
@@ -586,10 +587,91 @@ def test_deep_constant_chunk_selector_runs_on_python_ints():
 
 def test_run_stages_raises_when_a_piece_meets_no_mesh_value():
     # an inverted frozen interval is at distance >= 1/2 from every value
-    fhat = SimpleSVF(((I01, ((Fraction(1), Fraction(0)),)),))
+    fhat, _ = simple_approx(RegularSVF((I01,), ((const_chunk(1, 0),),)), 0.25)
+    assert list(fhat.pieces) == [(I01, ((Fraction(1), Fraction(0)),))]
     for stages in (_run_stages, reference_stages):
         with pytest.raises(InternalConsistencyError):
             stages(fhat, 3)
+
+
+# ---------------------------------------------------------------------------
+# the integer piece arrays against the per-piece Fraction reference
+# ---------------------------------------------------------------------------
+
+def reference_selector(F, eps):
+    """extract_selector through simple_approx_reference and scan_stages:
+    ((Block, value) rows, base blocks, stages)."""
+    Fr, lo, scale = _rescaled(F)
+    eps_scaled = min(eps / float(scale), 1.0)
+    rows = simple_approx_reference(Fr, eps_scaled / 2.0)
+    n = max(1, _ceil_log2(2 / Fraction(eps_scaled)))
+    staged = scan_stages(SimpleNamespace(pieces=rows), n)
+    return [(b, lo + r * scale) for b, r, _ in staged], [b for b, _ in rows], n
+
+
+def assert_matches_reference(F, eps, rng):
+    """Frozen pieces, selector pieces and values, exception volume and
+    membership, and the certificate of the extracted selector and of hand
+    edits of it (values moved, a piece dropped) equal the reference's."""
+    Fr, _, scale = _rescaled(F)
+    fhat, _ = simple_approx(Fr, min(eps / float(scale), 1.0) / 2.0)
+    assert fhat.pieces == simple_approx_reference(Fr, min(eps / float(scale), 1.0) / 2.0)
+    s = extract_selector(F, eps)
+    rows, base, n = reference_selector(F, eps)
+    assert s.pieces == rows and s.stage == n
+    budget = Fraction(1, int(rng.choice([3, 100, 10**6])))
+    J, J_ref = s.domain.exception(budget), exception_reference(base, budget)
+    assert J.volume_exact() == J_ref.volume_exact()
+    ends = [t for b in base for t in b.intervals[0]]
+    for x in [*rng.choice(ends, 5), *(t + d * J.width for t in rng.choice(ends, 5) for d in (-1, 1, 2)),
+              *map(Fraction, rng.uniform(-1, 3, 5))]:
+        assert J.contains([x]) == any(j.contains([x]) for j in J_ref.blocks)
+    edited = [(b, v + Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 60))) * scale
+               if rng.random() < 0.2 else v) for b, v in rows]
+    cases = [(s, rows), (Selector(tuple(edited), eps, s.domain), edited)]
+    if len(rows) > 1:
+        cases.append((Selector(s.pieces[1:], eps, s.domain), rows[1:]))
+    for sel, ref_rows in cases:
+        assert certify_selector(F, sel, budget) == certify_reference(F, ref_rows, eps, J_ref)
+        assert sel.proper() == GeneralizedBlock(tuple(b for b, _ in ref_rows)).proper
+
+
+@pytest.mark.parametrize("name,F,eps", SVFS, ids=SVF_IDS)
+def test_integer_pipeline_matches_fraction_reference_on_the_svf_suite(name, F, eps):
+    assert_matches_reference(F, eps, np.random.default_rng(len(name)))
+
+
+def random_svf(rng):
+    """One to four domain blocks between random rational cuts of [0, 3]
+    (mostly non-dyadic), a random rational value range, and one to three
+    quadratic chunks per block that may leave it; a quarter of the SVFs
+    have constant chunks only, at eps down to 1e-18."""
+    cuts = sorted({Fraction(int(a), int(b)) for a, b in zip(rng.integers(0, 18, 5), rng.integers(1, 7, 5))})
+    cuts = cuts if len(cuts) > 1 else [Fraction(0), Fraction(1, 3)]
+    lo = Fraction(int(rng.integers(-6, 4)), int(rng.integers(1, 8)))
+    scale = Fraction(int(rng.integers(1, 12)), int(rng.integers(1, 8)))
+    curved = rng.random() < 0.75
+    chunks = []
+    for _ in cuts[1:]:
+        here = []
+        for _ in range(int(rng.integers(1, 4))):
+            c0, w = float(lo) + float(scale) * rng.uniform(-0.2, 1.2), float(scale) * rng.uniform(0, 0.3)
+            c1, c2 = float(scale) * rng.uniform(-0.3, 0.3) * curved, float(scale) * rng.uniform(-0.1, 0.1) * curved
+            here.append(Chunk(lambda x, c=(c0, c1, c2): c[0] + c[1] * x + c[2] * x * x,
+                              lambda x, c=(c0 + w, c1, c2): c[0] + c[1] * x + c[2] * x * x,
+                              Modulus.lipschitz(abs(c1) + 2 * abs(c2) * float(cuts[-1])),
+                              eval_radius=float(rng.choice([0.0, 1e-9]))))
+        chunks.append(tuple(here))
+    blocks = tuple(Block.interval(a, b) for a, b in zip(cuts, cuts[1:]))
+    eps = float(scale) * float(rng.choice([0.3, 0.1, 0.05] if curved else [1e-3, 1e-9, 1e-18]))
+    return RegularSVF(blocks, tuple(chunks), (lo, lo + scale)), eps
+
+
+def test_integer_pipeline_matches_fraction_reference_on_random_svfs():
+    rng = np.random.default_rng(2026)
+    for _ in range(24):
+        F, eps = random_svf(rng)
+        assert_matches_reference(F, eps, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -600,16 +682,11 @@ def dense_distance(F, piece, v, n=1001):
     """Largest dist(v, F(x)) over n evenly spaced points of a 1-D piece,
     endpoints included, with F taken on the domain block holding it."""
     ((lo, hi),) = piece.intervals
-    chunks = F.chunks_per_block[F.block_index(piece.center())]
-    worst = 0.0
-    for x in np.linspace(float(lo), float(hi), n):
-        xx = np.array([x])
-        for_x = min(
-            max(0.0, min(a, b) - v, v - max(a, b))
-            for a, b in ((float(ch.alpha(xx)), float(ch.beta(xx))) for ch in chunks)
-        )
-        worst = max(worst, for_x)
-    return worst
+    chunks = F.chunks_per_block[F.block_index([(lo + hi) / 2])]
+    xs = np.linspace(float(lo), float(hi), n)
+    ends = [(ch.alpha(xs), ch.beta(xs)) for ch in chunks]
+    dist = np.min([np.maximum(0.0, np.maximum(np.minimum(a, b) - v, v - np.maximum(a, b))) for a, b in ends], axis=0)
+    return float(dist.max())
 
 
 @pytest.mark.parametrize("name,F,eps", SVFS, ids=SVF_IDS)
@@ -625,8 +702,8 @@ def test_certify_selector_bound_covers_dense_evaluation(name, F, eps):
 def _lying_identity():
     # the identity on [0, 1] declared constant (Lipschitz 0)
     return Chunk(
-        alpha=lambda x: float(np.atleast_1d(x)[0]),
-        beta=lambda x: float(np.atleast_1d(x)[0]),
+        alpha=lambda x: x,
+        beta=lambda x: x,
         modulus=Modulus.lipschitz(0.0),
         eval_radius=0.0,
     )
@@ -644,7 +721,7 @@ def test_certify_selector_lying_modulus_undecided_then_refuted():
     assert bound >= dense_distance(honest, I01, float(s.pieces[0][1])) > eps
     # the same value on both halves is refuted at the center of the first
     v = s.pieces[0][1]
-    halves = Selector(tuple((b, v) for b in I01.halve_longest()), eps, s.domain)
+    halves = Selector(((Block.interval(0, F12), v), (Block.interval(F12, 1), v)), eps, s.domain)
     verdict, bound, witness = certify_selector(honest, halves, Fraction(1, 100))
     assert verdict == "counterexample"
     assert witness["point"] == [0.25] and witness["value"] == float(v)
