@@ -534,9 +534,9 @@ def certify_selector(F: RegularSVF, s: Selector, budget, work: Optional[dict] = 
     where, inside = np.full(len(t), -1), np.zeros(len(t), dtype=bool)
     cap = 1 << (_INT64_BITS + 1) if mid.dtype != object else math.inf
     for i, blk in enumerate(F.domain_blocks):
-        a, b = (x * t.den for x in blk.intervals[0])
-        lo2, hi2, lo, hi = (min(max(x, -cap), cap) for x in (math.ceil(2 * a), math.floor(2 * b),
-                                                             math.ceil(a), math.floor(b)))
+        bl, bh = (x * t.den for x in blk.intervals[0])
+        lo2, hi2, lo, hi = (min(max(x, -cap), cap) for x in (math.ceil(2 * bl), math.floor(2 * bh),
+                                                             math.ceil(bl), math.floor(bh)))
         hit = (where < 0) & (lo2 <= mid) & (mid <= hi2)
         where[hit] = i
         inside |= hit & (lo <= t.lo) & (t.hi <= hi)

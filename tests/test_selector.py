@@ -731,6 +731,20 @@ def test_certify_selector_lying_modulus_undecided_then_refuted():
     assert bound >= witness["distance_lower"]
 
 
+def test_certify_selector_finds_a_witness_whose_value_is_not_a_float():
+    # v lies 0.4 ulp above the float 0.99, so its float gap to 0.9 falls
+    # short of the exact one by more than the one ulp the float pass adds;
+    # eps sits between them, and only the exact chain sees the witness
+    F = RegularSVF((I01,), ((const_chunk(0, 0.9),),))
+    gap = 0.99 - 0.9  # exact: the two are within a factor 2
+    v = Fraction(0.99) + Fraction(2, 5) * Fraction(math.ulp(0.99))
+    eps = gap + 2 * math.ulp(gap)
+    s = Selector(((I01, v),), eps, extract_selector(F, 0.5).domain)
+    verdict, bound, witness = certify_selector(F, s, Fraction(1, 100))
+    assert verdict == "counterexample" and witness["point"] == [0.5]
+    assert Fraction(witness["distance_lower"]) >= Fraction(eps) and bound >= witness["distance_lower"]
+
+
 def test_certify_selector_undecided_without_coverage():
     F = RegularSVF((IM10, I01), ((const_chunk(0, 0.25),), (const_chunk(0.75, 1),)))
     s = extract_selector(F, 0.125)
